@@ -207,8 +207,8 @@ def parse_config_file(path) -> RunConfig:
 
 
 def _validate_cross_fields(cfg: RunConfig) -> None:
-    mo, sm, cp, ex, co = (cfg["model"], cfg["sim"], cfg["coupling"],
-                          cfg["experiments"], cfg["conditions"])
+    mo, cp, ex, co = (cfg["model"], cfg["coupling"], cfg["experiments"],
+                      cfg["conditions"])
     fam = mo["family"]
     if fam not in ("porous", "plaplace", "fastdiff"):
         raise ConfigError(f"model.family must be porous|plaplace|fastdiff, got {fam!r}")
@@ -225,18 +225,12 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
             raise ConfigError("p-Laplacian runs require space.gamma = 1")
     if mo["b_spec"] not in ("zero", "lipschitz_diagonal"):
         raise ConfigError("model.b_spec must be zero or lipschitz_diagonal")
-    if sm["dt"] > sm["horizon"]:
-        raise ConfigError("sim.dt must not exceed sim.horizon")
-    if sm["scheme"] not in ("semi_implicit", "explicit"):
-        raise ConfigError("sim.scheme must be semi_implicit or explicit")
+    try:
+        build_sim(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from None
     if not 0.0 < cp["glue_eps"] < 0.5 / cp["n"]:
         raise ConfigError("coupling.glue_eps must lie in (0, 1/(2n))")
-    if sm["checkpoints"] is not None:
-        cps = sm["checkpoints"]
-        if any(t < 0 or t > sm["horizon"] + 1e-12 for t in cps):
-            raise ConfigError("sim.checkpoints must lie in [0, horizon]")
-        if list(cps) != sorted(cps):
-            raise ConfigError("sim.checkpoints must be sorted")
     for w in ex["which"]:
         if w not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {w!r}")

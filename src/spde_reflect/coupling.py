@@ -150,14 +150,15 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     channel 2 is shared, channel 3 is reflected for y whenever the cutoff is
     active, and channel 1 passes through the state-dependent diagonal B.
     Below the reflection band (h = 0) channel 3 drops out entirely, so with
-    identical B the two increments coincide (synchronous regime).
+    identical B the two increments coincide (synchronous regime).  Without
+    diffusion (``model.has_diffusion`` false) channel 1 is unused and
+    ``dW1`` may be None.
     """
     from .models import b_diag
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     root_w = np.sqrt(space.h_weights)
     # cylindrical increments on H, expressed in sine coefficients
-    z1 = np.asarray(dW1, dtype=float) / root_w
     z2 = np.asarray(dW2, dtype=float) / root_w
     z3 = np.asarray(dW3, dtype=float) / root_w
     dist = h_norm(space, x - y)
@@ -177,9 +178,9 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         dy = shared + q * h * z3r
     else:
         dy = shared + q * h * z3
-    bx = b_diag(space, model, t, x)
-    if np.any(bx != 0.0):
-        dx = dx + bx * z1
+    if model.has_diffusion:
+        z1 = np.asarray(dW1, dtype=float) / root_w
+        dx = dx + b_diag(space, model, t, x) * z1
         dy = dy + b_diag(space, model, t, y) * z1
     return dx, dy
 

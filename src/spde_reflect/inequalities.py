@@ -21,7 +21,7 @@ import numpy as np
 
 from .spaces import SpectralSpace, h_norm, q_norm, v_norm, to_grid, quad, grad_to_grid
 from .models import (
-    ModelSpec, ZeroDiffusion, pairing_drift_diff, b_hs_diff,
+    ModelSpec, pairing_drift_diff, b_hs_diff,
     signed_power, beta_sup,
 )
 from .integrator import philox_generator
@@ -116,7 +116,7 @@ def lipschitz_K_bound(model: ModelSpec) -> float:
 
 def _a1_lhs(space, model, t, v1, v2):
     lhs = pairing_drift_diff(space, model, t, v1, v2)
-    if not isinstance(model.b_spec, ZeroDiffusion):
+    if model.has_diffusion:
         lhs = lhs + 0.5 * b_hs_diff(space, model, t, v1, v2) ** 2
     return lhs
 
@@ -474,7 +474,7 @@ def fit_coercivity(space: SpectralSpace, model: ModelSpec,
     def lhs_of(v):
         zero = np.zeros_like(v)
         out = pairing_drift_diff(space, model, t, v, zero)
-        if not isinstance(model.b_spec, ZeroDiffusion):
+        if model.has_diffusion:
             out = out + 0.5 * b_hs_diff(space, model, t, v, zero) ** 2
         return out
 

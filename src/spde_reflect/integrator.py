@@ -8,6 +8,15 @@ p // BLOCK_ROWS, and because numpy fills arrays from the stream in C order,
 the draws of path p never depend on how many paths follow it or on how the
 work is partitioned.  Worker counts therefore cannot perturb results.
 
+A block's reflected channel (channel 2) is drawn only when some path of
+that block starts the step inside the reflection band (n |x - y|_H > 1/2);
+elsewhere the cutoff h is 0, the channel is multiplied by zero, and its
+rows are left at zero instead of being drawn.  Values that are drawn are
+unchanged, because a skipped block perturbs no other key.  The decision is
+made per 256-path block and worker batches are block-aligned, so output
+bytes stay independent of the thread count.  The diffusion channel
+(channel 0) is drawn only when the model has a nonzero B.
+
 Schemes
 -------
 ``explicit``       x' = x + dt A(t, x) + noise
@@ -32,11 +41,12 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
 from .spaces import SpectralSpace, h_norm, q_norm, v_norm
-from .models import ModelSpec, ZeroDiffusion, b_diag, drift_and_split_rate
+from .models import ModelSpec, b_diag, drift_and_split_rate
 from .coupling import CouplingParams, coupled_diffusion_increments
 
 __all__ = [
@@ -123,7 +133,13 @@ def gen_noise(master_seed: int, step_index: int, n_paths: int, n_modes: int,
         for ci, ch in enumerate(channels):
             blk = noise_block(master_seed, step_index, ch, b, r1, n_modes)
             out[ci, max(lo, b_lo) - lo:min(hi, b_lo + BLOCK_ROWS) - lo] = blk[r0:r1]
-    return out * np.sqrt(dt)
+    out *= np.sqrt(dt)
+    return out
+
+
+def _on_grid(t: float, dt: float) -> bool:
+    """t is an integer multiple of dt, up to a relative tolerance of 1e-9."""
+    return abs(round(t / dt) * dt - t) <= 1e-9 * max(abs(t), dt)
 
 
 @dataclass(frozen=True)
@@ -139,6 +155,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
+        if not _on_grid(self.horizon, self.dt):
+            raise ValueError("horizon must be a multiple of dt")
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ValueError("scheme must be semi_implicit or explicit")
         if self.n_paths < 1:
@@ -148,6 +166,8 @@ class SimConfig:
             raise ValueError("checkpoint_times must lie in [0, horizon]")
         if list(cps) != sorted(cps):
             raise ValueError("checkpoint_times must be sorted")
+        if not all(_on_grid(t, self.dt) for t in cps):
+            raise ValueError("checkpoint_times must be multiples of dt")
         object.__setattr__(self, "checkpoint_times", cps)
 
     @property
@@ -187,6 +207,7 @@ class CouplingState:
     delta_grid: np.ndarray
     tau_delta: np.ndarray        # (P, D), nan until hit
     failed: np.ndarray
+    dist: np.ndarray             # H-distance at the last step boundary
 
     @property
     def n_paths(self) -> int:
@@ -198,6 +219,7 @@ def _boundary_update(space: SpectralSpace, params: CouplingParams,
     """Record stopping times at the current step boundary and glue."""
     live = ~state.failed
     dist = h_norm(space, state.x - state.y)
+    state.dist = dist
     hit = live & np.isnan(state.tau_n) & (dist <= 1.0 / params.n)
     state.tau_n[hit] = state.time
     state.dist_at_tau_n[hit] = dist[hit]
@@ -227,7 +249,7 @@ def make_coupling_state(space: SpectralSpace, params: CouplingParams,
         t_n=np.full(p, np.nan),
         delta_grid=np.asarray(delta_grid, dtype=float),
         tau_delta=np.full((p, d), np.nan),
-        failed=np.zeros(p, dtype=bool),
+        failed=np.zeros(p, dtype=bool), dist=np.full(p, np.nan),
     )
     _boundary_update(space, params, state)
     return state
@@ -238,10 +260,14 @@ def _split_factors(space: SpectralSpace, dt: float, mu: np.ndarray):
     z = space.lambdas * (mu[..., None] * dt)
     decay = np.exp(-z)
     tiny = z < 1e-12
-    zs = np.where(tiny, 1.0, z)
-    em = -np.expm1(-zs)
-    phi1 = np.where(tiny, 1.0, em / zs)
-    nfac = np.where(tiny, 1.0, np.sqrt(-np.expm1(-2.0 * zs) / (2.0 * zs)))
+    any_tiny = np.any(tiny)
+    if any_tiny:
+        z = np.where(tiny, 1.0, z)
+    phi1 = -np.expm1(-z) / z
+    nfac = np.sqrt(-np.expm1(-2.0 * z) / (2.0 * z))
+    if any_tiny:
+        phi1[tiny] = 1.0
+        nfac[tiny] = 1.0
     return decay, phi1, nfac
 
 
@@ -260,23 +286,46 @@ def _single_noise(space: SpectralSpace, model: ModelSpec, t: float,
                   x: np.ndarray, dW1: np.ndarray, dW2: np.ndarray) -> np.ndarray:
     root_w = np.sqrt(space.h_weights)
     out = space.q_coeffs * (dW2 / root_w)
-    if not isinstance(model.b_spec, ZeroDiffusion):
+    if model.has_diffusion:
         out = out + b_diag(space, model, t, x) * (dW1 / root_w)
     return out
 
 
-def _needs_b(model: ModelSpec) -> bool:
-    return not isinstance(model.b_spec, ZeroDiffusion)
+def _shared_noise(model: ModelSpec, config: SimConfig, step_index: int,
+                  rows: int, n_modes: int, path_lo: int):
+    """Keyed (dW1, dW2); dW1 is None when the model has no diffusion."""
+    if model.has_diffusion:
+        return tuple(gen_noise(config.master_seed, step_index, rows, n_modes,
+                               config.dt, channels=(0, 1), path_lo=path_lo))
+    return None, gen_noise(config.master_seed, step_index, rows, n_modes,
+                           config.dt, channels=(1,), path_lo=path_lo)[0]
+
+
+def _band_noise(config: SimConfig, step_index: int, n_modes: int,
+                path_lo: int, in_band: np.ndarray) -> np.ndarray:
+    """Keyed channel-2 increments for the noise blocks holding a row of
+    ``in_band``; the rows of every other block are zero."""
+    lo, hi = path_lo, path_lo + in_band.size
+    out = np.zeros((in_band.size, n_modes))
+    edges = [lo, *range(lo - lo % BLOCK_ROWS + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
+    # adjacent blocks that need drawing are drawn by one call
+    for hit, run in groupby(zip(edges, edges[1:]),
+                            key=lambda e: bool(np.any(in_band[e[0] - lo:e[1] - lo]))):
+        if hit:
+            run = list(run)
+            a, b = run[0][0], run[-1][1]
+            out[a - lo:b - lo] = gen_noise(config.master_seed, step_index,
+                                           b - a, n_modes, config.dt,
+                                           channels=(2,), path_lo=a)[0]
+    return out
 
 
 def _advance_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
                     xb: np.ndarray, t: float, step_index: int,
                     path_lo: int, noise=None) -> np.ndarray:
     if noise is None:
-        dws = gen_noise(config.master_seed, step_index, xb.shape[0],
-                        space.n_modes, config.dt, channels=(0, 1),
-                        path_lo=path_lo)
-        dw1, dw2 = dws[0], dws[1]
+        dw1, dw2 = _shared_noise(model, config, step_index, xb.shape[0],
+                                 space.n_modes, path_lo)
     else:
         dw1, dw2 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -315,17 +364,13 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     t = state.time
     p = state.n_paths
     if noise is None:
-        channels = (1,) if synchronous else (1, 2)
-        if _needs_b(model):
-            channels = (0,) + channels
-        dws = gen_noise(config.master_seed, state.step_index, p,
-                        space.n_modes, config.dt, channels=channels,
-                        path_lo=path_lo)
-        zero = np.zeros((p, space.n_modes))
-        got = dict(zip(channels, dws))
-        dw1 = got.get(0, zero)
-        dw2 = got[1]
-        dw3 = got.get(2, zero)
+        dw1, dw2 = _shared_noise(model, config, state.step_index, p,
+                                 space.n_modes, path_lo)
+        # the cutoff vanishes outside the band, so only blocks with a row
+        # inside it need the reflected channel
+        dw3 = None if synchronous else _band_noise(
+            config, state.step_index, space.n_modes, path_lo,
+            params.n * state.dist > 0.5)
     else:
         dw1, dw2, dw3 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
     with np.errstate(invalid="ignore", over="ignore"):

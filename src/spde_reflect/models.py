@@ -119,6 +119,12 @@ class ModelSpec:
     family: Porous | PLaplace | FastDiff
     b_spec: ZeroDiffusion | LipschitzDiagonal = ZeroDiffusion()
     theta: float | None = None
+    # resolved once: False means B = 0 and the diffusion channel is unused
+    has_diffusion: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "has_diffusion",
+                           not isinstance(self.b_spec, ZeroDiffusion))
 
 
 class DriftOverflowError(FloatingPointError):
@@ -131,6 +137,9 @@ class DriftOverflowError(FloatingPointError):
 
 def signed_power(s: np.ndarray, r: float) -> np.ndarray:
     """|s|^(r-1) s for r >= 1, |s|^r sgn(s) for r in (0,1); same formula."""
+    if r == 2.0:
+        # same values as the general formula, without a pow per element
+        return s * np.abs(s)
     return np.sign(s) * np.abs(s) ** r
 
 
@@ -261,7 +270,7 @@ def b_diag(space: SpectralSpace, model: ModelSpec, t: float,
     """Per-mode diffusion amplitudes b_i(v); zeros for the zero spec."""
     spec = model.b_spec
     v = np.asarray(v, dtype=float)
-    if isinstance(spec, ZeroDiffusion):
+    if not model.has_diffusion:
         return np.zeros_like(v)
     c = h_mode_coeffs(space, v)
     return spec.c0 * np.tanh(c) * spec.base
@@ -276,7 +285,7 @@ def apply_B(space: SpectralSpace, model: ModelSpec, t: float,
 def b_hs_diff(space: SpectralSpace, model: ModelSpec, t: float,
               v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt norm of B(t,v1) - B(t,v2) at truncation."""
-    if isinstance(model.b_spec, ZeroDiffusion):
+    if not model.has_diffusion:
         v1 = np.asarray(v1, dtype=float)
         return np.zeros(v1.shape[:-1])
     db = b_diag(space, model, t, v1) - b_diag(space, model, t, v2)

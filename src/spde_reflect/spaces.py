@@ -57,7 +57,7 @@ def rowblock_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]))
     for lo in range(0, a.shape[0], ROW_CHUNK):
-        out[lo:lo + ROW_CHUNK] = a[lo:lo + ROW_CHUNK] @ b
+        np.matmul(a[lo:lo + ROW_CHUNK], b, out=out[lo:lo + ROW_CHUNK])
     return out
 
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from spde_reflect import make_space, h_norm
-from spde_reflect.models import ModelSpec, Porous, PLaplace
+from spde_reflect.models import (
+    ModelSpec, Porous, PLaplace, LipschitzDiagonal, unit_base,
+)
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import (
     SimConfig, StepOverflow, gen_noise, noise_block, step_single,
-    step_coupled, make_coupling_state, run_paths, BLOCK_ROWS,
+    step_coupled, make_coupling_state, run_paths, BLOCK_ROWS, _split_factors,
 )
 from conftest import e_k
 
@@ -19,6 +21,21 @@ def test_sim_config_validation():
                   checkpoint_times=(0.2,))
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, horizon=0.1, n_paths=1, master_seed=1, scheme="ha")
+    # horizon and checkpoints must sit on the dt grid, not be snapped to it
+    with pytest.raises(ValueError, match="horizon"):
+        SimConfig(dt=0.03, horizon=0.1, n_paths=1, master_seed=1)
+    with pytest.raises(ValueError, match="checkpoint"):
+        SimConfig(dt=0.01, horizon=0.1, n_paths=1, master_seed=1,
+                  checkpoint_times=(0.0, 0.055, 0.1))
+    with pytest.raises(ValueError, match="checkpoint"):
+        SimConfig(dt=2e-4, horizon=0.25, n_paths=1, master_seed=1,
+                  checkpoint_times=(0.0, 0.005 + 1e-9))
+    # rounding noise of decimal literals is within the tolerance
+    cfg = SimConfig(dt=2e-4, horizon=0.25, n_paths=1, master_seed=1,
+                    checkpoint_times=(0.0, 0.005, 0.015, 0.1, 0.25))
+    assert cfg.n_steps == 1250
+    assert cfg.checkpoint_steps() == [0, 25, 75, 500, 1250]
+    assert SimConfig(dt=0.1, horizon=0.3, n_paths=1, master_seed=1).n_steps == 3
 
 
 def test_noise_deterministic():
@@ -60,6 +77,22 @@ def test_block_rows_fixed_contract():
     assert BLOCK_ROWS == 256
     blk = noise_block(1, 2, 3, 4, 10, 6)
     assert blk.shape == (10, 6)
+
+
+def test_split_factors_match_reference(porous_space):
+    # reference: the guarded formulas, with z < 1e-12 mapped to the limit 1
+    def reference(mu, dt):
+        z = porous_space.lambdas * (mu[..., None] * dt)
+        tiny = z < 1e-12
+        zs = np.where(tiny, 1.0, z)
+        return (np.exp(-z), np.where(tiny, 1.0, -np.expm1(-zs) / zs),
+                np.where(tiny, 1.0, np.sqrt(-np.expm1(-2.0 * zs) / (2.0 * zs))))
+    gen = np.random.default_rng(8)
+    mu = gen.uniform(0.0, 50.0, 300)
+    for m in (mu, np.concatenate([mu, [0.0, 1e-300, np.nan]])):
+        for got, want in zip(_split_factors(porous_space, 2e-4, m),
+                             reference(m, 2e-4)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_step_single_deterministic_drift(porous_space, porous_linear):
@@ -161,6 +194,47 @@ def test_coupled_synchronous_noise_cancels(porous_space, porous_linear):
     expected = eps * np.exp(-np.pi ** 2 * 0.1)
     got = float(h_norm(porous_space, st.x - st.y)[0])
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec(Porous(r=2.0)),
+    ModelSpec(Porous(r=2.0), b_spec=LipschitzDiagonal(0.8, unit_base(16))),
+], ids=["porous_r2", "lipschitz_diagonal"])
+@pytest.mark.parametrize("path_lo", [0, BLOCK_ROWS])
+def test_keyed_noise_matches_explicit(porous_space, model, path_lo):
+    # the keyed step draws channel 2 only for blocks with a row inside the
+    # reflection band (n |x - y|_H > 1/2); it must equal a step fed all
+    # three channels explicitly.  Block 0 lies below the band, block 1
+    # straddles it, block 2 lies above it, and the partial block is last.
+    params = CouplingParams(n=1)
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=3 * BLOCK_ROWS + 17,
+                    master_seed=21)
+    p = cfg.n_paths
+    gen = np.random.default_rng(3)
+    dist = np.empty(p)
+    dist[:BLOCK_ROWS] = gen.uniform(0.05, 0.45, BLOCK_ROWS)
+    dist[BLOCK_ROWS:2 * BLOCK_ROWS] = np.where(
+        np.arange(BLOCK_ROWS) % 3 == 0, gen.uniform(0.55, 0.95, BLOCK_ROWS),
+        gen.uniform(0.05, 0.45, BLOCK_ROWS))
+    dist[2 * BLOCK_ROWS:3 * BLOCK_ROWS] = gen.uniform(1.2, 2.0, BLOCK_ROWS)
+    dist[3 * BLOCK_ROWS:] = gen.uniform(0.3, 0.9, p - 3 * BLOCK_ROWS)
+    mid = 0.1 * gen.standard_normal((p, 16)) / porous_space.lambdas
+    half = e_k(16, 1, 0.5 * np.pi)[None, :] * dist[:, None]
+    st = make_coupling_state(porous_space, params, mid + half, mid - half)
+    inside = params.n * st.dist > 0.5
+    blocks = [inside[b:b + BLOCK_ROWS] for b in range(0, p, BLOCK_ROWS)]
+    assert [bool(np.any(b)) for b in blocks] == [False, True, True, True]
+    assert not np.all(blocks[1]) and np.all(blocks[2])
+    noise = gen_noise(cfg.master_seed, st.step_index, p, 16, cfg.dt,
+                      channels=(0, 1, 2), path_lo=path_lo)
+    keyed = step_coupled(porous_space, model, params, cfg, st,
+                         path_lo=path_lo)
+    explicit = step_coupled(porous_space, model, params, cfg, st,
+                            noise=tuple(noise), path_lo=path_lo)
+    np.testing.assert_array_equal(keyed.x, explicit.x)
+    np.testing.assert_array_equal(keyed.y, explicit.y)
+    np.testing.assert_array_equal(keyed.dist, explicit.dist)
+    assert not np.array_equal(keyed.x, st.x)
 
 
 def test_run_paths_driver_transparency(porous_space, porous_linear):

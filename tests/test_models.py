@@ -198,6 +198,22 @@ def test_signed_power_matches_definition():
     np.testing.assert_allclose(signed_power(s, 3.0), np.abs(s) ** 2 * s)
     np.testing.assert_allclose(signed_power(s, 0.5),
                                np.sign(s) * np.abs(s) ** 0.5)
+    # r = 2 has its own branch; it must give the general formula's values
+    # exactly (the sign of an exact zero may differ)
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                        1e-160, -1e-160, 1e154, -1e154, 1.3e154, -1.4e154,
+                        1e155, -1e155])
+    gen = np.random.default_rng(12)
+    randoms = gen.standard_normal((64, 66)) * np.exp(gen.uniform(-30, 30, (64, 66)))
+    for arr in (special, randoms):
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(signed_power(arr, 2.0),
+                                          np.sign(arr) * np.abs(arr) ** 2.0)
+    for val in (-3.7, -1e154, -0.0, 0.0, 2.5e-160, 1e200, float("nan")):
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(signed_power(val, 2.0),
+                                          np.sign(val) * np.abs(val) ** 2.0)
 
 
 def test_unit_base_normalized():

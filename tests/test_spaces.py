@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from spde_reflect import (
     make_space, h_norm, q_norm, v_norm, to_grid, from_grid, quad,
 )
+from spde_reflect.spaces import ROW_CHUNK, rowblock_matmul
 from spde_reflect.models import Porous, PLaplace, FastDiff
 from conftest import e_k
 
@@ -111,6 +112,17 @@ def test_round_trip_identity(porous_space):
     x = gen.standard_normal((50, 16))
     back = from_grid(porous_space, to_grid(porous_space, x))
     assert np.max(np.abs(back - x)) < 1e-10
+
+
+def test_rowblock_matmul_is_per_chunk_product(porous_space):
+    # the determinism contract: a large batch gives, row by row, the bits
+    # of the same product taken one ROW_CHUNK block at a time
+    gen = np.random.default_rng(4)
+    for a, b in ((gen.standard_normal((10 * ROW_CHUNK + 17, 16)), porous_space.sine),
+                 (gen.standard_normal((3 * ROW_CHUNK, 66)), porous_space.proj)):
+        ref = np.concatenate([a[lo:lo + ROW_CHUNK] @ b
+                              for lo in range(0, a.shape[0], ROW_CHUNK)])
+        np.testing.assert_array_equal(rowblock_matmul(a, b), ref)
 
 
 def test_from_grid_zero(porous_space):
