@@ -7,7 +7,7 @@ from .spaces import (
 from .models import (
     Porous, PLaplace, FastDiff, ZeroDiffusion, LipschitzDiagonal,
     ModelSpec, DriftOverflowError, drift, pairing_drift_diff,
-    apply_B, b_hs_diff, unit_base, signed_power, make_space_for,
+    apply_B, b_hs_diff, unit_base, signed_power,
 )
 from .coupling import (
     CouplingParams, cutoff_h, cutoff_h_prime, sqrt1mh2, sqrt1mh2_prime,

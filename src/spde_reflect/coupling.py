@@ -113,7 +113,8 @@ def reflection_direction(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
                          n: int) -> np.ndarray:
     """a = (Q + I/n)^-1 (u - v), mode i scaled by (q_i + 1/n)^-1."""
     d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-    return d / (space.q_coeffs + 1.0 / n)
+    d /= space.q_coeffs + 1.0 / n
+    return d
 
 
 def sigma_n_apply(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
@@ -128,20 +129,22 @@ def sigma_n_apply(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
     if np.any(na2 == 0.0):
         raise ValueError("sigma_n is undefined on the diagonal u = v")
     coef = h_inner(space, a, np.asarray(w, dtype=float)) / na2
-    return np.asarray(coef)[..., None] * a
+    return np.multiply(np.asarray(coef)[..., None], a, out=a)
 
 
 def reflect_apply(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
                   n: int, w: np.ndarray) -> np.ndarray:
     """(I - 2 sigma_n(u, v)) w: H-isometric involution."""
     w = np.asarray(w, dtype=float)
-    return w - 2.0 * sigma_n_apply(space, u, v, n, w)
+    s = sigma_n_apply(space, u, v, n, w)
+    return np.subtract(w, np.multiply(2.0, s, out=s), out=s)
 
 
 def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingParams,
                                  x: np.ndarray, y: np.ndarray, t: float,
                                  dW1: np.ndarray, dW2: np.ndarray,
-                                 dW3: np.ndarray):
+                                 dW3: np.ndarray, *, dist: np.ndarray | None = None,
+                                 out=None):
     """Noise increments of the coupled pair for one time step.
 
     ``dW1, dW2, dW3`` are independent N(0, dt) coefficient vectors of the
@@ -150,38 +153,49 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     channel 2 is shared, channel 3 is reflected for y whenever the cutoff is
     active, and channel 1 passes through the state-dependent diagonal B.
     Below the reflection band (h = 0) channel 3 drops out entirely, so with
-    identical B the two increments coincide (synchronous regime).  Without
-    diffusion (``model.has_diffusion`` false) channel 1 is unused and
-    ``dW1`` may be None.
+    identical B the two increments coincide (synchronous regime); ``dW3``
+    is read only on rows inside the band.  Without diffusion
+    (``model.has_diffusion`` false) channel 1 is unused and ``dW1`` may be
+    None.  ``dist`` is |x - y|_H when the caller already has it; ``out`` is
+    an optional pair of arrays that receive (dx, dy).
     """
     from .models import b_diag
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if dist is None:
+        dist = h_norm(space, x - y)
     root_w = np.sqrt(space.h_weights)
-    # cylindrical increments on H, expressed in sine coefficients
-    z2 = np.asarray(dW2, dtype=float) / root_w
-    z3 = np.asarray(dW3, dtype=float) / root_w
-    dist = h_norm(space, x - y)
-    h = cutoff_h(params.n * dist)[..., None]
-    g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
     q = space.q_coeffs
-    shared = q * g * z2
-    dx = shared + q * h * z3
-    active = np.asarray(h[..., 0] > 0.0)
-    if np.any(active):
-        z3r = np.array(z3, copy=True)
-        if z3r.ndim == 1:
-            z3r = reflect_apply(space, x, y, params.n, z3)
-        else:
-            z3r[active] = reflect_apply(
-                space, x[active], y[active], params.n, z3[active])
-        dy = shared + q * h * z3r
-    else:
-        dy = shared + q * h * z3
+    dx, dy = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
+    # cylindrical increments on H, expressed in sine coefficients.  Where
+    # h = 0, q * 1.0 * z2 + (q * 0.0) * z3 is q * z2 to the bit unless
+    # q * z2 is -0.0.
+    np.multiply(q, np.divide(dW2, root_w, out=dx), out=dx)
+    np.copyto(dy, dx)
+    s = params.n * np.asarray(dist)
+    band = ~(s <= 0.5)               # h > 0, or a NaN distance (failed row)
+    if np.any(band):
+        # on the band rows, shared + q * h * z3 with shared = q * g * z2;
+        # products and sums are formed in place
+        h = cutoff_h(s[band])[..., None]
+        g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
+        qh = q * h
+        shared = np.asarray(dW2, dtype=float)[band]
+        np.multiply(q * g, np.divide(shared, root_w, out=shared), out=shared)
+        z3 = np.asarray(dW3, dtype=float)[band]
+        z3 /= root_w
+        dx[band] = shared + qh * z3
+        active = h[..., 0] > 0.0
+        if np.all(active):
+            z3 = reflect_apply(space, x[band], y[band], params.n, z3)
+        elif np.any(active):       # NaN (failed) rows are not reflected
+            z3[active] = reflect_apply(space, x[band][active],
+                                       y[band][active], params.n, z3[active])
+        dy[band] = np.add(shared, np.multiply(qh, z3, out=z3), out=z3)
     if model.has_diffusion:
         z1 = np.asarray(dW1, dtype=float) / root_w
-        dx = dx + b_diag(space, model, t, x) * z1
-        dy = dy + b_diag(space, model, t, y) * z1
+        dx += b_diag(space, model, t, x) * z1
+        dy += b_diag(space, model, t, y) * z1
     return dx, dy
 
 

@@ -33,6 +33,20 @@ reflection construction, then updates stopping-time records at the new step
 boundary: tau_n (distance first <= 1/n), tau_{n,delta} (first >= delta), and
 the gluing time (first <= glue_eps, after which the pair is evolved as a
 single trajectory and mirrored).
+
+Buffers
+-------
+A coupled step writes its intermediates into a ``StepBuffers`` set: the
+keyed noise channels, the two increments, each component's drift with the
+shared grid scratch of the nonlinearity, and the split factors (a later
+phase of the step takes over the buffers of an earlier one).
+``run_paths`` creates one set per worker batch and reuses it on every step,
+so the large intermediates are not allocated and faulted in afresh on each
+step; a step called without a set builds a fresh one and runs the same
+code.  The states a step returns are fresh arrays and alias no buffer.
+Output bytes are those of a step that allocates its temporaries: each value
+comes from the same operations in the same order, and the grid transforms
+keep their 256-row matmul chunks.
 """
 
 from __future__ import annotations
@@ -46,12 +60,12 @@ from itertools import groupby
 import numpy as np
 
 from .spaces import SpectralSpace, h_norm, q_norm, v_norm
-from .models import ModelSpec, b_diag, drift_and_split_rate
+from .models import ModelSpec, DriftBuffers, b_diag, drift_and_split_rate
 from .coupling import CouplingParams, coupled_diffusion_increments
 
 __all__ = [
     "BLOCK_ROWS", "SimConfig", "CouplingState", "PathEnsembleRecord",
-    "StepOverflow", "noise_block", "gen_noise", "philox_generator",
+    "StepOverflow", "StepBuffers", "noise_block", "gen_noise", "philox_generator",
     "step_single", "step_coupled", "make_coupling_state", "run_paths",
     "default_threads",
 ]
@@ -114,14 +128,17 @@ def noise_block(master_seed: int, step: int, channel: int, block: int,
 
 
 def gen_noise(master_seed: int, step_index: int, n_paths: int, n_modes: int,
-              dt: float, channels=(0, 1, 2), path_lo: int = 0) -> np.ndarray:
+              dt: float, channels=(0, 1, 2), path_lo: int = 0,
+              out: np.ndarray | None = None) -> np.ndarray:
     """N(0, dt) increments for paths [path_lo, path_lo + n_paths).
 
-    Returns an array of shape (len(channels), n_paths, n_modes).  Each value
-    is a deterministic function of (master_seed, path index, step_index,
-    channel); channels are mutually independent streams.
+    Returns an array of shape (len(channels), n_paths, n_modes), written
+    into ``out`` when given.  Each value is a deterministic function of
+    (master_seed, path index, step_index, channel); channels are mutually
+    independent streams.
     """
-    out = np.empty((len(channels), n_paths, n_modes))
+    if out is None:
+        out = np.empty((len(channels), n_paths, n_modes))
     lo = path_lo
     hi = path_lo + n_paths
     first = lo // BLOCK_ROWS
@@ -194,7 +211,8 @@ class CouplingState:
     """Batched coupled-pair state with stopping-time records.
 
     Arrays carry a leading path axis; a single trajectory pair is the P = 1
-    case.  ``coupled`` paths satisfy x = y exactly and stay glued.
+    case.  ``coupled`` paths satisfy x = y exactly and stay glued.  A step
+    returns a new state and leaves the one it started from unchanged.
     """
     x: np.ndarray
     y: np.ndarray
@@ -206,19 +224,28 @@ class CouplingState:
     t_n: np.ndarray              # gluing time, nan until hit
     delta_grid: np.ndarray
     tau_delta: np.ndarray        # (P, D), nan until hit
-    failed: np.ndarray
+    fail_mode: np.ndarray        # first non-finite mode once failed, else -1
     dist: np.ndarray             # H-distance at the last step boundary
 
     @property
     def n_paths(self) -> int:
         return self.x.shape[0]
 
+    @property
+    def failed(self) -> np.ndarray:
+        return self.fail_mode >= 0
+
 
 def _boundary_update(space: SpectralSpace, params: CouplingParams,
-                     state: CouplingState) -> None:
-    """Record stopping times at the current step boundary and glue."""
+                     state: CouplingState, scratch=(None, None)) -> None:
+    """Record stopping times at the current step boundary and glue.
+
+    ``scratch`` is a pair of arrays shaped like x (or Nones) for x - y and
+    the terms of its norm.
+    """
     live = ~state.failed
-    dist = h_norm(space, state.x - state.y)
+    diff, terms = scratch
+    dist = h_norm(space, np.subtract(state.x, state.y, out=diff), terms)
     state.dist = dist
     hit = live & np.isnan(state.tau_n) & (dist <= 1.0 / params.n)
     state.tau_n[hit] = state.time
@@ -249,37 +276,93 @@ def make_coupling_state(space: SpectralSpace, params: CouplingParams,
         t_n=np.full(p, np.nan),
         delta_grid=np.asarray(delta_grid, dtype=float),
         tau_delta=np.full((p, d), np.nan),
-        failed=np.zeros(p, dtype=bool), dist=np.full(p, np.nan),
+        fail_mode=np.full(p, -1), dist=np.full(p, np.nan),
     )
     _boundary_update(space, params, state)
     return state
 
 
-def _split_factors(space: SpectralSpace, dt: float, mu: np.ndarray):
-    """Exponential-integrator factors (decay, phi1, noise scale) for rate mu."""
-    z = space.lambdas * (mu[..., None] * dt)
-    decay = np.exp(-z)
+class StepBuffers:
+    """Arrays one coupled step of ``rows`` paths writes its intermediates into.
+
+    Create one set per worker and pass it to every step of that worker's
+    rows (``step_coupled(..., work=)``); a set must not be shared between
+    threads.
+    """
+
+    def __init__(self, space: SpectralSpace, rows: int):
+        shape = (rows, space.n_modes)
+        self.increments = np.empty((2,) + shape)    # dx, dy
+        self.drift_x = DriftBuffers(space, (rows,))
+        # y's drift is evaluated after x's, so the two share their scratch
+        self.drift_y = DriftBuffers(space, (rows,), shared=self.drift_x)
+        # The phases of a step run in order (noise and increments, drifts,
+        # split factors, update), so later phases take over earlier buffers:
+        # the keyed channels live in the grid scratch (M + 2 > 3 N values
+        # per row, since make_space requires oversample >= 4), and the
+        # split factors in the channels and the drift scratch.
+        n_noise = 3 * rows * space.n_modes
+        self.noise = self.drift_x.grid2.reshape(-1)[:n_noise].reshape((3,) + shape)
+        self.factors = (*self.noise, self.drift_x.scratch)
+
+
+def _split_factors(space: SpectralSpace, dt: float, mu: np.ndarray, out=None):
+    """Exponential-integrator factors (decay, phi1, noise scale) for rate mu.
+
+    ``out``, four arrays of shape mu.shape + (N,), receives the three
+    factors in its first three and uses the last as scratch.
+    """
+    if out is None:
+        out = np.empty((4,) + np.shape(mu) + space.lambdas.shape)
+    decay, phi1, nfac, z = out
+    np.multiply(space.lambdas, mu[..., None] * dt, out=z)
+    np.exp(np.negative(z, out=decay), out=decay)
     tiny = z < 1e-12
     any_tiny = np.any(tiny)
     if any_tiny:
-        z = np.where(tiny, 1.0, z)
-    phi1 = -np.expm1(-z) / z
-    nfac = np.sqrt(-np.expm1(-2.0 * z) / (2.0 * z))
+        np.copyto(z, 1.0, where=tiny)
+    # phi1 = -expm1(-z) / z
+    np.expm1(np.negative(z, out=phi1), out=phi1)
+    np.divide(np.negative(phi1, out=phi1), z, out=phi1)
+    # nfac = sqrt(-expm1(-2 z) / (2 z)); z is not needed afterwards
+    np.expm1(np.multiply(-2.0, z, out=nfac), out=nfac)
+    np.negative(nfac, out=nfac)
+    np.sqrt(np.divide(nfac, np.multiply(2.0, z, out=z), out=nfac), out=nfac)
     if any_tiny:
         phi1[tiny] = 1.0
         nfac[tiny] = 1.0
     return decay, phi1, nfac
 
 
-def _step_core(space: SpectralSpace, scheme: str, dt: float, x: np.ndarray,
+def _scheme_factors(space: SpectralSpace, config: SimConfig, mu: np.ndarray,
+                    out=None):
+    """(decay, dt * phi1, nfac) for the semi-implicit scheme, None for the
+    explicit one; ``out`` as for _split_factors."""
+    if config.scheme == "explicit":
+        return None
+    decay, phi1, nfac = _split_factors(space, config.dt, mu, out)
+    return decay, np.multiply(config.dt, phi1, out=phi1), nfac
+
+
+def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
                dr: np.ndarray, mu: np.ndarray, noise: np.ndarray,
-               factors=None) -> np.ndarray:
-    if scheme == "explicit":
-        return x + dt * dr + noise
-    decay, phi1, nfac = factors if factors is not None else \
-        _split_factors(space, dt, mu)
-    resid = dr + space.lambdas * x * mu[..., None]
-    return decay * x + dt * phi1 * resid + nfac * noise
+               factors) -> np.ndarray:
+    """The new state as a fresh array; ``dr`` and ``noise`` are overwritten.
+
+    explicit (``factors`` None): x + dt * dr + noise;
+    semi-implicit: decay * x + dt * phi1 * resid + nfac * noise with
+    resid = dr + lambda * x * mu.
+    """
+    new = np.empty_like(x)
+    if factors is None:
+        np.add(x, np.multiply(dt, dr, out=dr), out=new)
+        return np.add(new, noise, out=new)
+    decay, dt_phi1, nfac = factors
+    np.multiply(np.multiply(space.lambdas, x, out=new), mu[..., None], out=new)
+    resid = np.add(dr, new, out=dr)
+    np.multiply(decay, x, out=new)
+    np.add(new, np.multiply(dt_phi1, resid, out=resid), out=new)
+    return np.add(new, np.multiply(nfac, noise, out=noise), out=new)
 
 
 def _single_noise(space: SpectralSpace, model: ModelSpec, t: float,
@@ -292,31 +375,36 @@ def _single_noise(space: SpectralSpace, model: ModelSpec, t: float,
 
 
 def _shared_noise(model: ModelSpec, config: SimConfig, step_index: int,
-                  rows: int, n_modes: int, path_lo: int):
-    """Keyed (dW1, dW2); dW1 is None when the model has no diffusion."""
+                  path_lo: int, out: np.ndarray):
+    """Keyed (dW1, dW2) written into out[0] and out[1]; dW1 is None when
+    the model has no diffusion."""
+    rows, n_modes = out.shape[1:]
     if model.has_diffusion:
         return tuple(gen_noise(config.master_seed, step_index, rows, n_modes,
-                               config.dt, channels=(0, 1), path_lo=path_lo))
+                               config.dt, channels=(0, 1), path_lo=path_lo,
+                               out=out[:2]))
     return None, gen_noise(config.master_seed, step_index, rows, n_modes,
-                           config.dt, channels=(1,), path_lo=path_lo)[0]
+                           config.dt, channels=(1,), path_lo=path_lo,
+                           out=out[1:2])[0]
 
 
-def _band_noise(config: SimConfig, step_index: int, n_modes: int,
-                path_lo: int, in_band: np.ndarray) -> np.ndarray:
-    """Keyed channel-2 increments for the noise blocks holding a row of
-    ``in_band``; the rows of every other block are zero."""
+def _band_noise(config: SimConfig, step_index: int, path_lo: int,
+                in_band: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Keyed channel-2 increments, written into ``out``, for the noise blocks
+    holding a row of ``in_band``; the rows of every other block are zero."""
     lo, hi = path_lo, path_lo + in_band.size
-    out = np.zeros((in_band.size, n_modes))
     edges = [lo, *range(lo - lo % BLOCK_ROWS + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
     # adjacent blocks that need drawing are drawn by one call
     for hit, run in groupby(zip(edges, edges[1:]),
                             key=lambda e: bool(np.any(in_band[e[0] - lo:e[1] - lo]))):
+        run = list(run)
+        a, b = run[0][0], run[-1][1]
         if hit:
-            run = list(run)
-            a, b = run[0][0], run[-1][1]
-            out[a - lo:b - lo] = gen_noise(config.master_seed, step_index,
-                                           b - a, n_modes, config.dt,
-                                           channels=(2,), path_lo=a)[0]
+            gen_noise(config.master_seed, step_index, b - a, out.shape[1],
+                      config.dt, channels=(2,), path_lo=a,
+                      out=out[None, a - lo:b - lo])
+        else:
+            out[a - lo:b - lo] = 0.0
     return out
 
 
@@ -324,14 +412,20 @@ def _advance_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
                     xb: np.ndarray, t: float, step_index: int,
                     path_lo: int, noise=None) -> np.ndarray:
     if noise is None:
-        dw1, dw2 = _shared_noise(model, config, step_index, xb.shape[0],
-                                 space.n_modes, path_lo)
+        dw1, dw2 = _shared_noise(model, config, step_index, path_lo,
+                                 np.empty((2,) + xb.shape))
     else:
         dw1, dw2 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
     with np.errstate(invalid="ignore", over="ignore"):
         dr, mu = drift_and_split_rate(space, model, t, xb)
         add = _single_noise(space, model, t, xb, dw1, dw2)
-        return _step_core(space, config.scheme, config.dt, xb, dr, mu, add)
+        return _step_core(space, config.dt, xb, dr, mu, add,
+                          _scheme_factors(space, config, mu))
+
+
+def _first_bad_mode(bad: np.ndarray) -> np.ndarray:
+    """Per row of the (P, N) mask ``bad``, its first True mode, -1 if none."""
+    return np.where(bad.any(axis=-1), np.argmax(bad, axis=-1), -1)
 
 
 def step_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
@@ -357,20 +451,28 @@ def step_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
 def step_coupled(space: SpectralSpace, model: ModelSpec,
                  params: CouplingParams, config: SimConfig,
                  state: CouplingState, *, noise=None,
-                 path_lo: int = 0, synchronous: bool = False) -> CouplingState:
-    """Advance the coupled pair one step and update stopping-time records."""
+                 path_lo: int = 0, synchronous: bool = False,
+                 work: StepBuffers | None = None) -> CouplingState:
+    """Advance the coupled pair one step and update stopping-time records.
+
+    ``work`` holds the step's intermediates (a fresh set when None); it
+    must have been built for ``state.n_paths`` rows.  A path whose new x or
+    y is not finite is frozen at NaN and its first non-finite mode recorded
+    in ``fail_mode``.
+    """
     if state.time >= config.horizon - 1e-12:
         raise ValueError("state is already at the horizon")
     t = state.time
-    p = state.n_paths
+    if work is None:
+        work = StepBuffers(space, state.n_paths)
     if noise is None:
-        dw1, dw2 = _shared_noise(model, config, state.step_index, p,
-                                 space.n_modes, path_lo)
+        dw1, dw2 = _shared_noise(model, config, state.step_index, path_lo,
+                                 work.noise)
         # the cutoff vanishes outside the band, so only blocks with a row
         # inside it need the reflected channel
         dw3 = None if synchronous else _band_noise(
-            config, state.step_index, space.n_modes, path_lo,
-            params.n * state.dist > 0.5)
+            config, state.step_index, path_lo, params.n * state.dist > 0.5,
+            work.noise[2])
     else:
         dw1, dw2, dw3 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -379,30 +481,35 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
             dy_noise = _single_noise(space, model, t, state.y, dw1, dw2)
         else:
             dx_noise, dy_noise = coupled_diffusion_increments(
-                space, model, params, state.x, state.y, t, dw1, dw2, dw3)
-        dr_x, mu_x = drift_and_split_rate(space, model, t, state.x)
-        dr_y, mu_y = drift_and_split_rate(space, model, t, state.y)
+                space, model, params, state.x, state.y, t, dw1, dw2, dw3,
+                dist=state.dist, out=work.increments)
+        dr_x, mu_x = drift_and_split_rate(space, model, t, state.x,
+                                          out=work.drift_x)
+        dr_y, mu_y = drift_and_split_rate(space, model, t, state.y,
+                                          out=work.drift_y)
         mu = np.maximum(mu_x, mu_y)
-        factors = None if config.scheme == "explicit" else \
-            _split_factors(space, config.dt, mu)
-        new_x = _step_core(space, config.scheme, config.dt, state.x, dr_x, mu,
-                           dx_noise, factors)
-        new_y = _step_core(space, config.scheme, config.dt, state.y, dr_y, mu,
-                           dy_noise, factors)
-    new_y[state.coupled] = new_x[state.coupled]
-    # freeze newly broken paths instead of aborting the batch
-    bad = ~(np.all(np.isfinite(new_x), axis=-1) & np.all(np.isfinite(new_y), axis=-1))
-    bad &= ~state.failed
-    if np.any(bad):
-        new_x[bad] = np.nan
-        new_y[bad] = np.nan
-    keep = state.failed
-    new_x[keep] = state.x[keep]
-    new_y[keep] = state.y[keep]
+        factors = _scheme_factors(space, config, mu, work.factors)
+        new_x = _step_core(space, config.dt, state.x, dr_x, mu, dx_noise,
+                           factors)
+        new_y = _step_core(space, config.dt, state.y, dr_y, mu, dy_noise,
+                           factors)
+    np.copyto(new_y, new_x, where=state.coupled[:, None])
+    # freeze newly broken paths instead of aborting the batch; failed paths
+    # already hold NaN
+    first_bad = _first_bad_mode(~(np.isfinite(new_x) & np.isfinite(new_y)))
+    fail_mode = np.where(state.failed, state.fail_mode, first_bad)
+    failed = fail_mode >= 0
+    if np.any(failed):
+        new_x[failed] = np.nan
+        new_y[failed] = np.nan
+    # the records are copied so that the state stepped from stays unchanged
     out = replace(state, x=new_x, y=new_y, time=t + config.dt,
-                  step_index=state.step_index + 1,
-                  failed=state.failed | bad)
-    _boundary_update(space, params, out)
+                  step_index=state.step_index + 1, fail_mode=fail_mode,
+                  coupled=state.coupled.copy(), tau_n=state.tau_n.copy(),
+                  dist_at_tau_n=state.dist_at_tau_n.copy(),
+                  t_n=state.t_n.copy(), tau_delta=state.tau_delta.copy())
+    # the increments are used up, so their buffers serve as scratch
+    _boundary_update(space, params, out, work.increments)
     return out
 
 
@@ -424,7 +531,7 @@ class PathEnsembleRecord:
     delta_grid: np.ndarray
     tau_delta: np.ndarray | None
     failed: np.ndarray
-    failures: list
+    failures: list                       # (path, time, first non-finite mode)
     master_seed: int
     dt: float
     n: int | None = None
@@ -502,6 +609,7 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                                      np.tile(x0, (rows, 1)),
                                      np.tile(np.asarray(y0, dtype=float), (rows, 1)),
                                      delta_grid=delta_grid)
+            work = StepBuffers(space, rows)
         else:
             xb = np.tile(x0, (rows, 1))
         acc_x = np.zeros(rows)
@@ -538,22 +646,25 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                     vy = np.where(live, v_norm(space, yb_now, model.family), 0.0)
                     acc_y = acc_y + config.dt * vy ** r_exp
             if pair:
-                prev_failed = st.failed.copy()
+                prev_failed = st.failed
                 st = step_coupled(space, model, params, config, st,
-                                  path_lo=lo, synchronous=(which == "synchronous"))
+                                  path_lo=lo, synchronous=(which == "synchronous"),
+                                  work=work)
                 new_bad = st.failed & ~prev_failed
                 for p_idx in np.flatnonzero(new_bad):
-                    local_fail.append((lo + int(p_idx), st.time, "overflow"))
+                    local_fail.append((lo + int(p_idx), st.time,
+                                       int(st.fail_mode[p_idx])))
             else:
                 trial = _advance_single(space, model, config, xb,
                                         k * config.dt, k, lo)
                 prev = failed[lo:hi].copy()
-                bad = ~np.all(np.isfinite(trial), axis=-1) & ~prev
+                mode = _first_bad_mode(~np.isfinite(trial))
+                bad = (mode >= 0) & ~prev
                 if np.any(bad):
                     trial[bad] = np.nan
                     for p_idx in np.flatnonzero(bad):
                         local_fail.append((lo + int(p_idx),
-                                           (k + 1) * config.dt, "overflow"))
+                                           (k + 1) * config.dt, int(mode[p_idx])))
                     failed[lo:hi] |= bad
                 trial[prev] = xb[prev]
                 xb = trial

@@ -38,11 +38,10 @@ from .spaces import (
 __all__ = [
     "Porous", "PLaplace", "FastDiff",
     "ZeroDiffusion", "LipschitzDiagonal",
-    "ModelSpec", "DriftOverflowError",
+    "ModelSpec", "DriftOverflowError", "DriftBuffers",
     "drift", "drift_and_split_rate", "pairing_drift_diff",
     "apply_B", "b_hs_diff", "b_diag", "unit_base",
-    "signed_power", "beta_value", "beta_sup", "default_theta",
-    "make_space_for",
+    "signed_power", "beta_value", "beta_sup",
 ]
 
 
@@ -135,12 +134,20 @@ class DriftOverflowError(FloatingPointError):
         super().__init__(message or f"non-finite drift in mode {mode_index + 1}")
 
 
-def signed_power(s: np.ndarray, r: float) -> np.ndarray:
-    """|s|^(r-1) s for r >= 1, |s|^r sgn(s) for r in (0,1); same formula."""
+def signed_power(s: np.ndarray, r: float, out: np.ndarray | None = None):
+    """|s|^(r-1) s for r >= 1, |s|^r sgn(s) for r in (0,1); same formula.
+
+    ``out``, which must not overlap ``s``, receives the result.  Without
+    it the operator forms let numpy reuse their temporaries for the result.
+    """
     if r == 2.0:
         # same values as the general formula, without a pow per element
-        return s * np.abs(s)
-    return np.sign(s) * np.abs(s) ** r
+        if out is None:
+            return s * np.abs(s)
+        return np.multiply(s, np.abs(s, out=out), out=out)
+    if out is None:
+        return np.sign(s) * np.abs(s) ** r
+    return np.multiply(np.sign(s), np.abs(s) ** r, out=out)
 
 
 def beta_value(family: FastDiff, t: float) -> float:
@@ -151,27 +158,6 @@ def beta_sup(family: FastDiff) -> float:
     return family.beta0 + abs(family.beta_amp)
 
 
-def default_theta(model: ModelSpec) -> float:
-    """Model-level monotonicity strength used by checkers when unset."""
-    if model.theta is not None:
-        return model.theta
-    fam = model.family
-    if fam.kind == "porous":
-        return fam.psi_scale
-    if fam.kind == "fastdiff":
-        return fam.r
-    return 1.0
-
-
-def make_space_for(model: ModelSpec, n_modes: int, gamma: float = 1.0, **kw):
-    """Space with the weighting convention matching the family."""
-    from .spaces import make_space
-    weighted = model.family.kind != "plaplace"
-    if model.family.kind == "plaplace" and gamma != 1.0:
-        raise ValueError("p-Laplacian space requires gamma = 1")
-    return make_space(n_modes, gamma, weighted=weighted, **kw)
-
-
 def _check_finite(out: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
@@ -179,50 +165,81 @@ def _check_finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
+class DriftBuffers:
+    """Arrays one drift evaluation of (*lead, N) states writes into.
+
+    ``drift`` (*lead, N) receives the result.  The scratch arrays,
+    ``scratch`` (*lead, N), ``grid`` and ``grid2`` (*lead, M+2) and ``amp``
+    (*lead,), are those of ``shared`` when given: evaluations run one after
+    another may share them.
+    """
+    __slots__ = ("drift", "scratch", "grid", "grid2", "amp")
+
+    def __init__(self, space: SpectralSpace, lead: tuple,
+                 shared: DriftBuffers | None = None):
+        coeffs = tuple(lead) + (space.n_modes,)
+        self.drift = np.empty(coeffs)
+        if shared is not None:
+            self.scratch, self.grid = shared.scratch, shared.grid
+            self.grid2, self.amp = shared.grid2, shared.amp
+            return
+        grid = tuple(lead) + (space.nodes.size,)
+        self.scratch = np.empty(coeffs)
+        self.grid = np.empty(grid)
+        self.grid2 = np.empty(grid)
+        self.amp = np.empty(tuple(lead))
+
+
 def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
-                         v: np.ndarray):
+                         v: np.ndarray, *, out: DriftBuffers | None = None):
     """Galerkin drift plus the per-path stiffness rate used for splitting.
 
     The rate mu is the largest pointwise slope of the nonlinearity over the
     realized field values, so that A(v) + mu L v has a non-amplifying
     explicit residual; the exponential integrator treats -mu L exactly.
     For the linear cases (porous r = 1, p = 2) the split is exact and the
-    residual vanishes.
+    residual vanishes.  The drift is written into ``out.drift`` (fresh
+    buffers when ``out`` is None) and returned with a fresh mu.
     """
     fam = model.family
     v = np.asarray(v, dtype=float)
-    if fam.kind == "porous":
-        if fam.r == 1.0:
-            psi = fam.psi_scale * v
-            mu = np.full(v.shape[:-1], fam.psi_scale)
-        else:
-            g = to_grid(space, v)
-            psi = from_grid(space, fam.psi_scale * signed_power(g, fam.r))
-            amp = np.max(np.abs(g), axis=-1)
-            mu = fam.psi_scale * fam.r * amp ** (fam.r - 1.0)
-        out = -space.lambdas * psi + fam.phi_slope * v
-    elif fam.kind == "fastdiff":
-        g = to_grid(space, v)
-        psi = from_grid(space, signed_power(g, fam.r))
-        amp = np.max(np.abs(g), axis=-1)
-        # slope at the largest amplitude; unbounded slopes near zero are
-        # cut off by the amplitude itself (drift is bounded there)
-        with np.errstate(divide="ignore"):
-            mu = np.where(amp > 0.0, fam.r * amp ** (fam.r - 1.0), 0.0)
-        out = -space.lambdas * psi + beta_value(fam, t) * v
-    elif fam.kind == "plaplace":
-        dg = grad_to_grid(space, v)
+    buf = out if out is not None else DriftBuffers(space, v.shape[:-1])
+    dr = buf.drift
+    if fam.kind == "plaplace":
+        dg = grad_to_grid(space, v, buf.grid)
         if fam.p == 2.0:
             w = dg
             mu = np.ones(v.shape[:-1])
         else:
-            w = np.abs(dg) ** (fam.p - 2.0) * dg
+            w = np.multiply(np.abs(dg) ** (fam.p - 2.0), dg, out=buf.grid2)
             mu = (fam.p - 1.0) * np.max(np.abs(dg), axis=-1) ** (fam.p - 2.0)
         # <A(v), e_i> = -m(w * e_i') by integration by parts
-        out = -rowblock_matmul(w * space.quad_w, space.dsine.T)
+        np.multiply(w, space.quad_w, out=buf.grid2)
+        return np.negative(rowblock_matmul(buf.grid2, space.dsine.T, dr),
+                           out=dr), mu
+    if fam.kind == "porous" and fam.r == 1.0:
+        psi = np.multiply(fam.psi_scale, v, out=dr)
+        mu = np.full(v.shape[:-1], fam.psi_scale)
+    elif fam.kind in ("porous", "fastdiff"):
+        g = to_grid(space, v, buf.grid)
+        amp = np.max(np.abs(g, out=buf.grid2), axis=-1, out=buf.amp)
+        nonlin = signed_power(g, fam.r, out=buf.grid2)
+        if fam.kind == "porous":
+            if fam.psi_scale != 1.0:
+                np.multiply(fam.psi_scale, nonlin, out=nonlin)
+            mu = fam.psi_scale * fam.r * amp ** (fam.r - 1.0)
+        else:
+            # slope at the largest amplitude; unbounded slopes near zero
+            # are cut off by the amplitude itself (drift is bounded there)
+            with np.errstate(divide="ignore"):
+                mu = np.where(amp > 0.0, fam.r * amp ** (fam.r - 1.0), 0.0)
+        psi = from_grid(space, nonlin, dr)
     else:
         raise ValueError(f"unknown family: {fam!r}")
-    return out, mu
+    zero_order = fam.phi_slope if fam.kind == "porous" else beta_value(fam, t)
+    # -lambda * psi + zero_order * v
+    np.multiply(-space.lambdas, psi, out=dr)
+    return np.add(dr, np.multiply(zero_order, v, out=buf.scratch), out=dr), mu
 
 
 def drift(space: SpectralSpace, model: ModelSpec, t: float,

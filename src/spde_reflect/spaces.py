@@ -52,10 +52,13 @@ __all__ = [
 ROW_CHUNK = 256
 
 
-def rowblock_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def rowblock_matmul(a: np.ndarray, b: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, one ROW_CHUNK-row chunk of a 2-D ``a`` at a time, into ``out``."""
     if a.ndim != 2 or a.shape[0] <= ROW_CHUNK:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
     for lo in range(0, a.shape[0], ROW_CHUNK):
         np.matmul(a[lo:lo + ROW_CHUNK], b, out=out[lo:lo + ROW_CHUNK])
     return out
@@ -77,7 +80,6 @@ class SpectralSpace:
     q_coeffs: np.ndarray      # (N,) per-mode noise amplitudes q_i
     nodes: np.ndarray         # (M+2,) quadrature nodes incl. both endpoints
     quad_w: np.ndarray        # (M+2,) trapezoid weights, sums to 1
-    dimension: int = 1
     oversample: int = 4
     # derived matrices, filled in make_space
     sine: np.ndarray = field(default=None, repr=False)    # (N, M+2) e_i(x_j)
@@ -90,10 +92,6 @@ class SpectralSpace:
         if self.weighted:
             return 1.0 / self.lambdas
         return np.ones_like(self.lambdas)
-
-    @property
-    def n_quad(self) -> int:
-        return self.nodes.size - 2
 
 
 def make_space(n_modes: int, gamma: float = 1.0, *, weighted: bool = True,
@@ -138,10 +136,15 @@ def make_space(n_modes: int, gamma: float = 1.0, *, weighted: bool = True,
     )
 
 
-def h_norm(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
-    """Ambient H-norm sqrt(sum w_i x_i^2); batches over leading axes."""
+def h_norm(space: SpectralSpace, x: np.ndarray,
+           scratch: np.ndarray | None = None) -> np.ndarray:
+    """Ambient H-norm sqrt(sum w_i x_i^2); batches over leading axes.
+
+    ``scratch``, an array shaped like x, receives the terms w_i x_i^2.
+    """
     x = np.asarray(x, dtype=float)
-    return np.sqrt(np.sum(space.h_weights * x * x, axis=-1))
+    terms = np.multiply(space.h_weights, x, out=scratch)
+    return np.sqrt(np.sum(np.multiply(terms, x, out=terms), axis=-1))
 
 
 def h_inner(space: SpectralSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,28 +175,31 @@ def q_norm(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
     return val
 
 
-def to_grid(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
+def to_grid(space: SpectralSpace, x: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the field sum_i x_i e_i at the quadrature nodes."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != space.n_modes:
         raise ValueError("coefficient vector has wrong length")
-    return rowblock_matmul(x, space.sine)
+    return rowblock_matmul(x, space.sine, out)
 
 
-def from_grid(space: SpectralSpace, g: np.ndarray) -> np.ndarray:
+def from_grid(space: SpectralSpace, g: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Project grid values back to sine coefficients (exact on span{e_1..e_N})."""
     g = np.asarray(g, dtype=float)
     if g.shape[-1] != space.nodes.size:
         raise ValueError("grid vector has wrong length")
-    return rowblock_matmul(g, space.proj)
+    return rowblock_matmul(g, space.proj, out)
 
 
-def grad_to_grid(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
+def grad_to_grid(space: SpectralSpace, x: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Spatial derivative of the field at the quadrature nodes (cosine series)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != space.n_modes:
         raise ValueError("coefficient vector has wrong length")
-    return rowblock_matmul(x, space.dsine)
+    return rowblock_matmul(x, space.dsine, out)
 
 
 def quad(space: SpectralSpace, values: np.ndarray) -> np.ndarray:

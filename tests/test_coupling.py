@@ -10,7 +10,9 @@ from spde_reflect.coupling import (
     coupled_diffusion_increments, i_n_value, reflection_qv_rate,
     qv_rate_lower_bound,
 )
-from spde_reflect.models import ModelSpec, Porous
+from spde_reflect.models import (
+    ModelSpec, Porous, LipschitzDiagonal, b_diag, unit_base,
+)
 from conftest import e_k
 
 
@@ -207,3 +209,78 @@ def test_increment_variance_weighted_law(porous_space, porous_linear):
         v = np.var(d, axis=0, ddof=1)
         se = target * np.sqrt(2.0 / (m - 1))
         assert np.all(np.abs(v - target) <= 4.0 * se)
+
+
+def _reference_increments(space, model, params, x, y, t, dW1, dW2, dW3):
+    """The full formula evaluated on every row, whatever its distance."""
+    root_w = np.sqrt(space.h_weights)
+    z2 = dW2 / root_w
+    z3 = dW3 / root_w
+    h = cutoff_h(params.n * h_norm(space, x - y))[..., None]
+    g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
+    q = space.q_coeffs
+    shared = q * g * z2
+    dx = shared + q * h * z3
+    z3r = np.array(z3, copy=True)
+    active = h[..., 0] > 0.0
+    if np.any(active):
+        z3r[active] = reflect_apply(space, x[active], y[active], params.n,
+                                    z3[active])
+    dy = shared + q * h * z3r
+    if model.has_diffusion:
+        z1 = dW1 / root_w
+        dx = dx + b_diag(space, model, t, x) * z1
+        dy = dy + b_diag(space, model, t, y) * z1
+    return dx, dy
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec(Porous(r=2.0)),
+    ModelSpec(Porous(r=2.0), b_spec=LipschitzDiagonal(0.8, unit_base(16))),
+], ids=["zero_b", "lipschitz_diagonal"])
+def test_increments_match_full_formula_bitwise(porous_space, model):
+    # only rows inside the band (or with a NaN distance) take the full
+    # formula; every other row must get the same bits it gives
+    params = CouplingParams(n=4)
+    gen = np.random.default_rng(29)
+    s = np.concatenate([
+        gen.uniform(0.01, 0.49, 40),      # below the band
+        [0.5, np.nextafter(0.5, 1.0)],    # at its lower edge
+        gen.uniform(0.51, 0.99, 40),      # inside the transition
+        gen.uniform(1.0, 3.0, 40),        # above it (h = 1)
+    ])
+    p = s.size + 6
+    mid = 0.1 * gen.standard_normal((p, 16)) / porous_space.lambdas
+    direction = gen.standard_normal(16)
+    direction /= h_norm(porous_space, direction)
+    half = np.zeros((p, 16))
+    half[:s.size] = 0.5 * (s / params.n)[:, None] * direction
+    x, y = mid + half, mid - half
+    # glued rows (x = y) and failed rows (NaN states)
+    x[s.size:s.size + 3] = y[s.size:s.size + 3]
+    x[s.size + 3:] = y[s.size + 3:] = np.nan
+    dws = gen.standard_normal((3, p, 16)) * np.sqrt(1e-3)
+    with np.errstate(invalid="ignore"):
+        want = _reference_increments(porous_space, model, params, x, y, 0.3,
+                                     *dws)
+        dist = h_norm(porous_space, x - y)
+        in_band = params.n * dist > 0.5
+        assert 0 < np.sum(in_band) < p
+        # the step passes the distance its boundary update stored, which
+        # for a pair glued at that boundary is at most glue_eps, not 0
+        stored = dist.copy()
+        stored[s.size:s.size + 3] = params.glue_eps
+        out = np.empty((2, p, 16))
+        for kw in ({}, {"dist": dist}, {"dist": stored, "out": out}):
+            got = coupled_diffusion_increments(porous_space, model, params,
+                                               x, y, 0.3, *dws, **kw)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        # a single pair (1-D state) on each side of the band
+        for i in (0, s.size - 1):
+            got = coupled_diffusion_increments(porous_space, model, params,
+                                               x[i], y[i], 0.3, *dws[:, i])
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w[i])
+    assert np.all(np.isnan(want[0][s.size + 3:]))
+    assert not np.array_equal(want[0][in_band], want[1][in_band])

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from spde_reflect.models import (
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import (
     SimConfig, StepOverflow, gen_noise, noise_block, step_single,
-    step_coupled, make_coupling_state, run_paths, BLOCK_ROWS, _split_factors,
+    step_coupled, make_coupling_state, run_paths, BLOCK_ROWS, StepBuffers,
+    _split_factors,
 )
 from conftest import e_k
 
@@ -320,6 +324,89 @@ def test_run_paths_overflow_isolated(porous_space):
     rec = run_paths(porous_space, m, None, cfg, "single", x0=x0, threads=1)
     assert len(rec.failures) > 0
     assert np.sum(rec.failed) == len(rec.failures)
+    assert all(isinstance(mode, int) and 0 <= mode < 16
+               for _path, _t, mode in rec.failures)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_paths_coupled_overflow_isolated(porous_space, porous_r2):
+    # the explicit scheme past its stability limit: some pairs overflow, one
+    # failure is reported per failed path, and the path is frozen at NaN
+    # from its failure time on while the healthy paths keep running
+    cfg = SimConfig(dt=2e-4, horizon=0.008, n_paths=300, master_seed=16,
+                    checkpoint_times=(0.0, 0.004, 0.005, 0.006, 0.008),
+                    scheme="explicit")
+    x0 = e_k(16, 1, 2.0)
+    rec = run_paths(porous_space, porous_r2, CouplingParams(n=2), cfg,
+                    "coupled", x0=x0, y0=-x0, threads=2)
+    assert 0 < np.sum(rec.failed) < cfg.n_paths
+    paths = [f[0] for f in rec.failures]
+    assert paths == sorted(set(paths))
+    assert set(paths) == set(np.flatnonzero(rec.failed).tolist())
+    for path, t, mode in rec.failures:
+        assert isinstance(mode, int) and 0 <= mode < 16
+        after = rec.checkpoint_times >= t - 1e-12
+        assert np.any(after)
+        assert np.all(np.isnan(rec.x_coeffs[path, after]))
+        assert np.all(np.isnan(rec.y_coeffs[path, after]))
+        assert np.all(np.isfinite(rec.x_coeffs[path, ~after]))
+    live = ~rec.failed
+    assert np.all(np.isfinite(rec.x_coeffs[live]))
+    assert np.all(np.isfinite(rec.y_coeffs[live]))
+
+
+def test_step_coupled_records_first_nonfinite_mode(porous_space, porous_r2):
+    params = CouplingParams(n=1)
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=4, master_seed=23)
+    x0 = np.tile(e_k(16, 1, 0.1), (4, 1))
+    st = make_coupling_state(porous_space, params, x0, -x0)
+    noise = np.zeros((3, 4, 16))
+    noise[1, 2, 5] = np.inf
+    new = step_coupled(porous_space, porous_r2, params, cfg, st,
+                       noise=tuple(noise))
+    assert new.fail_mode.tolist() == [-1, -1, 5, -1]
+    assert np.all(np.isnan(new.x[2])) and np.all(np.isnan(new.y[2]))
+    assert np.all(np.isfinite(np.delete(new.x, 2, axis=0)))
+    # a failed path stays frozen with its mode
+    newer = step_coupled(porous_space, porous_r2, params, cfg, new,
+                         noise=tuple(np.zeros((3, 4, 16))))
+    assert newer.fail_mode.tolist() == [-1, -1, 5, -1]
+    assert np.all(np.isnan(newer.x[2])) and np.all(np.isnan(newer.y[2]))
+
+
+def _assert_states_equal(a, b):
+    for f in fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name),
+                                      err_msg=f.name)
+
+
+def test_step_buffers_reuse_leaks_nothing(porous_space, porous_r2):
+    # one buffer set reused for 50 steps gives the bits of fresh buffers,
+    # and no returned state shares memory with the buffers: the state a
+    # step started from is unchanged afterwards
+    params = CouplingParams(n=5)
+    cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=3 * BLOCK_ROWS + 17,
+                    master_seed=24)
+    p = cfg.n_paths
+    gen = np.random.default_rng(5)
+    # pairs glued, below, inside and above the reflection band
+    dist = gen.choice([0.0, 0.05, 0.15, 0.5], size=p)
+    mid = 0.1 * gen.standard_normal((p, 16)) / porous_space.lambdas
+    half = e_k(16, 1, 0.5 * np.pi)[None, :] * dist[:, None]
+    fresh = reused = make_coupling_state(porous_space, params, mid + half,
+                                         mid - half, delta_grid=(0.2, 0.4))
+    assert np.any(fresh.coupled)
+    work = StepBuffers(porous_space, p)
+    for k in range(50):
+        kept = copy.deepcopy(reused)
+        fresh = step_coupled(porous_space, porous_r2, params, cfg, fresh,
+                             path_lo=BLOCK_ROWS)
+        stepped = step_coupled(porous_space, porous_r2, params, cfg, reused,
+                               path_lo=BLOCK_ROWS, work=work)
+        _assert_states_equal(reused, kept)
+        _assert_states_equal(stepped, fresh)
+        reused = stepped
+    assert np.any(np.isfinite(fresh.tau_n) & (fresh.tau_n > 0))
 
 
 def test_moment_bound_stability_in_modes(porous_r2):
