@@ -2,9 +2,11 @@
 
 Config files are flat INI-style sections of ``key = value`` lines with
 ``#`` comments.  Parsing is total: unknown sections or keys, duplicate
-keys, type errors, and violated cross-field rules all fail with a
-line-anchored message.  The effective (default-filled) configuration is
-canonicalized and hashed; results land in ``<out>/<config_hash>/`` as
+keys and type errors fail with a line-anchored message; the parser then
+builds the space, model, coupling and sim objects, whose own checks fail
+as ``<section>: <message>``, and checks the few rules no object owns.
+The effective (default-filled) configuration is canonicalized and hashed;
+results land in ``<out>/<config_hash>/`` as
 
 * ``summary.json``   -- every experiment result and condition report,
                         byte-stable for a fixed (config, seed),
@@ -207,36 +209,31 @@ def parse_config_file(path) -> RunConfig:
 
 
 def _validate_cross_fields(cfg: RunConfig) -> None:
-    mo, cp, ex, co = (cfg["model"], cfg["coupling"], cfg["experiments"],
+    # each object checks its own section; only rules no object owns follow
+    for section, build in (("space", build_space), ("model", build_model),
+                           ("coupling", build_coupling), ("sim", build_sim)):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
+    sp, mo, ex, co = (cfg["space"], cfg["model"], cfg["experiments"],
                       cfg["conditions"])
     fam = mo["family"]
-    if fam not in ("porous", "plaplace", "fastdiff"):
-        raise ConfigError(f"model.family must be porous|plaplace|fastdiff, got {fam!r}")
-    if fam == "porous":
-        if mo["r"] is None or mo["r"] < 1.0:
-            raise ConfigError("porous family requires r >= 1")
-    if fam == "fastdiff":
-        if mo["r"] is None or not 0.0 < mo["r"] < 1.0:
-            raise ConfigError("fast-diffusion family requires r in (0, 1)")
-    if fam == "plaplace":
-        if mo["p"] is None or mo["p"] < 2.0:
-            raise ConfigError("p-Laplacian family requires p >= 2")
-        if cfg["space"]["gamma"] != 1.0:
-            raise ConfigError("p-Laplacian runs require space.gamma = 1")
-    if mo["b_spec"] not in ("zero", "lipschitz_diagonal"):
-        raise ConfigError("model.b_spec must be zero or lipschitz_diagonal")
-    try:
-        build_sim(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from None
-    if not 0.0 < cp["glue_eps"] < 0.5 / cp["n"]:
-        raise ConfigError("coupling.glue_eps must lie in (0, 1/(2n))")
+    if fam == "plaplace" and sp["gamma"] != 1.0:
+        raise ConfigError("p-Laplacian runs require space.gamma = 1")
+    _initial_state(cfg, "x0")
+    _initial_state(cfg, "y0")
+    if not 1 <= ex["holder_direction_mode"] <= sp["n_modes"]:
+        raise ConfigError(
+            "experiments.holder_direction_mode must lie in [1, space.n_modes]")
     for w in ex["which"]:
         if w not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {w!r}")
     for w in co["which"]:
         if w not in _CONDITIONS:
             raise ConfigError(f"unknown condition {w!r}")
+    if co["samples"] < 1 or co["mv_samples"] < 1:
+        raise ConfigError("conditions.samples and mv_samples must be >= 1")
     r_eff = mo["r"] if fam != "plaplace" else mo["p"] - 1.0
     needs_kappa = {"a1prime", "a1doubleprime", "interpolation", "spectrum"}
     if needs_kappa & set(co["which"]) and co["kappa"] is None:
@@ -252,7 +249,7 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
             raise ConfigError("a1doubleprime applies to the fast-diffusion family")
         if co["kappa"] <= 0.0:
             raise ConfigError("a1doubleprime requires kappa > 0")
-    if "spectrum" in co["which"] and cfg["space"]["q_decay"] <= 0.5:
+    if "spectrum" in co["which"] and sp["q_decay"] <= 0.5:
         raise ConfigError("the Hilbert-Schmidt gate needs q_decay > 1/2")
     if "nash" in co["which"] and fam != "fastdiff":
         raise ConfigError("the Nash gate applies to the fast-diffusion family")
@@ -285,6 +282,11 @@ def build_space(cfg: RunConfig):
 def build_model(cfg: RunConfig) -> ModelSpec:
     mo = cfg["model"]
     fam_name = mo["family"]
+    if fam_name not in ("porous", "plaplace", "fastdiff"):
+        raise ValueError(f"family must be porous|plaplace|fastdiff, got {fam_name!r}")
+    need = "p" if fam_name == "plaplace" else "r"
+    if mo[need] is None:
+        raise ValueError(f"the {fam_name} family needs {need}")
     if fam_name == "porous":
         fam = Porous(r=mo["r"], psi_scale=mo["psi_scale"],
                      phi_slope=mo["phi_slope"])
@@ -295,10 +297,13 @@ def build_model(cfg: RunConfig) -> ModelSpec:
                        beta_freq=mo["beta_freq"])
     if mo["b_spec"] == "zero":
         b = ZeroDiffusion()
-    else:
+    elif mo["b_spec"] == "lipschitz_diagonal":
         b = LipschitzDiagonal(
             c0=mo["c0"],
             base=unit_base(cfg["space"]["n_modes"], mo["b_base_decay"]))
+    else:
+        raise ValueError(f"b_spec must be zero or lipschitz_diagonal, "
+                         f"got {mo['b_spec']!r}")
     return ModelSpec(family=fam, b_spec=b, theta=mo["theta"])
 
 
@@ -353,18 +358,9 @@ def _run_conditions(cfg: RunConfig, space, model) -> dict:
                                      seed=seed)
         out["a1doubleprime"] = rep.as_dict()
     if "interpolation" in co["which"]:
-        if fam == "plaplace":
-            rep = iq.check_interpolation_Q(space, co["kappa"], p=model.family.p,
-                                           variant="plaplace",
-                                           n_samples=co["samples"], seed=seed)
-        elif fam == "porous":
-            rep = iq.check_interpolation_Q(space, co["kappa"], r=r_eff,
-                                           variant="porous",
-                                           n_samples=co["samples"], seed=seed)
-        else:
-            rep = iq.check_interpolation_Q(space, co["kappa"], r=r_eff,
-                                           variant="fastdiff",
-                                           n_samples=co["samples"], seed=seed)
+        rep = iq.check_interpolation_Q(space, co["kappa"], r=r_eff,
+                                       p=cfg["model"]["p"], variant=fam,
+                                       n_samples=co["samples"], seed=seed)
         out["interpolation"] = rep.as_dict()
     if "spectrum" in co["which"]:
         params = iq.SpectrumParams(
@@ -673,16 +669,18 @@ def _cmd_check_conditions(args) -> int:
     return 1 if bad else 0
 
 
-def _cmd_couple(args) -> int:
+def _ensemble(args, which: str):
+    """Config and ensemble record of a ``couple``/``fit-rate`` command."""
     cfg = parse_config_file(args.config)
-    space = build_space(cfg)
-    model = build_model(cfg)
-    sim = build_sim(cfg, args.seed)
-    params = build_coupling(cfg)
-    x0 = _initial_state(cfg, "x0")
-    y0 = _initial_state(cfg, "y0")
-    rec = run_paths(space, model, params, sim, "coupled", x0=x0, y0=y0,
+    rec = run_paths(build_space(cfg), build_model(cfg), build_coupling(cfg),
+                    build_sim(cfg, args.seed), which,
+                    x0=_initial_state(cfg, "x0"), y0=_initial_state(cfg, "y0"),
                     threads=args.threads)
+    return cfg, rec
+
+
+def _cmd_couple(args) -> int:
+    _, rec = _ensemble(args, "coupled")
     times, p, se = xp.survival_curve(rec)
     print("t, P(tau_n > t), std_err")
     for t, pv, s in zip(times, p, se):
@@ -701,15 +699,7 @@ def _cmd_couple(args) -> int:
 
 
 def _cmd_fit_rate(args) -> int:
-    cfg = parse_config_file(args.config)
-    space = build_space(cfg)
-    model = build_model(cfg)
-    sim = build_sim(cfg, args.seed)
-    params = build_coupling(cfg)
-    x0 = _initial_state(cfg, "x0")
-    y0 = _initial_state(cfg, "y0")
-    rec = run_paths(space, model, params, sim, "synchronous", x0=x0, y0=y0,
-                    threads=args.threads)
+    cfg, rec = _ensemble(args, "synchronous")
     fit = xp.contraction_fit(rec, t_min=cfg["experiments"]["fit_t_min"])
     print(f"decay rate of log E|X-Y|^2: {fit['rate']:.6g} "
           f"(95% CI [{fit['ci'][0]:.6g}, {fit['ci'][1]:.6g}], "

@@ -1,12 +1,12 @@
 """Numerical verification of the structural inequalities and spectrum gates.
 
-Every checker follows the same protocol: draw a mixed batch of sample
-states (smooth, rough, and near-collision pairs, since the one-sided
-bounds are tightest near the diagonal), fit the free constant by
-minimizing/maximizing over the batch, then confirm zero violations at a
-safety-shaved constant on a fresh batch.  Fitting means optimizing over
-samples, never proving; reports always carry sample counts and the worst
-margin seen.
+Every sampled checker runs one protocol, ``_fit_then_validate``: draw a
+mixed batch of sample states (smooth, rough, and near-collision pairs,
+since the one-sided bounds are tightest near the diagonal), fit the free
+constant by minimizing/maximizing over the batch, then confirm zero
+violations at a safety-shaved constant on a fresh batch.  Fitting means
+optimizing over samples, never proving; reports always carry sample counts
+and the worst margin seen.
 
 Spectrum conditions for power-law data q_i = c i^-delta, lambda_i =
 (pi i)^(2 gamma) are decided exactly by the exponent of i in the
@@ -46,7 +46,7 @@ class ConditionReport:
     violation_count: int
     fitted_constants: dict
     worst_margin: float
-    verdict: str                     # pass | fail | vacuous
+    verdict: str                     # pass | fail
     notes: str = ""
 
     def as_dict(self) -> dict:
@@ -59,12 +59,6 @@ class ConditionReport:
             "verdict": self.verdict,
             "notes": self.notes,
         }
-
-
-def _verdict(sample_count: int, violations: int) -> str:
-    if sample_count == 0:
-        return "vacuous"
-    return "pass" if violations == 0 else "fail"
 
 
 def sample_states(space: SpectralSpace, gen: np.random.Generator,
@@ -114,6 +108,36 @@ def lipschitz_K_bound(model: ModelSpec) -> float:
     return base + 0.5 * c0 * c0
 
 
+def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
+                       constants, given=None, floor=None) -> ConditionReport:
+    """The protocol every sampled checker shares.
+
+    ``sample()`` draws a fresh batch of ``n_samples`` points and returns
+    the inequality's terms on it.  The free constant is ``given``, or else
+    ``fit(terms)`` on one batch.  ``check(terms, const)`` then returns the
+    margins and their scale on a fresh batch, and a margin below
+    ``-(_REL_TOL * scale + floor(terms))`` is a violation.
+    ``constants(const)`` names the constants the report carries.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    const = fit(sample()) if given is None else given
+    terms = sample()
+    margins, scale = check(terms, const)
+    tol = _REL_TOL * scale
+    if floor is not None:
+        tol = tol + floor(terms)
+    bad = int(np.sum(margins < -tol))
+    return ConditionReport(
+        condition_id=condition_id,
+        sample_count=n_samples,
+        violation_count=bad,
+        fitted_constants=constants(const),
+        worst_margin=float(np.min(margins)),
+        verdict="pass" if bad == 0 else "fail",
+    )
+
+
 def _a1_lhs(space, model, t, v1, v2):
     lhs = pairing_drift_diff(space, model, t, v1, v2)
     if model.has_diffusion:
@@ -121,11 +145,34 @@ def _a1_lhs(space, model, t, v1, v2):
     return lhs
 
 
-def _fit_theta(lhs, dn, dq, denom, K, safety):
-    slack = K * dn * dn - lhs
-    ratios = slack / denom
-    theta_fit = float(np.min(ratios))
-    return max(theta_fit, 0.0) * safety
+def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
+              seed, K, theta, safety, t) -> ConditionReport:
+    """lhs <= K |v1-v2|^2 - theta defect(v1, v2) with theta fitted unless given."""
+    if K is None:
+        K = lipschitz_K_bound(model)
+    gen = philox_generator(seed, stream)
+
+    def sample():
+        v1, v2 = sample_state_pairs(space, gen, n_samples)
+        d = v1 - v2
+        dn = h_norm(space, d)
+        # the defect goes through the bounded ratio |v1-v2|_Q / dn
+        ratio_k = (q_norm(space, d) / dn) ** kappa
+        return _a1_lhs(space, model, t, v1, v2), K * dn * dn, \
+            defect(v1, v2, dn, ratio_k)
+
+    def fit(terms):
+        lhs, kdn2, denom = terms
+        return max(float(np.min((kdn2 - lhs) / denom)), 0.0) * safety
+
+    def check(terms, theta):
+        lhs, kdn2, denom = terms
+        rhs = kdn2 - theta * denom
+        return rhs - lhs, np.abs(lhs) + kdn2 + np.abs(rhs)
+
+    return _fit_then_validate(
+        condition_id, n_samples, sample, fit, check,
+        lambda theta: {"K": K, "theta": theta, "kappa": kappa}, given=theta)
 
 
 def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
@@ -143,37 +190,10 @@ def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
         raise ValueError("check_A1prime applies to families with r >= 1")
     if kappa <= r - 1.0:
         raise ValueError("kappa must exceed r - 1")
-    if K is None:
-        K = lipschitz_K_bound(model)
-    gen = philox_generator(seed, 0xA1)
-
-    def defect(v1, v2):
-        dn = h_norm(space, v1 - v2)
-        dq = q_norm(space, v1 - v2)
-        # dn^(r+1-k) dq^k computed through the bounded ratio dq/dn
-        return dn, dq, dn ** (r + 1.0) * (dq / dn) ** kappa
-
-    fitted_theta = theta
-    if theta is None:
-        v1, v2 = sample_state_pairs(space, gen, n_samples)
-        dn, dq, denom = defect(v1, v2)
-        fitted_theta = _fit_theta(_a1_lhs(space, model, t, v1, v2),
-                                  dn, dq, denom, K, safety)
-    v1, v2 = sample_state_pairs(space, gen, n_samples)
-    lhs = _a1_lhs(space, model, t, v1, v2)
-    dn, dq, denom = defect(v1, v2)
-    rhs = K * dn * dn - fitted_theta * denom
-    scale = np.abs(lhs) + K * dn * dn + np.abs(rhs)
-    margins = rhs - lhs
-    bad = margins < -_REL_TOL * scale
-    return ConditionReport(
-        condition_id="A1prime",
-        sample_count=n_samples,
-        violation_count=int(np.sum(bad)),
-        fitted_constants={"K": K, "theta": fitted_theta, "kappa": kappa},
-        worst_margin=float(np.min(margins)),
-        verdict=_verdict(n_samples, int(np.sum(bad))),
-    )
+    # dn^(r+1-k) dq^k
+    return _check_a1("A1prime", 0xA1,
+                     lambda v1, v2, dn, ratio_k: dn ** (r + 1.0) * ratio_k,
+                     space, model, kappa, n_samples, seed, K, theta, safety, t)
 
 
 def check_A1doubleprime(space: SpectralSpace, model: ModelSpec, kappa: float,
@@ -186,38 +206,13 @@ def check_A1doubleprime(space: SpectralSpace, model: ModelSpec, kappa: float,
         raise ValueError("check_A1doubleprime applies to the fast-diffusion family")
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    r = fam.r
-    if K is None:
-        K = lipschitz_K_bound(model)
-    gen = philox_generator(seed, 0xA2)
 
-    def defect(v1, v2):
-        dn = h_norm(space, v1 - v2)
-        dq = q_norm(space, v1 - v2)
+    def defect(v1, v2, dn, ratio_k):
         vmax = np.maximum(v_norm(space, v1, fam), v_norm(space, v2, fam))
-        return dn, dq, dn * dn * (dq / dn) ** kappa / vmax ** (1.0 - r)
+        return dn * dn * ratio_k / vmax ** (1.0 - fam.r)
 
-    fitted_theta = theta
-    if theta is None:
-        v1, v2 = sample_state_pairs(space, gen, n_samples)
-        dn, dq, denom = defect(v1, v2)
-        fitted_theta = _fit_theta(_a1_lhs(space, model, t, v1, v2),
-                                  dn, dq, denom, K, safety)
-    v1, v2 = sample_state_pairs(space, gen, n_samples)
-    lhs = _a1_lhs(space, model, t, v1, v2)
-    dn, dq, denom = defect(v1, v2)
-    rhs = K * dn * dn - fitted_theta * denom
-    scale = np.abs(lhs) + K * dn * dn + np.abs(rhs)
-    margins = rhs - lhs
-    bad = margins < -_REL_TOL * scale
-    return ConditionReport(
-        condition_id="A1doubleprime",
-        sample_count=n_samples,
-        violation_count=int(np.sum(bad)),
-        fitted_constants={"K": K, "theta": fitted_theta, "kappa": kappa},
-        worst_margin=float(np.min(margins)),
-        verdict=_verdict(n_samples, int(np.sum(bad))),
-    )
+    return _check_a1("A1doubleprime", 0xA2, defect, space, model, kappa,
+                     n_samples, seed, K, theta, safety, t)
 
 
 def check_interpolation_Q(space: SpectralSpace, kappa: float, *,
@@ -231,56 +226,36 @@ def check_interpolation_Q(space: SpectralSpace, kappa: float, *,
     variant 'plaplace': |x|_Q^2 <= C |x|^(2(k-p)/k)  m(|grad x|^2)^(p/k)
     variant 'fastdiff': |u|_{r+1}^2 |u|^(k-2) >= eta |u|_Q^k
     """
+    if variant not in ("porous", "plaplace", "fastdiff"):
+        raise ValueError(f"unknown variant {variant!r}")
+    need, value = ("p", p) if variant == "plaplace" else ("r", r)
+    if value is None:
+        raise ValueError(f"{variant} variant needs {need}")
     gen = philox_generator(seed, 0x1F)
 
-    def parts(x):
+    def sample():
+        x = sample_states(space, gen, n_samples)
         dq = q_norm(space, x)
         dn = h_norm(space, x)
-        g = to_grid(space, x)
-        if variant == "porous":
-            if r is None:
-                raise ValueError("porous variant needs r")
-            lq = quad(space, np.abs(g) ** (1.0 + r)) ** (1.0 / (1.0 + r))
-            return dq ** 2, dn ** (2.0 * (kappa - 1.0 - r) / kappa) * \
-                lq ** (2.0 * (1.0 + r) / kappa)
         if variant == "plaplace":
-            if p is None:
-                raise ValueError("plaplace variant needs p")
             dg2 = quad(space, grad_to_grid(space, x) ** 2)
             return dq ** 2, dn ** (2.0 * (kappa - p) / kappa) * dg2 ** (p / kappa)
-        if variant == "fastdiff":
-            if r is None:
-                raise ValueError("fastdiff variant needs r")
-            lq = quad(space, np.abs(g) ** (1.0 + r)) ** (1.0 / (1.0 + r))
-            return lq ** 2 * dn ** (kappa - 2.0), dq ** kappa
-        raise ValueError(f"unknown variant {variant!r}")
+        lq = quad(space, np.abs(to_grid(space, x)) ** (1.0 + r)) ** (1.0 / (1.0 + r))
+        if variant == "porous":
+            return dq ** 2, dn ** (2.0 * (kappa - 1.0 - r) / kappa) * \
+                lq ** (2.0 * (1.0 + r) / kappa)
+        return lq ** 2 * dn ** (kappa - 2.0), dq ** kappa
 
-    x = sample_states(space, gen, n_samples)
-    lhs, rhs = parts(x)
-    if variant == "fastdiff":
-        eta_fit = float(np.min(lhs / rhs)) * safety
-        const = {"eta": eta_fit}
-        x = sample_states(space, gen, n_samples)
-        lhs, rhs = parts(x)
-        margins = lhs - eta_fit * rhs
-        scale = np.abs(lhs) + eta_fit * rhs
-    else:
-        c_fit = float(np.max(lhs / rhs)) / safety
-        const = {"C": c_fit}
-        x = sample_states(space, gen, n_samples)
-        lhs, rhs = parts(x)
-        margins = c_fit * rhs - lhs
-        scale = np.abs(lhs) + c_fit * rhs
-    bad = margins < -_REL_TOL * scale
-    const["kappa"] = kappa
-    return ConditionReport(
-        condition_id=f"interpolation_{variant}",
-        sample_count=n_samples,
-        violation_count=int(np.sum(bad)),
-        fitted_constants=const,
-        worst_margin=float(np.min(margins)),
-        verdict=_verdict(n_samples, int(np.sum(bad))),
-    )
+    if variant == "fastdiff":       # lhs >= eta rhs
+        name = "eta"
+        fit = lambda lr: float(np.min(lr[0] / lr[1])) * safety
+        check = lambda lr, c: (lr[0] - c * lr[1], np.abs(lr[0]) + c * lr[1])
+    else:                           # lhs <= C rhs
+        name = "C"
+        fit = lambda lr: float(np.max(lr[0] / lr[1])) / safety
+        check = lambda lr, c: (c * lr[1] - lr[0], np.abs(lr[0]) + c * lr[1])
+    return _fit_then_validate(f"interpolation_{variant}", n_samples, sample,
+                              fit, check, lambda c: {name: c, "kappa": kappa})
 
 
 @dataclass(frozen=True)
@@ -394,34 +369,37 @@ def check_scalar_mean_value(r: float, n_samples: int = 1_000_000, *,
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     gen = philox_generator(seed, 0x3C)
-    t1 = gen.standard_cauchy(n_samples)
-    t2 = gen.standard_cauchy(n_samples)
-    s1 = np.clip(np.sign(t1) * np.abs(t1) ** 1.5, -1e6, 1e6)
-    s2 = np.clip(np.sign(t2) * np.abs(t2) ** 1.5, -1e6, 1e6)
-    tie = gen.random(n_samples) < 0.05
-    s2[tie] = s1[tie]
-    tiny = gen.random(n_samples) < 0.10
-    s2[tiny] = s1[tiny] * (1.0 + 1e-9)
-    zero = gen.random(n_samples) < 0.02
-    s1[zero] = 0.0
-    lhs = (s1 - s2) * (signed_power(s1, r) - signed_power(s2, r))
-    mx = np.maximum(np.abs(s1), np.abs(s2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = np.where(mx > 0.0, r * (s1 - s2) ** 2 * mx ** (r - 1.0), 0.0)
-    margins = lhs - rhs
-    scale = np.abs(lhs) + np.abs(rhs)
-    # near-tie pairs subtract almost equal powers; allow for the
-    # cancellation roundoff |s1-s2| * (|s1|^r + |s2|^r) * O(eps)
-    cancel = np.abs(s1 - s2) * (np.abs(s1) ** r + np.abs(s2) ** r)
-    bad = margins < -(_REL_TOL * scale + 1e-13 * cancel)
-    return ConditionReport(
-        condition_id="scalar_mean_value",
-        sample_count=n_samples,
-        violation_count=int(np.sum(bad)),
-        fitted_constants={"r": r},
-        worst_margin=float(np.min(margins)),
-        verdict=_verdict(n_samples, int(np.sum(bad))),
-    )
+
+    def sample():
+        t1 = gen.standard_cauchy(n_samples)
+        t2 = gen.standard_cauchy(n_samples)
+        s1 = np.clip(np.sign(t1) * np.abs(t1) ** 1.5, -1e6, 1e6)
+        s2 = np.clip(np.sign(t2) * np.abs(t2) ** 1.5, -1e6, 1e6)
+        tie = gen.random(n_samples) < 0.05
+        s2[tie] = s1[tie]
+        tiny = gen.random(n_samples) < 0.10
+        s2[tiny] = s1[tiny] * (1.0 + 1e-9)
+        zero = gen.random(n_samples) < 0.02
+        s1[zero] = 0.0
+        return s1, s2
+
+    def check(s, r):
+        s1, s2 = s
+        lhs = (s1 - s2) * (signed_power(s1, r) - signed_power(s2, r))
+        mx = np.maximum(np.abs(s1), np.abs(s2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhs = np.where(mx > 0.0, r * (s1 - s2) ** 2 * mx ** (r - 1.0), 0.0)
+        return lhs - rhs, np.abs(lhs) + np.abs(rhs)
+
+    def cancellation(s):
+        # near-tie pairs subtract almost equal powers; allow for the
+        # cancellation roundoff |s1-s2| * (|s1|^r + |s2|^r) * O(eps)
+        s1, s2 = s
+        return 1e-13 * (np.abs(s1 - s2) * (np.abs(s1) ** r + np.abs(s2) ** r))
+
+    return _fit_then_validate("scalar_mean_value", n_samples, sample, None,
+                              check, lambda r: {"r": r}, given=r,
+                              floor=cancellation)
 
 
 def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,
@@ -471,32 +449,21 @@ def fit_coercivity(space: SpectralSpace, model: ModelSpec,
             theta = 0.2
     gen = philox_generator(seed, 0xC0)
 
-    def lhs_of(v):
-        zero = np.zeros_like(v)
-        out = pairing_drift_diff(space, model, t, v, zero)
-        if model.has_diffusion:
-            out = out + 0.5 * b_hs_diff(space, model, t, v, zero) ** 2
-        return out
+    def sample():
+        v = sample_states(space, gen, n_samples)
+        return (_a1_lhs(space, model, t, v, np.zeros_like(v)),
+                v_norm(space, v, fam) ** (1.0 + fam.r), h_norm(space, v) ** 2)
 
-    v = sample_states(space, gen, n_samples)
-    lhs = lhs_of(v)
-    vn = v_norm(space, v, fam) ** (1.0 + fam.r)
-    hn2 = h_norm(space, v) ** 2
-    c_fit = float(np.max((lhs + theta * vn) / (1.0 + hn2))) / safety
-    # the diffusion part is covered outright by its Lipschitz bound
-    c_fit = max(c_fit, 0.0) + 0.5 * getattr(model.b_spec, "c0", 0.0) ** 2
-    v = sample_states(space, gen, n_samples)
-    lhs = lhs_of(v)
-    vn = v_norm(space, v, fam) ** (1.0 + fam.r)
-    hn2 = h_norm(space, v) ** 2
-    margins = c_fit * (1.0 + hn2) - theta * vn - lhs
-    scale = np.abs(lhs) + c_fit * (1.0 + hn2) + theta * vn
-    bad = margins < -_REL_TOL * scale
-    return ConditionReport(
-        condition_id="coercivity",
-        sample_count=n_samples,
-        violation_count=int(np.sum(bad)),
-        fitted_constants={"C": c_fit, "theta": theta},
-        worst_margin=float(np.min(margins)),
-        verdict=_verdict(n_samples, int(np.sum(bad))),
-    )
+    def fit(terms):
+        lhs, vn, hn2 = terms
+        c_fit = float(np.max((lhs + theta * vn) / (1.0 + hn2))) / safety
+        # the diffusion part is covered outright by its Lipschitz bound
+        return max(c_fit, 0.0) + 0.5 * getattr(model.b_spec, "c0", 0.0) ** 2
+
+    def check(terms, c_fit):
+        lhs, vn, hn2 = terms
+        return (c_fit * (1.0 + hn2) - theta * vn - lhs,
+                np.abs(lhs) + c_fit * (1.0 + hn2) + theta * vn)
+
+    return _fit_then_validate("coercivity", n_samples, sample, fit, check,
+                              lambda c_fit: {"C": c_fit, "theta": theta})

@@ -1,12 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spde_reflect.cli import (
-    ConfigError, parse_config, config_hash, run, main,
-    build_space, build_model, build_sim,
+    ConfigError, RunConfig, parse_config, parse_config_file, config_hash, run,
+    main, build_space, build_model, build_coupling, build_sim,
 )
 
 
@@ -124,6 +125,81 @@ def test_cross_field_sim_grid_rule():
 def test_cross_field_glue_rule():
     with pytest.raises(ConfigError, match="glue_eps"):
         parse_config(MINIMAL + "\n[coupling]\nn = 10\nglue_eps = 0.2\n")
+
+
+# each bad config: (text, the message after "config error: ")
+_BAD_CONFIGS = {
+    "psi_scale": (MINIMAL + "psi_scale = -1\n",
+                  "model: psi_scale must be positive"),
+    "c0": (MINIMAL + "b_spec = lipschitz_diagonal\nc0 = -1\n",
+           "model: c0 must be nonnegative"),
+    "n_modes": (MINIMAL + "[space]\nn_modes = 0\n",
+                "space: n_modes must be >= 1"),
+    "oversample": (MINIMAL + "[space]\noversample = 2\n",
+                   "space: oversample must be >= 4"),
+    "coupling_n": (MINIMAL + "[coupling]\nn = 0\n",
+                   "coupling: n must be >= 1"),
+    "b_spec": (MINIMAL + "b_spec = wibble\n",
+               "model: b_spec must be zero or lipschitz_diagonal"),
+    "family": ("[model]\nfamily = wibble\nr = 2.0\n",
+               "model: family must be porous|plaplace|fastdiff"),
+    "missing_r": ("[model]\nfamily = porous\n",
+                  "model: the porous family needs r"),
+    "missing_p": ("[model]\nfamily = plaplace\n",
+                  "model: the plaplace family needs p"),
+    "samples": (MINIMAL + "[conditions]\nsamples = 0\n",
+                "conditions.samples and mv_samples must be >= 1"),
+    "mv_samples": (MINIMAL + "[conditions]\nmv_samples = 0\n",
+                   "conditions.samples and mv_samples must be >= 1"),
+    "holder_mode_zero": (MINIMAL + "[experiments]\nholder_direction_mode = 0\n",
+                         "experiments.holder_direction_mode must lie in"),
+    "holder_mode_high": (MINIMAL + "[space]\nn_modes = 4\n"
+                         "[experiments]\nholder_direction_mode = 5\n",
+                         "experiments.holder_direction_mode must lie in"),
+    "x0_too_long": (MINIMAL + "[space]\nn_modes = 2\n[sim]\nx0 = 1, 2, 3\n",
+                    "sim.x0 has more entries than space.n_modes"),
+    "y0_too_long": (MINIMAL + "[space]\nn_modes = 2\n[sim]\ny0 = 1, 2, 3\n",
+                    "sim.y0 has more entries than space.n_modes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
+def test_bad_config_is_a_config_error(name, tmp_path, capsys):
+    text, message = _BAD_CONFIGS[name]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    assert main(["check-conditions", "--config", _write(tmp_path, text)]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+
+
+def test_holder_direction_mode_bounds_are_inclusive():
+    text = MINIMAL + "[space]\nn_modes = 4\n[experiments]\n"
+    for mode in (1, 4):
+        parse_config(text + f"holder_direction_mode = {mode}\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"family": "wibble"}, "family must be porous|plaplace|fastdiff"),
+    ({"r": None}, "the porous family needs r"),
+    ({"b_spec": "wibble"}, "b_spec must be zero or lipschitz_diagonal"),
+], ids=["family", "missing_r", "b_spec"])
+def test_build_model_rejects_what_it_cannot_build(change, message):
+    # the builder itself refuses, instead of falling through to a default
+    values = dict(parse_config(MINIMAL).values)
+    values["model"] = {**values["model"], **change}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_model(RunConfig(values=values))
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
+    ids=lambda p: p.stem)
+def test_shipped_configs_parse_and_build(path):
+    cfg = parse_config_file(path)
+    assert build_space(cfg).n_modes == cfg["space"]["n_modes"]
+    assert build_model(cfg).family.kind == cfg["model"]["family"]
+    assert build_coupling(cfg).n == cfg["coupling"]["n"]
+    assert build_sim(cfg).n_paths == cfg["sim"]["n_paths"]
 
 
 def test_config_hash_stable_and_sensitive():

@@ -10,6 +10,7 @@ from spde_reflect.inequalities import (
     check_spectrum_condition, check_scalar_mean_value, nash_exponent_gate,
     kappa_porous_example, kappa_plaplace_example, kappa_fastdiff_interval,
     SpectrumParams, scan_supremand, sample_state_pairs, lipschitz_K_bound,
+    fit_coercivity,
 )
 from spde_reflect.integrator import philox_generator
 from spde_reflect.models import signed_power
@@ -285,3 +286,134 @@ def test_lipschitz_K_bound_families():
     assert lipschitz_K_bound(m) == pytest.approx(2.0)
     assert lipschitz_K_bound(ModelSpec(FastDiff(r=0.5, beta0=0.3))) == \
         pytest.approx(0.3)
+
+
+# --- frozen reports ---------------------------------------------------------
+
+def _frozen_cases():
+    from spde_reflect.models import LipschitzDiagonal, unit_base
+    ex41 = make_space(16, 2.0, weighted=True, q_amp=1.0, q_decay=0.75)
+    ex63 = make_space(16, 1.0, weighted=True, q_amp=1.0, q_decay=0.6)
+    plap = make_space(16, 1.0, weighted=False, q_amp=1.0, q_decay=0.75)
+    lip = LipschitzDiagonal(c0=0.5, base=unit_base(16))
+    por, por_b = ModelSpec(Porous(r=2.0)), ModelSpec(Porous(r=2.0), lip)
+    fd, fd_b = ModelSpec(FastDiff(r=0.5)), ModelSpec(FastDiff(r=0.5), lip)
+    n, s = 2000, 5
+    return {
+        "interp_plaplace": lambda: check_interpolation_Q(
+            plap, 2.5, p=2.0, variant="plaplace", n_samples=n, seed=s),
+        "interp_porous": lambda: check_interpolation_Q(
+            ex41, 8.0, r=2.0, variant="porous", n_samples=n, seed=s),
+        "interp_porous_fail": lambda: check_interpolation_Q(
+            ex41, 8.0, r=2.0, variant="porous", n_samples=n, seed=s,
+            safety=1.5),
+        "interp_fastdiff": lambda: check_interpolation_Q(
+            ex63, 3.0, r=0.5, variant="fastdiff", n_samples=n, seed=s),
+        "a1prime_fit": lambda: check_A1prime(ex41, por, 8.0, n, seed=s),
+        "a1prime_given": lambda: check_A1prime(ex41, por, 8.0, n, seed=s,
+                                               K=0.5, theta=1.0),
+        "a1prime_given_fail": lambda: check_A1prime(ex41, por, 8.0, n, seed=s,
+                                                    K=0.0, theta=2000.0),
+        "a1prime_given_theta": lambda: check_A1prime(ex41, por_b, 8.0, n,
+                                                     seed=s, theta=0.25),
+        "a1prime_lipschitz_fit": lambda: check_A1prime(ex41, por_b, 8.0, n,
+                                                       seed=s, K=1.0),
+        "a1doubleprime_fit": lambda: check_A1doubleprime(ex63, fd, 3.0, n,
+                                                         seed=s),
+        "a1doubleprime_given": lambda: check_A1doubleprime(
+            ex63, fd_b, 3.0, n, seed=s, K=0.2, theta=0.01),
+        "coercivity_lipschitz": lambda: fit_coercivity(ex41, por_b, n, seed=s),
+        "coercivity_plaplace_lipschitz": lambda: fit_coercivity(
+            plap, ModelSpec(PLaplace(p=3.0), lip), n, seed=s),
+        "coercivity_fastdiff_theta": lambda: fit_coercivity(
+            ex63, fd, n, seed=s, theta=0.1),
+        "meanvalue": lambda: check_scalar_mean_value(0.5, 20000, seed=s),
+    }
+
+
+# (condition_id, sample_count, violation_count, fitted_constants,
+#  worst_margin, verdict), recorded before the checkers shared one routine
+_FROZEN = {
+    "interp_plaplace": ("interpolation_plaplace", 2000, 0,
+                        {"C": 0.17709697743675076, "kappa": 2.5},
+                        0.00033879183503998146, "pass"),
+    "interp_porous": ("interpolation_porous", 2000, 0,
+                      {"C": 0.19245184001306828, "kappa": 8.0},
+                      2.845671227780118e-07, "pass"),
+    "interp_porous_fail": ("interpolation_porous", 2000, 977,
+                           {"C": 0.11547110400784098, "kappa": 8.0},
+                           -7.4828932585956665, "fail"),
+    "interp_fastdiff": ("interpolation_fastdiff", 2000, 0,
+                        {"eta": 7.385708729216273, "kappa": 3.0},
+                        8.305066569336926e-08, "pass"),
+    "a1prime_fit": ("A1prime", 2000, 0,
+                    {"K": 0.0, "theta": 532.2461301847754, "kappa": 8.0},
+                    2.8231268190987997e-13, "pass"),
+    "a1prime_given": ("A1prime", 2000, 0,
+                      {"K": 0.5, "theta": 1.0, "kappa": 8.0},
+                      1.5238978820609743e-13, "pass"),
+    "a1prime_given_fail": ("A1prime", 2000, 277,
+                           {"K": 0.0, "theta": 2000.0, "kappa": 8.0},
+                           -69136.43648238557, "fail"),
+    "a1prime_given_theta": ("A1prime", 2000, 0,
+                            {"K": 0.125, "theta": 0.25, "kappa": 8.0},
+                            1.523828288371455e-13, "pass"),
+    "a1prime_lipschitz_fit": ("A1prime", 2000, 0,
+                              {"K": 1.0, "theta": 541.1422837879841,
+                               "kappa": 8.0},
+                              2.8231294134173374e-13, "pass"),
+    "a1doubleprime_fit": ("A1doubleprime", 2000, 0,
+                          {"K": 0.0, "theta": 4.736440523029153, "kappa": 3.0},
+                          3.8209110905157296e-14, "pass"),
+    "a1doubleprime_given": ("A1doubleprime", 2000, 0,
+                            {"K": 0.2, "theta": 0.01, "kappa": 3.0},
+                            2.892661261671557e-13, "pass"),
+    "coercivity_lipschitz": ("coercivity", 2000, 0,
+                             {"C": 0.125, "theta": 0.5},
+                             0.12500462957889813, "pass"),
+    "coercivity_plaplace_lipschitz": ("coercivity", 2000, 0,
+                                      {"C": 0.125, "theta": 0.2},
+                                      0.12754028321125888, "pass"),
+    "coercivity_fastdiff_theta": ("coercivity", 2000, 0,
+                                  {"C": 0.0, "theta": 0.1},
+                                  0.0016823612329665862, "pass"),
+    "meanvalue": ("scalar_mean_value", 20000, 0, {"r": 0.5},
+                  -6.697004009205334e-21, "pass"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_frozen_reports(name):
+    rep = _frozen_cases()[name]().as_dict()
+    cid, count, violations, consts, worst, verdict = _FROZEN[name]
+    assert (rep["condition_id"], rep["sample_count"], rep["violation_count"],
+            rep["verdict"]) == (cid, count, violations, verdict)
+    assert list(rep["fitted_constants"]) == list(consts)
+    for key, value in consts.items():
+        np.testing.assert_allclose(rep["fitted_constants"][key], value,
+                                   rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep["worst_margin"], worst, rtol=1e-12, atol=0.0)
+
+
+def _zero_sample_checks():
+    sp = make_space(8, 1.0, weighted=True, q_decay=0.75)
+    por, fd = ModelSpec(Porous(r=2.0)), ModelSpec(FastDiff(r=0.5))
+    return {
+        "meanvalue": lambda n: check_scalar_mean_value(0.5, n),
+        "a1prime": lambda n: check_A1prime(sp, por, 8.0, n),
+        "a1prime_given": lambda n: check_A1prime(sp, por, 8.0, n, K=0.0,
+                                                 theta=1.0),
+        "a1doubleprime": lambda n: check_A1doubleprime(sp, fd, 3.0, n),
+        "interpolation": lambda n: check_interpolation_Q(
+            sp, 8.0, r=2.0, n_samples=n),
+        "coercivity": lambda n: fit_coercivity(sp, por, n),
+    }
+
+
+@pytest.mark.parametrize("name", ["meanvalue", "a1prime", "a1prime_given",
+                                  "a1doubleprime", "interpolation",
+                                  "coercivity"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_zero_samples_rejected(name, n):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        _zero_sample_checks()[name](n)
