@@ -12,6 +12,10 @@ s <= 1/2 and h(s) = 1 for s >= 1.  On the middle interval we use
 h(s) = sin(pi/2 * S(2s - 1)) with the smoothstep S(u) = 3u^2 - 2u^3, which
 makes both h and sqrt(1 - h^2) continuously differentiable with bounded
 derivative (both one-sided derivatives vanish at the seams).
+
+The coupled increments work on the rows inside the band only: the step
+lends them scratch (the idle grid buffer of its drift) into which those
+rows are gathered, and the reflection is applied there in place.
 """
 
 from __future__ import annotations
@@ -98,11 +102,19 @@ def sqrt1mh2_prime(s):
 
 
 def cutoff_h_prime_sup() -> float:
-    """Supremum of |h'|, evaluated once on a dense grid (cached)."""
+    """Supremum of |h'|: its maximum over a dense grid of the band (cached).
+
+    |h'| rises and then falls on the band, so every 1000th grid point
+    locates the peak to within one coarse step, and the maximum over the
+    2000 grid points on either side of that coarse maximum is the maximum
+    over the whole grid.
+    """
     global _H_PRIME_SUP
     if _H_PRIME_SUP is None:
         s = np.linspace(0.5, 1.0, 2_000_001)
-        _H_PRIME_SUP = float(np.max(np.abs(cutoff_h_prime(s))))
+        peak = 1000 * int(np.argmax(np.abs(cutoff_h_prime(s[::1000]))))
+        near = s[max(peak - 2000, 0):peak + 2001]
+        _H_PRIME_SUP = float(np.max(np.abs(cutoff_h_prime(near))))
     return _H_PRIME_SUP
 
 
@@ -110,41 +122,53 @@ _H_PRIME_SUP = None
 
 
 def reflection_direction(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
-                         n: int) -> np.ndarray:
-    """a = (Q + I/n)^-1 (u - v), mode i scaled by (q_i + 1/n)^-1."""
-    d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-    d /= space.q_coeffs + 1.0 / n
-    return d
+                         n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a = (Q + I/n)^-1 (u - v), mode i scaled by (q_i + 1/n)^-1.
+
+    ``out`` receives a and may be u or v itself.
+    """
+    d = np.subtract(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
+                    out=out)
+    return np.divide(d, space.q_coeffs + 1.0 / n, out=d)
 
 
 def sigma_n_apply(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
-                  n: int, w: np.ndarray) -> np.ndarray:
+                  n: int, w: np.ndarray, *, scratch=None) -> np.ndarray:
     """Rank-one H-orthogonal projection of w onto the regularized direction.
 
     Contract: u != v (the caller gates on the cutoff, which vanishes on the
-    diagonal).
+    diagonal).  ``scratch``, a pair of arrays shaped like w, receives the
+    direction (and so the result) and the inner-product terms; the pair
+    may be u and v themselves, which are read before either is written.
     """
-    a = reflection_direction(space, u, v, n)
-    na2 = h_inner(space, a, a)
+    a, terms = scratch if scratch is not None else (None, None)
+    a = reflection_direction(space, u, v, n, out=a)
+    na2 = h_inner(space, a, a, scratch=terms)
     if np.any(na2 == 0.0):
         raise ValueError("sigma_n is undefined on the diagonal u = v")
-    coef = h_inner(space, a, np.asarray(w, dtype=float)) / na2
+    coef = h_inner(space, a, np.asarray(w, dtype=float), scratch=terms) / na2
     return np.multiply(np.asarray(coef)[..., None], a, out=a)
 
 
 def reflect_apply(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
-                  n: int, w: np.ndarray) -> np.ndarray:
-    """(I - 2 sigma_n(u, v)) w: H-isometric involution."""
+                  n: int, w: np.ndarray, *, out: np.ndarray | None = None,
+                  scratch=None) -> np.ndarray:
+    """(I - 2 sigma_n(u, v)) w: H-isometric involution.
+
+    ``out`` receives the result and may be w itself; ``scratch`` is as for
+    :func:`sigma_n_apply`.
+    """
     w = np.asarray(w, dtype=float)
-    s = sigma_n_apply(space, u, v, n, w)
-    return np.subtract(w, np.multiply(2.0, s, out=s), out=s)
+    s = sigma_n_apply(space, u, v, n, w, scratch=scratch)
+    return np.subtract(w, np.multiply(2.0, s, out=s),
+                       out=s if out is None else out)
 
 
 def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingParams,
                                  x: np.ndarray, y: np.ndarray, t: float,
                                  dW1: np.ndarray, dW2: np.ndarray,
                                  dW3: np.ndarray, *, dist: np.ndarray | None = None,
-                                 out=None):
+                                 out=None, scratch: np.ndarray | None = None):
     """Noise increments of the coupled pair for one time step.
 
     ``dW1, dW2, dW3`` are independent N(0, dt) coefficient vectors of the
@@ -157,46 +181,97 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     is read only on rows inside the band.  Without diffusion
     (``model.has_diffusion`` false) channel 1 is unused and ``dW1`` may be
     None.  ``dist`` is |x - y|_H when the caller already has it; ``out`` is
-    an optional pair of arrays that receive (dx, dy).
+    an optional pair of contiguous arrays shaped like x that receive
+    (dx, dy).  ``scratch``, a contiguous float array of at least 4 N values
+    per row of x, holds the rows inside the band while they are worked on
+    (a fresh array when None).
     """
     from .models import b_diag
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if dist is None:
         dist = h_norm(space, x - y)
-    root_w = np.sqrt(space.h_weights)
+    root_w = space.root_h_weights
     q = space.q_coeffs
     dx, dy = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
-    # cylindrical increments on H, expressed in sine coefficients.  Where
-    # h = 0, q * 1.0 * z2 + (q * 0.0) * z3 is q * z2 to the bit unless
-    # q * z2 is -0.0.
-    np.multiply(q, np.divide(dW2, root_w, out=dx), out=dx)
-    np.copyto(dy, dx)
     s = params.n * np.asarray(dist)
-    band = ~(s <= 0.5)               # h > 0, or a NaN distance (failed row)
-    if np.any(band):
-        # on the band rows, shared + q * h * z3 with shared = q * g * z2;
-        # products and sums are formed in place
-        h = cutoff_h(s[band])[..., None]
-        g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
-        qh = q * h
-        shared = np.asarray(dW2, dtype=float)[band]
-        np.multiply(q * g, np.divide(shared, root_w, out=shared), out=shared)
-        z3 = np.asarray(dW3, dtype=float)[band]
-        z3 /= root_w
-        dx[band] = shared + qh * z3
-        active = h[..., 0] > 0.0
-        if np.all(active):
-            z3 = reflect_apply(space, x[band], y[band], params.n, z3)
-        elif np.any(active):       # NaN (failed) rows are not reflected
-            z3[active] = reflect_apply(space, x[band][active],
-                                       y[band][active], params.n, z3[active])
-        dy[band] = np.add(shared, np.multiply(qh, z3, out=z3), out=z3)
+    band = np.flatnonzero(~(s <= 0.5))   # h > 0, or a NaN distance (failed row)
+    if band.size < s.size:
+        # cylindrical increments on H, expressed in sine coefficients.
+        # Where h = 0, q * 1.0 * z2 + (q * 0.0) * z3 is q * z2 to the bit
+        # unless q * z2 is -0.0.
+        np.multiply(q, np.divide(dW2, root_w, out=dx), out=dx)
+        np.copyto(dy, dx)
+    if band.size:
+        _band_increments(space, params, x, y, dW2, dW3, s, band, dx, dy,
+                         scratch)
     if model.has_diffusion:
         z1 = np.asarray(dW1, dtype=float) / root_w
         dx += b_diag(space, model, t, x) * z1
         dy += b_diag(space, model, t, y) * z1
     return dx, dy
+
+
+def _band_increments(space: SpectralSpace, params: CouplingParams, x, y,
+                     dW2, dW3, s, rows, dx, dy, scratch) -> None:
+    """dx = shared + q h z3 and dy = shared + q h (I - 2 sigma_n) z3, with
+    shared = q g z2, on the band rows ``rows`` (flat indices) of dx and dy.
+
+    The rows are gathered into four (B, N) slabs of ``scratch``, the
+    products are formed there and the results scattered; when the band
+    holds every row and all of them are reflected, the inputs are read and
+    the results written in place.  Every value comes from the operations
+    of the full formula, in its order.
+    """
+    n_modes = space.n_modes
+    root_w = space.root_h_weights
+    q = space.q_coeffs
+    x, y, dx, dy = (a.reshape(-1, n_modes) for a in (x, y, dx, dy))
+    dW2, dW3 = (np.asarray(a, dtype=float).reshape(-1, n_modes)
+                for a in (dW2, dW3))
+    h = cutoff_h(s.reshape(-1)[rows])
+    active = h > 0.0                 # NaN (failed) rows are not reflected
+    n_act = int(np.count_nonzero(active))
+    if n_act < rows.size:
+        # reflected rows first, so that the reflection works on a prefix
+        order = np.argsort(~active, kind="stable")
+        rows, h = rows[order], h[order]
+    whole = n_act == rows.size == x.shape[0]     # rows is 0, 1, ..., P - 1
+    k = rows.size
+    if scratch is None:
+        scratch = np.empty(4 * k * n_modes)
+    shared, z3, u, v = scratch.reshape(-1)[:4 * k * n_modes].reshape(
+        4, k, n_modes)
+
+    def gather(a, dst):
+        return a if whole else np.take(a, rows, axis=0, out=dst, mode="clip")
+
+    def combine(qhz, dst):
+        # dst = shared + qhz, formed in place when every row is in the band
+        if whole:
+            np.add(shared, qhz, out=dst)
+        else:
+            dst[rows] = np.add(shared, qhz, out=qhz)
+
+    h = h[:, None]
+    g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
+    # shared = q * g * z2, with z2 = dW2 / root_w held in z3's slab
+    z2 = np.divide(gather(dW2, z3), root_w, out=z3)
+    np.multiply(np.multiply(q, g, out=shared), z2, out=shared)
+    np.divide(gather(dW3, z3), root_w, out=z3)
+    # dx = shared + q * h * z3
+    qhz = np.multiply(np.multiply(q, h, out=u), z3, out=u)
+    combine(qhz, dx)
+    if n_act:
+        a = slice(0, n_act)
+        xa, ya = (x, y) if whole else (
+            np.take(x, rows[a], axis=0, out=u[a], mode="clip"),
+            np.take(y, rows[a], axis=0, out=v[a], mode="clip"))
+        reflect_apply(space, xa, ya, params.n, z3[a], out=z3[a],
+                      scratch=(u[a], v[a]))
+    # dy = shared + q * h * z3, z3 now reflected on the active rows
+    qhz = np.multiply(np.multiply(q, h, out=u), z3, out=u)
+    combine(qhz, dy)
 
 
 def _qn_quantities(space: SpectralSpace, v: np.ndarray, n: int):

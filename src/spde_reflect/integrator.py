@@ -39,7 +39,12 @@ Buffers
 A coupled step writes its intermediates into a ``StepBuffers`` set: the
 keyed noise channels, the two increments, each component's drift with the
 shared grid scratch of the nonlinearity, and the split factors (a later
-phase of the step takes over the buffers of an earlier one).
+phase of the step takes over the buffers of an earlier one).  The keyed
+blocks are drawn straight into the channel buffers, and the increments
+gather the rows inside the reflection band into the grid buffer of x's
+drift, which is idle until the drift is evaluated.  A linear family
+(porous r = 1, p = 2) has one scalar split rate, so its split factors are
+a single (N,) row that broadcasts over the paths.
 ``run_paths`` creates one set per worker batch and reuses it on every step,
 so the large intermediates are not allocated and faulted in afresh on each
 step; a step called without a set builds a fresh one and runs the same
@@ -121,7 +126,10 @@ def _keyed_generator(key0: int, key1: int) -> np.random.Generator:
 
 def noise_block(master_seed: int, step: int, channel: int, block: int,
                 rows: int, n_modes: int) -> np.ndarray:
-    """Standard-normal block, a pure function of its key tuple."""
+    """Standard-normal block, a pure function of its key tuple.
+
+    The reference for the keyed streams; ``gen_noise`` draws the same values.
+    """
     gen = _keyed_generator(int(master_seed) & 0xFFFFFFFFFFFFFFFF,
                            _mix(master_seed, step, 0x10 + channel, block))
     return gen.standard_normal((rows, n_modes))
@@ -135,22 +143,32 @@ def gen_noise(master_seed: int, step_index: int, n_paths: int, n_modes: int,
     Returns an array of shape (len(channels), n_paths, n_modes), written
     into ``out`` when given.  Each value is a deterministic function of
     (master_seed, path index, step_index, channel); channels are mutually
-    independent streams.
+    independent streams.  The values are those of ``noise_block`` scaled
+    by sqrt(dt): a slice that starts at its block's first row is drawn
+    straight into a C-contiguous ``out`` (the stream fills it in C order,
+    as it fills a fresh block), any other slice is copied from its block.
     """
     if out is None:
         out = np.empty((len(channels), n_paths, n_modes))
     lo = path_lo
     hi = path_lo + n_paths
-    first = lo // BLOCK_ROWS
-    last = (hi - 1) // BLOCK_ROWS
-    for b in range(first, last + 1):
-        b_lo = b * BLOCK_ROWS
-        r0 = max(lo, b_lo) - b_lo
-        r1 = min(hi, b_lo + BLOCK_ROWS) - b_lo
-        for ci, ch in enumerate(channels):
-            blk = noise_block(master_seed, step_index, ch, b, r1, n_modes)
-            out[ci, max(lo, b_lo) - lo:min(hi, b_lo + BLOCK_ROWS) - lo] = blk[r0:r1]
-    out *= np.sqrt(dt)
+    key0 = int(master_seed) & 0xFFFFFFFFFFFFFFFF
+    scale = np.sqrt(dt)
+    for ci, ch in enumerate(channels):
+        # noise_block's key, _mix(seed, step, 0x10 + ch, block), with the
+        # prefix shared by the channel's blocks mixed once
+        prefix = _mix(master_seed, step_index, 0x10 + ch)
+        for b in range(lo // BLOCK_ROWS, (hi - 1) // BLOCK_ROWS + 1):
+            b_lo = b * BLOCK_ROWS
+            r0 = max(lo, b_lo) - b_lo
+            dst = out[ci, b_lo + r0 - lo:min(hi, b_lo + BLOCK_ROWS) - lo]
+            if r0 == 0 and dst.flags.c_contiguous:
+                _keyed_generator(key0, _splitmix64(prefix ^ b)).standard_normal(
+                    out=dst)
+            else:
+                dst[...] = noise_block(master_seed, step_index, ch, b,
+                                       r0 + dst.shape[0], n_modes)[r0:]
+            dst *= scale
     return out
 
 
@@ -298,25 +316,42 @@ class StepBuffers:
         self.drift_y = DriftBuffers(space, (rows,), shared=self.drift_x)
         # The phases of a step run in order (noise and increments, drifts,
         # split factors, update), so later phases take over earlier buffers:
-        # the keyed channels live in the grid scratch (M + 2 > 3 N values
-        # per row, since make_space requires oversample >= 4), and the
-        # split factors in the channels and the drift scratch.
+        # the keyed channels live in one grid scratch and the increments'
+        # band rows in the other (M + 2 > 4 N values per row, since
+        # make_space requires oversample >= 4), and the split factors in
+        # the channels and the drift scratch.
         n_noise = 3 * rows * space.n_modes
         self.noise = self.drift_x.grid2.reshape(-1)[:n_noise].reshape((3,) + shape)
+        self.band = self.drift_x.grid.reshape(-1)
         self.factors = (*self.noise, self.drift_x.scratch)
 
 
-def _split_factors(space: SpectralSpace, dt: float, mu: np.ndarray, out=None):
+def _split_factors(space: SpectralSpace, dt: float, mu, out=None):
     """Exponential-integrator factors (decay, phi1, noise scale) for rate mu.
 
-    ``out``, four arrays of shape mu.shape + (N,), receives the three
-    factors in its first three and uses the last as scratch.
+    mu is a per-path array or, for the linear families, one scalar; the
+    factors have shape mu.shape + (N,), so a scalar rate gives (N,)
+    factors that broadcast over the rows.  ``out``, four contiguous arrays
+    of at least that size, receives the three factors in its first three
+    and uses the last as scratch.
     """
+    shape = np.shape(mu) + space.lambdas.shape
     if out is None:
-        out = np.empty((4,) + np.shape(mu) + space.lambdas.shape)
+        out = np.empty((4,) + shape)
+    else:
+        size = int(np.prod(shape))
+        out = [a.reshape(-1)[:size].reshape(shape) for a in out]
     decay, phi1, nfac, z = out
-    np.multiply(space.lambdas, mu[..., None] * dt, out=z)
-    np.exp(np.negative(z, out=decay), out=decay)
+    np.multiply(space.lambdas, np.asarray(mu)[..., None] * dt, out=z)
+    # exp leaves its fast vector path for arguments below about -708, and
+    # exp(-z) is 0 for z >= 746: evaluate it at -min(z, 700), then set the
+    # entries with z > 700 to 0 and recompute those below 746
+    np.exp(np.negative(np.minimum(z, 700.0, out=decay), out=decay), out=decay)
+    big = z > 700.0
+    if np.any(big):
+        decay[big] = 0.0
+        mid = big & (z < 746.0)
+        decay[mid] = np.exp(-z[mid])
     tiny = z < 1e-12
     any_tiny = np.any(tiny)
     if any_tiny:
@@ -358,7 +393,8 @@ def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
         np.add(x, np.multiply(dt, dr, out=dr), out=new)
         return np.add(new, noise, out=new)
     decay, dt_phi1, nfac = factors
-    np.multiply(np.multiply(space.lambdas, x, out=new), mu[..., None], out=new)
+    np.multiply(np.multiply(space.lambdas, x, out=new), np.asarray(mu)[..., None],
+                out=new)
     resid = np.add(dr, new, out=dr)
     np.multiply(decay, x, out=new)
     np.add(new, np.multiply(dt_phi1, resid, out=resid), out=new)
@@ -367,7 +403,7 @@ def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
 
 def _single_noise(space: SpectralSpace, model: ModelSpec, t: float,
                   x: np.ndarray, dW1: np.ndarray, dW2: np.ndarray) -> np.ndarray:
-    root_w = np.sqrt(space.h_weights)
+    root_w = space.root_h_weights
     out = space.q_coeffs * (dW2 / root_w)
     if model.has_diffusion:
         out = out + b_diag(space, model, t, x) * (dW1 / root_w)
@@ -482,7 +518,7 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
         else:
             dx_noise, dy_noise = coupled_diffusion_increments(
                 space, model, params, state.x, state.y, t, dw1, dw2, dw3,
-                dist=state.dist, out=work.increments)
+                dist=state.dist, out=work.increments, scratch=work.band)
         dr_x, mu_x = drift_and_split_rate(space, model, t, state.x,
                                           out=work.drift_x)
         dr_y, mu_y = drift_and_split_rate(space, model, t, state.y,

@@ -197,9 +197,11 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
     The rate mu is the largest pointwise slope of the nonlinearity over the
     realized field values, so that A(v) + mu L v has a non-amplifying
     explicit residual; the exponential integrator treats -mu L exactly.
-    For the linear cases (porous r = 1, p = 2) the split is exact and the
-    residual vanishes.  The drift is written into ``out.drift`` (fresh
-    buffers when ``out`` is None) and returned with a fresh mu.
+    For the linear cases (porous r = 1, p = 2) the split is exact, the
+    residual vanishes and mu is one scalar (psi_scale, or 1 for p = 2)
+    shared by every path; otherwise mu is a fresh (*lead,) array.  The
+    drift is written into ``out.drift`` (fresh buffers when ``out`` is
+    None).
     """
     fam = model.family
     v = np.asarray(v, dtype=float)
@@ -209,7 +211,7 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
         dg = grad_to_grid(space, v, buf.grid)
         if fam.p == 2.0:
             w = dg
-            mu = np.ones(v.shape[:-1])
+            mu = 1.0
         else:
             w = np.multiply(np.abs(dg) ** (fam.p - 2.0), dg, out=buf.grid2)
             mu = (fam.p - 1.0) * np.max(np.abs(dg), axis=-1) ** (fam.p - 2.0)
@@ -219,7 +221,7 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
                            out=dr), mu
     if fam.kind == "porous" and fam.r == 1.0:
         psi = np.multiply(fam.psi_scale, v, out=dr)
-        mu = np.full(v.shape[:-1], fam.psi_scale)
+        mu = float(fam.psi_scale)
     elif fam.kind in ("porous", "fastdiff"):
         g = to_grid(space, v, buf.grid)
         amp = np.max(np.abs(g, out=buf.grid2), axis=-1, out=buf.amp)

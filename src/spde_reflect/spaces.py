@@ -85,13 +85,15 @@ class SpectralSpace:
     sine: np.ndarray = field(default=None, repr=False)    # (N, M+2) e_i(x_j)
     dsine: np.ndarray = field(default=None, repr=False)   # (N, M+2) e_i'(x_j)
     proj: np.ndarray = field(default=None, repr=False)    # (M+2, N) weighted transpose
+    # (N,) metric weights w_i of the ambient H inner product and sqrt(w_i),
+    # derived from lambdas once
+    h_weights: np.ndarray = field(init=False, repr=False)
+    root_h_weights: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def h_weights(self) -> np.ndarray:
-        """Metric weights w_i of the ambient H inner product."""
-        if self.weighted:
-            return 1.0 / self.lambdas
-        return np.ones_like(self.lambdas)
+    def __post_init__(self):
+        w = 1.0 / self.lambdas if self.weighted else np.ones_like(self.lambdas)
+        object.__setattr__(self, "h_weights", w)
+        object.__setattr__(self, "root_h_weights", np.sqrt(w))
 
 
 def make_space(n_modes: int, gamma: float = 1.0, *, weighted: bool = True,
@@ -147,13 +149,16 @@ def h_norm(space: SpectralSpace, x: np.ndarray,
     return np.sqrt(np.sum(np.multiply(terms, x, out=terms), axis=-1))
 
 
-def h_inner(space: SpectralSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sum(space.h_weights * np.asarray(x) * np.asarray(y), axis=-1)
+def h_inner(space: SpectralSpace, x: np.ndarray, y: np.ndarray,
+            scratch: np.ndarray | None = None) -> np.ndarray:
+    """H inner product sum w_i x_i y_i; ``scratch`` receives the terms."""
+    terms = np.multiply(space.h_weights, np.asarray(x), out=scratch)
+    return np.sum(np.multiply(terms, np.asarray(y), out=terms), axis=-1)
 
 
 def h_mode_coeffs(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
     """Coefficients of x in the H-orthonormal eigenbasis, sqrt(w_i) x_i."""
-    return np.sqrt(space.h_weights) * np.asarray(x, dtype=float)
+    return space.root_h_weights * np.asarray(x, dtype=float)
 
 
 def q_norm(space: SpectralSpace, x: np.ndarray) -> np.ndarray:

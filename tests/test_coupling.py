@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from spde_reflect import make_space, h_norm, h_inner
+from spde_reflect import coupling, make_space, h_norm, h_inner
 from spde_reflect.coupling import (
     CouplingParams, cutoff_h, cutoff_h_prime, sqrt1mh2, sqrt1mh2_prime,
     cutoff_h_prime_sup, sigma_n_apply, reflect_apply,
@@ -55,6 +55,13 @@ def test_cutoff_prime_sup_value():
     s = np.linspace(0.5, 1.0, 100_001)
     assert sup >= np.max(np.abs(cutoff_h_prime(s)))
     assert 3.0 < sup < 4.5
+
+
+def test_cutoff_prime_sup_equals_full_scan(monkeypatch):
+    # the coarse-then-local scan returns the maximum over every grid point
+    monkeypatch.setattr(coupling, "_H_PRIME_SUP", None)
+    full = np.max(np.abs(cutoff_h_prime(np.linspace(0.5, 1.0, 2_000_001))))
+    assert cutoff_h_prime_sup() == float(full)
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,5 +289,49 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
                                                x[i], y[i], 0.3, *dws[:, i])
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w[i])
+        # the band rows worked on in one reused scratch array, each subset
+        # twice: no, some and every row in the band; every row in the band
+        # with NaN (unreflected) rows among them; glued rows and NaN rows
+        # only, so that no band row is reflected
+        band = ~(params.n * stored <= 0.5)
+        below = np.flatnonzero(~band[:s.size])
+        above = np.flatnonzero(band[:s.size])
+        glued = np.arange(s.size, s.size + 3)
+        failed = np.arange(s.size + 3, p)
+        subsets = {"none": below, "some": np.arange(p), "all": above,
+                   "all_and_failed": np.concatenate([above[:30], failed,
+                                                     above[30:]]),
+                   "glued_and_failed": np.concatenate([glued, failed])}
+        n_band = {"none": 0, "some": above.size + failed.size,
+                  "all": above.size, "all_and_failed": above.size + failed.size,
+                  "glued_and_failed": failed.size}
+        scratch = np.full(4 * p * 16, np.nan)
+        for name, rows in subsets.items():
+            assert np.sum(band[rows]) == n_band[name]
+            sub = [a[rows] for a in (x, y, *dws)]
+            want_sub = _reference_increments(porous_space, model, params,
+                                             sub[0], sub[1], 0.3, *sub[2:])
+            for _ in range(2):
+                got = coupled_diffusion_increments(
+                    porous_space, model, params, *sub[:2], 0.3, *sub[2:],
+                    dist=stored[rows], out=np.full((2, rows.size, 16), 7.0),
+                    scratch=scratch)
+                for g, w in zip(got, want_sub):
+                    np.testing.assert_array_equal(g, w, err_msg=name)
     assert np.all(np.isnan(want[0][s.size + 3:]))
     assert not np.array_equal(want[0][in_band], want[1][in_band])
+
+
+def test_reflect_apply_scratch_and_out(porous_space):
+    # with scratch (even u and v themselves) and out = w, the bits of the
+    # allocating call
+    gen = np.random.default_rng(31)
+    u, v, w = gen.standard_normal((3, 50, 16)) / porous_space.lambdas
+    want = reflect_apply(porous_space, u, v, 3, w)
+    got = reflect_apply(porous_space, u, v, 3, w.copy(),
+                        scratch=np.empty((2, 50, 16)))
+    np.testing.assert_array_equal(got, want)
+    uu, vv, ww = u.copy(), v.copy(), w.copy()
+    got = reflect_apply(porous_space, uu, vv, 3, ww, out=ww, scratch=(uu, vv))
+    assert got is ww
+    np.testing.assert_array_equal(got, want)

@@ -8,6 +8,7 @@ from spde_reflect import make_space, h_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, LipschitzDiagonal, unit_base,
 )
+from spde_reflect import integrator
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import (
     SimConfig, StepOverflow, gen_noise, noise_block, step_single,
@@ -93,10 +94,42 @@ def test_split_factors_match_reference(porous_space):
                 np.where(tiny, 1.0, np.sqrt(-np.expm1(-2.0 * zs) / (2.0 * zs))))
     gen = np.random.default_rng(8)
     mu = gen.uniform(0.0, 50.0, 300)
-    for m in (mu, np.concatenate([mu, [0.0, 1e-300, np.nan]])):
+    # rates that sweep z = lambda_k mu dt across 700..750 in every mode,
+    # where exp(-z) leaves its fast path and then underflows to 0
+    sweep = np.linspace(700.0, 750.0, 2001)[:, None] / (
+        porous_space.lambdas * 2e-4)
+    for m in (mu, np.concatenate([mu, [0.0, 1e-300, np.nan]]),
+              np.concatenate([sweep.ravel(), [np.inf, np.nan, 1e300]])):
         for got, want in zip(_split_factors(porous_space, 2e-4, m),
                              reference(m, 2e-4)):
             np.testing.assert_array_equal(got, want)
+    # a scalar rate gives the (N,) factors of each row of a per-row rate
+    for m in (0.0, 1.0, 37.5, np.nan, np.inf):
+        got = _split_factors(porous_space, 2e-4, m)
+        want = _split_factors(porous_space, 2e-4, np.full(3, m))
+        for g, w in zip(got, want):
+            assert g.shape == (16,)
+            np.testing.assert_array_equal(np.broadcast_to(g, w.shape), w)
+
+
+@pytest.mark.parametrize("path_lo,n_paths", [
+    (0, 3 * BLOCK_ROWS), (100, 2 * BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS + 17),
+    (0, 17), (100, 50),
+])
+def test_gen_noise_matches_noise_block(path_lo, n_paths):
+    # drawing in place must give noise_block's values scaled by sqrt(dt),
+    # whether a slice starts on a block boundary or inside a block, and
+    # for a partial last block
+    dt = 3e-4
+    got = gen_noise(5, 9, n_paths, 6, dt, channels=(2, 0), path_lo=path_lo,
+                    out=np.full((2, n_paths, 6), np.nan))
+    for ci, ch in enumerate((2, 0)):
+        for p in range(path_lo, path_lo + n_paths):
+            b = p // BLOCK_ROWS
+            rows = min(path_lo + n_paths - b * BLOCK_ROWS, BLOCK_ROWS)
+            row = noise_block(5, 9, ch, b, rows, 6)[p - b * BLOCK_ROWS]
+            np.testing.assert_array_equal(got[ci, p - path_lo],
+                                          row * np.sqrt(dt))
 
 
 def test_step_single_deterministic_drift(porous_space, porous_linear):
@@ -271,6 +304,59 @@ def test_run_paths_worker_count_deterministic(porous_space, porous_r2):
     np.testing.assert_array_equal(rec1.x_coeffs, rec4.x_coeffs)
     np.testing.assert_array_equal(rec1.y_coeffs, rec4.y_coeffs)
     np.testing.assert_array_equal(rec1.tau_n, rec4.tau_n)
+
+
+def test_run_paths_worker_count_deterministic_linear(porous_space,
+                                                    porous_linear):
+    # the linear family carries one scalar split rate, and every pair
+    # starts inside the reflection band (n |x - y|_H = 0.7)
+    params = CouplingParams(n=1)
+    cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=3 * BLOCK_ROWS + 17,
+                    master_seed=13, checkpoint_times=(0.0, 0.025, 0.05))
+    x0 = e_k(16, 1, 0.35 * np.pi)
+    y0 = -x0
+    rec1 = run_paths(porous_space, porous_linear, params, cfg, "coupled",
+                     x0=x0, y0=y0, threads=1)
+    rec4 = run_paths(porous_space, porous_linear, params, cfg, "coupled",
+                     x0=x0, y0=y0, threads=4)
+    assert np.all(params.n * rec1.h_dist[:, 0] > 0.5)
+    assert np.any(params.n * rec1.h_dist[:, -1] <= 0.5)
+    np.testing.assert_array_equal(rec1.x_coeffs, rec4.x_coeffs)
+    np.testing.assert_array_equal(rec1.y_coeffs, rec4.y_coeffs)
+    np.testing.assert_array_equal(rec1.tau_n, rec4.tau_n)
+
+
+@pytest.mark.parametrize("family", ["porous", "plaplace"])
+def test_scalar_split_rate_matches_per_row(porous_space, plap_space,
+                                           monkeypatch, family):
+    # a linear family's split rate is one scalar; a step fed the same rate
+    # as a per-row array gives the same bits
+    space = porous_space if family == "porous" else plap_space
+    model = ModelSpec(Porous(r=1.0, psi_scale=1.5) if family == "porous"
+                      else PLaplace(p=2.0))
+    params = CouplingParams(n=2)
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=BLOCK_ROWS + 40,
+                    master_seed=17)
+    p = cfg.n_paths
+    gen = np.random.default_rng(9)
+    dist = gen.uniform(0.0, 0.8, p)
+    mid = 0.1 * gen.standard_normal((p, 16)) / space.lambdas
+    half = e_k(16, 2, 1.0)[None, :] * dist[:, None] / h_norm(space, e_k(16, 2))
+    st = make_coupling_state(space, params, mid + half, mid - half)
+    drift_and_split_rate = integrator.drift_and_split_rate
+
+    def per_row(space, model, t, v, **kw):
+        dr, mu = drift_and_split_rate(space, model, t, v, **kw)
+        assert np.ndim(mu) == 0
+        return dr, np.full(np.shape(v)[:-1], mu)
+
+    scalar = [step_coupled(space, model, params, cfg, st),
+              step_single(space, model, cfg, st.x, 0.0, 0)]
+    monkeypatch.setattr(integrator, "drift_and_split_rate", per_row)
+    rows = [step_coupled(space, model, params, cfg, st),
+            step_single(space, model, cfg, st.x, 0.0, 0)]
+    _assert_states_equal(scalar[0], rows[0])
+    np.testing.assert_array_equal(scalar[1], rows[1])
 
 
 def test_run_paths_single_matches_marginal_law(porous_space, porous_linear):
