@@ -42,7 +42,7 @@ from .models import (
     unit_base,
 )
 from .coupling import CouplingParams
-from .integrator import SimConfig, run_paths
+from .integrator import SimConfig, default_threads, run_paths
 from . import experiments as xp
 from . import inequalities as iq
 
@@ -346,9 +346,12 @@ def _run_conditions(cfg: RunConfig, space, model) -> dict:
     r_eff = model.family.r
     seed = co["seed"]
     out = {}
-    if "meanvalue" in co["which"]:
+    if "meanvalue" in co["which"] and co["mv_r"]:
+        # the pairs do not depend on r: one batch serves every exponent
+        batch = iq.mean_value_batch(co["mv_samples"], seed)
         for rv in co["mv_r"]:
-            rep = iq.check_scalar_mean_value(rv, co["mv_samples"], seed=seed)
+            rep = iq.check_scalar_mean_value(rv, co["mv_samples"], seed=seed,
+                                             batch=batch)
             out[f"meanvalue_r{rv:g}"] = rep.as_dict()
     if "a1prime" in co["which"]:
         rep = iq.check_A1prime(space, model, co["kappa"], co["samples"], seed=seed)
@@ -636,9 +639,19 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _threads(args) -> int:
+    """``--threads``, else the SPDE_REFLECT_THREADS / CPU default."""
+    if args.threads is not None:
+        return args.threads
+    try:
+        return default_threads()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
-    code = run(cfg, out_dir=args.out, seed=args.seed, threads=args.threads)
+    code = run(cfg, out_dir=args.out, seed=args.seed, threads=_threads(args))
     print(f"config {config_hash(cfg)}: " + ("FAILED" if code else "ok"))
     return code
 
@@ -675,7 +688,7 @@ def _ensemble(args, which: str):
     rec = run_paths(build_space(cfg), build_model(cfg), build_coupling(cfg),
                     build_sim(cfg, args.seed), which,
                     x0=_initial_state(cfg, "x0"), y0=_initial_state(cfg, "y0"),
-                    threads=args.threads)
+                    threads=_threads(args))
     return cfg, rec
 
 
@@ -742,7 +755,7 @@ def main(argv=None) -> int:
                        help="override sim.master_seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: env or cpu count)")
+                       help="worker threads (default: env or usable CPUs)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

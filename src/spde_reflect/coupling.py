@@ -184,7 +184,7 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     an optional pair of contiguous arrays shaped like x that receive
     (dx, dy).  ``scratch``, a contiguous float array of at least 4 N values
     per row of x, holds the rows inside the band while they are worked on
-    (a fresh array when None).
+    (a fresh array when None), and then channel 1 and the B term.
     """
     from .models import b_diag
     x = np.asarray(x, dtype=float)
@@ -206,9 +206,13 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         _band_increments(space, params, x, y, dW2, dW3, s, band, dx, dy,
                          scratch)
     if model.has_diffusion:
-        z1 = np.asarray(dW1, dtype=float) / root_w
-        dx += b_diag(space, model, t, x) * z1
-        dy += b_diag(space, model, t, y) * z1
+        # the band rows are done, so the scratch holds z1 and the B term
+        if scratch is None:
+            scratch = np.empty(2 * x.size)
+        z1, bz = scratch.reshape(-1)[:2 * x.size].reshape((2,) + x.shape)
+        np.divide(dW1, root_w, out=z1)
+        dx += np.multiply(b_diag(space, model, t, x, out=bz), z1, out=bz)
+        dy += np.multiply(b_diag(space, model, t, y, out=bz), z1, out=bz)
     return dx, dy
 
 

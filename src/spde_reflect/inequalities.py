@@ -31,6 +31,7 @@ __all__ = [
     "sample_states", "sample_state_pairs",
     "check_A1prime", "check_A1doubleprime", "check_interpolation_Q",
     "check_spectrum_condition", "check_scalar_mean_value",
+    "mean_value_batch",
     "nash_exponent_gate", "fit_coercivity",
     "kappa_porous_example", "kappa_plaplace_example", "kappa_fastdiff_interval",
     "scan_supremand", "lipschitz_K_bound",
@@ -359,29 +360,43 @@ def check_spectrum_condition(which: str, params: SpectrumParams) -> ConditionRep
     )
 
 
+def mean_value_batch(n_samples: int, seed: int = 1234):
+    """The (s1, s2) pairs :func:`check_scalar_mean_value` checks.
+
+    Heavy-tailed values with sign flips, exact ties, near ties and zeros.
+    The batch does not depend on r, so one batch serves every exponent.
+    """
+    gen = philox_generator(seed, 0x3C)
+    t1 = gen.standard_cauchy(n_samples)
+    t2 = gen.standard_cauchy(n_samples)
+    s1 = np.clip(np.sign(t1) * np.abs(t1) ** 1.5, -1e6, 1e6)
+    s2 = np.clip(np.sign(t2) * np.abs(t2) ** 1.5, -1e6, 1e6)
+    tie = gen.random(n_samples) < 0.05
+    s2[tie] = s1[tie]
+    tiny = gen.random(n_samples) < 0.10
+    s2[tiny] = s1[tiny] * (1.0 + 1e-9)
+    zero = gen.random(n_samples) < 0.02
+    s1[zero] = 0.0
+    return s1, s2
+
+
 def check_scalar_mean_value(r: float, n_samples: int = 1_000_000, *,
-                            seed: int = 1234) -> ConditionReport:
+                            seed: int = 1234, batch=None) -> ConditionReport:
     """Pointwise bound (s1-s2)(s1^r - s2^r) >= r |s1-s2|^2 (|s1| v |s2|)^(r-1).
 
-    Heavy-tailed sampling with sign flips, exact ties, and near-zero values;
-    the 0/0 quotient at s1 = s2 = 0 is taken as 0 by convention.
+    The pairs are ``batch``, a :func:`mean_value_batch` of ``n_samples``
+    pairs, or else that batch drawn from ``seed``.  Every exponent is
+    checked on the same pairs, so the reports for several r are not
+    independent evidence.  The 0/0 quotient at s1 = s2 = 0 is taken as 0
+    by convention.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    gen = philox_generator(seed, 0x3C)
+    if batch is not None and any(np.shape(s) != (n_samples,) for s in batch):
+        raise ValueError("batch must hold two arrays of n_samples values")
 
     def sample():
-        t1 = gen.standard_cauchy(n_samples)
-        t2 = gen.standard_cauchy(n_samples)
-        s1 = np.clip(np.sign(t1) * np.abs(t1) ** 1.5, -1e6, 1e6)
-        s2 = np.clip(np.sign(t2) * np.abs(t2) ** 1.5, -1e6, 1e6)
-        tie = gen.random(n_samples) < 0.05
-        s2[tie] = s1[tie]
-        tiny = gen.random(n_samples) < 0.10
-        s2[tiny] = s1[tiny] * (1.0 + 1e-9)
-        zero = gen.random(n_samples) < 0.02
-        s1[zero] = 0.0
-        return s1, s2
+        return mean_value_batch(n_samples, seed) if batch is None else batch
 
     def check(s, r):
         s1, s2 = s

@@ -582,9 +582,16 @@ class PathEnsembleRecord:
 
 
 def default_threads() -> int:
+    """SPDE_REFLECT_THREADS, else the number of CPUs this process may run on."""
     env = os.environ.get("SPDE_REFLECT_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError("SPDE_REFLECT_THREADS must be an integer, "
+                             f"got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

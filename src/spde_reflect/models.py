@@ -32,7 +32,7 @@ import numpy as np
 
 from .spaces import (
     SpectralSpace, to_grid, from_grid, grad_to_grid, quad,
-    h_inner, h_mode_coeffs, rowblock_matmul,
+    h_inner, rowblock_matmul,
 )
 
 __all__ = [
@@ -285,14 +285,21 @@ def pairing_drift_diff(space: SpectralSpace, model: ModelSpec, t: float,
 
 
 def b_diag(space: SpectralSpace, model: ModelSpec, t: float,
-           v: np.ndarray) -> np.ndarray:
-    """Per-mode diffusion amplitudes b_i(v); zeros for the zero spec."""
+           v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-mode diffusion amplitudes b_i(v); zeros for the zero spec.
+
+    ``out``, an array shaped like v, receives the amplitudes.
+    """
     spec = model.b_spec
     v = np.asarray(v, dtype=float)
     if not model.has_diffusion:
-        return np.zeros_like(v)
-    c = h_mode_coeffs(space, v)
-    return spec.c0 * np.tanh(c) * spec.base
+        if out is None:
+            return np.zeros_like(v)
+        out.fill(0.0)
+        return out
+    # c0 * tanh(sqrt(w) v) * base, in that order
+    c = np.tanh(np.multiply(space.root_h_weights, v, out=out), out=out)
+    return np.multiply(np.multiply(spec.c0, c, out=c), spec.base, out=c)
 
 
 def apply_B(space: SpectralSpace, model: ModelSpec, t: float,

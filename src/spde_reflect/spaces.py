@@ -54,13 +54,29 @@ ROW_CHUNK = 256
 
 def rowblock_matmul(a: np.ndarray, b: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, one ROW_CHUNK-row chunk of a 2-D ``a`` at a time, into ``out``."""
+    """a @ b, one ROW_CHUNK-row chunk of a 2-D ``a`` at a time, into ``out``.
+
+    ``b`` is a matrix or a vector.  The whole chunks go to numpy as one
+    batched product over a (chunks, ROW_CHUNK, K) view, which makes the
+    same BLAS call for each chunk as the product of that chunk alone; the
+    remainder rows are one more product.  When ``a`` or ``out`` is not
+    C-contiguous the chunks are multiplied one by one.
+    """
     if a.ndim != 2 or a.shape[0] <= ROW_CHUNK:
         return np.matmul(a, b, out=out)
+    rows = a.shape[0]
     if out is None:
-        out = np.empty((a.shape[0], b.shape[1]))
-    for lo in range(0, a.shape[0], ROW_CHUNK):
-        np.matmul(a[lo:lo + ROW_CHUNK], b, out=out[lo:lo + ROW_CHUNK])
+        out = np.empty((rows,) + b.shape[1:])
+    if a.flags.c_contiguous and out.flags.c_contiguous:
+        k, rest = divmod(rows, ROW_CHUNK)
+        whole = k * ROW_CHUNK
+        np.matmul(a[:whole].reshape(k, ROW_CHUNK, a.shape[1]), b,
+                  out=out[:whole].reshape((k, ROW_CHUNK) + b.shape[1:]))
+        if rest:
+            np.matmul(a[whole:], b, out=out[whole:])
+    else:
+        for lo in range(0, rows, ROW_CHUNK):
+            np.matmul(a[lo:lo + ROW_CHUNK], b, out=out[lo:lo + ROW_CHUNK])
     return out
 
 
@@ -208,8 +224,14 @@ def grad_to_grid(space: SpectralSpace, x: np.ndarray,
 
 
 def quad(space: SpectralSpace, values: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature of grid values under the normalized measure."""
-    return np.asarray(values) @ space.quad_w
+    """Trapezoid quadrature of grid values under the normalized measure.
+
+    A 2-D batch is summed ROW_CHUNK rows at a time (:func:`rowblock_matmul`),
+    so a row's bits do not depend on the batch size, and each chunk's
+    matrix-vector product is small enough for BLAS to run it on the
+    calling thread rather than hand it to a helper thread.
+    """
+    return rowblock_matmul(np.asarray(values), space.quad_w)
 
 
 def v_norm(space: SpectralSpace, x: np.ndarray, family) -> np.ndarray:

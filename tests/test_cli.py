@@ -287,6 +287,15 @@ def test_main_run_subcommand(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "couple", "fit-rate"])
+def test_main_bad_thread_env_exit_code(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPDE_REFLECT_THREADS", "abc")
+    path = _write(tmp_path, SMALL_RUN)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "SPDE_REFLECT_THREADS" in err
+
+
 def test_main_check_conditions(tmp_path, capsys):
     path = _write(tmp_path, SMALL_RUN)
     code = main(["check-conditions", "--config", path])

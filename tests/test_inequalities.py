@@ -7,7 +7,8 @@ from spde_reflect import make_space
 from spde_reflect.models import ModelSpec, Porous, PLaplace, FastDiff
 from spde_reflect.inequalities import (
     check_A1prime, check_A1doubleprime, check_interpolation_Q,
-    check_spectrum_condition, check_scalar_mean_value, nash_exponent_gate,
+    check_spectrum_condition, check_scalar_mean_value, mean_value_batch,
+    nash_exponent_gate,
     kappa_porous_example, kappa_plaplace_example, kappa_fastdiff_interval,
     SpectrumParams, scan_supremand, sample_state_pairs, lipschitz_K_bound,
     fit_coercivity,
@@ -39,6 +40,25 @@ def test_mean_value_no_violations(r):
 def test_mean_value_domain():
     with pytest.raises(ValueError):
         check_scalar_mean_value(1.5)
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_mean_value_shared_batch_matches_own_draw(seed):
+    # one batch serves every exponent: each report is the one a call that
+    # draws its own pairs gives
+    batch = mean_value_batch(20_000, seed)
+    for r in (0.25, 0.5, 0.75):
+        shared = check_scalar_mean_value(r, 20_000, seed=seed, batch=batch)
+        own = check_scalar_mean_value(r, 20_000, seed=seed)
+        assert shared.as_dict() == own.as_dict()
+
+
+def test_mean_value_batch_of_wrong_length_rejected():
+    batch = mean_value_batch(1000)
+    with pytest.raises(ValueError, match="batch"):
+        check_scalar_mean_value(0.5, 999, batch=batch)
+    with pytest.raises(ValueError, match="batch"):
+        check_scalar_mean_value(0.5, 1000, batch=(batch[0], batch[1][:-1]))
 
 
 # --- (A1') -----------------------------------------------------------------

@@ -18,6 +18,19 @@ from spde_reflect.integrator import (
 from conftest import e_k
 
 
+def test_default_threads_counts_usable_cpus(monkeypatch):
+    monkeypatch.delenv("SPDE_REFLECT_THREADS", raising=False)
+    monkeypatch.setattr(integrator.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    assert integrator.default_threads() == 2
+    monkeypatch.setenv("SPDE_REFLECT_THREADS", " 3 ")
+    assert integrator.default_threads() == 3
+    monkeypatch.setenv("SPDE_REFLECT_THREADS", "abc")
+    with pytest.raises(ValueError, match="SPDE_REFLECT_THREADS"):
+        integrator.default_threads()
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.2, horizon=0.1, n_paths=1, master_seed=1)

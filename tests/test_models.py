@@ -4,7 +4,7 @@ import pytest
 from spde_reflect import make_space, h_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, FastDiff, ZeroDiffusion, LipschitzDiagonal,
-    DriftOverflowError, drift, pairing_drift_diff, apply_B, b_hs_diff,
+    DriftOverflowError, drift, pairing_drift_diff, apply_B, b_diag, b_hs_diff,
     unit_base, signed_power,
 )
 from spde_reflect.inequalities import fit_coercivity
@@ -173,6 +173,19 @@ def test_apply_B_zero(porous_space, porous_linear):
     np.testing.assert_array_equal(
         apply_B(porous_space, porous_linear, 0.0, v, w), np.zeros(16))
     assert b_hs_diff(porous_space, porous_linear, 0.0, v, w) == 0.0
+
+
+def test_b_diag_formula_and_out(porous_space, porous_linear):
+    # c0 * tanh(sqrt(w) v) * base, in that order, into out or a fresh array
+    m = ModelSpec(Porous(r=1.0), b_spec=LipschitzDiagonal(0.8, unit_base(16)))
+    v = np.random.default_rng(12).standard_normal((7, 16))
+    want = 0.8 * np.tanh(porous_space.root_h_weights * v) * unit_base(16)
+    out = np.full_like(v, np.nan)
+    assert b_diag(porous_space, m, 0.0, v, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(b_diag(porous_space, m, 0.0, v), want)
+    assert b_diag(porous_space, porous_linear, 0.0, v, out=out) is out
+    np.testing.assert_array_equal(out, np.zeros_like(v))
 
 
 def test_b_hs_diff_same_point(porous_space):

@@ -114,15 +114,49 @@ def test_round_trip_identity(porous_space):
     assert np.max(np.abs(back - x)) < 1e-10
 
 
+def _per_chunk(a, b):
+    return np.concatenate([a[lo:lo + ROW_CHUNK] @ b
+                           for lo in range(0, a.shape[0], ROW_CHUNK)])
+
+
 def test_rowblock_matmul_is_per_chunk_product(porous_space):
     # the determinism contract: a large batch gives, row by row, the bits
-    # of the same product taken one ROW_CHUNK block at a time
+    # of the same product taken one ROW_CHUNK block at a time, for a matrix
+    # or a vector on the right (the non-contiguous dsine.T is the p-Laplace
+    # drift's), a partial last chunk, and a non-contiguous left operand
     gen = np.random.default_rng(4)
-    for a, b in ((gen.standard_normal((10 * ROW_CHUNK + 17, 16)), porous_space.sine),
-                 (gen.standard_normal((3 * ROW_CHUNK, 66)), porous_space.proj)):
-        ref = np.concatenate([a[lo:lo + ROW_CHUNK] @ b
-                              for lo in range(0, a.shape[0], ROW_CHUNK)])
+    sp = porous_space
+    cases = ((gen.standard_normal((10 * ROW_CHUNK + 17, 16)), sp.sine),
+             (gen.standard_normal((3 * ROW_CHUNK, 66)), sp.proj),
+             (gen.standard_normal((5 * ROW_CHUNK + 100, 66)), sp.dsine.T),
+             (gen.standard_normal((4 * ROW_CHUNK + 1, 66)), sp.quad_w),
+             (gen.standard_normal((6 * ROW_CHUNK + 33, 66)), sp.quad_w),
+             (np.asfortranarray(gen.standard_normal((2 * ROW_CHUNK + 5, 16))),
+              sp.sine))
+    for a, b in cases:
+        ref = _per_chunk(a, b)
         np.testing.assert_array_equal(rowblock_matmul(a, b), ref)
+        out = np.full(ref.shape, np.nan)
+        assert rowblock_matmul(a, b, out) is out
+        np.testing.assert_array_equal(out, ref)
+
+
+def test_quad_is_chunked_product(porous_space):
+    # quad takes the per-chunk product, which for these batches is also the
+    # unchunked one: OpenBLAS's gemv rounds a row by its place in a 4-row
+    # group, and 256-row chunks keep every row's place.  257 rows end in a
+    # 1-row chunk, a dot product, which need not round like the 1-row tail
+    # of one gemv.
+    gen = np.random.default_rng(6)
+    w = porous_space.quad_w
+    for rows in (1, 255, 256, 257, 1000, 10_000):
+        values = gen.standard_normal((rows, w.size)) ** 2
+        got = quad(porous_space, values)
+        np.testing.assert_array_equal(got, _per_chunk(values, w))
+        if rows != 257:
+            np.testing.assert_array_equal(got, values @ w)
+    values = gen.standard_normal(w.size) ** 2
+    np.testing.assert_array_equal(quad(porous_space, values), values @ w)
 
 
 def test_from_grid_zero(porous_space):
