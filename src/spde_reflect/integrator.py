@@ -28,6 +28,12 @@ Schemes
                    linear families the per-mode transition is exact in law,
                    which is what the oracle comparisons rely on.
 
+When the drift is exactly -L v (``ModelSpec.exact_split``: porous r = 1,
+psi_scale = 1, phi_slope = 0), the split with mu = 1 leaves a residual of
++0.0 wherever lambda_i x_i is finite and NaN where it overflows.  The
+semi-implicit step then evaluates no drift and adds lambda x - lambda x,
+which is the same, so the output bytes are those of the full formula.
+
 The coupled step advances both components with shared channels per the
 reflection construction, then updates stopping-time records at the new step
 boundary: tau_n (distance first <= 1/n), tau_{n,delta} (first >= delta), and
@@ -44,7 +50,12 @@ blocks are drawn straight into the channel buffers, and the increments
 gather the rows inside the reflection band into the grid buffer of x's
 drift, which is idle until the drift is evaluated.  A linear family
 (porous r = 1, p = 2) has one scalar split rate, so its split factors are
-a single (N,) row that broadcasts over the paths.
+a single (N,) row that broadcasts over the paths; with an exact split
+there is no drift, and x's drift buffer holds the zero residual.  At the
+end of the step the glued rows are copied to y by index and the distance
+|x - y|_H is computed once, in the used-up increment buffers.  It doubles
+as the finite check: a non-finite coefficient makes it non-finite, so only
+the rows with a non-finite distance are searched for a first bad mode.
 ``run_paths`` creates one set per worker batch and reuses it on every step,
 so the large intermediates are not allocated and faulted in afresh on each
 step; a step called without a set builds a fresh one and runs the same
@@ -255,15 +266,16 @@ class CouplingState:
 
 
 def _boundary_update(space: SpectralSpace, params: CouplingParams,
-                     state: CouplingState, scratch=(None, None)) -> None:
+                     state: CouplingState, dist: np.ndarray | None = None) -> None:
     """Record stopping times at the current step boundary and glue.
 
-    ``scratch`` is a pair of arrays shaped like x (or Nones) for x - y and
-    the terms of its norm.
+    ``dist`` is the H-distance |x - y|_H of the state, computed here when
+    not given.
     """
     live = ~state.failed
-    diff, terms = scratch
-    dist = h_norm(space, np.subtract(state.x, state.y, out=diff), terms)
+    if dist is None:
+        with np.errstate(invalid="ignore", over="ignore"):
+            dist = h_norm(space, state.x - state.y)
     state.dist = dist
     hit = live & np.isnan(state.tau_n) & (dist <= 1.0 / params.n)
     state.tau_n[hit] = state.time
@@ -379,25 +391,40 @@ def _scheme_factors(space: SpectralSpace, config: SimConfig, mu: np.ndarray,
     return decay, np.multiply(config.dt, phi1, out=phi1), nfac
 
 
+def _exact_split(model: ModelSpec, config: SimConfig) -> bool:
+    """The semi-implicit step of a model whose split residual is exactly 0."""
+    return model.exact_split and config.scheme == "semi_implicit"
+
+
 def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
-               dr: np.ndarray, mu: np.ndarray, noise: np.ndarray,
-               factors) -> np.ndarray:
+               dr: np.ndarray | None, mu: np.ndarray, noise: np.ndarray,
+               factors, scratch: np.ndarray | None = None) -> np.ndarray:
     """The new state as a fresh array; ``dr`` and ``noise`` are overwritten.
 
     explicit (``factors`` None): x + dt * dr + noise;
     semi-implicit: decay * x + dt * phi1 * resid + nfac * noise with
     resid = dr + lambda * x * mu.
+
+    ``dr`` None is the exact split (A(v) = -L v with mu = 1), where the
+    residual formed from the drift is +0 wherever lambda * x is finite and
+    NaN where it is not.  resid = lambda * x - lambda * x is the same, and
+    so is resid in place of dt * phi1 * resid; it is formed in ``scratch``
+    (shaped like x; fresh when None).
     """
     new = np.empty_like(x)
     if factors is None:
         np.add(x, np.multiply(dt, dr, out=dr), out=new)
         return np.add(new, noise, out=new)
     decay, dt_phi1, nfac = factors
-    np.multiply(np.multiply(space.lambdas, x, out=new), np.asarray(mu)[..., None],
-                out=new)
-    resid = np.add(dr, new, out=dr)
-    np.multiply(decay, x, out=new)
-    np.add(new, np.multiply(dt_phi1, resid, out=resid), out=new)
+    if dr is None:
+        lx = np.multiply(space.lambdas, x, out=scratch)
+        resid = np.subtract(lx, lx, out=lx)
+    else:
+        np.multiply(np.multiply(space.lambdas, x, out=new),
+                    np.asarray(mu)[..., None], out=new)
+        resid = np.add(dr, new, out=dr)
+        resid = np.multiply(dt_phi1, resid, out=resid)
+    np.add(np.multiply(decay, x, out=new), resid, out=new)
     return np.add(new, np.multiply(nfac, noise, out=noise), out=new)
 
 
@@ -453,7 +480,10 @@ def _advance_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
     else:
         dw1, dw2 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
     with np.errstate(invalid="ignore", over="ignore"):
-        dr, mu = drift_and_split_rate(space, model, t, xb)
+        if _exact_split(model, config):
+            dr, mu = None, 1.0
+        else:
+            dr, mu = drift_and_split_rate(space, model, t, xb)
         add = _single_noise(space, model, t, xb, dw1, dw2)
         return _step_core(space, config.dt, xb, dr, mu, add,
                           _scheme_factors(space, config, mu))
@@ -519,33 +549,48 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
             dx_noise, dy_noise = coupled_diffusion_increments(
                 space, model, params, state.x, state.y, t, dw1, dw2, dw3,
                 dist=state.dist, out=work.increments, scratch=work.band)
-        dr_x, mu_x = drift_and_split_rate(space, model, t, state.x,
-                                          out=work.drift_x)
-        dr_y, mu_y = drift_and_split_rate(space, model, t, state.y,
-                                          out=work.drift_y)
-        mu = np.maximum(mu_x, mu_y)
+        if _exact_split(model, config):
+            # no drift to evaluate; its buffer holds the zero residual
+            dr_x = dr_y = None
+            mu = 1.0
+        else:
+            dr_x, mu_x = drift_and_split_rate(space, model, t, state.x,
+                                              out=work.drift_x)
+            dr_y, mu_y = drift_and_split_rate(space, model, t, state.y,
+                                              out=work.drift_y)
+            mu = np.maximum(mu_x, mu_y)
         factors = _scheme_factors(space, config, mu, work.factors)
         new_x = _step_core(space, config.dt, state.x, dr_x, mu, dx_noise,
-                           factors)
+                           factors, work.drift_x.drift)
         new_y = _step_core(space, config.dt, state.y, dr_y, mu, dy_noise,
-                           factors)
-    np.copyto(new_y, new_x, where=state.coupled[:, None])
-    # freeze newly broken paths instead of aborting the batch; failed paths
-    # already hold NaN
-    first_bad = _first_bad_mode(~(np.isfinite(new_x) & np.isfinite(new_y)))
-    fail_mode = np.where(state.failed, state.fail_mode, first_bad)
+                           factors, work.drift_x.drift)
+        # the increments are used up, so their buffers serve as scratch
+        diff, terms = work.increments
+        glued = np.flatnonzero(state.coupled)
+        new_y[glued] = np.take(new_x, glued, axis=0, out=diff[:glued.size],
+                               mode="clip")
+        dist = h_norm(space, np.subtract(new_x, new_y, out=diff), terms)
+    # a non-finite coefficient makes the distance non-finite, so only those
+    # rows are searched (a finite row whose distance overflows passes);
+    # newly broken paths are frozen at NaN, and so is their distance,
+    # instead of aborting the batch; failed paths keep their mode
+    fail_mode = state.fail_mode.copy()
+    suspect = np.flatnonzero(~np.isfinite(dist) & ~state.failed)
+    if suspect.size:
+        fail_mode[suspect] = _first_bad_mode(
+            ~(np.isfinite(new_x[suspect]) & np.isfinite(new_y[suspect])))
     failed = fail_mode >= 0
     if np.any(failed):
         new_x[failed] = np.nan
         new_y[failed] = np.nan
+        dist[failed] = np.nan
     # the records are copied so that the state stepped from stays unchanged
     out = replace(state, x=new_x, y=new_y, time=t + config.dt,
                   step_index=state.step_index + 1, fail_mode=fail_mode,
                   coupled=state.coupled.copy(), tau_n=state.tau_n.copy(),
                   dist_at_tau_n=state.dist_at_tau_n.copy(),
                   t_n=state.t_n.copy(), tau_delta=state.tau_delta.copy())
-    # the increments are used up, so their buffers serve as scratch
-    _boundary_update(space, params, out, work.increments)
+    _boundary_update(space, params, out, dist)
     return out
 
 

@@ -120,10 +120,18 @@ class ModelSpec:
     theta: float | None = None
     # resolved once: False means B = 0 and the diffusion channel is unused
     has_diffusion: bool = field(init=False, repr=False, compare=False)
+    # resolved once: True when A(v) = -L v, so the exponential split with
+    # mu = 1 leaves an exactly zero residual (porous r = 1, psi_scale = 1,
+    # phi_slope = 0)
+    exact_split: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "has_diffusion",
                            not isinstance(self.b_spec, ZeroDiffusion))
+        fam = self.family
+        object.__setattr__(self, "exact_split", (
+            fam.kind == "porous" and fam.r == 1.0 and fam.psi_scale == 1.0
+            and fam.phi_slope == 0.0))
 
 
 class DriftOverflowError(FloatingPointError):
@@ -134,20 +142,25 @@ class DriftOverflowError(FloatingPointError):
         super().__init__(message or f"non-finite drift in mode {mode_index + 1}")
 
 
-def signed_power(s: np.ndarray, r: float, out: np.ndarray | None = None):
+def signed_power(s: np.ndarray, r: float, out: np.ndarray | None = None,
+                 abs_s: np.ndarray | None = None):
     """|s|^(r-1) s for r >= 1, |s|^r sgn(s) for r in (0,1); same formula.
 
     ``out``, which must not overlap ``s``, receives the result.  Without
     it the operator forms let numpy reuse their temporaries for the result.
+    ``abs_s``, when given, must hold |s|; it may be ``out``.
     """
     if r == 2.0:
         # same values as the general formula, without a pow per element
         if out is None:
-            return s * np.abs(s)
-        return np.multiply(s, np.abs(s, out=out), out=out)
+            return s * (np.abs(s) if abs_s is None else abs_s)
+        if abs_s is None:
+            abs_s = np.abs(s, out=out)
+        return np.multiply(s, abs_s, out=out)
     if out is None:
-        return np.sign(s) * np.abs(s) ** r
-    return np.multiply(np.sign(s), np.abs(s) ** r, out=out)
+        return np.sign(s) * (np.abs(s) if abs_s is None else abs_s) ** r
+    return np.multiply(np.sign(s), (np.abs(s) if abs_s is None else abs_s) ** r,
+                       out=out)
 
 
 def beta_value(family: FastDiff, t: float) -> float:
@@ -224,8 +237,9 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
         mu = float(fam.psi_scale)
     elif fam.kind in ("porous", "fastdiff"):
         g = to_grid(space, v, buf.grid)
-        amp = np.max(np.abs(g, out=buf.grid2), axis=-1, out=buf.amp)
-        nonlin = signed_power(g, fam.r, out=buf.grid2)
+        abs_g = np.abs(g, out=buf.grid2)
+        amp = np.max(abs_g, axis=-1, out=buf.amp)
+        nonlin = signed_power(g, fam.r, out=buf.grid2, abs_s=abs_g)
         if fam.kind == "porous":
             if fam.psi_scale != 1.0:
                 np.multiply(fam.psi_scale, nonlin, out=nonlin)

@@ -1,19 +1,19 @@
 import copy
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from spde_reflect import make_space, h_norm
 from spde_reflect.models import (
-    ModelSpec, Porous, PLaplace, LipschitzDiagonal, unit_base,
+    ModelSpec, Porous, PLaplace, LipschitzDiagonal, ZeroDiffusion, unit_base,
 )
 from spde_reflect import integrator
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import (
     SimConfig, StepOverflow, gen_noise, noise_block, step_single,
     step_coupled, make_coupling_state, run_paths, BLOCK_ROWS, StepBuffers,
-    _split_factors,
+    _split_factors, _advance_single,
 )
 from conftest import e_k
 
@@ -524,3 +524,166 @@ def test_moment_bound_stability_in_modes(porous_r2):
         vals = [moments[n][p_idx] for n in (8, 12, 16)]
         assert all(np.isfinite(vals))
         assert max(vals) <= 1.5 * min(vals)
+
+
+def _assert_bits_equal(a, b, name=""):
+    # +0.0 and -0.0 differ here, unlike in assert_array_equal
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype, name
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                  np.ascontiguousarray(b).view(np.uint8),
+                                  err_msg=name)
+
+
+def _exact_split_pairs(space, params):
+    """Ten pairs: inside and below the reflection band, glued, with signed
+    zeros, subnormals, +-1e150, a live NaN, an already failed row and a row
+    whose lambda * x overflows; the NaN and failed rows are frozen."""
+    gen = np.random.default_rng(31)
+    x = 0.1 * gen.standard_normal((10, 16)) / space.lambdas
+    y = x.copy()
+    unit = e_k(16, 1, np.pi)                    # |e_1 pi|_H = 1
+    for row, dist in ((0, 0.4), (1, 0.1), (3, 0.1), (4, 0.1), (5, 0.3),
+                      (7, 0.1), (8, 0.1), (9, 0.1)):
+        x[row] += 0.5 * dist * unit
+        y[row] -= 0.5 * dist * unit
+    # row 2 is glued
+    x[3, [2, 5]] = y[3, [2, 5]] = -0.0
+    x[3, 4] = y[3, 4] = 0.0
+    x[4, 6], y[4, 6] = 5e-324, -5e-324
+    x[4, 7] = y[4, 7] = -2.5e-310
+    x[5, 8] = y[5, 8] = 1e150
+    x[5, 9] = y[5, 9] = -1e150
+    x[6, 3] = np.nan
+    # lambda_16 * 1e306 overflows: the residual is inf - inf there
+    x[8, 15] = y[8, 15] = 1e306
+    st = make_coupling_state(space, params, x, y)
+    st.x[7] = st.y[7] = np.nan
+    st.fail_mode[7] = 2
+    st.dist[7] = np.nan
+    s = params.n * st.dist
+    assert s[0] > 0.5 and s[1] < 0.5 and st.coupled.tolist() == [
+        False, False, True] + [False] * 7
+    return st
+
+
+# an overflow or an invalid operation in a step is recorded in the state
+# (fail_mode, an infinite distance), not reported as a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b_spec", [
+    ZeroDiffusion(), LipschitzDiagonal(0.8, unit_base(16)),
+], ids=["b_zero", "lipschitz_diagonal"])
+def test_exact_split_matches_full_formula(porous_space, monkeypatch, b_spec):
+    # porous r = 1 with psi_scale = 1 and phi_slope = 0 skips the drift; its
+    # coupled, synchronous and single steps must give the bits of the same
+    # steps through drift_and_split_rate
+    model = ModelSpec(Porous(r=1.0), b_spec=b_spec)
+    assert model.exact_split
+    params = CouplingParams(n=2)
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=10, master_seed=29)
+    st = _exact_split_pairs(porous_space, params)
+    noise = gen_noise(cfg.master_seed, 0, 10, 16, cfg.dt)
+    # row 3 is -0.0 in mode 6 and below the band, so its increment there is
+    # -0.0 as well (q * -0.0, plus b(-0.0) * z1 with z1 > 0): the state is
+    # -0.0 + -0.0 unless the +0 residual is added
+    noise[1, 3, 5] = -0.0
+    noise[0, 3, 5] = 1e-3
+
+    def steps():
+        out = []
+        for nz in (None, tuple(noise)):
+            for sync in (False, True):
+                out.append(step_coupled(porous_space, model, params, cfg, st,
+                                        noise=nz, synchronous=sync))
+            out.append(_advance_single(porous_space, model, cfg, st.x, 0.0, 0,
+                                       0, None if nz is None else nz[:2]))
+        return out
+
+    exact = steps()
+    monkeypatch.setattr(integrator, "_exact_split", lambda model, config: False)
+    full = steps()
+    for got, want in zip(exact, full):
+        if isinstance(got, np.ndarray):
+            _assert_bits_equal(got, want)
+        else:
+            for f in fields(got):
+                _assert_bits_equal(getattr(got, f.name), getattr(want, f.name),
+                                   f.name)
+    # the cases the test is built for happen: a +0.0 made from -0.0 and
+    # -0.0, the overflow row failed, the failed row kept its mode
+    for new in full[3:5]:
+        assert new.x[3, 5] == 0.0 and not np.signbit(new.x[3, 5])
+        assert new.fail_mode[6] >= 0 and new.fail_mode[7] == 2
+        assert new.fail_mode[8] == 15
+    assert full[5][3, 5] == 0.0 and not np.signbit(full[5][3, 5])
+    assert np.isnan(full[5][8, 15]) and np.isfinite(full[5][8, :15]).all()
+
+
+@pytest.mark.parametrize("family,scheme", [
+    (Porous(r=1.0, psi_scale=1.5), "semi_implicit"),
+    (Porous(r=1.0, phi_slope=0.5), "semi_implicit"),
+    (Porous(r=1.0), "explicit"),
+    (PLaplace(p=2.0), "semi_implicit"),
+], ids=["psi_scale", "phi_slope", "explicit", "p2"])
+def test_drift_evaluated_unless_exact_split(porous_space, monkeypatch, family,
+                                            scheme):
+    model = ModelSpec(family)
+    params = CouplingParams(n=2)
+    cfg = SimConfig(dt=1e-4, horizon=0.01, n_paths=4, master_seed=30,
+                    scheme=scheme)
+    x0 = np.tile(e_k(16, 1, 0.2 * np.pi), (4, 1))
+    st = make_coupling_state(porous_space, params, x0, -x0)
+    calls = []
+    drift_and_split_rate = integrator.drift_and_split_rate
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return drift_and_split_rate(*args, **kw)
+
+    monkeypatch.setattr(integrator, "drift_and_split_rate", counted)
+    step_coupled(porous_space, model, params, cfg, st)
+    step_coupled(porous_space, model, params, cfg, st, synchronous=True)
+    step_single(porous_space, model, cfg, st.x, 0.0, 0)
+    assert len(calls) == 5
+    exact = ModelSpec(Porous(r=1.0))
+    step_coupled(porous_space, exact, params, replace(cfg, scheme="semi_implicit"),
+                 st)
+    assert len(calls) == 5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", [Porous(r=1.0), Porous(r=1.0, psi_scale=1.5)],
+                         ids=["exact_split", "split"])
+@pytest.mark.parametrize("synchronous", [False, True],
+                         ids=["reflection", "synchronous"])
+def test_step_coupled_finite_check(porous_space, family, synchronous):
+    # the step searches for a first bad mode only where the new distance is
+    # not finite.  Row 0 is a finite pair whose distance overflows; row 1
+    # holds inf in x, row 2 -inf in y, glued row 3 inf in both.  Under
+    # reflection the direction (x - y) / |x - y| of rows 1 and 2 is NaN,
+    # so y is NaN from mode 0 on; synchronous rows keep their own mode.
+    model = ModelSpec(family)
+    params = CouplingParams(n=1)
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=5, master_seed=23)
+    x = np.zeros((5, 16))
+    y = np.zeros((5, 16))
+    x[:, 0], y[:, 0] = 0.1, -0.1
+    x[0, 0], y[0, 0] = 1e300, -1e300
+    x[1, 5] = np.inf
+    y[2, 7] = -np.inf
+    st = make_coupling_state(porous_space, params, x, y)
+    st.x[3] = st.y[3] = 0.05
+    st.x[3, 9] = st.y[3, 9] = np.inf
+    st.coupled[3], st.dist[3] = True, 0.0
+    assert np.isinf(st.dist[0])
+    new = step_coupled(porous_space, model, params, cfg, st,
+                       synchronous=synchronous)
+    want = [-1, 5, 7, 9, -1] if synchronous else [-1, 0, 0, 9, -1]
+    assert new.fail_mode.tolist() == want and new.time == cfg.dt
+    assert np.isinf(new.dist[0]) and np.all(np.isfinite(new.x[0]))
+    assert np.all(np.isnan(new.x[1:4])) and np.all(np.isnan(new.y[1:4]))
+    assert np.all(np.isnan(new.dist[1:4])) and np.isfinite(new.dist[4])
+    # rows that failed earlier keep their mode
+    newer = step_coupled(porous_space, model, params, cfg, new,
+                         synchronous=synchronous)
+    assert newer.fail_mode.tolist() == want

@@ -206,6 +206,18 @@ def test_b_hs_lipschitz_property(porous_space):
     assert np.all(lhs <= rhs * (1.0 + 1e-12))
 
 
+def test_exact_split_flag():
+    # resolved from the family: A(v) = -L v exactly
+    assert ModelSpec(Porous(r=1.0)).exact_split
+    assert ModelSpec(Porous(r=1.0), b_spec=LipschitzDiagonal(
+        0.5, unit_base(16))).exact_split
+    for fam in (Porous(r=1.0, psi_scale=1.5), Porous(r=1.0, phi_slope=0.5),
+                Porous(r=2.0), PLaplace(p=2.0), FastDiff(r=0.5)):
+        assert not ModelSpec(fam).exact_split
+    with pytest.raises(TypeError):
+        ModelSpec(Porous(r=1.0), exact_split=False)
+
+
 def test_signed_power_matches_definition():
     s = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     np.testing.assert_allclose(signed_power(s, 3.0), np.abs(s) ** 2 * s)
@@ -227,6 +239,19 @@ def test_signed_power_matches_definition():
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(signed_power(val, 2.0),
                                           np.sign(val) * np.abs(val) ** 2.0)
+    # a given |s|, also when it is the output buffer, gives the same bits
+    # for r = 2 and for the general formula
+    for r in (2.0, 3.0, 0.5, 1.5):
+        for arr in (special, randoms):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = signed_power(arr, r)
+                got = signed_power(arr, r, abs_s=np.abs(arr))
+                out = np.empty_like(arr)
+                into = signed_power(arr, r, out=out, abs_s=np.abs(arr, out=out))
+            assert into is out
+            for a in (got, into):
+                np.testing.assert_array_equal(a.view(np.uint64),
+                                              want.view(np.uint64))
 
 
 def test_unit_base_normalized():
