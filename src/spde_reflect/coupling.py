@@ -167,7 +167,7 @@ def reflect_apply(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
 def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingParams,
                                  x: np.ndarray, y: np.ndarray, t: float,
                                  dW1: np.ndarray, dW2: np.ndarray,
-                                 dW3: np.ndarray, *, dist: np.ndarray | None = None,
+                                 dW3: np.ndarray | None, *, dist: np.ndarray | None = None,
                                  out=None, scratch: np.ndarray | None = None):
     """Noise increments of the coupled pair for one time step.
 
@@ -178,7 +178,9 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     active, and channel 1 passes through the state-dependent diagonal B.
     Below the reflection band (h = 0) channel 3 drops out entirely, so with
     identical B the two increments coincide (synchronous regime); ``dW3``
-    is read only on rows inside the band.  Without diffusion
+    is read only on rows inside the band.  ``dW3`` None means no band (the
+    synchronous coupling): channel 3 is dropped on every row and ``dist``
+    is not read.  Without diffusion
     (``model.has_diffusion`` false) channel 1 is unused and ``dW1`` may be
     None.  ``dist`` is |x - y|_H when the caller already has it; ``out`` is
     an optional pair of contiguous arrays shaped like x that receive
@@ -189,12 +191,13 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     from .models import b_diag
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if dist is None:
-        dist = h_norm(space, x - y)
     root_w = space.root_h_weights
     q = space.q_coeffs
     dx, dy = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
-    s = params.n * np.asarray(dist)
+    if dW3 is None:
+        s = np.zeros(x.shape[:-1])       # no band: h = 0 on every row
+    else:
+        s = params.n * np.asarray(h_norm(space, x - y) if dist is None else dist)
     band = np.flatnonzero(~(s <= 0.5))   # h > 0, or a NaN distance (failed row)
     if band.size < s.size:
         # cylindrical increments on H, expressed in sine coefficients.

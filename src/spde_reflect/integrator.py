@@ -40,6 +40,11 @@ boundary: tau_n (distance first <= 1/n), tau_{n,delta} (first >= delta), and
 the gluing time (first <= glue_eps, after which the pair is evolved as a
 single trajectory and mirrored).
 
+Every run goes through that one step.  The synchronous coupling is the step
+without the reflected channel, and a single-equation run is the pair glued
+at x0 from t = 0, stepped synchronously: once every pair of a batch is
+glued, the step evaluates and advances x only and copies it to y.
+
 Buffers
 -------
 A coupled step writes its intermediates into a ``StepBuffers`` set: the
@@ -52,17 +57,18 @@ drift, which is idle until the drift is evaluated.  A linear family
 (porous r = 1, p = 2) has one scalar split rate, so its split factors are
 a single (N,) row that broadcasts over the paths; with an exact split
 there is no drift, and x's drift buffer holds the zero residual.  At the
-end of the step the glued rows are copied to y by index and the distance
-|x - y|_H is computed once, in the used-up increment buffers.  It doubles
-as the finite check: a non-finite coefficient makes it non-finite, so only
-the rows with a non-finite distance are searched for a first bad mode.
-``run_paths`` creates one set per worker batch and reuses it on every step,
-so the large intermediates are not allocated and faulted in afresh on each
-step; a step called without a set builds a fresh one and runs the same
-code.  The states a step returns are fresh arrays and alias no buffer.
-Output bytes are those of a step that allocates its temporaries: each value
-comes from the same operations in the same order, and the grid transforms
-keep their 256-row matmul chunks.
+end of the step the glued rows are copied to y by index (when every row is
+glued, y's drift and update are skipped) and the distance |x - y|_H is
+computed once, in the used-up increment buffers.  It doubles as the finite
+check: a non-finite coefficient makes it non-finite, so only the rows with
+a non-finite distance are searched for a first bad mode.  ``run_paths``
+creates one set per worker batch, for single, synchronous and coupled runs
+alike, and reuses it on every step, so the large intermediates are not
+allocated and faulted in afresh on each step; a step called without a set
+builds a fresh one and runs the same code.  The states a step returns are
+fresh arrays and alias no buffer.  Output bytes are those of a step that
+allocates its temporaries: each value comes from the same operations in
+the same order, and the grid transforms keep their 256-row matmul chunks.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from itertools import groupby
 import numpy as np
 
 from .spaces import SpectralSpace, h_norm, q_norm, v_norm
-from .models import ModelSpec, DriftBuffers, b_diag, drift_and_split_rate
+from .models import ModelSpec, DriftBuffers, drift_and_split_rate
 from .coupling import CouplingParams, coupled_diffusion_increments
 
 __all__ = [
@@ -428,15 +434,6 @@ def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
     return np.add(new, np.multiply(nfac, noise, out=noise), out=new)
 
 
-def _single_noise(space: SpectralSpace, model: ModelSpec, t: float,
-                  x: np.ndarray, dW1: np.ndarray, dW2: np.ndarray) -> np.ndarray:
-    root_w = space.root_h_weights
-    out = space.q_coeffs * (dW2 / root_w)
-    if model.has_diffusion:
-        out = out + b_diag(space, model, t, x) * (dW1 / root_w)
-    return out
-
-
 def _shared_noise(model: ModelSpec, config: SimConfig, step_index: int,
                   path_lo: int, out: np.ndarray):
     """Keyed (dW1, dW2) written into out[0] and out[1]; dW1 is None when
@@ -471,47 +468,29 @@ def _band_noise(config: SimConfig, step_index: int, path_lo: int,
     return out
 
 
-def _advance_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
-                    xb: np.ndarray, t: float, step_index: int,
-                    path_lo: int, noise=None) -> np.ndarray:
-    if noise is None:
-        dw1, dw2 = _shared_noise(model, config, step_index, path_lo,
-                                 np.empty((2,) + xb.shape))
-    else:
-        dw1, dw2 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if _exact_split(model, config):
-            dr, mu = None, 1.0
-        else:
-            dr, mu = drift_and_split_rate(space, model, t, xb)
-        add = _single_noise(space, model, t, xb, dw1, dw2)
-        return _step_core(space, config.dt, xb, dr, mu, add,
-                          _scheme_factors(space, config, mu))
-
-
-def _first_bad_mode(bad: np.ndarray) -> np.ndarray:
-    """Per row of the (P, N) mask ``bad``, its first True mode, -1 if none."""
-    return np.where(bad.any(axis=-1), np.argmax(bad, axis=-1), -1)
+# a single run is a pair glued at its start, which never enters the band
+_GLUED = CouplingParams(n=1)
 
 
 def step_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
                 x: np.ndarray, t: float, step_index: int,
-                *, noise=None, path_lo: int = 0) -> np.ndarray:
+                *, noise=None) -> np.ndarray:
     """One marginal-equation step from t; noise drawn from the keyed streams.
 
-    ``noise`` may supply explicit (dW1, dW2) arrays (used by tests and by
-    the deterministic-drift examples).  Raises StepOverflow on non-finite
-    output.
+    This is the x of a synchronous step of the pair glued at x.  ``noise``
+    may supply explicit (dW1, dW2) arrays (used by tests and by the
+    deterministic-drift examples).  Raises StepOverflow on non-finite
+    output and ValueError at or past the horizon.
     """
     x = np.asarray(x, dtype=float)
-    batch = x.ndim > 1
-    xb = np.atleast_2d(x)
-    out = _advance_single(space, model, config, xb, t, step_index,
-                          path_lo, noise)
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise StepOverflow(t + config.dt, int(bad[-1]), int(bad[0]))
-    return out if batch else out[0]
+    state = replace(make_coupling_state(space, _GLUED, x, x), time=t,
+                    step_index=step_index)
+    new = step_coupled(space, model, _GLUED, config, state, synchronous=True,
+                       noise=None if noise is None else (*noise, None))
+    bad = np.flatnonzero(new.failed)
+    if bad.size:
+        raise StepOverflow(new.time, new.fail_mode[bad[0]], bad[0])
+    return new.x if x.ndim > 1 else new.x[0]
 
 
 def step_coupled(space: SpectralSpace, model: ModelSpec,
@@ -521,10 +500,13 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
                  work: StepBuffers | None = None) -> CouplingState:
     """Advance the coupled pair one step and update stopping-time records.
 
-    ``work`` holds the step's intermediates (a fresh set when None); it
-    must have been built for ``state.n_paths`` rows.  A path whose new x or
-    y is not finite is frozen at NaN and its first non-finite mode recorded
-    in ``fail_mode``.
+    ``synchronous`` drops the reflected channel: both components receive
+    the shared noise only.  ``noise`` may supply explicit (dW1, dW2, dW3)
+    arrays; dW1 may be None without diffusion and dW3 is not read by a
+    synchronous step.  ``work`` holds the step's intermediates (a fresh set
+    when None); it must have been built for ``state.n_paths`` rows.  A path
+    whose new x or y is not finite is frozen at NaN and its first
+    non-finite mode recorded in ``fail_mode``.
     """
     if state.time >= config.horizon - 1e-12:
         raise ValueError("state is already at the horizon")
@@ -540,30 +522,32 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
             config, state.step_index, path_lo, params.n * state.dist > 0.5,
             work.noise[2])
     else:
-        dw1, dw2, dw3 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
+        dw1, dw2, dw3 = (None if a is None else
+                         np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
+        dw3 = None if synchronous else dw3
+    # y is stepped unless every pair is glued; glued rows are copied from x
+    both = not state.coupled.all()
     with np.errstate(invalid="ignore", over="ignore"):
-        if synchronous:
-            dx_noise = _single_noise(space, model, t, state.x, dw1, dw2)
-            dy_noise = _single_noise(space, model, t, state.y, dw1, dw2)
-        else:
-            dx_noise, dy_noise = coupled_diffusion_increments(
-                space, model, params, state.x, state.y, t, dw1, dw2, dw3,
-                dist=state.dist, out=work.increments, scratch=work.band)
+        dx_noise, dy_noise = coupled_diffusion_increments(
+            space, model, params, state.x, state.y, t, dw1, dw2, dw3,
+            dist=state.dist, out=work.increments, scratch=work.band)
         if _exact_split(model, config):
             # no drift to evaluate; its buffer holds the zero residual
             dr_x = dr_y = None
             mu = 1.0
         else:
-            dr_x, mu_x = drift_and_split_rate(space, model, t, state.x,
-                                              out=work.drift_x)
-            dr_y, mu_y = drift_and_split_rate(space, model, t, state.y,
-                                              out=work.drift_y)
-            mu = np.maximum(mu_x, mu_y)
+            dr_x, mu = drift_and_split_rate(space, model, t, state.x,
+                                            out=work.drift_x)
+            if both:
+                dr_y, mu_y = drift_and_split_rate(space, model, t, state.y,
+                                                  out=work.drift_y)
+                mu = np.maximum(mu, mu_y)
         factors = _scheme_factors(space, config, mu, work.factors)
         new_x = _step_core(space, config.dt, state.x, dr_x, mu, dx_noise,
                            factors, work.drift_x.drift)
-        new_y = _step_core(space, config.dt, state.y, dr_y, mu, dy_noise,
-                           factors, work.drift_x.drift)
+        new_y = (_step_core(space, config.dt, state.y, dr_y, mu, dy_noise,
+                            factors, work.drift_x.drift) if both
+                 else np.empty_like(new_x))
         # the increments are used up, so their buffers serve as scratch
         diff, terms = work.increments
         glued = np.flatnonzero(state.coupled)
@@ -577,8 +561,8 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     fail_mode = state.fail_mode.copy()
     suspect = np.flatnonzero(~np.isfinite(dist) & ~state.failed)
     if suspect.size:
-        fail_mode[suspect] = _first_bad_mode(
-            ~(np.isfinite(new_x[suspect]) & np.isfinite(new_y[suspect])))
+        bad = ~(np.isfinite(new_x[suspect]) & np.isfinite(new_y[suspect]))
+        fail_mode[suspect] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1), -1)
     failed = fail_mode >= 0
     if np.any(failed):
         new_x[failed] = np.nan
@@ -597,7 +581,6 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
 @dataclass
 class PathEnsembleRecord:
     """Per-path checkpoint observables of a Monte Carlo run."""
-    which: str
     checkpoint_times: np.ndarray
     x_coeffs: np.ndarray                 # (P, C, N)
     y_coeffs: np.ndarray | None          # coupled runs only
@@ -649,13 +632,17 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
     ``which`` selects single-marginal runs, the reflection coupling, or the
     synchronous coupling (shared noise, no reflection channel).  ``x0`` and
-    ``y0`` are initial coefficient vectors shared by every path.  Output is
-    a deterministic function of (config, space, model, params) regardless of
-    the thread count.
+    ``y0`` are initial coefficient vectors shared by every path.  A single
+    run steps the pair glued at x0 synchronously and records only x.
+    Output is a deterministic function of (config, space, model, params)
+    regardless of the thread count.
     """
     if which not in ("single", "coupled", "synchronous"):
         raise ValueError("which must be single, coupled or synchronous")
-    if which != "single" and (params is None or y0 is None):
+    pair = which != "single"
+    if not pair:
+        params, y0 = _GLUED, x0
+    elif params is None or y0 is None:
         raise ValueError("coupled runs need coupling params and y0")
     if config.n_modes is not None and config.n_modes != space.n_modes:
         raise ValueError("config.n_modes disagrees with the space")
@@ -673,46 +660,33 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     times = np.array([k * config.dt for k in cps])
 
     x_out = np.empty((n_paths, n_cp, nm))
-    pair = which != "single"
     y_out = np.empty((n_paths, n_cp, nm)) if pair else None
     h_out = np.empty((n_paths, n_cp)) if pair else None
     q_out = np.empty((n_paths, n_cp)) if pair else None
     va_x = np.empty((n_paths, n_cp)) if record_v_norms else None
     va_y = np.empty((n_paths, n_cp)) if (record_v_norms and pair) else None
-    tau_n = np.full(n_paths, np.nan) if pair else None
-    dist_tau = np.full(n_paths, np.nan) if pair else None
-    t_n = np.full(n_paths, np.nan) if pair else None
-    coupled = np.zeros(n_paths, dtype=bool) if pair else None
-    tau_delta = np.full((n_paths, len(delta_grid)), np.nan) if pair else None
-    failed = np.zeros(n_paths, dtype=bool)
-    failures: list = []
 
     r_exp = 1.0 + model.family.r
+    cp_index = {k: i for i, k in enumerate(cps)}
 
     def run_rows(lo: int, hi: int):
         rows = hi - lo
         local_fail: list = []
-        if pair:
-            st = make_coupling_state(space, params,
-                                     np.tile(x0, (rows, 1)),
-                                     np.tile(np.asarray(y0, dtype=float), (rows, 1)),
-                                     delta_grid=delta_grid)
-            work = StepBuffers(space, rows)
-        else:
-            xb = np.tile(x0, (rows, 1))
+        st = make_coupling_state(space, params, np.tile(x0, (rows, 1)),
+                                 np.tile(np.asarray(y0, dtype=float), (rows, 1)),
+                                 delta_grid=delta_grid)
+        work = StepBuffers(space, rows)
         acc_x = np.zeros(rows)
         acc_y = np.zeros(rows)
-        ci = 0
-        cp_set = {k: i for i, k in enumerate(cps)}
 
-        def record(step_idx, xb_now, yb_now):
-            i = cp_set[step_idx]
-            x_out[lo:hi, i] = xb_now
+        def record(i):
+            x_out[lo:hi, i] = st.x
             if pair:
-                y_out[lo:hi, i] = yb_now
-                d = xb_now - yb_now
-                h_out[lo:hi, i] = h_norm(space, d)
-                q_out[lo:hi, i] = q_norm(space, d)
+                y_out[lo:hi, i] = st.y
+                with np.errstate(invalid="ignore", over="ignore"):
+                    d = st.x - st.y
+                    h_out[lo:hi, i] = h_norm(space, d)
+                    q_out[lo:hi, i] = q_norm(space, d)
             if record_v_norms:
                 va_x[lo:hi, i] = acc_x
                 if pair:
@@ -720,51 +694,25 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
         n_steps = config.n_steps
         for k in range(n_steps + 1):
-            xb_now = st.x if pair else xb
-            yb_now = st.y if pair else None
-            if k in cp_set:
-                record(k, xb_now, yb_now)
+            if k in cp_index:
+                record(cp_index[k])
             if k == n_steps:
                 break
             if record_v_norms:
-                live = ~(st.failed if pair else np.zeros(rows, dtype=bool))
-                vx = np.where(live, v_norm(space, xb_now, model.family), 0.0)
-                acc_x = acc_x + config.dt * vx ** r_exp
-                if pair:
-                    vy = np.where(live, v_norm(space, yb_now, model.family), 0.0)
-                    acc_y = acc_y + config.dt * vy ** r_exp
-            if pair:
-                prev_failed = st.failed
-                st = step_coupled(space, model, params, config, st,
-                                  path_lo=lo, synchronous=(which == "synchronous"),
-                                  work=work)
-                new_bad = st.failed & ~prev_failed
-                for p_idx in np.flatnonzero(new_bad):
-                    local_fail.append((lo + int(p_idx), st.time,
-                                       int(st.fail_mode[p_idx])))
-            else:
-                trial = _advance_single(space, model, config, xb,
-                                        k * config.dt, k, lo)
-                prev = failed[lo:hi].copy()
-                mode = _first_bad_mode(~np.isfinite(trial))
-                bad = (mode >= 0) & ~prev
-                if np.any(bad):
-                    trial[bad] = np.nan
-                    for p_idx in np.flatnonzero(bad):
-                        local_fail.append((lo + int(p_idx),
-                                           (k + 1) * config.dt, int(mode[p_idx])))
-                    failed[lo:hi] |= bad
-                trial[prev] = xb[prev]
-                xb = trial
-        if pair:
-            tau_n[lo:hi] = st.tau_n
-            dist_tau[lo:hi] = st.dist_at_tau_n
-            t_n[lo:hi] = st.t_n
-            coupled[lo:hi] = st.coupled
-            if len(delta_grid):
-                tau_delta[lo:hi] = st.tau_delta
-            failed[lo:hi] = st.failed
-        return local_fail
+                live = ~st.failed
+                with np.errstate(invalid="ignore", over="ignore"):
+                    vx = np.where(live, v_norm(space, st.x, model.family), 0.0)
+                    acc_x = acc_x + config.dt * vx ** r_exp
+                    if pair:
+                        vy = np.where(live, v_norm(space, st.y, model.family), 0.0)
+                        acc_y = acc_y + config.dt * vy ** r_exp
+            prev_failed = st.failed
+            st = step_coupled(space, model, params, config, st, path_lo=lo,
+                              synchronous=(which != "coupled"), work=work)
+            for p_idx in np.flatnonzero(st.failed & ~prev_failed):
+                local_fail.append((lo + int(p_idx), st.time,
+                                   int(st.fail_mode[p_idx])))
+        return st, local_fail
 
     # one contiguous batch per worker; batch boundaries are block-aligned so
     # the noise stream content is independent of the batching
@@ -777,23 +725,29 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         lo = b0 * BLOCK_ROWS
         hi = min((b0 + per) * BLOCK_ROWS, n_paths)
         bounds.append((lo, hi))
-    if n_batches <= 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            failures.extend(run_rows(lo, hi))
+    if len(bounds) == 1:
+        done = [run_rows(*bounds[0])]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for fl in pool.map(lambda b: run_rows(*b), bounds):
-                failures.extend(fl)
-    failures.sort(key=lambda f: f[0])
+            done = list(pool.map(lambda b: run_rows(*b), bounds))
+
+    def joined(name):
+        return np.concatenate([getattr(st, name) for st, _ in done])
+
+    def pair_only(name):
+        return joined(name) if pair else None
 
     return PathEnsembleRecord(
-        which=which, checkpoint_times=times,
+        checkpoint_times=times,
         x_coeffs=x_out, y_coeffs=y_out,
         h_dist=h_out, q_dist=q_out,
         v_accum_x=va_x, v_accum_y=va_y,
-        tau_n=tau_n, dist_at_tau_n=dist_tau, t_n=t_n, coupled=coupled,
-        delta_grid=np.asarray(delta_grid, dtype=float), tau_delta=tau_delta,
-        failed=failed, failures=failures,
+        tau_n=pair_only("tau_n"), dist_at_tau_n=pair_only("dist_at_tau_n"),
+        t_n=pair_only("t_n"), coupled=pair_only("coupled"),
+        delta_grid=np.asarray(delta_grid, dtype=float),
+        tau_delta=pair_only("tau_delta"), failed=joined("failed"),
+        # one failure per path, so sorting the tuples sorts by path
+        failures=sorted(f for _, fl in done for f in fl),
         master_seed=config.master_seed, dt=config.dt,
-        n=params.n if params is not None else None,
+        n=params.n if pair else None,
     )
