@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -339,3 +340,127 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "[model]\nfamily = porous\nr = 0.1\n")
     assert main(["run", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# two estimator-heavy runs the benchmark pins do not cover: porous r = 1 with
+# every experiment, and r = 2 whose oscillation chain fails (so failures.json
+# is written)
+FROZEN_R1 = """
+[space]
+n_modes = 8
+gamma = 1.0
+q_decay = 0.75
+
+[model]
+family = porous
+r = 1.0
+
+[coupling]
+n = 4
+
+[sim]
+dt = 5e-4
+horizon = 0.1
+n_paths = 600
+master_seed = 11
+checkpoints = 0, 0.01, 0.02, 0.05, 0.1
+x0 = 0.6
+y0 = -0.6
+
+[experiments]
+which = survival, lemma31, supermartingale, chain, contraction, marginal_ou, holder
+lemma31_t = 0.05
+super_g = log_power
+fit_rate_bound = -15
+
+[output]
+dump_paths = true
+"""
+
+FROZEN_R2 = """
+[space]
+n_modes = 8
+gamma = 2.0
+q_decay = 0.75
+
+[model]
+family = porous
+r = 2.0
+
+[coupling]
+n = 5
+
+[sim]
+dt = 5e-4
+horizon = 0.1
+n_paths = 600
+master_seed = 12
+checkpoints = 0, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1
+x0 = 1.2
+y0 = -1.2
+
+[experiments]
+which = survival, lemma31, supermartingale, chain, contraction, holder
+lemma31_t = 0.05
+super_g = clipped_linear
+"""
+
+FROZEN_DIGESTS = {
+    "couple/mean_distance.csv":
+        "f6476515c0604b896d5fb10b12274aec44e24e97ed4c0ed2950de79eaa47e35c",
+    "couple/paths.csv":
+        "2ea54ce2fbe96b7374a4baa2fb8ac7613aa6a4de84a3b0705d2ec159a65de07e",
+    "couple/survival.csv":
+        "a5467e12efd209489bfb9c0b01ac58711579cbf904ea3f2b9e106de5a50556b3",
+    "r1/contraction.csv":
+        "937af0265b46f33f4fe6ecaa3de77250d8e928387011f56be8cd9a2ba9807de8",
+    "r1/holder.csv":
+        "5ca87ef68c019060db54d0f365be7c189139e04418656903898e62d1488770af",
+    "r1/paths.csv":
+        "2ea54ce2fbe96b7374a4baa2fb8ac7613aa6a4de84a3b0705d2ec159a65de07e",
+    "r1/summary.json":
+        "f9dd0fca34f17387a17eee48ecb969208862997eeb5aa1e65d06f13355ae544d",
+    "r1/supermartingale.csv":
+        "92effae8780bb9744bf51308b734dc823d90a079f26b25cea77957003d3b3b44",
+    "r1/survival.csv":
+        "a5467e12efd209489bfb9c0b01ac58711579cbf904ea3f2b9e106de5a50556b3",
+    "r2/contraction.csv":
+        "b219837edcc22f03dbfe8dae584df1ef151058684637992a04bd38e609ba6493",
+    "r2/failures.json":
+        "0462f808493ca4efcbe5fae3d49c2ecb74aecae400a780a1ae95f4040f793642",
+    "r2/holder.csv":
+        "f8346936aa08af71c16dd01f16c632a83707657d773a7e38e660ca9c39e07bea",
+    "r2/summary.json":
+        "b4ea9bf4eb7594de1661bb90cebc7474319df12e9777c60ab400aa298852b3d1",
+    "r2/supermartingale.csv":
+        "e571567995e83443a97f791f3d8082fbeda309728247d8ba58cb5d7a58d77569",
+    "r2/survival.csv":
+        "daf0a626151c7e2660eb4219db307d7c5966b48fcf8da27be3aee4ed248976d4",
+    "stdout":
+        "1fd31740a78eb404214656fc1d78a676a05eb84944d333d8564a70ac3e5b5e17",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_estimator_outputs_frozen(tmp_path, capsys):
+    # pinned-seed self-oracle: the estimators and their writers must keep
+    # every output byte; manifest.json is left out (it holds a wall time)
+    got = {}
+    for tag, text, code in (("r1", FROZEN_R1, 0), ("r2", FROZEN_R2, 1)):
+        cfg = parse_config(text)
+        assert run(cfg, out_dir=tmp_path / tag, threads=1) == code
+        for f in sorted((tmp_path / tag / config_hash(cfg)).iterdir()):
+            if f.name != "manifest.json":
+                got[f"{tag}/{f.name}"] = _sha(f.read_bytes())
+    path = _write(tmp_path, FROZEN_R1)
+    capsys.readouterr()
+    assert main(["couple", "--config", path, "--threads", "1",
+                 "--out", str(tmp_path / "couple")]) == 0
+    assert main(["fit-rate", "--config", path, "--threads", "1"]) == 0
+    got["stdout"] = _sha(capsys.readouterr().out.encode())
+    for f in sorted((tmp_path / "couple").iterdir()):
+        got[f"couple/{f.name}"] = _sha(f.read_bytes())
+    assert got == FROZEN_DIGESTS
