@@ -27,7 +27,7 @@ from .inequalities import (
     kappa_plaplace_example, kappa_fastdiff_interval,
 )
 from .experiments import (
-    ExperimentResult, GSpec, survival_curve, check_lemma31,
+    GSpec, survival_curve, check_lemma31,
     supermartingale_diagnostic, coupling_tail_bound, contraction_fit,
     holder_ratio_scan, ou_oracle, canonical_f, semigroup_difference,
     prop21_chain, marginal_ou_check, d3_rate_bound,

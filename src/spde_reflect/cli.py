@@ -154,7 +154,6 @@ _CONDITIONS = ("meanvalue", "a1prime", "a1doubleprime", "interpolation",
 class RunConfig:
     """Fully validated, default-filled configuration."""
     values: dict          # section -> key -> parsed value
-    source: str = ""
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -199,7 +198,7 @@ def parse_config(text: str) -> RunConfig:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r} in [{sec}]")
             values[sec][key] = default
-    cfg = RunConfig(values=values, source=text)
+    cfg = RunConfig(values=values)
     _validate_cross_fields(cfg)
     return cfg
 
@@ -229,6 +228,8 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
     for w in ex["which"]:
         if w not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {w!r}")
+    if "marginal_ou" in ex["which"]:
+        _check_ou_law(cfg, "experiments")
     for w in co["which"]:
         if w not in _CONDITIONS:
             raise ConfigError(f"unknown condition {w!r}")
@@ -256,6 +257,15 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
     for rv in co["mv_r"]:
         if not 0.0 < rv < 1.0:
             raise ConfigError("conditions.mv_r entries must lie in (0, 1)")
+
+
+def _check_ou_law(cfg: RunConfig, context: str) -> None:
+    """ConfigError unless the model's law is the one ``ou_oracle`` knows."""
+    try:
+        xp.ou_oracle(build_space(cfg), build_model(cfg),
+                     _initial_state(cfg, "x0"), 0.0)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -428,9 +438,9 @@ def _run_experiments(cfg: RunConfig, space, model, threads):
     if "survival" in which:
         times, p, se = xp.survival_curve(rec)
         series["survival"] = (times, p, se)
-        out["survival"] = {"times": [float(t) for t in times],
-                           "probability": [float(v) for v in p],
-                           "std_err": [float(v) for v in se]}
+        out["survival"] = {"times": xp.floats(times),
+                           "probability": xp.floats(p),
+                           "std_err": xp.floats(se)}
     if "lemma31" in which:
         t31 = ex["lemma31_t"]
         if t31 is None:
@@ -454,7 +464,8 @@ def _run_experiments(cfg: RunConfig, space, model, threads):
         t_m = ex["marginal_t"]
         if t_m is None:
             t_m = sim.checkpoint_times[-1]
-        out["marginal_ou"] = xp.marginal_ou_check(rec, space, x0, y0, t_m)
+        out["marginal_ou"] = xp.marginal_ou_check(rec, space, model, x0, y0,
+                                                  t_m)
     if "contraction" in which:
         sync = run_paths(space, model, params, sim, "synchronous",
                          x0=x0, y0=y0, threads=threads)
@@ -466,10 +477,8 @@ def _run_experiments(cfg: RunConfig, space, model, threads):
             res["rate_bound"] = float(bound)
             res["ok"] = bool(fit["rate"] <= bound + half)
         out["contraction"] = res
-        m2 = np.mean(sync.h_dist[sync.live] ** 2, axis=0)
-        series["contraction"] = (sync.checkpoint_times, m2,
-                                 np.std(sync.h_dist[sync.live] ** 2, axis=0,
-                                        ddof=1) / np.sqrt(int(np.sum(sync.live))))
+        series["contraction"] = (sync.checkpoint_times,
+                                 *xp.mean_se(sync.h_dist[sync.live] ** 2))
     if "holder" in which:
         t_h = ex["holder_t"]
         if t_h is None:
@@ -488,22 +497,25 @@ def _run_experiments(cfg: RunConfig, space, model, threads):
 
 def _aggregate_result(cfg: RunConfig, results: dict, series: dict) -> dict:
     """Everything rolled into one provenance-carrying summary object."""
-    agg = xp.ExperimentResult(experiment_id="run",
-                              config_hash=config_hash(cfg))
-    for name, (grid, vals, errs) in series.items():
-        agg.add_series(name, grid, vals, errs)
+    rates = {}
     if "contraction" in results:
         fit = results["contraction"]
-        agg.fitted_rates["contraction"] = (fit["rate"], tuple(fit["ci"]))
+        rates["contraction"] = (fit["rate"], *fit["ci"])
     if "holder" in results and np.isfinite(results["holder"]["slope"]):
         s, se = results["holder"]["slope"], results["holder"]["slope_se"]
-        agg.fitted_rates["holder_exponent"] = (s, (s - 2 * se, s + 2 * se))
-    for name, keys in _GATED_FLAGS:
-        if name in results:
-            for k in keys:
-                if k in results[name]:
-                    agg.pass_flags[name] = bool(results[name][k])
-    return agg.as_dict()
+        rates["holder_exponent"] = (s, s - 2 * se, s + 2 * se)
+    return {
+        "experiment_id": "run",
+        "config_hash": config_hash(cfg),
+        "estimates": {name: {"grid": xp.floats(grid), "value": xp.floats(vals),
+                             "std_err": xp.floats(errs)}
+                      for name, (grid, vals, errs) in series.items()},
+        "fitted_rates": {k: {"rate": float(r), "ci_lo": float(lo),
+                             "ci_hi": float(hi)}
+                         for k, (r, lo, hi) in rates.items()},
+        "pass_flags": {name: bool(results[name]["ok"]) for name in _GATED
+                       if "ok" in results.get(name, {})},
+    }
 
 
 def _g_spec_from(ex: dict, dist0: float) -> xp.GSpec:
@@ -521,27 +533,17 @@ def _g_spec_from(ex: dict, dist0: float) -> xp.GSpec:
     raise ConfigError(f"unknown experiments.super_g {name!r}")
 
 
-_GATED_FLAGS = (
-    ("lemma31", ("ok",)),
-    ("supermartingale", ("ok",)),
-    ("coupling_tail", ("ok",)),
-    ("chain", ("ok",)),
-    ("marginal_ou", ("ok",)),
-    ("contraction", ("ok",)),
-)
+# results whose "ok" flag gates the exit status
+_GATED = ("lemma31", "supermartingale", "coupling_tail", "chain",
+          "marginal_ou", "contraction")
 
 
 def collect_failures(results: dict) -> list:
-    fails = []
-    for name, keys in _GATED_FLAGS:
-        if name in results:
-            for k in keys:
-                if k in results[name] and results[name][k] is False:
-                    fails.append({"check": name, "flag": k})
-    for name, rep in results.get("conditions", {}).items():
-        if rep.get("verdict") == "fail":
-            fails.append({"check": f"condition:{name}", "flag": "verdict"})
-    return fails
+    return ([{"check": name, "flag": "ok"} for name in _GATED
+             if results.get(name, {}).get("ok") is False]
+            + [{"check": f"condition:{name}", "flag": "verdict"}
+               for name, rep in results.get("conditions", {}).items()
+               if rep["verdict"] == "fail"])
 
 
 def _write_csv(path: Path, grid, values, std_errs, grid_name="grid") -> None:
@@ -583,7 +585,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         sim_vals["master_seed"] = int(seed)
         vals = dict(cfg.values)
         vals["sim"] = sim_vals
-        cfg = RunConfig(values=vals, source=cfg.source)
+        cfg = RunConfig(values=vals)
     digest = config_hash(cfg)
     base = Path(out_dir if out_dir is not None else cfg["output"]["directory"])
     dest = base / digest
@@ -703,10 +705,8 @@ def _cmd_couple(args) -> int:
         dest = Path(args.out)
         dest.mkdir(parents=True, exist_ok=True)
         _write_csv(dest / "survival.csv", times, p, se, grid_name="time")
-        d = rec.h_dist[rec.live]
-        _write_csv(dest / "mean_distance.csv", times, np.mean(d, axis=0),
-                   np.std(d, axis=0, ddof=1) / np.sqrt(d.shape[0]),
-                   grid_name="time")
+        _write_csv(dest / "mean_distance.csv", times,
+                   *xp.mean_se(rec.h_dist[rec.live]), grid_name="time")
         _dump_paths_csv(dest / "paths.csv", rec)
     return 0
 
@@ -722,12 +722,12 @@ def _cmd_fit_rate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = parse_config_file(args.config)
-    space = build_space(cfg)
-    sim = build_sim(cfg, args.seed)
+    _check_ou_law(cfg, "oracle")
+    space, model = build_space(cfg), build_model(cfg)
     x0 = _initial_state(cfg, "x0")
     print("Ornstein-Uhlenbeck analytics per H-mode (linear family, B = 0)")
-    for t in sim.checkpoint_times:
-        mean, var = xp.ou_oracle(space, x0, t)
+    for t in build_sim(cfg, args.seed).checkpoint_times:
+        mean, var = xp.ou_oracle(space, model, x0, t)
         head = ", ".join(f"mode{i+1}: mean={mean[i]:.6g} var={var[i]:.6g}"
                          for i in range(min(4, space.n_modes)))
         print(f"t={t:.6g}  {head}")

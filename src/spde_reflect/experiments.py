@@ -7,18 +7,19 @@ the exact Ornstein-Uhlenbeck oracle for the linear family.
 
 Per-mode observables (the OU oracle, the canonical cylinder functional)
 are expressed in H-orthonormal coordinates sqrt(w_i) x_i so that the mode-i
-marginal of the linear family is the scalar OU process with rate lambda_i
-and noise amplitude q_i.
+marginal of the linear family is the scalar OU process with rate kappa_i
+(see ``ou_oracle``) and noise amplitude q_i.
 
-Monte Carlo conventions: estimates carry standard errors; variance
-estimates use the normal-theory standard error var * sqrt(2/(M-1));
-monotonicity verdicts compare paired per-path differences of consecutive
-checkpoints against 3 standard errors.
+Monte Carlo conventions: every path mean and its standard error come from
+``mean_se`` and every frequency and its binomial standard error from
+``frequency``; variance estimates use the normal-theory standard error
+var * sqrt(2/(M-1)); monotonicity verdicts compare paired per-path
+differences of consecutive checkpoints against 3 standard errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .integrator import SimConfig, PathEnsembleRecord, run_paths
 from .inequalities import lipschitz_K_bound
 
 __all__ = [
-    "ExperimentResult", "GSpec", "CylinderFunctional", "canonical_f",
+    "GSpec", "CylinderFunctional", "canonical_f",
     "survival_curve", "check_lemma31", "supermartingale_diagnostic",
     "coupling_tail_bound", "contraction_fit", "holder_ratio_scan",
     "ou_oracle", "semigroup_difference", "prop21_chain",
@@ -37,33 +38,31 @@ __all__ = [
 ]
 
 
-@dataclass
-class ExperimentResult:
-    """Named series of (value, std_err) plus fitted rates and pass flags."""
-    experiment_id: str
-    config_hash: str = ""
-    estimates: dict = field(default_factory=dict)
-    fitted_rates: dict = field(default_factory=dict)
-    pass_flags: dict = field(default_factory=dict)
+def mean_se(vals):
+    """Mean over paths (axis 0) and its standard error."""
+    vals = np.asarray(vals)
+    return (np.mean(vals, axis=0),
+            np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0]))
 
-    def add_series(self, name: str, grid, values, std_errs) -> None:
-        self.estimates[name] = {
-            "grid": [float(v) for v in np.asarray(grid).ravel()],
-            "value": [float(v) for v in np.asarray(values).ravel()],
-            "std_err": [float(v) for v in np.asarray(std_errs).ravel()],
-        }
 
-    def as_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "config_hash": self.config_hash,
-            "estimates": self.estimates,
-            "fitted_rates": {k: {"rate": float(v[0]),
-                                 "ci_lo": float(v[1][0]),
-                                 "ci_hi": float(v[1][1])}
-                             for k, v in self.fitted_rates.items()},
-            "pass_flags": {k: bool(v) for k, v in self.pass_flags.items()},
-        }
+def frequency(hits):
+    """Frequency of the events over the last axis and its binomial SE."""
+    p = np.mean(hits, axis=-1)
+    return p, np.sqrt(p * (1.0 - p) / np.shape(hits)[-1])
+
+
+def floats(values) -> list:
+    """A flat list of Python floats, as the JSON writers need."""
+    return [float(v) for v in np.asarray(values).ravel()]
+
+
+def checkpoint_index(times, t: float) -> int:
+    """Index of checkpoint t in ``times``; raises when t is off the grid."""
+    times = np.asarray(times, dtype=float)
+    j = int(np.argmin(np.abs(times - t)))
+    if abs(times[j] - t) > 1e-9:
+        raise ValueError(f"t = {t} is not a recorded checkpoint")
+    return j
 
 
 def d3_rate_bound(model: ModelSpec) -> float:
@@ -79,17 +78,12 @@ def survival_curve(record: PathEnsembleRecord, times=None):
     """
     if record.tau_n is None:
         raise ValueError("survival_curve needs a coupled ensemble")
-    live = record.live
-    m = int(np.sum(live))
-    if m == 0:
+    tau = record.tau_n[record.live]
+    if tau.size == 0:
         raise ValueError("no live paths")
-    if times is None:
-        times = record.checkpoint_times
-    times = np.asarray(times, dtype=float)
-    tau = record.tau_n[live]
-    surv = np.isnan(tau)[None, :] | (tau[None, :] > times[:, None])
-    p = np.mean(surv, axis=1)
-    se = np.sqrt(p * (1.0 - p) / m)
+    times = np.asarray(record.checkpoint_times if times is None else times,
+                       dtype=float)
+    p, se = frequency(np.isnan(tau) | (tau > times[:, None]))
     return times, p, se
 
 
@@ -106,27 +100,19 @@ def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float,
     if abs(record.checkpoint_times[0]) > 1e-12:
         raise ValueError("record must include the t = 0 checkpoint")
     live = record.live
-    m = int(np.sum(live))
     dist0 = float(record.h_dist[live][0, 0])
-    rows = []
-    for j, delta in enumerate(record.delta_grid):
-        if deltas is not None and not np.any(np.isclose(delta, np.asarray(deltas, float))):
-            continue
-        td = record.tau_delta[live, j]
-        tn = record.tau_n[live]
-        hit = ~np.isnan(td) & (td <= t) & (np.isnan(tn) | (td <= tn))
-        p = float(np.mean(hit))
-        se = float(np.sqrt(p * (1.0 - p) / m))
-        bound = dist0 * np.exp(kprime * t) / delta
-        rows.append({
-            "delta": float(delta), "probability": p, "std_err": se,
-            "bound": float(bound), "margin": float(bound + 3.0 * se - p),
-            "vacuous": bool(delta <= dist0),
-            "ok": bool(p <= bound + 3.0 * se),
-        })
-    return {"t": float(t), "kprime": float(kprime),
-            "dist0": dist0, "rows": rows,
-            "ok": all(r["ok"] for r in rows)}
+    td = record.tau_delta[live]                 # (M, deltas)
+    tn = record.tau_n[live][:, None]
+    p, se = frequency((~np.isnan(td) & (td <= t)
+                       & (np.isnan(tn) | (td <= tn))).T)
+    bounds = dist0 * np.exp(kprime * t) / record.delta_grid
+    rows = [{"delta": float(d), "probability": float(pj), "std_err": float(s),
+             "bound": float(b), "margin": float(b + 3.0 * s - pj),
+             "vacuous": bool(d <= dist0), "ok": bool(pj <= b + 3.0 * s)}
+            for d, pj, s, b in zip(record.delta_grid, p, se, bounds)
+            if deltas is None or np.any(np.isclose(d, np.asarray(deltas, float)))]
+    return {"t": float(t), "kprime": float(kprime), "dist0": dist0,
+            "rows": rows, "ok": all(r["ok"] for r in rows)}
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -197,13 +183,11 @@ class GSpec:
         return self.kind != "identity"
 
 
-def stopped_distance_series(record: PathEnsembleRecord, stop_at_tau: bool,
-                            stop_delta: float | None = None):
+def stopped_distance_series(record: PathEnsembleRecord, stop_at_tau: bool):
     """Per-path distance value and evaluation time at each checkpoint.
 
     With stopping, paths freeze at tau_n (value = recorded distance at the
-    hit) and, when ``stop_delta`` matches a recorded crossing level, at
-    tau_{n,delta} (value = delta).
+    hit).
     """
     times = record.checkpoint_times
     live = record.live
@@ -211,17 +195,8 @@ def stopped_distance_series(record: PathEnsembleRecord, stop_at_tau: bool,
     t_eval = np.broadcast_to(times, dist.shape).copy()
     if stop_at_tau:
         tau = record.tau_n[live]
-        d_at = record.dist_at_tau_n[live]
         stop_t = np.where(np.isnan(tau), np.inf, tau)
-        stop_v = d_at
-        if stop_delta is not None:
-            jset = np.flatnonzero(np.isclose(record.delta_grid, stop_delta))
-            if jset.size:
-                td = record.tau_delta[live, jset[0]]
-                td = np.where(np.isnan(td), np.inf, td)
-                use_d = td < stop_t
-                stop_t = np.where(use_d, td, stop_t)
-                stop_v = np.where(use_d, stop_delta, stop_v)
+        stop_v = record.dist_at_tau_n[live]
         frozen = times[None, :] >= stop_t[:, None]
         dist = np.where(frozen, stop_v[:, None], dist)
         t_eval = np.where(frozen, stop_t[:, None], t_eval)
@@ -229,36 +204,28 @@ def stopped_distance_series(record: PathEnsembleRecord, stop_at_tau: bool,
 
 
 def supermartingale_diagnostic(record: PathEnsembleRecord, g_spec: GSpec,
-                               kprime: float,
-                               stop_delta: float | None = None) -> dict:
+                               kprime: float) -> dict:
     """Checkpoint means of e^(-K't) g(|X_t - Y_t|) with monotonicity verdict.
 
     Non-identity test functions are evaluated on the process stopped at
-    tau_n (and at tau_{n,delta} when requested), as in the decay proofs.
-    The verdict is 'nonincreasing within 3 SE' on paired consecutive
-    differences.
+    tau_n, as in the decay proofs.  The verdict is 'nonincreasing within 3
+    SE' on paired consecutive differences.
     """
     times = record.checkpoint_times
-    dist, t_eval = stopped_distance_series(record, g_spec.stop_at_tau, stop_delta)
-    m = dist.shape[0]
+    dist, t_eval = stopped_distance_series(record, g_spec.stop_at_tau)
     vals = np.exp(-kprime * t_eval) * g_spec(dist)
-    means = np.mean(vals, axis=0)
-    ses = np.std(vals, axis=0, ddof=1) / np.sqrt(m)
+    means, ses = mean_se(vals)
     gaps = []
-    ok = True
     for j in range(len(times) - 1):
-        d = vals[:, j + 1] - vals[:, j]
-        md = float(np.mean(d))
-        sd = float(np.std(d, ddof=1) / np.sqrt(m))
-        good = md <= 3.0 * sd + 1e-15
-        ok = ok and good
+        # one 1-D column difference per gap keeps its summation order
+        md, sd = floats(mean_se(vals[:, j + 1] - vals[:, j]))
         gaps.append({"t_lo": float(times[j]), "t_hi": float(times[j + 1]),
-                     "mean_diff": md, "std_err": sd, "ok": bool(good)})
-    return {"times": [float(t) for t in times],
-            "mean": [float(v) for v in means],
-            "std_err": [float(v) for v in ses],
-            "kprime": float(kprime), "g": g_spec.kind,
-            "gaps": gaps, "ok": bool(ok)}
+                     "mean_diff": md, "std_err": sd,
+                     "ok": md <= 3.0 * sd + 1e-15})
+    return {"times": floats(times), "mean": floats(means),
+            "std_err": floats(ses), "kprime": float(kprime),
+            "g": g_spec.kind, "gaps": gaps,
+            "ok": all(g["ok"] for g in gaps)}
 
 
 def coupling_tail_bound(record: PathEnsembleRecord, kprime: float) -> dict:
@@ -267,39 +234,30 @@ def coupling_tail_bound(record: PathEnsembleRecord, kprime: float) -> dict:
         raise ValueError("needs a coupled ensemble")
     times = record.checkpoint_times
     live = record.live
-    m = int(np.sum(live))
-    dist = record.h_dist[live]
     tau = record.tau_n[live]
     hit = ~np.isnan(tau)[:, None] & (tau[:, None] <= times[None, :])
-    vals = np.exp(-kprime * times)[None, :] * dist * hit
-    means = np.mean(vals, axis=0)
-    ses = np.std(vals, axis=0, ddof=1) / np.sqrt(m)
+    means, ses = mean_se(np.exp(-kprime * times)[None, :]
+                         * record.h_dist[live] * hit)
     bound = 1.0 / record.n
-    ok = bool(np.all(means <= bound + 3.0 * ses))
-    return {"times": [float(t) for t in times],
-            "mean": [float(v) for v in means],
-            "std_err": [float(v) for v in ses],
-            "bound": bound, "ok": ok}
+    return {"times": floats(times), "mean": floats(means),
+            "std_err": floats(ses), "bound": bound,
+            "ok": bool(np.all(means <= bound + 3.0 * ses))}
 
 
-def contraction_fit(record: PathEnsembleRecord, *, t_min: float = 0.0,
-                    t_max: float | None = None, n_boot: int = 200,
-                    seed: int = 7) -> dict:
-    """Least-squares decay rate of log E|X_t - Y_t|^2 over checkpoints.
+def contraction_fit(record: PathEnsembleRecord, *, t_min: float = 0.0) -> dict:
+    """Least-squares decay rate of log E|X_t - Y_t|^2 over checkpoints >= t_min.
 
-    The confidence interval comes from a path bootstrap (resampling whole
-    paths, so serial correlation along a path is respected).  Raises on a
-    degenerate pair (x = y at the start).
+    The confidence interval comes from a 200-sample path bootstrap with
+    seed 7 (resampling whole paths, so serial correlation along a path is
+    respected).  Raises on a degenerate pair (x = y at the start).
     """
     if record.h_dist is None:
         raise ValueError("contraction_fit needs a paired ensemble")
-    live = record.live
-    d2 = record.h_dist[live] ** 2
+    d2 = record.h_dist[record.live] ** 2
     times = record.checkpoint_times
     if d2.shape[0] == 0 or float(np.max(d2[:, 0])) == 0.0:
         raise ValueError("degenerate pair: x = y")
-    hi = np.inf if t_max is None else t_max
-    window = (times >= t_min - 1e-12) & (times <= hi + 1e-12)
+    window = times >= t_min - 1e-12
     tw = times[window]
     if tw.size < 2:
         raise ValueError("fit window must contain at least two checkpoints")
@@ -311,31 +269,26 @@ def contraction_fit(record: PathEnsembleRecord, *, t_min: float = 0.0,
         return np.polyfit(tw, np.log(m2), 1)[0]
 
     rate = slope_of(d2)
-    gen = np.random.default_rng(seed)
+    gen = np.random.default_rng(7)
     m = d2.shape[0]
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        rows = gen.integers(0, m, size=m)
-        boots[b] = slope_of(d2[rows])
+    boots = np.array([slope_of(d2[gen.integers(0, m, size=m)])
+                      for _ in range(200)])
     boots = boots[np.isfinite(boots)]
     if boots.size:
         lo, hi_ci = np.percentile(boots, [2.5, 97.5])
     else:
         lo = hi_ci = np.nan
     return {"rate": float(rate), "ci": (float(lo), float(hi_ci)),
-            "t_window": (float(tw[0]), float(tw[-1])),
-            "n_paths": int(m)}
+            "t_window": (float(tw[0]), float(tw[-1])), "n_paths": int(m)}
 
 
 @dataclass(frozen=True)
 class CylinderFunctional:
     """Bounded smooth witness f(v) = tanh(first H-mode coefficient)."""
     space: SpectralSpace
-    mode: int = 0
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        c = h_mode_coeffs(self.space, coeffs)[..., self.mode]
-        return np.tanh(c)
+        return np.tanh(h_mode_coeffs(self.space, coeffs)[..., 0])
 
     @property
     def osc(self) -> float:
@@ -350,37 +303,28 @@ def semigroup_difference(record: PathEnsembleRecord, f) -> dict:
     """Coupled estimator of P_t f(x) - P_t f(y) with paired standard errors."""
     if record.y_coeffs is None:
         raise ValueError("needs a coupled ensemble")
-    live = record.live
-    m = int(np.sum(live))
-    fx = f(record.x_coeffs[live])
-    fy = f(record.y_coeffs[live])
-    d = fx - fy
-    est = np.mean(d, axis=0)
-    se = np.std(d, axis=0, ddof=1) / np.sqrt(m)
-    return {"times": record.checkpoint_times, "estimate": est, "std_err": se,
-            "fx_mean": np.mean(fx, axis=0),
-            "fx_se": np.std(fx, axis=0, ddof=1) / np.sqrt(m),
-            "fy_mean": np.mean(fy, axis=0),
-            "fy_se": np.std(fy, axis=0, ddof=1) / np.sqrt(m)}
+    fx = f(record.x_coeffs[record.live])
+    fy = f(record.y_coeffs[record.live])
+    est, se = mean_se(fx - fy)
+    return {"times": record.checkpoint_times, "estimate": est, "std_err": se}
 
 
-def prop21_chain(record: PathEnsembleRecord, f=None, atol: float = 1e-9) -> dict:
+def prop21_chain(record: PathEnsembleRecord, f) -> dict:
     """Oscillation bound |P_t f(x) - P_t f(y)| <= osc(f) P(tau_n > t) + noise.
 
     The Monte Carlo allowance is 4 combined standard errors, combining the
-    paired estimator SE and the survival SE scaled by osc(f).  ``atol``
-    absorbs the sub-statistical residual of coupled-but-not-yet-glued paths
-    once every path has crossed 1/n (at finite n the exact bound carries an
-    extra Lipschitz tail of order e^(K't)/n; the floor is far below it).
+    paired estimator SE and the survival SE scaled by osc(f).  A floor of
+    1e-9 absorbs the sub-statistical residual of coupled-but-not-yet-glued
+    paths once every path has crossed 1/n (at finite n the exact bound
+    carries an extra Lipschitz tail of order e^(K't)/n; the floor is far
+    below it).
     """
-    if f is None:
-        raise ValueError("pass the test functional")
     sg = semigroup_difference(record, f)
     times, surv, surv_se = survival_curve(record)
     osc = getattr(f, "osc", 2.0)
     lhs = np.abs(sg["estimate"])
     comb = np.sqrt(sg["std_err"] ** 2 + (osc * surv_se) ** 2)
-    rhs = osc * surv + 4.0 * comb + atol
+    rhs = osc * surv + 4.0 * comb + 1e-9
     # once every path has crossed 1/n the oscillation term is identically
     # zero and only the finite-n Lipschitz tail remains, which the bound
     # formula does not carry; those checkpoints are reported but not gated
@@ -388,60 +332,72 @@ def prop21_chain(record: PathEnsembleRecord, f=None, atol: float = 1e-9) -> dict
              "survival": float(s), "gated": bool(s > 0.0),
              "ok": bool(a <= b)}
             for t, a, b, s in zip(times, lhs, rhs, surv)]
-    return {"rows": rows,
-            "ok": all(r["ok"] for r in rows if r["gated"])}
+    return {"rows": rows, "ok": all(r["ok"] for r in rows if r["gated"])}
 
 
-def ou_oracle(space: SpectralSpace, x0: np.ndarray, t: float):
-    """Exact per-mode mean and variance of the linear (r = 1, B = 0) flow.
+def ou_oracle(space: SpectralSpace, model: ModelSpec, x0: np.ndarray,
+              t: float):
+    """Exact per-mode mean and variance of a linear flow with B = 0.
 
     Returned in H-orthonormal coordinates: mode i evolves as the scalar OU
-    process with decay rate lambda_i and noise amplitude q_i, so the mean is
-    e^(-lambda_i t) c_i(0) and the variance q_i^2 (1 - e^(-2 lambda_i t)) /
-    (2 lambda_i).
+    process with decay rate kappa_i and noise amplitude q_i, so the mean is
+    e^(-kappa_i t) c_i(0) and the variance q_i^2 (1 - e^(-2 kappa_i t)) /
+    (2 kappa_i).  Porous r = 1 has kappa_i = psi_scale lambda_i - phi_slope,
+    and p = 2 on a gamma = 1 space has kappa_i = lambda_i.  Raises
+    ValueError for any other model, whose law is not OU, and when some
+    kappa_i <= 0.
     """
+    fam = model.family
+    if model.has_diffusion:
+        raise ValueError("the OU oracle needs B = 0")
+    if fam.kind == "porous" and fam.r == 1.0:
+        kappa = fam.psi_scale * space.lambdas - fam.phi_slope
+    elif fam.kind == "plaplace" and fam.p == 2.0 and space.gamma == 1.0:
+        kappa = space.lambdas
+    else:
+        raise ValueError("the OU oracle needs porous r = 1, "
+                         "or p = 2 on a gamma = 1 space")
+    if np.any(kappa <= 0.0):
+        raise ValueError("the OU oracle needs psi_scale * lambda_i > "
+                         "phi_slope in every mode")
     c0 = h_mode_coeffs(space, np.asarray(x0, dtype=float))
-    lam = space.lambdas
-    mean = np.exp(-lam * t) * c0
-    var = space.q_coeffs ** 2 * -np.expm1(-2.0 * lam * t) / (2.0 * lam)
+    mean = np.exp(-kappa * t) * c0
+    var = space.q_coeffs ** 2 * -np.expm1(-2.0 * kappa * t) / (2.0 * kappa)
     return mean, var
 
 
 def marginal_ou_check(record: PathEnsembleRecord, space: SpectralSpace,
-                      x0: np.ndarray, y0: np.ndarray, t: float,
-                      mode: int = 0) -> dict:
+                      model: ModelSpec, x0: np.ndarray, y0: np.ndarray,
+                      t: float) -> dict:
     """Compare coupled-marginal mode statistics against the OU oracle.
 
-    Checks mean and variance of the chosen H-mode of both marginals at
-    checkpoint time t, each within 3 standard errors.
+    Checks mean and variance of the first H-mode of both marginals at
+    checkpoint time t, each within 3 standard errors.  Raises ValueError
+    when ``ou_oracle`` does not apply to the model.
     """
-    j = int(np.argmin(np.abs(record.checkpoint_times - t)))
-    if abs(record.checkpoint_times[j] - t) > 1e-9:
-        raise ValueError("t is not a recorded checkpoint")
+    j = checkpoint_index(record.checkpoint_times, t)
     live = record.live
     m = int(np.sum(live))
-    out = {"t": float(t), "mode": mode, "n_paths": m, "sides": {}}
-    ok = True
+    out = {"t": float(t), "mode": 0, "n_paths": m, "sides": {}}
     for name, coeffs, start in (("x", record.x_coeffs, x0),
                                 ("y", record.y_coeffs, y0)):
         if coeffs is None:
             continue
-        mean_th, var_th = ou_oracle(space, start, t)
-        c = h_mode_coeffs(space, coeffs[live, j])[:, mode]
-        mean_e = float(np.mean(c))
+        mean_th, var_th = ou_oracle(space, model, start, t)
+        c = h_mode_coeffs(space, coeffs[live, j])[:, 0]
+        mean_e, se_mean = floats(mean_se(c))
         var_e = float(np.var(c, ddof=1))
-        se_mean = float(np.std(c, ddof=1) / np.sqrt(m))
         se_var = float(var_e * np.sqrt(2.0 / (m - 1)))
-        ok_mean = abs(mean_e - mean_th[mode]) <= 3.0 * se_mean
-        ok_var = abs(var_e - var_th[mode]) <= 3.0 * se_var
-        ok = ok and ok_mean and ok_var
         out["sides"][name] = {
-            "mean": mean_e, "mean_oracle": float(mean_th[mode]),
-            "se_mean": se_mean, "ok_mean": bool(ok_mean),
-            "var": var_e, "var_oracle": float(var_th[mode]),
-            "se_var": se_var, "ok_var": bool(ok_var),
+            "mean": mean_e, "mean_oracle": float(mean_th[0]),
+            "se_mean": se_mean,
+            "ok_mean": bool(abs(mean_e - mean_th[0]) <= 3.0 * se_mean),
+            "var": var_e, "var_oracle": float(var_th[0]),
+            "se_var": se_var,
+            "ok_var": bool(abs(var_e - var_th[0]) <= 3.0 * se_var),
         }
-    out["ok"] = bool(ok)
+    out["ok"] = all(v["ok_mean"] and v["ok_var"]
+                    for v in out["sides"].values())
     return out
 
 
@@ -466,10 +422,7 @@ def holder_ratio_scan(space: SpectralSpace, model: ModelSpec,
     if nd == 0.0:
         raise ValueError("direction must be nonzero")
     direction = direction / nd
-    cps = np.asarray(config.checkpoint_times)
-    j = int(np.argmin(np.abs(cps - t)))
-    if abs(cps[j] - t) > 1e-9:
-        raise ValueError("t must be a checkpoint time")
+    j = checkpoint_index(config.checkpoint_times, t)
     base = run_paths(space, model, None, config, "single", x0=x,
                      threads=threads)
     fb = f(base.x_coeffs[base.live, j])
@@ -478,10 +431,8 @@ def holder_ratio_scan(space: SpectralSpace, model: ModelSpec,
         shifted = run_paths(space, model, None, config, "single",
                             x0=np.asarray(x) + eps * direction, threads=threads)
         live = base.live & shifted.live
-        d = f(base.x_coeffs[live, j]) - f(shifted.x_coeffs[live, j])
-        m = d.size
-        est = float(np.mean(d))
-        se = float(np.std(d, ddof=1) / np.sqrt(m))
+        est, se = floats(mean_se(
+            f(base.x_coeffs[live, j]) - f(shifted.x_coeffs[live, j])))
         row = {"eps": float(eps), "estimate": est, "std_err": se,
                "inconclusive": bool(est == 0.0 or abs(est) < 3.0 * se)}
         if coupling_params is not None:

@@ -202,7 +202,6 @@ class SimConfig:
     master_seed: int
     checkpoint_times: tuple = ()
     scheme: str = "semi_implicit"
-    n_modes: int | None = None      # optional cross-check against the space
 
     def __post_init__(self):
         if not 0.0 < self.dt <= self.horizon:
@@ -644,8 +643,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         params, y0 = _GLUED, x0
     elif params is None or y0 is None:
         raise ValueError("coupled runs need coupling params and y0")
-    if config.n_modes is not None and config.n_modes != space.n_modes:
-        raise ValueError("config.n_modes disagrees with the space")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (space.n_modes,):
         raise ValueError("x0 must be a single coefficient vector")

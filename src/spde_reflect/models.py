@@ -259,13 +259,14 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
 
 
 def drift(space: SpectralSpace, model: ModelSpec, t: float,
-          v: np.ndarray, *, check: bool = True) -> np.ndarray:
-    """Galerkin projection of A(t, v); batches over leading axes of v."""
+          v: np.ndarray) -> np.ndarray:
+    """Galerkin projection of A(t, v); batches over leading axes of v.
+
+    Raises DriftOverflowError on a non-finite coefficient.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         out, _ = drift_and_split_rate(space, model, t, v)
-    if check:
-        _check_finite(out)
-    return out
+    return _check_finite(out)
 
 
 def pairing_drift_diff(space: SpectralSpace, model: ModelSpec, t: float,

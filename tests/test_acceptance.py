@@ -148,7 +148,7 @@ def test_criterion_03_reflection_drift_and_qv_bounds():
 
 def test_criterion_04_ou_oracle_marginals(linear_record):
     sp, model, cfg, x0, rec = linear_record
-    res = marginal_ou_check(rec, sp, x0, -x0, 0.1)
+    res = marginal_ou_check(rec, sp, model, x0, -x0, 0.1)
     exact = (1.0 - np.exp(-2.0 * np.pi ** 2 * 0.1)) / (2.0 * np.pi ** 2)
     assert res["sides"]["x"]["var_oracle"] == pytest.approx(exact, rel=1e-12)
     assert exact == pytest.approx(0.043624, abs=1e-6)

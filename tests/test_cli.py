@@ -18,6 +18,8 @@ family = porous
 r = 2.0
 """
 
+LINEAR = MINIMAL.replace("r = 2.0", "r = 1.0")
+
 SMALL_RUN = """
 [space]
 n_modes = 8
@@ -161,6 +163,16 @@ _BAD_CONFIGS = {
                     "sim.x0 has more entries than space.n_modes"),
     "y0_too_long": (MINIMAL + "[space]\nn_modes = 2\n[sim]\ny0 = 1, 2, 3\n",
                     "sim.y0 has more entries than space.n_modes"),
+    # the OU oracle holds only for a linear drift with B = 0
+    "marginal_ou_nonlinear": (MINIMAL + "[experiments]\nwhich = marginal_ou\n",
+                              "experiments: the OU oracle needs porous r = 1"),
+    "marginal_ou_diffusion": (
+        LINEAR + "b_spec = lipschitz_diagonal\nc0 = 1\n"
+        "[experiments]\nwhich = marginal_ou\n",
+        "experiments: the OU oracle needs B = 0"),
+    "marginal_ou_growth": (
+        LINEAR + "phi_slope = 20\n[experiments]\nwhich = marginal_ou\n",
+        "experiments: the OU oracle needs psi_scale * lambda_i > phi_slope"),
 }
 
 
@@ -306,9 +318,30 @@ def test_main_check_conditions(tmp_path, capsys):
 
 
 def test_main_oracle(tmp_path, capsys):
-    path = _write(tmp_path, SMALL_RUN)
-    assert main(["oracle", "--config", path]) == 0
+    assert main(["oracle", "--config", _write(tmp_path, LINEAR)]) == 0
     assert "mode1" in capsys.readouterr().out
+    # a nonlinear model has no OU law to print
+    assert main(["oracle", "--config", _write(tmp_path, SMALL_RUN)]) == 2
+    assert "config error: oracle: the OU oracle" in capsys.readouterr().err
+
+
+def test_marginal_ou_uses_the_linear_rate(tmp_path):
+    # porous r = 1 decays mode i at psi_scale lambda_i - phi_slope, not at
+    # lambda_i; the gate must pass a correct run of such a model
+    text = (Path(__file__).resolve().parents[1] / "configs"
+            / "linear_ou.cfg").read_text()
+    text = (text.replace("r = 1.0\n", "r = 1.0\npsi_scale = 2\nphi_slope = 2\n")
+            .replace("n_paths = 10000", "n_paths = 2000")
+            .replace("dt = 1e-4", "dt = 5e-4"))
+    cfg = parse_config(text)
+    assert run(cfg, out_dir=tmp_path, threads=2) == 0
+    res = json.loads((tmp_path / config_hash(cfg) / "summary.json")
+                     .read_text())["results"]["marginal_ou"]
+    c0 = 1.2566370614359172 / np.pi       # H coordinate of x0's first mode
+    kappa = 2.0 * np.pi ** 2 - 2.0
+    assert res["sides"]["x"]["mean_oracle"] == pytest.approx(
+        np.exp(-kappa * 0.1) * c0, rel=1e-12)
+    assert res["ok"]
 
 
 def test_main_couple_and_fit_rate(tmp_path, capsys):

@@ -170,24 +170,44 @@ def test_contraction_fit_degenerate(plap_space, plap_p2):
         contraction_fit(rec)
 
 
-def test_ou_oracle_values(porous_space):
+def test_ou_oracle_values(porous_space, porous_linear):
     x0 = e_k(16, 1, 2.0)
-    mean0, var0 = ou_oracle(porous_space, x0, 0.0)
+    mean0, var0 = ou_oracle(porous_space, porous_linear, x0, 0.0)
     assert var0[0] == 0.0
     assert mean0[0] == pytest.approx(2.0 / np.pi)   # H coordinate
-    mean, var = ou_oracle(porous_space, x0, 0.1)
+    mean, var = ou_oracle(porous_space, porous_linear, x0, 0.1)
     exact = (1.0 - np.exp(-2.0 * np.pi ** 2 * 0.1)) / (2.0 * np.pi ** 2)
     assert var[0] == pytest.approx(exact, rel=1e-12)
     assert var[0] == pytest.approx(0.043624, abs=1e-6)
-    _, var_inf = ou_oracle(porous_space, x0, 50.0)
+    _, var_inf = ou_oracle(porous_space, porous_linear, x0, 50.0)
     np.testing.assert_allclose(
         var_inf, porous_space.q_coeffs ** 2 / (2.0 * porous_space.lambdas),
         rtol=1e-12)
 
 
-def test_marginal_ou_check(small_coupled, porous_space):
+def test_ou_oracle_rates(porous_space, plap_space, plap_p2, porous_r2):
+    x0 = e_k(16, 1, 1.0)
+    lam = porous_space.lambdas
+    shifted = ModelSpec(Porous(r=1.0, psi_scale=2.0, phi_slope=3.0))
+    mean, _ = ou_oracle(porous_space, shifted, x0, 0.1)
+    assert mean[0] == pytest.approx(np.exp(-(2.0 * lam[0] - 3.0) * 0.1) / np.pi,
+                                    rel=1e-12)
+    _, var = ou_oracle(plap_space, plap_p2, x0, 0.1)
+    np.testing.assert_allclose(
+        var, plap_space.q_coeffs ** 2 * -np.expm1(-0.2 * lam) / (2.0 * lam),
+        rtol=1e-12)
+    # no OU law: a nonlinear drift, a growing mode, a diffusion coefficient
+    for model in (porous_r2, ModelSpec(Porous(r=1.0, phi_slope=20.0)),
+                  ModelSpec(Porous(r=1.0),
+                            b_spec=LipschitzDiagonal(1.0, unit_base(16)))):
+        with pytest.raises(ValueError, match="OU oracle"):
+            ou_oracle(porous_space, model, x0, 0.1)
+
+
+def test_marginal_ou_check(small_coupled, porous_space, porous_linear):
     x0 = e_k(16, 1, 0.45 * np.pi)
-    res = marginal_ou_check(small_coupled, porous_space, x0, -x0, 0.3)
+    res = marginal_ou_check(small_coupled, porous_space, porous_linear,
+                            x0, -x0, 0.3)
     assert res["ok"]
     assert res["sides"]["x"]["ok_var"] and res["sides"]["y"]["ok_var"]
 
