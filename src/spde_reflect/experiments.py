@@ -48,7 +48,7 @@ def mean_se(vals):
 def frequency(hits):
     """Frequency of the events over the last axis and its binomial SE."""
     p = np.mean(hits, axis=-1)
-    return p, np.sqrt(p * (1.0 - p) / np.shape(hits)[-1])
+    return p, np.sqrt(p * (1.0 - p) / hits.shape[-1])
 
 
 def floats(values) -> list:
@@ -425,7 +425,6 @@ def holder_ratio_scan(space: SpectralSpace, model: ModelSpec,
     j = checkpoint_index(config.checkpoint_times, t)
     base = run_paths(space, model, None, config, "single", x0=x,
                      threads=threads)
-    fb = f(base.x_coeffs[base.live, j])
     rows = []
     for eps in epsilons:
         shifted = run_paths(space, model, None, config, "single",
