@@ -12,15 +12,15 @@ results land in ``<out>/<config_hash>/`` as
                         byte-stable for a fixed (config, seed),
 * one ``<name>.csv`` per series (grid, estimate, std_err; 17 significant
   digits),
-* ``manifest.json``  -- config echo, seed, library versions, wall time
-                        (the only non-reproducible field, kept out of the
-                        summary),
+* ``manifest.json``  -- config echo, seed, library versions, and wall
+                        time, workers, CPU and peak RSS (not reproducible,
+                        so kept out of the summary),
 * ``failures.json``  -- machine-readable report when a gated check fails
                         (the process exits nonzero).
 
-Worker threads come from ``--threads`` or the SPDE_REFLECT_THREADS
-environment variable; outputs are independent of the thread count by
-construction.
+Workers, forked processes that write into shared pages (without ``os.fork``
+the batches run in turn), come from ``--threads`` or SPDE_REFLECT_THREADS;
+outputs are independent of the worker count by construction.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+try:
+    import resource
+except ImportError:              # missing on Windows
+    resource = None
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .models import (
     unit_base,
 )
 from .coupling import CouplingParams
-from .integrator import SimConfig, default_threads, run_paths
+from .integrator import SimConfig, default_threads, path_batches, run_paths
 from . import experiments as xp
 from . import inequalities as iq
 
@@ -572,6 +576,14 @@ def _dump_paths_csv(path: Path, rec) -> None:
                 fh.write(",".join(row) + "\n")
 
 
+# [CPU s, peak RSS MiB] of this process and of its reaped children (the
+# forked path workers; the RSS is the largest child's)
+def _usage() -> list:
+    return [(ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0)
+            for ru in map(resource.getrusage,
+                          (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))]
+
+
 def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         threads: int | None = None) -> int:
     """Execute the configured experiments and persist results.
@@ -580,6 +592,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     failed (a machine-readable report is written next to the summary).
     """
     t_start = time.time()
+    usage_start = _usage() if resource else None
     if seed is not None:
         sim_vals = dict(cfg.values["sim"])
         sim_vals["master_seed"] = int(seed)
@@ -626,7 +639,14 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
             "numpy": np.__version__,
         },
         "wall_time_s": time.time() - t_start,
+        "workers": (len(path_batches(build_sim(cfg).n_paths, threads))
+                    if cfg["experiments"]["which"] else 0),
     }
+    if resource:
+        (cpu, rss), (w_cpu, w_rss) = _usage()
+        manifest["cpu_s"] = {"self": cpu - usage_start[0][0],
+                             "workers": w_cpu - usage_start[1][0]}
+        manifest["peak_rss_mb"] = {"self": rss, "largest_worker": w_rss}
     (dest / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2, default=repr) + "\n",
         encoding="utf-8")
@@ -755,7 +775,7 @@ def main(argv=None) -> int:
                        help="override sim.master_seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: env or usable CPUs)")
+                       help="forked path workers (default: env or CPUs)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

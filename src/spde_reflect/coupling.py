@@ -186,15 +186,16 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     an optional pair of contiguous arrays shaped like x that receive
     (dx, dy).  ``scratch``, a contiguous float array of at least 4 N values
     per row of x, holds the rows inside the band while they are worked on
-    (a fresh array when None), and then channel 1 and the B term.
+    (a fresh array when None), and then channel 1 and the B term.  ``y``
+    None (every pair glued) forms dx only, without channel 3.
     """
     from .models import b_diag
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     root_w = space.root_h_weights
     q = space.q_coeffs
     dx, dy = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
-    if dW3 is None:
+    y = None if y is None else np.asarray(y, dtype=float)
+    if dW3 is None or y is None:
         s = np.zeros(x.shape[:-1])       # no band: h = 0 on every row
     else:
         s = params.n * np.asarray(h_norm(space, x - y) if dist is None else dist)
@@ -204,7 +205,8 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         # Where h = 0, q * 1.0 * z2 + (q * 0.0) * z3 is q * z2 to the bit
         # unless q * z2 is -0.0.
         np.multiply(q, np.divide(dW2, root_w, out=dx), out=dx)
-        np.copyto(dy, dx)
+        if y is not None:
+            np.copyto(dy, dx)
     if band.size:
         _band_increments(space, params, x, y, dW2, dW3, s, band, dx, dy,
                          scratch)
@@ -215,7 +217,8 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         z1, bz = scratch.reshape(-1)[:2 * x.size].reshape((2,) + x.shape)
         np.divide(dW1, root_w, out=z1)
         dx += np.multiply(b_diag(space, model, t, x, out=bz), z1, out=bz)
-        dy += np.multiply(b_diag(space, model, t, y, out=bz), z1, out=bz)
+        if y is not None:
+            dy += np.multiply(b_diag(space, model, t, y, out=bz), z1, out=bz)
     return dx, dy
 
 

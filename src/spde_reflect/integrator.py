@@ -14,7 +14,7 @@ elsewhere the cutoff h is 0, the channel is multiplied by zero, and its
 rows are left at zero instead of being drawn.  Values that are drawn are
 unchanged, because a skipped block perturbs no other key.  The decision is
 made per 256-path block and worker batches are block-aligned, so output
-bytes stay independent of the thread count.  The diffusion channel
+bytes stay independent of the worker count.  The diffusion channel
 (channel 0) is drawn only when the model has a nonzero B.
 
 Schemes
@@ -58,7 +58,7 @@ drift, which is idle until the drift is evaluated.  A linear family
 a single (N,) row that broadcasts over the paths; with an exact split
 there is no drift, and x's drift buffer holds the zero residual.  At the
 end of the step the glued rows are copied to y by index (when every row is
-glued, y's drift and update are skipped) and the distance |x - y|_H is
+glued, y is copied from x and |x|_H checked) and the distance |x - y|_H is
 computed once, in the used-up increment buffers.  It doubles as the finite
 check: a non-finite coefficient makes it non-finite, so only the rows with
 a non-finite distance are searched for a first bad mode.  ``run_paths``
@@ -69,13 +69,16 @@ builds a fresh one and runs the same code.  The states a step returns are
 fresh arrays and alias no buffer.  Output bytes are those of a step that
 allocates its temporaries: each value comes from the same operations in
 the same order, and the grid transforms keep their 256-row matmul chunks.
+The batches after the first run in forked worker processes that write into
+shared pages; without ``os.fork`` the batches run one after another.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -89,7 +92,7 @@ __all__ = [
     "BLOCK_ROWS", "SimConfig", "CouplingState", "PathEnsembleRecord",
     "StepOverflow", "StepBuffers", "noise_block", "gen_noise", "philox_generator",
     "step_single", "step_coupled", "make_coupling_state", "run_paths",
-    "default_threads",
+    "path_batches", "default_threads",
 ]
 
 BLOCK_ROWS = 256              # fixed global noise-block height (determinism contract)
@@ -320,9 +323,9 @@ def make_coupling_state(space: SpectralSpace, params: CouplingParams,
 class StepBuffers:
     """Arrays one coupled step of ``rows`` paths writes its intermediates into.
 
-    Create one set per worker and pass it to every step of that worker's
-    rows (``step_coupled(..., work=)``); a set must not be shared between
-    threads.
+    Create one set per worker batch and pass it to every step of that
+    batch's rows (``step_coupled(..., work=)``); a set must not be shared
+    between threads.
     """
 
     def __init__(self, space: SpectralSpace, rows: int):
@@ -528,8 +531,9 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     both = not state.coupled.all()
     with np.errstate(invalid="ignore", over="ignore"):
         dx_noise, dy_noise = coupled_diffusion_increments(
-            space, model, params, state.x, state.y, t, dw1, dw2, dw3,
-            dist=state.dist, out=work.increments, scratch=work.band)
+            space, model, params, state.x, state.y if both else None, t,
+            dw1, dw2, dw3, dist=state.dist, out=work.increments,
+            scratch=work.band)
         if _exact_split(model, config):
             # no drift to evaluate; its buffer holds the zero residual
             dr_x = dr_y = None
@@ -544,21 +548,25 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
         factors = _scheme_factors(space, config, mu, work.factors)
         new_x = _step_core(space, config.dt, state.x, dr_x, mu, dx_noise,
                            factors, work.drift_x.drift)
-        new_y = (_step_core(space, config.dt, state.y, dr_y, mu, dy_noise,
-                            factors, work.drift_x.drift) if both
-                 else np.empty_like(new_x))
         # the increments are used up, so their buffers serve as scratch
         diff, terms = work.increments
-        glued = np.flatnonzero(state.coupled)
-        new_y[glued] = np.take(new_x, glued, axis=0, out=diff[:glued.size],
-                               mode="clip")
-        dist = h_norm(space, np.subtract(new_x, new_y, out=diff), terms)
-    # a non-finite coefficient makes the distance non-finite, so only those
-    # rows are searched (a finite row whose distance overflows passes);
-    # newly broken paths are frozen at NaN, and so is their distance,
-    # instead of aborting the batch; failed paths keep their mode
+        if both:
+            new_y = _step_core(space, config.dt, state.y, dr_y, mu, dy_noise,
+                               factors, work.drift_x.drift)
+            glued = np.flatnonzero(state.coupled)
+            new_y[glued] = np.take(new_x, glued, axis=0,
+                                   out=diff[:glued.size], mode="clip")
+            diff = np.subtract(new_x, new_y, out=diff)
+        else:
+            new_y = new_x.copy()
+        norm = h_norm(space, diff if both else new_x, terms)
+        dist = norm if both else np.zeros(state.n_paths)
+    # a non-finite coefficient makes the norm non-finite, so only those rows
+    # are searched (a finite row whose norm overflows passes); newly broken
+    # paths are frozen at NaN, and so is their distance, instead of
+    # aborting the batch; failed paths keep their mode
     fail_mode = state.fail_mode.copy()
-    suspect = np.flatnonzero(~np.isfinite(dist) & ~state.failed)
+    suspect = np.flatnonzero(~np.isfinite(norm) & ~state.failed)
     if suspect.size:
         bad = ~(np.isfinite(new_x[suspect]) & np.isfinite(new_y[suspect]))
         fail_mode[suspect] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1), -1)
@@ -622,6 +630,62 @@ def default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def path_batches(n_paths: int, threads: int | None = None) -> list:
+    """run_paths's block-aligned (lo, hi) path batches, one per worker."""
+    # block-aligned, so the noise streams do not depend on the batching
+    n_workers = threads if threads is not None else default_threads()
+    n_blocks = (n_paths + BLOCK_ROWS - 1) // BLOCK_ROWS
+    per = -(-n_blocks // max(1, min(n_workers, n_blocks)))
+    return [(b0 * BLOCK_ROWS, min((b0 + per) * BLOCK_ROWS, n_paths))
+            for b0 in range(0, n_blocks, per)]
+
+
+# an array in anonymous MAP_SHARED pages, which forked workers write into
+def _shared(shape, dtype=float) -> np.ndarray:
+    n = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, n * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, n).reshape(shape)
+
+
+def _run_batches(run_rows, bounds) -> None:
+    # run_rows(lo, hi) for every batch, each batch after the first in a
+    # forked child.  A child that raises sends its traceback through a pipe
+    # and exits with status 1.  Python >= 3.12 may warn when a process with
+    # BLAS threads forks (not verified: the package is tested on 3.11).
+    children = []                    # [pid, read end of its traceback pipe]
+    try:
+        for lo, hi in bounds[1:] if hasattr(os, "fork") else ():
+            r, w = os.pipe()
+            children.append([None, r])
+            try:
+                pid = children[-1][0] = os.fork()
+                if pid == 0:
+                    try:
+                        run_rows(lo, hi)
+                        os._exit(0)
+                    except BaseException:
+                        os.write(w, traceback.format_exc().encode())
+                    finally:
+                        os._exit(1)
+            finally:
+                # a later child must not hold this write end, or the pipe
+                # would not reach end-of-file when this child exits
+                os.close(w)
+        # without os.fork no child was started, and every batch runs here
+        for lo, hi in bounds[:1] if children else bounds:
+            run_rows(lo, hi)
+    finally:
+        # every child is reaped, and this batch's exception takes precedence
+        errors = []
+        for pid, r in children:
+            with os.fdopen(r) as fh:
+                msg = fh.read()
+            if pid is not None and os.waitpid(pid, 0)[1]:
+                errors.append(msg or f"worker {pid} ended without a traceback")
+    if errors:
+        raise RuntimeError("path worker failed:\n" + "\n".join(errors))
+
+
 def run_paths(space: SpectralSpace, model: ModelSpec,
               params: CouplingParams | None, config: SimConfig,
               which: str = "coupled", *, x0: np.ndarray, y0: np.ndarray = None,
@@ -634,7 +698,7 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     ``y0`` are initial coefficient vectors shared by every path.  A single
     run steps the pair glued at x0 synchronously and records only x.
     Output is a deterministic function of (config, space, model, params)
-    regardless of the thread count.
+    regardless of the worker count.
     """
     if which not in ("single", "coupled", "synchronous"):
         raise ValueError("which must be single, coupled or synchronous")
@@ -656,19 +720,25 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     nm = space.n_modes
     times = np.array([k * config.dt for k in cps])
 
-    x_out = np.empty((n_paths, n_cp, nm))
-    y_out = np.empty((n_paths, n_cp, nm)) if pair else None
-    h_out = np.empty((n_paths, n_cp)) if pair else None
-    q_out = np.empty((n_paths, n_cp)) if pair else None
-    va_x = np.empty((n_paths, n_cp)) if record_v_norms else None
-    va_y = np.empty((n_paths, n_cp)) if (record_v_norms and pair) else None
+    x_out = _shared((n_paths, n_cp, nm))
+    y_out = _shared((n_paths, n_cp, nm)) if pair else None
+    h_out = _shared((n_paths, n_cp)) if pair else None
+    q_out = _shared((n_paths, n_cp)) if pair else None
+    va_x = _shared((n_paths, n_cp)) if record_v_norms else None
+    va_y = _shared((n_paths, n_cp)) if (record_v_norms and pair) else None
+    # each path's final CouplingState records, and the time it failed at
+    final = {"fail_mode": _shared(n_paths, int)}
+    if pair:
+        final.update(tau_n=_shared(n_paths), dist_at_tau_n=_shared(n_paths),
+                     t_n=_shared(n_paths), coupled=_shared(n_paths, bool),
+                     tau_delta=_shared((n_paths, len(delta_grid))))
+    fail_time = _shared(n_paths)
 
     r_exp = 1.0 + model.family.r
     cp_index = {k: i for i, k in enumerate(cps)}
 
     def run_rows(lo: int, hi: int):
         rows = hi - lo
-        local_fail: list = []
         st = make_coupling_state(space, params, np.tile(x0, (rows, 1)),
                                  np.tile(np.asarray(y0, dtype=float), (rows, 1)),
                                  delta_grid=delta_grid)
@@ -706,45 +776,23 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
             prev_failed = st.failed
             st = step_coupled(space, model, params, config, st, path_lo=lo,
                               synchronous=(which != "coupled"), work=work)
-            for p_idx in np.flatnonzero(st.failed & ~prev_failed):
-                local_fail.append((lo + int(p_idx), st.time,
-                                   int(st.fail_mode[p_idx])))
-        return st, local_fail
+            fail_time[lo:hi][st.failed & ~prev_failed] = st.time
+        for name, out in final.items():
+            out[lo:hi] = getattr(st, name)
 
-    # one contiguous batch per worker; batch boundaries are block-aligned so
-    # the noise stream content is independent of the batching
-    n_workers = threads if threads is not None else default_threads()
-    n_blocks = (n_paths + BLOCK_ROWS - 1) // BLOCK_ROWS
-    n_batches = max(1, min(n_workers, n_blocks))
-    per = (n_blocks + n_batches - 1) // n_batches
-    bounds = []
-    for b0 in range(0, n_blocks, per):
-        lo = b0 * BLOCK_ROWS
-        hi = min((b0 + per) * BLOCK_ROWS, n_paths)
-        bounds.append((lo, hi))
-    if len(bounds) == 1:
-        done = [run_rows(*bounds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            done = list(pool.map(lambda b: run_rows(*b), bounds))
-
-    def joined(name):
-        return np.concatenate([getattr(st, name) for st, _ in done])
-
-    def pair_only(name):
-        return joined(name) if pair else None
-
+    _run_batches(run_rows, path_batches(n_paths, threads))
+    failed = final["fail_mode"] >= 0
     return PathEnsembleRecord(
         checkpoint_times=times,
         x_coeffs=x_out, y_coeffs=y_out,
         h_dist=h_out, q_dist=q_out,
         v_accum_x=va_x, v_accum_y=va_y,
-        tau_n=pair_only("tau_n"), dist_at_tau_n=pair_only("dist_at_tau_n"),
-        t_n=pair_only("t_n"), coupled=pair_only("coupled"),
+        tau_n=final.get("tau_n"), dist_at_tau_n=final.get("dist_at_tau_n"),
+        t_n=final.get("t_n"), coupled=final.get("coupled"),
         delta_grid=np.asarray(delta_grid, dtype=float),
-        tau_delta=pair_only("tau_delta"), failed=joined("failed"),
-        # one failure per path, so sorting the tuples sorts by path
-        failures=sorted(f for _, fl in done for f in fl),
+        tau_delta=final.get("tau_delta"), failed=failed,
+        failures=[(int(p), float(fail_time[p]), int(final["fail_mode"][p]))
+                  for p in np.flatnonzero(failed)],
         master_seed=config.master_seed, dt=config.dt,
         n=params.n if pair else None,
     )

@@ -261,6 +261,12 @@ def test_run_repeat_is_byte_identical(tmp_path):
         fa = (tmp_path / "a" / h / name).read_bytes()
         fb = (tmp_path / "b" / h / name).read_bytes()
         assert fa == fb, name
+    # the second batch ran in a forked worker, whose CPU shows only in the
+    # manifest's children usage
+    manifest = json.loads((tmp_path / "b" / h / "manifest.json").read_text())
+    assert manifest["workers"] == 2
+    assert manifest["cpu_s"]["workers"] > 0
+    assert manifest["peak_rss_mb"]["largest_worker"] > 0
 
 
 def test_run_negative_control_exits_nonzero(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -308,19 +309,72 @@ def test_run_paths_driver_transparency(porous_space, porous_linear):
     np.testing.assert_array_equal(rec.y_coeffs[0, 2], st.y[0])
 
 
-def test_run_paths_worker_count_deterministic(porous_space, porous_r2):
-    params = CouplingParams(n=5)
-    cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=3 * BLOCK_ROWS + 17,
-                    master_seed=12, checkpoint_times=(0.0, 0.05))
-    x0 = e_k(16, 1, 0.2 * np.pi)
-    y0 = -x0
-    rec1 = run_paths(porous_space, porous_r2, params, cfg, "coupled",
-                     x0=x0, y0=y0, threads=1)
-    rec4 = run_paths(porous_space, porous_r2, params, cfg, "coupled",
-                     x0=x0, y0=y0, threads=4)
-    np.testing.assert_array_equal(rec1.x_coeffs, rec4.x_coeffs)
-    np.testing.assert_array_equal(rec1.y_coeffs, rec4.y_coeffs)
-    np.testing.assert_array_equal(rec1.tau_n, rec4.tau_n)
+def test_run_paths_worker_count_deterministic(porous_space, monkeypatch):
+    # every record field travels from the workers through shared pages, so
+    # all of them are compared; the explicit scheme past its stability
+    # limit fails some paths, whose failure records (times included) are
+    # compared too.  Five noise blocks split 3/2 over two workers and
+    # 2/2/1 over three; without os.fork the three batches run in turn.
+    model = ModelSpec(Porous(r=2.0),
+                      b_spec=LipschitzDiagonal(0.8, unit_base(16)))
+    x0 = e_k(16, 1, 1.8)
+    d0 = float(h_norm(porous_space, 2 * x0))
+    for which, scheme in (("coupled", "explicit"), ("single", "explicit"),
+                          ("coupled", "semi_implicit")):
+        cfg = SimConfig(dt=2e-4, horizon=0.008, n_paths=4 * BLOCK_ROWS + 17,
+                        master_seed=12, checkpoint_times=(0.0, 0.004, 0.008),
+                        scheme=scheme)
+
+        def run(threads):
+            return run_paths(porous_space, model, CouplingParams(n=5), cfg,
+                             which, x0=x0, y0=-x0, delta_grid=(d0, 1.5 * d0),
+                             record_v_norms=True, threads=threads)
+
+        recs = [run(t) for t in (1, 2, 3)]
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork", raising=False)
+            recs.append(run(3))
+        assert (0 < len(recs[0].failures) < cfg.n_paths) == (scheme == "explicit")
+        for rec in recs[1:]:
+            for f in fields(rec):
+                a, b = getattr(recs[0], f.name), getattr(rec, f.name)
+                if isinstance(a, np.ndarray):
+                    np.testing.assert_array_equal(a, b, err_msg=f.name)
+                else:
+                    assert a == b, (which, scheme, f.name)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked workers")
+def test_run_paths_worker_failure_reaped(porous_space, porous_r2,
+                                         monkeypatch):
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=2 * BLOCK_ROWS,
+                    master_seed=3, checkpoint_times=(0.0, 0.01))
+    x0 = e_k(16, 1, 1.0)
+    step = integrator.step_coupled
+    fail_from = [BLOCK_ROWS]
+
+    def failing_step(*args, path_lo=0, **kw):
+        if path_lo >= fail_from[0]:
+            raise ValueError(f"step failed at path_lo {path_lo}")
+        return step(*args, path_lo=path_lo, **kw)
+
+    monkeypatch.setattr(integrator, "step_coupled", failing_step)
+
+    def run():
+        return run_paths(porous_space, porous_r2, CouplingParams(n=5), cfg,
+                         "coupled", x0=x0, y0=-x0, threads=2)
+
+    # the forked batch fails: its traceback comes back, no process is left
+    with pytest.raises(RuntimeError, match="step failed at path_lo 256"):
+        run()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # both batches fail: the calling process's own exception propagates
+    fail_from[0] = 0
+    with pytest.raises(ValueError, match="step failed at path_lo 0"):
+        run()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_paths_worker_count_deterministic_linear(porous_space,
