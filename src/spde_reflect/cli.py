@@ -774,8 +774,9 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override sim.master_seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="forked path workers (default: env or CPUs)")
+        if name in ("run", "couple", "fit-rate"):    # the ensemble commands
+            p.add_argument("--threads", type=int, default=None,
+                           help="forked path workers (default: env or CPUs)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -6,7 +6,10 @@ since the one-sided bounds are tightest near the diagonal), fit the free
 constant by minimizing/maximizing over the batch, then confirm zero
 violations at a safety-shaved constant on a fresh batch.  Fitting means
 optimizing over samples, never proving; reports always carry sample counts
-and the worst margin seen.
+and the worst margin seen.  The fresh batch is validated in slabs of
+``_SLAB`` samples, so the check's temporaries stay cache-sized; every check
+is elementwise (returning margins, their scale and an optional absolute
+tolerance floor), so the report is that of one whole-batch pass.
 
 Spectrum conditions for power-law data q_i = c i^-delta, lambda_i =
 (pi i)^(2 gamma) are decided exactly by the exponent of i in the
@@ -20,10 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import SpectralSpace, h_norm, q_norm, v_norm, to_grid, quad, grad_to_grid
-from .models import (
-    ModelSpec, pairing_drift_diff, b_hs_diff,
-    signed_power, beta_sup,
-)
+from .models import ModelSpec, pairing_drift_diff, b_hs_diff, beta_sup
 from .integrator import philox_generator
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+_SLAB = 32_768                       # samples per validation slab
 
 
 @dataclass
@@ -110,31 +111,38 @@ def lipschitz_K_bound(model: ModelSpec) -> float:
 
 
 def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
-                       constants, given=None, floor=None) -> ConditionReport:
+                       constants, given=None) -> ConditionReport:
     """The protocol every sampled checker shares.
 
     ``sample()`` draws a fresh batch of ``n_samples`` points and returns
-    the inequality's terms on it.  The free constant is ``given``, or else
-    ``fit(terms)`` on one batch.  ``check(terms, const)`` then returns the
-    margins and their scale on a fresh batch, and a margin below
-    ``-(_REL_TOL * scale + floor(terms))`` is a violation.
+    the inequality's terms on it, a tuple of arrays of that length.  The
+    free constant is ``given``, or else ``fit(terms)`` on one batch.
+    ``check(terms, const)`` then returns the margins, their scale and
+    optionally a ``floor`` on each ``_SLAB``-sample slab of a fresh batch;
+    a margin below ``-(_REL_TOL * scale + floor)`` is a violation.  The
+    slabs' violations are summed and ``worst_margin`` is the least slab
+    minimum, NaN if any margin is NaN.
     ``constants(const)`` names the constants the report carries.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     const = fit(sample()) if given is None else given
     terms = sample()
-    margins, scale = check(terms, const)
-    tol = _REL_TOL * scale
-    if floor is not None:
-        tol = tol + floor(terms)
-    bad = int(np.sum(margins < -tol))
+    bad, lows = 0, []
+    for lo in range(0, n_samples, _SLAB):
+        margins, scale, *floor = check(tuple(t[lo:lo + _SLAB] for t in terms),
+                                       const)
+        tol = _REL_TOL * scale
+        if floor:
+            tol = tol + floor[0]
+        bad += int(np.sum(margins < -tol))
+        lows.append(np.min(margins))
     return ConditionReport(
         condition_id=condition_id,
         sample_count=n_samples,
         violation_count=bad,
         fitted_constants=constants(const),
-        worst_margin=float(np.min(margins)),
+        worst_margin=float(np.min(lows)),
         verdict="pass" if bad == 0 else "fail",
     )
 
@@ -400,21 +408,21 @@ def check_scalar_mean_value(r: float, n_samples: int = 1_000_000, *,
 
     def check(s, r):
         s1, s2 = s
-        lhs = (s1 - s2) * (signed_power(s1, r) - signed_power(s2, r))
-        mx = np.maximum(np.abs(s1), np.abs(s2))
+        d = s1 - s2
+        a1, a2 = np.abs(s1), np.abs(s2)
+        p1, p2 = a1 ** r, a2 ** r
+        # sign(s) |s|^r is signed_power's formula for r < 1
+        lhs = d * (np.sign(s1) * p1 - np.sign(s2) * p2)
+        mx = np.maximum(a1, a2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = np.where(mx > 0.0, r * (s1 - s2) ** 2 * mx ** (r - 1.0), 0.0)
-        return lhs - rhs, np.abs(lhs) + np.abs(rhs)
-
-    def cancellation(s):
+            rhs = np.where(mx > 0.0, r * d ** 2 * mx ** (r - 1.0), 0.0)
         # near-tie pairs subtract almost equal powers; allow for the
         # cancellation roundoff |s1-s2| * (|s1|^r + |s2|^r) * O(eps)
-        s1, s2 = s
-        return 1e-13 * (np.abs(s1 - s2) * (np.abs(s1) ** r + np.abs(s2) ** r))
+        return (lhs - rhs, np.abs(lhs) + np.abs(rhs),
+                1e-13 * (np.abs(d) * (p1 + p2)))
 
     return _fit_then_validate("scalar_mean_value", n_samples, sample, None,
-                              check, lambda r: {"r": r}, given=r,
-                              floor=cancellation)
+                              check, lambda r: {"r": r}, given=r)
 
 
 def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,

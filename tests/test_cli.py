@@ -323,6 +323,16 @@ def test_main_check_conditions(tmp_path, capsys):
     assert "a1prime" in out and "pass" in out
 
 
+@pytest.mark.parametrize("command", ["check-conditions", "oracle"])
+def test_threads_only_on_forking_commands(command, tmp_path, capsys):
+    # only run, couple and fit-rate fork path workers
+    path = _write(tmp_path, SMALL_RUN)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_main_oracle(tmp_path, capsys):
     assert main(["oracle", "--config", _write(tmp_path, LINEAR)]) == 0
     assert "mode1" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from spde_reflect.inequalities import (
     SpectrumParams, scan_supremand, sample_state_pairs, lipschitz_K_bound,
     fit_coercivity,
 )
+from spde_reflect import inequalities
 from spde_reflect.integrator import philox_generator
 from spde_reflect.models import signed_power
 
@@ -59,6 +60,40 @@ def test_mean_value_batch_of_wrong_length_rejected():
         check_scalar_mean_value(0.5, 999, batch=batch)
     with pytest.raises(ValueError, match="batch"):
         check_scalar_mean_value(0.5, 1000, batch=(batch[0], batch[1][:-1]))
+
+
+def _mean_value_whole_batch(r, s1, s2):
+    """Violations and worst margin by the formula in one whole-batch pass."""
+    lhs = (s1 - s2) * (signed_power(s1, r) - signed_power(s2, r))
+    mx = np.maximum(np.abs(s1), np.abs(s2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = np.where(mx > 0.0, r * (s1 - s2) ** 2 * mx ** (r - 1.0), 0.0)
+    floor = 1e-13 * (np.abs(s1 - s2) * (np.abs(s1) ** r + np.abs(s2) ** r))
+    tol = 1e-9 * (np.abs(lhs) + np.abs(rhs)) + floor
+    margins = lhs - rhs
+    return int(np.sum(margins < -tol)), float(np.min(margins))
+
+
+def _hand_made_mean_value_batch():
+    vals = np.array([1.0, -1.0, 2.5, -3.7, 1e-300, 123.456, -7e5, 1e6, -1e6])
+    zeros = np.zeros_like(vals)
+    s1 = np.concatenate([zeros, zeros, vals, vals, vals, vals, vals[::-1],
+                         np.full(9, 1e6), np.full(9, -1e6)])
+    s2 = np.concatenate([zeros, vals, zeros, vals, vals * (1.0 + 1e-9),
+                         np.clip(vals * 3e6, -1e6, 1e6), vals,
+                         vals, vals])
+    return s1, s2
+
+
+@pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
+def test_mean_value_matches_whole_batch_formula(r):
+    # the shared powers and the slabs give exactly the whole-batch verdict
+    batches = [mean_value_batch(100_003, seed) for seed in (1234, 7)]
+    batches.append(_hand_made_mean_value_batch())
+    for s1, s2 in batches:
+        rep = check_scalar_mean_value(r, s1.size, batch=(s1, s2))
+        assert (rep.violation_count, rep.worst_margin) == \
+            _mean_value_whole_batch(r, s1, s2)
 
 
 # --- (A1') -----------------------------------------------------------------
@@ -310,7 +345,7 @@ def test_lipschitz_K_bound_families():
 
 # --- frozen reports ---------------------------------------------------------
 
-def _frozen_cases():
+def _frozen_cases(n=2000, n_mv=20000):
     from spde_reflect.models import LipschitzDiagonal, unit_base
     ex41 = make_space(16, 2.0, weighted=True, q_amp=1.0, q_decay=0.75)
     ex63 = make_space(16, 1.0, weighted=True, q_amp=1.0, q_decay=0.6)
@@ -318,7 +353,7 @@ def _frozen_cases():
     lip = LipschitzDiagonal(c0=0.5, base=unit_base(16))
     por, por_b = ModelSpec(Porous(r=2.0)), ModelSpec(Porous(r=2.0), lip)
     fd, fd_b = ModelSpec(FastDiff(r=0.5)), ModelSpec(FastDiff(r=0.5), lip)
-    n, s = 2000, 5
+    s = 5
     return {
         "interp_plaplace": lambda: check_interpolation_Q(
             plap, 2.5, p=2.0, variant="plaplace", n_samples=n, seed=s),
@@ -347,7 +382,7 @@ def _frozen_cases():
             plap, ModelSpec(PLaplace(p=3.0), lip), n, seed=s),
         "coercivity_fastdiff_theta": lambda: fit_coercivity(
             ex63, fd, n, seed=s, theta=0.1),
-        "meanvalue": lambda: check_scalar_mean_value(0.5, 20000, seed=s),
+        "meanvalue": lambda: check_scalar_mean_value(0.5, n_mv, seed=s),
     }
 
 
@@ -413,6 +448,37 @@ def test_frozen_reports(name):
         np.testing.assert_allclose(rep["fitted_constants"][key], value,
                                    rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(rep["worst_margin"], worst, rtol=1e-12, atol=0.0)
+
+
+def test_slabs_give_the_whole_batch_report(monkeypatch):
+    # 2017 samples in slabs of 1000: two full slabs and a partial one
+    n = 2017
+    checks = _frozen_cases(n, n)
+    monkeypatch.setattr(inequalities, "_SLAB", n)
+    whole = {name: fn().as_dict() for name, fn in checks.items()}
+    monkeypatch.setattr(inequalities, "_SLAB", 1000)
+    for name, fn in checks.items():
+        assert fn().as_dict() == whole[name], name
+    # the failing cases have violations to sum over the slabs
+    assert whole["a1prime_given_fail"]["violation_count"] > 0
+    assert whole["interp_porous_fail"]["violation_count"] > 0
+
+
+def test_slabs_propagate_a_nan_margin(monkeypatch):
+    margins = np.linspace(-1.0, 1.0, 2017)
+    margins[1500] = np.nan                 # in the second of three slabs
+
+    def report():
+        return inequalities._fit_then_validate(
+            "nan", margins.size, lambda: (margins,), None,
+            lambda t, c: (t[0], np.ones_like(t[0])), lambda c: {}, given=0.0)
+
+    monkeypatch.setattr(inequalities, "_SLAB", 1000)
+    rep = report()
+    assert np.isnan(rep.worst_margin) and np.isnan(np.min(margins))
+    assert rep.violation_count == int(np.sum(margins < -1e-9))
+    monkeypatch.setattr(inequalities, "_SLAB", margins.size)
+    assert rep.violation_count == report().violation_count
 
 
 def _zero_sample_checks():
