@@ -353,6 +353,15 @@ def _initial_state(cfg: RunConfig, key: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # orchestration
 
+def _mean_value_reports(co) -> dict:
+    # the pairs do not depend on r: one batch serves every exponent; it is
+    # freed on return, before the next checker draws its states
+    batch = iq.mean_value_batch(co["mv_samples"], co["seed"])
+    return {f"meanvalue_r{rv:g}": iq.check_scalar_mean_value(
+        rv, co["mv_samples"], seed=co["seed"], batch=batch).as_dict()
+        for rv in co["mv_r"]}
+
+
 def _run_conditions(cfg: RunConfig, space, model) -> dict:
     co = cfg["conditions"]
     sp = cfg["space"]
@@ -361,12 +370,7 @@ def _run_conditions(cfg: RunConfig, space, model) -> dict:
     seed = co["seed"]
     out = {}
     if "meanvalue" in co["which"] and co["mv_r"]:
-        # the pairs do not depend on r: one batch serves every exponent
-        batch = iq.mean_value_batch(co["mv_samples"], seed)
-        for rv in co["mv_r"]:
-            rep = iq.check_scalar_mean_value(rv, co["mv_samples"], seed=seed,
-                                             batch=batch)
-            out[f"meanvalue_r{rv:g}"] = rep.as_dict()
+        out.update(_mean_value_reports(co))
     if "a1prime" in co["which"]:
         rep = iq.check_A1prime(space, model, co["kappa"], co["samples"], seed=seed)
         out["a1prime"] = rep.as_dict()

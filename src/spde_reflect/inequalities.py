@@ -6,10 +6,11 @@ since the one-sided bounds are tightest near the diagonal), fit the free
 constant by minimizing/maximizing over the batch, then confirm zero
 violations at a safety-shaved constant on a fresh batch.  Fitting means
 optimizing over samples, never proving; reports always carry sample counts
-and the worst margin seen.  The fresh batch is validated in slabs of
-``_SLAB`` samples, so the check's temporaries stay cache-sized; every check
-is elementwise (returning margins, their scale and an optional absolute
-tolerance floor), so the report is that of one whole-batch pass.
+and the worst margin seen.  The terms are formed on slabs of ``_ROW_SLAB``
+drawn states (a multiple of ``spaces.ROW_CHUNK``, so grid products chunk
+as on the whole batch) and validated in slabs of ``_SLAB`` samples, each
+check being elementwise; memory then grows only with the drawn states, and
+the report is bit for bit that of one whole-batch pass.
 
 Spectrum conditions for power-law data q_i = c i^-delta, lambda_i =
 (pi i)^(2 gamma) are decided exactly by the exponent of i in the
@@ -39,6 +40,7 @@ __all__ = [
 
 _REL_TOL = 1e-9
 _SLAB = 32_768                       # samples per validation slab
+_ROW_SLAB = 1_024                    # states per grid slab, 4 ROW_CHUNKs
 
 
 @dataclass
@@ -110,19 +112,28 @@ def lipschitz_K_bound(model: ModelSpec) -> float:
     return base + 0.5 * c0 * c0
 
 
+def _by_rows(terms, *states):
+    """The per-row arrays ``terms(*states)``, formed on ``_ROW_SLAB``-row slabs."""
+    parts = [terms(*(v[lo:lo + _ROW_SLAB] for v in states))
+             for lo in range(0, len(states[0]), _ROW_SLAB)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
                        constants, given=None) -> ConditionReport:
     """The protocol every sampled checker shares.
 
     ``sample()`` draws a fresh batch of ``n_samples`` points and returns
-    the inequality's terms on it, a tuple of arrays of that length.  The
-    free constant is ``given``, or else ``fit(terms)`` on one batch.
-    ``check(terms, const)`` then returns the margins, their scale and
-    optionally a ``floor`` on each ``_SLAB``-sample slab of a fresh batch;
-    a margin below ``-(_REL_TOL * scale + floor)`` is a violation.  The
-    slabs' violations are summed and ``worst_margin`` is the least slab
-    minimum, NaN if any margin is NaN.
-    ``constants(const)`` names the constants the report carries.
+    the inequality's terms on it, a tuple of arrays of that length: formed
+    from the drawn states in row slabs (:func:`_by_rows`), or the pairs of
+    the streamed :func:`mean_value_batch`.  The free constant is ``given``,
+    or else ``fit(terms)`` on one batch.  ``check(terms, const)`` then
+    returns the margins, their scale and optionally a ``floor`` on each
+    ``_SLAB``-sample slab of a fresh batch; a margin below
+    ``-(_REL_TOL * scale + floor)`` is a violation.  The slabs' violations
+    are summed and ``worst_margin`` is the least slab minimum, NaN if any
+    margin is NaN.  ``constants(const)`` names the constants the report
+    carries.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -161,8 +172,7 @@ def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
         K = lipschitz_K_bound(model)
     gen = philox_generator(seed, stream)
 
-    def sample():
-        v1, v2 = sample_state_pairs(space, gen, n_samples)
+    def terms(v1, v2):
         d = v1 - v2
         dn = h_norm(space, d)
         # the defect goes through the bounded ratio |v1-v2|_Q / dn
@@ -180,8 +190,10 @@ def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
         return rhs - lhs, np.abs(lhs) + kdn2 + np.abs(rhs)
 
     return _fit_then_validate(
-        condition_id, n_samples, sample, fit, check,
-        lambda theta: {"K": K, "theta": theta, "kappa": kappa}, given=theta)
+        condition_id, n_samples,
+        lambda: _by_rows(terms, *sample_state_pairs(space, gen, n_samples)),
+        fit, check, lambda theta: {"K": K, "theta": theta, "kappa": kappa},
+        given=theta)
 
 
 def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
@@ -242,8 +254,7 @@ def check_interpolation_Q(space: SpectralSpace, kappa: float, *,
         raise ValueError(f"{variant} variant needs {need}")
     gen = philox_generator(seed, 0x1F)
 
-    def sample():
-        x = sample_states(space, gen, n_samples)
+    def terms(x):
         dq = q_norm(space, x)
         dn = h_norm(space, x)
         if variant == "plaplace":
@@ -263,8 +274,10 @@ def check_interpolation_Q(space: SpectralSpace, kappa: float, *,
         name = "C"
         fit = lambda lr: float(np.max(lr[0] / lr[1])) / safety
         check = lambda lr, c: (c * lr[1] - lr[0], np.abs(lr[0]) + c * lr[1])
-    return _fit_then_validate(f"interpolation_{variant}", n_samples, sample,
-                              fit, check, lambda c: {name: c, "kappa": kappa})
+    return _fit_then_validate(
+        f"interpolation_{variant}", n_samples,
+        lambda: _by_rows(terms, sample_states(space, gen, n_samples)),
+        fit, check, lambda c: {name: c, "kappa": kappa})
 
 
 @dataclass(frozen=True)
@@ -373,18 +386,26 @@ def mean_value_batch(n_samples: int, seed: int = 1234):
 
     Heavy-tailed values with sign flips, exact ties, near ties and zeros.
     The batch does not depend on r, so one batch serves every exponent.
+    The two Cauchy draws become s1 and s2 in place and each uniform
+    section is drawn into one reused buffer, ``_SLAB`` values at a time;
+    chunked draws continue the same stream, so the pairs are those of
+    whole-batch draws, in about 16 bytes per pair.
     """
     gen = philox_generator(seed, 0x3C)
-    t1 = gen.standard_cauchy(n_samples)
-    t2 = gen.standard_cauchy(n_samples)
-    s1 = np.clip(np.sign(t1) * np.abs(t1) ** 1.5, -1e6, 1e6)
-    s2 = np.clip(np.sign(t2) * np.abs(t2) ** 1.5, -1e6, 1e6)
-    tie = gen.random(n_samples) < 0.05
-    s2[tie] = s1[tie]
-    tiny = gen.random(n_samples) < 0.10
-    s2[tiny] = s1[tiny] * (1.0 + 1e-9)
-    zero = gen.random(n_samples) < 0.02
-    s1[zero] = 0.0
+    s1, s2 = gen.standard_cauchy(n_samples), gen.standard_cauchy(n_samples)
+    for t in (s1, s2):
+        for lo in range(0, n_samples, _SLAB):
+            u = t[lo:lo + _SLAB]
+            np.clip(np.sign(u) * np.abs(u) ** 1.5, -1e6, 1e6, out=u)
+    buf = np.empty(min(n_samples, _SLAB))
+    for frac, kind in ((0.05, "tie"), (0.10, "tiny"), (0.02, "zero")):
+        for lo in range(0, n_samples, _SLAB):
+            a, b = s1[lo:lo + _SLAB], s2[lo:lo + _SLAB]
+            hit = gen.random(out=buf[:a.size]) < frac
+            if kind == "zero":
+                a[hit] = 0.0
+            else:                               # an exact or a near tie
+                b[hit] = a[hit] * (1.0 + 1e-9) if kind == "tiny" else a[hit]
     return s1, s2
 
 
@@ -472,8 +493,7 @@ def fit_coercivity(space: SpectralSpace, model: ModelSpec,
             theta = 0.2
     gen = philox_generator(seed, 0xC0)
 
-    def sample():
-        v = sample_states(space, gen, n_samples)
+    def terms(v):
         return (_a1_lhs(space, model, t, v, np.zeros_like(v)),
                 v_norm(space, v, fam) ** (1.0 + fam.r), h_norm(space, v) ** 2)
 
@@ -488,5 +508,7 @@ def fit_coercivity(space: SpectralSpace, model: ModelSpec,
         return (c_fit * (1.0 + hn2) - theta * vn - lhs,
                 np.abs(lhs) + c_fit * (1.0 + hn2) + theta * vn)
 
-    return _fit_then_validate("coercivity", n_samples, sample, fit, check,
-                              lambda c_fit: {"C": c_fit, "theta": theta})
+    return _fit_then_validate(
+        "coercivity", n_samples,
+        lambda: _by_rows(terms, sample_states(space, gen, n_samples)),
+        fit, check, lambda c_fit: {"C": c_fit, "theta": theta})

@@ -171,6 +171,20 @@ def beta_sup(family: FastDiff) -> float:
     return family.beta0 + abs(family.beta_amp)
 
 
+def _row_max(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.max(a, axis=-1, out=out) by one reduceat over a's flat buffer: the
+    same values (max is exact; NaN propagates alike) at about half the cost.
+    """
+    # a reduceat over a copy would not fill ``out``; 1-D or empty input
+    # has no rows to split
+    if a.ndim < 2 or a.size == 0 or not (a.flags.c_contiguous
+                                         and out.flags.c_contiguous):
+        return np.max(a, axis=-1, out=out)
+    np.maximum.reduceat(a.reshape(-1), np.arange(0, a.size, a.shape[-1]),
+                        out=out.reshape(-1))
+    return out
+
+
 def _check_finite(out: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
@@ -227,7 +241,7 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
             mu = 1.0
         else:
             w = np.multiply(np.abs(dg) ** (fam.p - 2.0), dg, out=buf.grid2)
-            mu = (fam.p - 1.0) * np.max(np.abs(dg), axis=-1) ** (fam.p - 2.0)
+            mu = (fam.p - 1.0) * _row_max(np.abs(dg), buf.amp) ** (fam.p - 2.0)
         # <A(v), e_i> = -m(w * e_i') by integration by parts
         np.multiply(w, space.quad_w, out=buf.grid2)
         return np.negative(rowblock_matmul(buf.grid2, space.dsine.T, dr),
@@ -238,7 +252,7 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
     elif fam.kind in ("porous", "fastdiff"):
         g = to_grid(space, v, buf.grid)
         abs_g = np.abs(g, out=buf.grid2)
-        amp = np.max(abs_g, axis=-1, out=buf.amp)
+        amp = _row_max(abs_g, buf.amp)
         nonlin = signed_power(g, fam.r, out=buf.grid2, abs_s=abs_g)
         if fam.kind == "porous":
             if fam.psi_scale != 1.0:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,32 @@ def test_mean_value_matches_whole_batch_formula(r):
         rep = check_scalar_mean_value(r, s1.size, batch=(s1, s2))
         assert (rep.violation_count, rep.worst_margin) == \
             _mean_value_whole_batch(r, s1, s2)
+
+
+def _mean_value_batch_whole(n, seed):
+    """The mean-value pairs by the former whole-batch draws."""
+    gen = philox_generator(seed, 0x3C)
+    t1 = gen.standard_cauchy(n)
+    t2 = gen.standard_cauchy(n)
+    s1 = np.clip(np.sign(t1) * np.abs(t1) ** 1.5, -1e6, 1e6)
+    s2 = np.clip(np.sign(t2) * np.abs(t2) ** 1.5, -1e6, 1e6)
+    tie = gen.random(n) < 0.05
+    s2[tie] = s1[tie]
+    tiny = gen.random(n) < 0.10
+    s2[tiny] = s1[tiny] * (1.0 + 1e-9)
+    zero = gen.random(n) < 0.02
+    s1[zero] = 0.0
+    return s1, s2
+
+
+@pytest.mark.parametrize("n", [1, inequalities._SLAB - 1, inequalities._SLAB,
+                               inequalities._SLAB + 1, 100_003])
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_mean_value_batch_streams_the_whole_batch_draws(n, seed):
+    got = mean_value_batch(n, seed)
+    want = _mean_value_batch_whole(n, seed)
+    for g, w in zip(got, want):
+        assert g.shape == (n,) and g.tobytes() == w.tobytes()
 
 
 # --- (A1') -----------------------------------------------------------------
@@ -462,6 +489,52 @@ def test_slabs_give_the_whole_batch_report(monkeypatch):
     # the failing cases have violations to sum over the slabs
     assert whole["a1prime_given_fail"]["violation_count"] > 0
     assert whole["interp_porous_fail"]["violation_count"] > 0
+
+
+def test_row_slabs_give_the_whole_batch_report(monkeypatch):
+    # 2 * 1024 + 17 states in row slabs of 256: eight full slabs and a
+    # partial one, against one slab of the whole batch
+    from spde_reflect.spaces import ROW_CHUNK
+    assert inequalities._ROW_SLAB % ROW_CHUNK == 0
+    n = 2 * 1024 + 17
+    checks = {name: fn for name, fn in _frozen_cases(n, n).items()
+              if name != "meanvalue"}
+    monkeypatch.setattr(inequalities, "_ROW_SLAB", n)
+    whole = {name: fn().as_dict() for name, fn in checks.items()}
+    monkeypatch.setattr(inequalities, "_ROW_SLAB", 256)
+    for name, fn in checks.items():
+        assert fn().as_dict() == whole[name], name
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkers_memory_is_set_by_their_states():
+    # each checker's traced peak is at most twice that of drawing its
+    # states alone: the grid work is done in row slabs
+    n, seed = 20_000, 3
+    cases = _frozen_cases(n, n)
+    ex41 = make_space(16, 2.0, weighted=True, q_amp=1.0, q_decay=0.75)
+    pairs = _traced_peak(lambda: sample_state_pairs(
+        ex41, philox_generator(seed, 0xA1), n))
+    single = _traced_peak(lambda: inequalities.sample_states(
+        ex41, philox_generator(seed, 0x1F), n))
+    for name, fn in cases.items():
+        if name == "meanvalue":
+            continue
+        states = pairs if name.startswith("a1") else single
+        assert _traced_peak(fn) <= 2 * states, name
+
+
+def test_mean_value_batch_memory_is_its_pairs():
+    n = 1_000_000
+    assert _traced_peak(lambda: mean_value_batch(n)) <= 16 * n + 2 ** 21
 
 
 def test_slabs_propagate_a_nan_margin(monkeypatch):

@@ -5,7 +5,7 @@ from spde_reflect import make_space, h_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, FastDiff, ZeroDiffusion, LipschitzDiagonal,
     DriftOverflowError, drift, pairing_drift_diff, apply_B, b_diag, b_hs_diff,
-    unit_base, signed_power,
+    unit_base, signed_power, _row_max,
 )
 from spde_reflect.inequalities import fit_coercivity
 from conftest import e_k
@@ -252,6 +252,26 @@ def test_signed_power_matches_definition():
             for a in (got, into):
                 np.testing.assert_array_equal(a.view(np.uint64),
                                               want.view(np.uint64))
+
+
+def test_row_max_matches_np_max_bit_for_bit():
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, tiny,
+                        -tiny, 1e-310, -1e-310, 1.0, -2.5])
+    gen = np.random.default_rng(5)
+    rows = gen.choice(special, size=(3000, 66))
+    rows[:40] = gen.choice(special[4:6], size=(40, 66))      # only +-0
+    rows[40:80] = gen.choice(special[6:10], size=(40, 66))   # subnormals
+    rows[80] = -np.nan
+    batches = (rows, rows.reshape(50, 60, 66), np.abs(rows), rows[:1],
+               rows[:0], rows[0], rows[:, ::2], rows[:, :7])
+    for a in batches:
+        want = np.max(a, axis=-1)
+        out = np.empty(a.shape[:-1])
+        got = _row_max(a, out)
+        assert got is out and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_unit_base_normalized():
