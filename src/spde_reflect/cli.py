@@ -213,10 +213,11 @@ def parse_config_file(path) -> RunConfig:
 
 def _validate_cross_fields(cfg: RunConfig) -> None:
     # each object checks its own section; only rules no object owns follow
+    built = {}
     for section, build in (("space", build_space), ("model", build_model),
                            ("coupling", build_coupling), ("sim", build_sim)):
         try:
-            build(cfg)
+            built[section] = build(cfg)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
     sp, mo, ex, co = (cfg["space"], cfg["model"], cfg["experiments"],
@@ -224,16 +225,35 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
     fam = mo["family"]
     if fam == "plaplace" and sp["gamma"] != 1.0:
         raise ConfigError("p-Laplacian runs require space.gamma = 1")
-    _initial_state(cfg, "x0")
-    _initial_state(cfg, "y0")
+    x0 = _initial_state(cfg, "x0")
+    y0 = _initial_state(cfg, "y0")
     if not 1 <= ex["holder_direction_mode"] <= sp["n_modes"]:
         raise ConfigError(
             "experiments.holder_direction_mode must lie in [1, space.n_modes]")
+    if "marginal_ou" in ex["which"]:
+        _check_ou_law(cfg, "experiments")
+    # each selected experiment's parameters are checked by the code that
+    # reads them, so that a bad one fails before any ensemble is stepped
+    sim = built["sim"]
     for w in ex["which"]:
         if w not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {w!r}")
-    if "marginal_ou" in ex["which"]:
-        _check_ou_law(cfg, "experiments")
+        try:
+            if w == "supermartingale":
+                _g_spec_from(ex, float(h_norm(built["space"], x0 - y0)))
+            elif w == "contraction":
+                xp.fit_window(sim.checkpoint_times, ex["fit_t_min"])
+            elif w in ("marginal_ou", "holder"):
+                t = ex["marginal_t" if w == "marginal_ou" else "holder_t"]
+                if t is not None:
+                    xp.checkpoint_index(sim.checkpoint_times, t)
+            elif w == "lemma31":
+                xp.checkpoint_index(sim.checkpoint_times, 0.0)
+                t = ex["lemma31_t"]
+                if t is not None and not 0.0 <= t <= sim.horizon:
+                    raise ValueError("lemma31_t must lie in [0, sim.horizon]")
+        except ValueError as exc:
+            raise ConfigError(f"experiments: {w}: {exc}") from None
     for w in co["which"]:
         if w not in _CONDITIONS:
             raise ConfigError(f"unknown condition {w!r}")
@@ -538,7 +558,7 @@ def _g_spec_from(ex: dict, dist0: float) -> xp.GSpec:
         return xp.GSpec("log_power", r=1.0)
     if name == "sqrt_log":
         return xp.GSpec("sqrt_log")
-    raise ConfigError(f"unknown experiments.super_g {name!r}")
+    raise ValueError(f"unknown super_g {name!r}")
 
 
 # results whose "ok" flag gates the exit status
@@ -563,20 +583,17 @@ def _write_csv(path: Path, grid, values, std_errs, grid_name="grid") -> None:
 
 def _dump_paths_csv(path: Path, rec) -> None:
     """Raw per-path dump: one row per (path, checkpoint)."""
-    pair = rec.y_coeffs is not None
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        cols = "path,time,x_mode1" + (",h_dist,q_dist,tau_n,glued" if pair else "")
-        fh.write(cols + "\n")
+        fh.write("path,time,x_mode1,h_dist,q_dist,tau_n,glued\n")
         for p_idx in range(rec.n_paths):
+            tau = rec.tau_n[p_idx]
             for j, t in enumerate(rec.checkpoint_times):
                 row = [str(p_idx), f"{float(t):.17g}",
-                       f"{float(rec.x_coeffs[p_idx, j, 0]):.17g}"]
-                if pair:
-                    tau = rec.tau_n[p_idx]
-                    row += [f"{float(rec.h_dist[p_idx, j]):.17g}",
-                            f"{float(rec.q_dist[p_idx, j]):.17g}",
-                            "" if np.isnan(tau) else f"{float(tau):.17g}",
-                            str(int(rec.coupled[p_idx]))]
+                       f"{float(rec.x_coeffs[p_idx, j, 0]):.17g}",
+                       f"{float(rec.h_dist[p_idx, j]):.17g}",
+                       f"{float(rec.q_dist[p_idx, j]):.17g}",
+                       "" if np.isnan(tau) else f"{float(tau):.17g}",
+                       str(int(rec.coupled[p_idx]))]
                 fh.write(",".join(row) + "\n")
 
 

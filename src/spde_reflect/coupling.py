@@ -31,8 +31,7 @@ __all__ = [
     "cutoff_h", "cutoff_h_prime", "sqrt1mh2", "sqrt1mh2_prime",
     "cutoff_h_prime_sup",
     "sigma_n_apply", "reflect_apply", "coupled_diffusion_increments",
-    "reflection_direction", "i_n_value", "reflection_qv_rate",
-    "qv_rate_lower_bound",
+    "i_n_value", "reflection_qv_rate", "qv_rate_lower_bound",
 ]
 
 

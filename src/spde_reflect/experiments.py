@@ -30,11 +30,11 @@ from .integrator import SimConfig, PathEnsembleRecord, run_paths
 from .inequalities import lipschitz_K_bound
 
 __all__ = [
-    "GSpec", "CylinderFunctional", "canonical_f",
+    "GSpec", "canonical_f",
     "survival_curve", "check_lemma31", "supermartingale_diagnostic",
     "coupling_tail_bound", "contraction_fit", "holder_ratio_scan",
     "ou_oracle", "semigroup_difference", "prop21_chain",
-    "marginal_ou_check", "d3_rate_bound", "stopped_distance_series",
+    "marginal_ou_check", "d3_rate_bound",
 ]
 
 
@@ -76,8 +76,6 @@ def survival_curve(record: PathEnsembleRecord, times=None):
     Nonincreasing in t by construction.  Paths that never reached 1/n within
     the horizon count as survivors at every checkpoint.
     """
-    if record.tau_n is None:
-        raise ValueError("survival_curve needs a coupled ensemble")
     tau = record.tau_n[record.live]
     if tau.size == 0:
         raise ValueError("no live paths")
@@ -95,12 +93,11 @@ def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float,
     when it does not exceed the bound by more than 3 binomial standard
     errors.  Grid points with delta <= |x-y| are vacuous (bound >= 1).
     """
-    if record.tau_delta is None or record.tau_delta.shape[1] == 0:
+    if record.tau_delta.shape[1] == 0:
         raise ValueError("record has no delta-crossing times")
-    if abs(record.checkpoint_times[0]) > 1e-12:
-        raise ValueError("record must include the t = 0 checkpoint")
+    j0 = checkpoint_index(record.checkpoint_times, 0.0)
     live = record.live
-    dist0 = float(record.h_dist[live][0, 0])
+    dist0 = float(record.h_dist[live][0, j0])
     td = record.tau_delta[live]                 # (M, deltas)
     tn = record.tau_n[live][:, None]
     p, se = frequency((~np.isnan(td) & (td <= t)
@@ -230,8 +227,6 @@ def supermartingale_diagnostic(record: PathEnsembleRecord, g_spec: GSpec,
 
 def coupling_tail_bound(record: PathEnsembleRecord, kprime: float) -> dict:
     """Check E[e^(-K't) |X_t - Y_t| ; tau_n <= t] <= 1/n at each checkpoint."""
-    if record.n is None:
-        raise ValueError("needs a coupled ensemble")
     times = record.checkpoint_times
     live = record.live
     tau = record.tau_n[live]
@@ -244,6 +239,14 @@ def coupling_tail_bound(record: PathEnsembleRecord, kprime: float) -> dict:
             "ok": bool(np.all(means <= bound + 3.0 * ses))}
 
 
+def fit_window(times, t_min: float) -> np.ndarray:
+    """Mask of the checkpoints >= t_min; raises unless it holds two."""
+    window = np.asarray(times, dtype=float) >= t_min - 1e-12
+    if np.count_nonzero(window) < 2:
+        raise ValueError("fit window must contain at least two checkpoints")
+    return window
+
+
 def contraction_fit(record: PathEnsembleRecord, *, t_min: float = 0.0) -> dict:
     """Least-squares decay rate of log E|X_t - Y_t|^2 over checkpoints >= t_min.
 
@@ -251,16 +254,12 @@ def contraction_fit(record: PathEnsembleRecord, *, t_min: float = 0.0) -> dict:
     seed 7 (resampling whole paths, so serial correlation along a path is
     respected).  Raises on a degenerate pair (x = y at the start).
     """
-    if record.h_dist is None:
-        raise ValueError("contraction_fit needs a paired ensemble")
     d2 = record.h_dist[record.live] ** 2
     times = record.checkpoint_times
     if d2.shape[0] == 0 or float(np.max(d2[:, 0])) == 0.0:
         raise ValueError("degenerate pair: x = y")
-    window = times >= t_min - 1e-12
+    window = fit_window(times, t_min)
     tw = times[window]
-    if tw.size < 2:
-        raise ValueError("fit window must contain at least two checkpoints")
 
     def slope_of(mat):
         m2 = np.mean(mat, axis=0)[window]
@@ -301,8 +300,6 @@ def canonical_f(space: SpectralSpace) -> CylinderFunctional:
 
 def semigroup_difference(record: PathEnsembleRecord, f) -> dict:
     """Coupled estimator of P_t f(x) - P_t f(y) with paired standard errors."""
-    if record.y_coeffs is None:
-        raise ValueError("needs a coupled ensemble")
     fx = f(record.x_coeffs[record.live])
     fy = f(record.y_coeffs[record.live])
     est, se = mean_se(fx - fy)
@@ -381,8 +378,6 @@ def marginal_ou_check(record: PathEnsembleRecord, space: SpectralSpace,
     out = {"t": float(t), "mode": 0, "n_paths": m, "sides": {}}
     for name, coeffs, start in (("x", record.x_coeffs, x0),
                                 ("y", record.y_coeffs, y0)):
-        if coeffs is None:
-            continue
         mean_th, var_th = ou_oracle(space, model, start, t)
         c = h_mode_coeffs(space, coeffs[live, j])[:, 0]
         mean_e, se_mean = floats(mean_se(c))
@@ -408,12 +403,14 @@ def holder_ratio_scan(space: SpectralSpace, model: ModelSpec,
                       threads: int | None = None) -> dict:
     """Semigroup difference |P_t f(x) - P_t f(x + eps dir)| over an eps grid.
 
-    Common random numbers: the base run and every shifted run share the
-    master seed, so per-path differences are strongly correlated and the
-    paired standard error is small.  When coupling parameters are given, a
-    reflection-coupled run provides a cross-check estimate.  Entries whose
-    signal falls below 3 SE are marked inconclusive; the log-log slope is
-    fitted over the conclusive entries (diagnostic only, no pass/fail).
+    Common random numbers: the base run and every shifted run are
+    synchronous runs of the pair glued at their start (y0 = x0), and they
+    share the master seed, so per-path differences are strongly correlated
+    and the paired standard error is small.  When coupling parameters are
+    given, a reflection-coupled run provides a cross-check estimate.
+    Entries whose signal falls below 3 SE are marked inconclusive; the
+    log-log slope is fitted over the conclusive entries (diagnostic only, no
+    pass/fail).
     """
     if f is None:
         f = canonical_f(space)
@@ -423,12 +420,15 @@ def holder_ratio_scan(space: SpectralSpace, model: ModelSpec,
         raise ValueError("direction must be nonzero")
     direction = direction / nd
     j = checkpoint_index(config.checkpoint_times, t)
-    base = run_paths(space, model, None, config, "single", x0=x,
-                     threads=threads)
+
+    def glued(start):
+        return run_paths(space, model, CouplingParams(n=1), config,
+                         "synchronous", x0=start, y0=start, threads=threads)
+
+    base = glued(x)
     rows = []
     for eps in epsilons:
-        shifted = run_paths(space, model, None, config, "single",
-                            x0=np.asarray(x) + eps * direction, threads=threads)
+        shifted = glued(np.asarray(x) + eps * direction)
         live = base.live & shifted.live
         est, se = floats(mean_se(
             f(base.x_coeffs[live, j]) - f(shifted.x_coeffs[live, j])))

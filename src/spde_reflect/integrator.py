@@ -1,4 +1,4 @@
-"""Euler-Maruyama time stepping for single and coupled trajectories.
+"""Euler-Maruyama time stepping for coupled trajectory pairs.
 
 Noise
 -----
@@ -40,10 +40,10 @@ boundary: tau_n (distance first <= 1/n), tau_{n,delta} (first >= delta), and
 the gluing time (first <= glue_eps, after which the pair is evolved as a
 single trajectory and mirrored).
 
-Every run goes through that one step.  The synchronous coupling is the step
-without the reflected channel, and a single-equation run is the pair glued
-at x0 from t = 0, stepped synchronously: once every pair of a batch is
-glued, the step evaluates and advances x only and copies it to y.
+Every run goes through that one step and records the pair.  The
+synchronous coupling is the step without the reflected channel; a
+single-equation run is the synchronous run from y0 = x0, glued at t = 0,
+whose steps evaluate and advance x only and copy it to y.
 
 Buffers
 -------
@@ -62,8 +62,8 @@ glued, y is copied from x and |x|_H checked) and the distance |x - y|_H is
 computed once, in the used-up increment buffers.  It doubles as the finite
 check: a non-finite coefficient makes it non-finite, so only the rows with
 a non-finite distance are searched for a first bad mode.  ``run_paths``
-creates one set per worker batch, for single, synchronous and coupled runs
-alike, and reuses it on every step, so the large intermediates are not
+creates one set per worker batch, for synchronous and coupled runs alike,
+and reuses it on every step, so the large intermediates are not
 allocated and faulted in afresh on each step; a step called without a set
 builds a fresh one and runs the same code.  The states a step returns are
 fresh arrays and alias no buffer.  Output bytes are those of a step that
@@ -470,7 +470,7 @@ def _band_noise(config: SimConfig, step_index: int, path_lo: int,
     return out
 
 
-# a single run is a pair glued at its start, which never enters the band
+# a single step moves a pair glued at its start, which never enters the band
 _GLUED = CouplingParams(n=1)
 
 
@@ -590,22 +590,20 @@ class PathEnsembleRecord:
     """Per-path checkpoint observables of a Monte Carlo run."""
     checkpoint_times: np.ndarray
     x_coeffs: np.ndarray                 # (P, C, N)
-    y_coeffs: np.ndarray | None          # coupled runs only
-    h_dist: np.ndarray | None            # (P, C) H-norm of x - y
-    q_dist: np.ndarray | None
-    v_accum_x: np.ndarray | None         # (P, C) int_0^t |X_s|_V^{1+r} ds
-    v_accum_y: np.ndarray | None
-    tau_n: np.ndarray | None
-    dist_at_tau_n: np.ndarray | None
-    t_n: np.ndarray | None
-    coupled: np.ndarray | None
+    y_coeffs: np.ndarray
+    h_dist: np.ndarray                   # (P, C) H-norm of x - y
+    q_dist: np.ndarray
+    v_accum_x: np.ndarray | None         # (P, C) int_0^t |X_s|_V^{1+r} ds,
+    v_accum_y: np.ndarray | None         # with record_v_norms only
+    tau_n: np.ndarray
+    dist_at_tau_n: np.ndarray
+    t_n: np.ndarray
+    coupled: np.ndarray
     delta_grid: np.ndarray
-    tau_delta: np.ndarray | None
+    tau_delta: np.ndarray
     failed: np.ndarray
     failures: list                       # (path, time, first non-finite mode)
-    master_seed: int
-    dt: float
-    n: int | None = None
+    n: int
 
     @property
     def n_paths(self) -> int:
@@ -687,27 +685,21 @@ def _run_batches(run_rows, bounds) -> None:
 
 
 def run_paths(space: SpectralSpace, model: ModelSpec,
-              params: CouplingParams | None, config: SimConfig,
-              which: str = "coupled", *, x0: np.ndarray, y0: np.ndarray = None,
+              params: CouplingParams, config: SimConfig,
+              which: str = "coupled", *, x0: np.ndarray, y0: np.ndarray,
               delta_grid=(), record_v_norms: bool = False,
               threads: int | None = None) -> PathEnsembleRecord:
-    """Monte Carlo driver: simulate all paths and collect observables.
+    """Monte Carlo driver: simulate all pairs and collect observables.
 
-    ``which`` selects single-marginal runs, the reflection coupling, or the
-    synchronous coupling (shared noise, no reflection channel).  ``x0`` and
-    ``y0`` are initial coefficient vectors shared by every path.  A single
-    run steps the pair glued at x0 synchronously and records only x.
+    ``which`` is ``"coupled"`` (reflection) or ``"synchronous"`` (shared
+    noise only); ``x0`` and ``y0`` are the initial coefficient vectors of
+    every path, and y0 = x0 gives the single-equation run, glued at t = 0.
     Output is a deterministic function of (config, space, model, params)
     regardless of the worker count.
     """
-    if which not in ("single", "coupled", "synchronous"):
-        raise ValueError("which must be single, coupled or synchronous")
-    pair = which != "single"
-    if not pair:
-        params, y0 = _GLUED, x0
-    elif params is None or y0 is None:
-        raise ValueError("coupled runs need coupling params and y0")
-    x0 = np.asarray(x0, dtype=float)
+    if which not in ("coupled", "synchronous"):
+        raise ValueError("which must be coupled or synchronous")
+    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     if x0.shape != (space.n_modes,):
         raise ValueError("x0 must be a single coefficient vector")
     cps = config.checkpoint_steps()
@@ -720,18 +712,14 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     nm = space.n_modes
     times = np.array([k * config.dt for k in cps])
 
-    x_out = _shared((n_paths, n_cp, nm))
-    y_out = _shared((n_paths, n_cp, nm)) if pair else None
-    h_out = _shared((n_paths, n_cp)) if pair else None
-    q_out = _shared((n_paths, n_cp)) if pair else None
-    va_x = _shared((n_paths, n_cp)) if record_v_norms else None
-    va_y = _shared((n_paths, n_cp)) if (record_v_norms and pair) else None
+    x_out, y_out = _shared((2, n_paths, n_cp, nm))
+    h_out, q_out = _shared((2, n_paths, n_cp))
+    va_x, va_y = _shared((2, n_paths, n_cp)) if record_v_norms else (None, None)
     # each path's final CouplingState records, and the time it failed at
-    final = {"fail_mode": _shared(n_paths, int)}
-    if pair:
-        final.update(tau_n=_shared(n_paths), dist_at_tau_n=_shared(n_paths),
-                     t_n=_shared(n_paths), coupled=_shared(n_paths, bool),
-                     tau_delta=_shared((n_paths, len(delta_grid))))
+    final = {"fail_mode": _shared(n_paths, int), "tau_n": _shared(n_paths),
+             "dist_at_tau_n": _shared(n_paths), "t_n": _shared(n_paths),
+             "coupled": _shared(n_paths, bool),
+             "tau_delta": _shared((n_paths, len(delta_grid)))}
     fail_time = _shared(n_paths)
 
     r_exp = 1.0 + model.family.r
@@ -740,24 +728,18 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     def run_rows(lo: int, hi: int):
         rows = hi - lo
         st = make_coupling_state(space, params, np.tile(x0, (rows, 1)),
-                                 np.tile(np.asarray(y0, dtype=float), (rows, 1)),
-                                 delta_grid=delta_grid)
+                                 np.tile(y0, (rows, 1)), delta_grid=delta_grid)
         work = StepBuffers(space, rows)
-        acc_x = np.zeros(rows)
-        acc_y = np.zeros(rows)
+        acc = np.zeros((2, rows))             # the V-norm integrals of x, y
 
         def record(i):
-            x_out[lo:hi, i] = st.x
-            if pair:
-                y_out[lo:hi, i] = st.y
-                with np.errstate(invalid="ignore", over="ignore"):
-                    d = st.x - st.y
-                    h_out[lo:hi, i] = h_norm(space, d)
-                    q_out[lo:hi, i] = q_norm(space, d)
+            x_out[lo:hi, i], y_out[lo:hi, i] = st.x, st.y
+            with np.errstate(invalid="ignore", over="ignore"):
+                d = st.x - st.y
+                h_out[lo:hi, i] = h_norm(space, d)
+                q_out[lo:hi, i] = q_norm(space, d)
             if record_v_norms:
-                va_x[lo:hi, i] = acc_x
-                if pair:
-                    va_y[lo:hi, i] = acc_y
+                va_x[lo:hi, i], va_y[lo:hi, i] = acc
 
         n_steps = config.n_steps
         for k in range(n_steps + 1):
@@ -768,11 +750,9 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
             if record_v_norms:
                 live = ~st.failed
                 with np.errstate(invalid="ignore", over="ignore"):
-                    vx = np.where(live, v_norm(space, st.x, model.family), 0.0)
-                    acc_x = acc_x + config.dt * vx ** r_exp
-                    if pair:
-                        vy = np.where(live, v_norm(space, st.y, model.family), 0.0)
-                        acc_y = acc_y + config.dt * vy ** r_exp
+                    for a, v in zip(acc, (st.x, st.y)):
+                        v = np.where(live, v_norm(space, v, model.family), 0.0)
+                        a += config.dt * v ** r_exp
             prev_failed = st.failed
             st = step_coupled(space, model, params, config, st, path_lo=lo,
                               synchronous=(which != "coupled"), work=work)
@@ -787,12 +767,11 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         x_coeffs=x_out, y_coeffs=y_out,
         h_dist=h_out, q_dist=q_out,
         v_accum_x=va_x, v_accum_y=va_y,
-        tau_n=final.get("tau_n"), dist_at_tau_n=final.get("dist_at_tau_n"),
-        t_n=final.get("t_n"), coupled=final.get("coupled"),
+        tau_n=final["tau_n"], dist_at_tau_n=final["dist_at_tau_n"],
+        t_n=final["t_n"], coupled=final["coupled"],
         delta_grid=np.asarray(delta_grid, dtype=float),
-        tau_delta=final.get("tau_delta"), failed=failed,
+        tau_delta=final["tau_delta"], failed=failed,
         failures=[(int(p), float(fail_time[p]), int(final["fail_mode"][p]))
                   for p in np.flatnonzero(failed)],
-        master_seed=config.master_seed, dt=config.dt,
-        n=params.n if pair else None,
+        n=params.n,
     )

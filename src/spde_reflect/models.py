@@ -41,7 +41,7 @@ __all__ = [
     "ModelSpec", "DriftOverflowError", "DriftBuffers",
     "drift", "drift_and_split_rate", "pairing_drift_diff",
     "apply_B", "b_hs_diff", "b_diag", "unit_base",
-    "signed_power", "beta_value", "beta_sup",
+    "signed_power", "beta_sup",
 ]
 
 

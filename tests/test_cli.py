@@ -20,6 +20,9 @@ r = 2.0
 
 LINEAR = MINIMAL.replace("r = 2.0", "r = 1.0")
 
+# a short run for the experiment parameter rules
+SHORT = "[space]\nn_modes = 4\n[sim]\nhorizon = 0.01\ncheckpoints = 0, 0.01\n"
+
 SMALL_RUN = """
 [space]
 n_modes = 8
@@ -173,6 +176,31 @@ _BAD_CONFIGS = {
     "marginal_ou_growth": (
         LINEAR + "phi_slope = 20\n[experiments]\nwhich = marginal_ou\n",
         "experiments: the OU oracle needs psi_scale * lambda_i > phi_slope"),
+    # each selected experiment's parameters are checked before the run
+    "super_eps": (MINIMAL + SHORT + "[experiments]\nwhich = supermartingale\n"
+                  "super_g = power\nsuper_eps = 1.5\n",
+                  "experiments: supermartingale: eps must lie in (0, 1)"),
+    "super_g": (MINIMAL + SHORT + "[experiments]\nwhich = supermartingale\n"
+                "super_g = wibble\n",
+                "experiments: supermartingale: unknown super_g 'wibble'"),
+    "marginal_t": (LINEAR + SHORT + "[experiments]\nwhich = marginal_ou\n"
+                   "marginal_t = 0.005\n",
+                   "experiments: marginal_ou: t = 0.005 is not a recorded "
+                   "checkpoint"),
+    "holder_t": (MINIMAL + SHORT + "[experiments]\nwhich = holder\n"
+                 "holder_t = 0.005\n",
+                 "experiments: holder: t = 0.005 is not a recorded checkpoint"),
+    "fit_t_min": (MINIMAL + SHORT + "[experiments]\nwhich = contraction\n"
+                  "fit_t_min = 0.02\n",
+                  "experiments: contraction: fit window must contain at least "
+                  "two checkpoints"),
+    "lemma31_t": (MINIMAL + SHORT + "[experiments]\nwhich = lemma31\n"
+                  "lemma31_t = 5.0\n",
+                  "experiments: lemma31: lemma31_t must lie in [0, sim.horizon]"),
+    "lemma31_start": (MINIMAL + SHORT.replace("0, 0.01", "0.005, 0.01")
+                      + "[experiments]\nwhich = lemma31\n",
+                      "experiments: lemma31: t = 0.0 is not a recorded "
+                      "checkpoint"),
 }
 
 
@@ -183,6 +211,12 @@ def test_bad_config_is_a_config_error(name, tmp_path, capsys):
         parse_config(text)
     assert main(["check-conditions", "--config", _write(tmp_path, text)]) == 2
     assert "config error: " + message in capsys.readouterr().err
+    # a run is refused before it creates its output directory
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, text), "--out", str(out),
+                 "--threads", "1"]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_holder_direction_mode_bounds_are_inclusive():

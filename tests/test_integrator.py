@@ -183,8 +183,8 @@ def test_ou_variance_oracle(porous_space, porous_linear):
     t = 0.1
     cfg = SimConfig(dt=1e-4, horizon=t, n_paths=4000, master_seed=31415,
                     checkpoint_times=(0.0, t))
-    rec = run_paths(porous_space, porous_linear, None, cfg, "single",
-                    x0=np.zeros(16), threads=1)
+    rec = run_paths(porous_space, porous_linear, CouplingParams(n=1), cfg,
+                    "synchronous", x0=np.zeros(16), y0=np.zeros(16), threads=1)
     c1 = rec.x_coeffs[:, 1, 0] / np.pi      # H-mode coordinate
     target = (1.0 - np.exp(-2.0 * np.pi ** 2 * t)) / (2.0 * np.pi ** 2)
     se = target * np.sqrt(2.0 / (cfg.n_paths - 1))
@@ -319,15 +319,17 @@ def test_run_paths_worker_count_deterministic(porous_space, monkeypatch):
                       b_spec=LipschitzDiagonal(0.8, unit_base(16)))
     x0 = e_k(16, 1, 1.8)
     d0 = float(h_norm(porous_space, 2 * x0))
-    for which, scheme in (("coupled", "explicit"), ("single", "explicit"),
-                          ("coupled", "semi_implicit")):
+    # the synchronous run from y0 = x0 is the single-equation run
+    for which, y0, scheme in (("coupled", -x0, "explicit"),
+                              ("synchronous", x0, "explicit"),
+                              ("coupled", -x0, "semi_implicit")):
         cfg = SimConfig(dt=2e-4, horizon=0.008, n_paths=4 * BLOCK_ROWS + 17,
                         master_seed=12, checkpoint_times=(0.0, 0.004, 0.008),
                         scheme=scheme)
 
         def run(threads):
             return run_paths(porous_space, model, CouplingParams(n=5), cfg,
-                             which, x0=x0, y0=-x0, delta_grid=(d0, 1.5 * d0),
+                             which, x0=x0, y0=y0, delta_grid=(d0, 1.5 * d0),
                              record_v_norms=True, threads=threads)
 
         recs = [run(t) for t in (1, 2, 3)]
@@ -441,10 +443,10 @@ def test_run_paths_single_matches_marginal_law(porous_space, porous_linear):
     y0 = -x0
     coupled = run_paths(porous_space, porous_linear, params, cfg, "coupled",
                         x0=x0, y0=y0, threads=1)
-    single = run_paths(porous_space, porous_linear, None,
+    single = run_paths(porous_space, porous_linear, params,
                        SimConfig(dt=2e-4, horizon=t, n_paths=4000,
                                  master_seed=14, checkpoint_times=(t,)),
-                       "single", x0=x0, threads=1)
+                       "synchronous", x0=x0, y0=x0, threads=1)
     a = coupled.x_coeffs[:, 0, 0]
     b = single.x_coeffs[:, 0, 0]
     se_mean = np.sqrt(np.var(a) / a.size + np.var(b) / b.size)
@@ -478,8 +480,8 @@ def test_run_paths_overflow_isolated(porous_space):
     cfg = SimConfig(dt=0.05, horizon=0.5, n_paths=8, master_seed=16,
                     checkpoint_times=(0.5,), scheme="explicit")
     x0 = e_k(16, 8, 5.0)
-    rec = run_paths(porous_space, m, None, cfg, "single", x0=x0,
-                    record_v_norms=True, threads=1)
+    rec = run_paths(porous_space, m, CouplingParams(n=1), cfg, "synchronous",
+                    x0=x0, y0=x0, record_v_norms=True, threads=1)
     assert len(rec.failures) > 0
     assert np.sum(rec.failed) == len(rec.failures)
     assert all(isinstance(mode, int) and 0 <= mode < 16
@@ -577,9 +579,9 @@ def test_moment_bound_stability_in_modes(porous_r2):
         sp = make_space(n_modes, 1.0, weighted=True, q_decay=0.75)
         cfg = SimConfig(dt=5e-4, horizon=0.2, n_paths=256, master_seed=17,
                         checkpoint_times=(0.0, 0.2))
-        rec = run_paths(sp, porous_r2, None, cfg, "single",
-                        x0=e_k(n_modes, 1, 1.0), record_v_norms=True,
-                        threads=1)
+        x0 = e_k(n_modes, 1, 1.0)
+        rec = run_paths(sp, porous_r2, CouplingParams(n=1), cfg, "synchronous",
+                        x0=x0, y0=x0, record_v_norms=True, threads=1)
         acc = rec.v_accum_x[:, 1]
         moments[n_modes] = (np.mean(acc), np.mean(acc ** 2))
     for p_idx in (0, 1):
@@ -775,11 +777,46 @@ def test_single_and_synchronous_bits_frozen(porous_space, which, threads):
                     checkpoint_times=(0.0, 0.004, 0.006, 0.008),
                     scheme="explicit")
     x0 = e_k(16, 1, 1.8)
-    rec = run_paths(porous_space, model, CouplingParams(n=2), cfg, which,
-                    x0=x0, y0=-x0, threads=threads)
+    # a single-equation run is the synchronous run of the pair glued at x0
+    rec = run_paths(porous_space, model, CouplingParams(n=2), cfg,
+                    "synchronous", x0=x0, y0=x0 if which == "single" else -x0,
+                    threads=threads)
     got = {"x_coeffs": _sha256(rec.x_coeffs), "failed": _sha256(rec.failed),
            "failures": _sha256(np.array([(p, m) for p, _t, m in rec.failures]))}
     if which == "synchronous":
         got["h_dist"] = _sha256(rec.h_dist)
     assert len(rec.failures) == {"single": 38, "synchronous": 87}[which]
     assert got == FROZEN_BITS[which]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_glued_pair_record(porous_space, threads):
+    # the synchronous run from y0 = x0 is glued at t = 0, so every record
+    # field exists and y is x; 600 paths put a second batch in a forked
+    # worker at 2 workers, and the explicit scheme fails some paths
+    model = ModelSpec(Porous(r=2.0), b_spec=LipschitzDiagonal(0.8, unit_base(16)))
+    cfg = SimConfig(dt=2e-4, horizon=0.008, n_paths=600, master_seed=16,
+                    checkpoint_times=(0.0, 0.004, 0.006, 0.008),
+                    scheme="explicit")
+    x0 = e_k(16, 1, 1.8)
+    rec = run_paths(porous_space, model, CouplingParams(n=2), cfg,
+                    "synchronous", x0=x0, y0=x0, delta_grid=(0.5,),
+                    record_v_norms=True, threads=threads)
+    assert 0 < len(rec.failures) < cfg.n_paths
+    _assert_bits_equal(rec.y_coeffs, rec.x_coeffs, "y_coeffs")
+    _assert_bits_equal(rec.v_accum_y, rec.v_accum_x, "v_accum_y")
+    live = rec.live
+    assert np.all(rec.h_dist[live] == 0.0) and np.all(rec.q_dist[live] == 0.0)
+    assert rec.coupled.all() and rec.n == 2
+    assert np.all(rec.tau_n[live] == 0.0) and np.all(rec.t_n[live] == 0.0)
+    assert np.all(rec.dist_at_tau_n[live] == 0.0)
+    assert np.all(np.isnan(rec.tau_delta))
+
+
+def test_run_paths_has_no_single_mode(porous_space, porous_linear):
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=1, master_seed=1,
+                    checkpoint_times=(0.01,))
+    x0 = e_k(16, 1)
+    with pytest.raises(ValueError, match="coupled or synchronous"):
+        run_paths(porous_space, porous_linear, CouplingParams(n=1), cfg,
+                  "single", x0=x0, y0=x0)
