@@ -19,7 +19,7 @@ results land in ``<out>/<config_hash>/`` as
                         (the process exits nonzero).
 
 Workers, forked processes that write into shared pages (without ``os.fork``
-the batches run in turn), come from ``--threads`` or SPDE_REFLECT_THREADS;
+the batches run in turn), number ``--threads``, else the usable CPUs;
 outputs are independent of the worker count by construction.
 """
 
@@ -40,13 +40,13 @@ except ImportError:              # missing on Windows
 
 import numpy as np
 
-from .spaces import make_space, h_norm
+from .spaces import SpectralSpace, make_space, h_norm
 from .models import (
     ModelSpec, Porous, PLaplace, FastDiff, ZeroDiffusion, LipschitzDiagonal,
     unit_base,
 )
 from .coupling import CouplingParams
-from .integrator import SimConfig, default_threads, path_batches, run_paths
+from .integrator import SimConfig, path_batches, run_paths
 from . import experiments as xp
 from . import inequalities as iq
 
@@ -154,10 +154,17 @@ _CONDITIONS = ("meanvalue", "a1prime", "a1doubleprime", "interpolation",
                "spectrum", "nash", "coercivity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Fully validated, default-filled configuration."""
+    """Fully validated, default-filled configuration and, when made by
+    ``parse_config``, the objects every command runs."""
     values: dict          # section -> key -> parsed value
+    space: SpectralSpace | None = None
+    model: ModelSpec | None = None
+    coupling: CouplingParams | None = None
+    sim: SimConfig | None = None
+    x0: np.ndarray | None = None          # initial states, read-only
+    y0: np.ndarray | None = None
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -202,31 +209,31 @@ def parse_config(text: str) -> RunConfig:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r} in [{sec}]")
             values[sec][key] = default
-    cfg = RunConfig(values=values)
-    _validate_cross_fields(cfg)
-    return cfg
+    return _validated(values)
 
 
 def parse_config_file(path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _validate_cross_fields(cfg: RunConfig) -> None:
-    # each object checks its own section; only rules no object owns follow
+def _validated(values: dict) -> RunConfig:
+    """RunConfig of ``values`` with its objects built and its rules checked."""
+    bare = RunConfig(values=values)
     built = {}
     for section, build in (("space", build_space), ("model", build_model),
                            ("coupling", build_coupling), ("sim", build_sim)):
         try:
-            built[section] = build(cfg)
+            built[section] = build(bare)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
+    cfg = RunConfig(values=values, x0=_initial_state(bare, "x0"),
+                    y0=_initial_state(bare, "y0"), **built)
+    # each object checks its own section; only rules no object owns follow
     sp, mo, ex, co = (cfg["space"], cfg["model"], cfg["experiments"],
                       cfg["conditions"])
     fam = mo["family"]
     if fam == "plaplace" and sp["gamma"] != 1.0:
         raise ConfigError("p-Laplacian runs require space.gamma = 1")
-    x0 = _initial_state(cfg, "x0")
-    y0 = _initial_state(cfg, "y0")
     if not 1 <= ex["holder_direction_mode"] <= sp["n_modes"]:
         raise ConfigError(
             "experiments.holder_direction_mode must lie in [1, space.n_modes]")
@@ -234,23 +241,24 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
         _check_ou_law(cfg, "experiments")
     # each selected experiment's parameters are checked by the code that
     # reads them, so that a bad one fails before any ensemble is stepped
-    sim = built["sim"]
     for w in ex["which"]:
         if w not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {w!r}")
         try:
             if w == "supermartingale":
-                _g_spec_from(ex, float(h_norm(built["space"], x0 - y0)))
+                _g_spec_from(ex, _start_distance(cfg))
             elif w == "contraction":
-                xp.fit_window(sim.checkpoint_times, ex["fit_t_min"])
+                _fit_window(cfg)
             elif w in ("marginal_ou", "holder"):
                 t = ex["marginal_t" if w == "marginal_ou" else "holder_t"]
                 if t is not None:
-                    xp.checkpoint_index(sim.checkpoint_times, t)
+                    xp.checkpoint_index(cfg.sim.checkpoint_times, t)
             elif w == "lemma31":
-                xp.checkpoint_index(sim.checkpoint_times, 0.0)
+                if not ex["lemma31_deltas"]:
+                    raise ValueError("lemma31_deltas must not be empty")
+                xp.checkpoint_index(cfg.sim.checkpoint_times, 0.0)
                 t = ex["lemma31_t"]
-                if t is not None and not 0.0 <= t <= sim.horizon:
+                if t is not None and not 0.0 <= t <= cfg.sim.horizon:
                     raise ValueError("lemma31_t must lie in [0, sim.horizon]")
         except ValueError as exc:
             raise ConfigError(f"experiments: {w}: {exc}") from None
@@ -259,37 +267,57 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
             raise ConfigError(f"unknown condition {w!r}")
     if co["samples"] < 1 or co["mv_samples"] < 1:
         raise ConfigError("conditions.samples and mv_samples must be >= 1")
-    r_eff = mo["r"] if fam != "plaplace" else mo["p"] - 1.0
+    r_eff = cfg.model.family.r
     needs_kappa = {"a1prime", "a1doubleprime", "interpolation", "spectrum"}
-    if needs_kappa & set(co["which"]) and co["kappa"] is None:
-        raise ConfigError("conditions.kappa is required for the selected checks")
+    if needs_kappa & set(co["which"]) and not (
+            co["kappa"] is not None and co["kappa"] > 0.0):
+        raise ConfigError(
+            "conditions.kappa > 0 is required for the selected checks")
     if "a1prime" in co["which"]:
         if fam == "fastdiff":
             raise ConfigError("a1prime applies to r >= 1 families")
         if co["kappa"] <= r_eff - 1.0:
             raise ConfigError(
                 f"a1prime requires kappa > r - 1 (kappa={co['kappa']}, r={r_eff})")
-    if "a1doubleprime" in co["which"]:
-        if fam != "fastdiff":
-            raise ConfigError("a1doubleprime applies to the fast-diffusion family")
-        if co["kappa"] <= 0.0:
-            raise ConfigError("a1doubleprime requires kappa > 0")
+    if "a1doubleprime" in co["which"] and fam != "fastdiff":
+        raise ConfigError("a1doubleprime applies to the fast-diffusion family")
     if "spectrum" in co["which"] and sp["q_decay"] <= 0.5:
         raise ConfigError("the Hilbert-Schmidt gate needs q_decay > 1/2")
-    if "nash" in co["which"] and fam != "fastdiff":
-        raise ConfigError("the Nash gate applies to the fast-diffusion family")
+    if "nash" in co["which"]:
+        if fam != "fastdiff":
+            raise ConfigError("the Nash gate applies to the fast-diffusion family")
+        if co["nash_m"] is not None and not co["nash_m"] > 0.0:
+            raise ConfigError("conditions.nash_m must be > 0")
     for rv in co["mv_r"]:
         if not 0.0 < rv < 1.0:
             raise ConfigError("conditions.mv_r entries must lie in (0, 1)")
+    return cfg
+
+
+def _with_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
+    """``cfg`` with sim.master_seed replaced by ``seed``, when one is given."""
+    if seed is None:
+        return cfg
+    return _validated({**cfg.values,
+                       "sim": {**cfg["sim"], "master_seed": int(seed)}})
 
 
 def _check_ou_law(cfg: RunConfig, context: str) -> None:
     """ConfigError unless the model's law is the one ``ou_oracle`` knows."""
     try:
-        xp.ou_oracle(build_space(cfg), build_model(cfg),
-                     _initial_state(cfg, "x0"), 0.0)
+        xp.ou_oracle(cfg.space, cfg.model, cfg.x0, 0.0)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
+
+
+def _start_distance(cfg: RunConfig) -> float:
+    return float(h_norm(cfg.space, cfg.x0 - cfg.y0))
+
+
+def _fit_window(cfg: RunConfig) -> np.ndarray:
+    """The contraction fit's checkpoints; raises when no fit can be made."""
+    return xp.fit_window(cfg.sim.checkpoint_times,
+                         cfg["experiments"]["fit_t_min"], _start_distance(cfg))
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -367,6 +395,7 @@ def _initial_state(cfg: RunConfig, key: str) -> np.ndarray:
         raise ConfigError(f"sim.{key} has more entries than space.n_modes")
     out = np.zeros(n)
     out[:len(coeffs)] = coeffs
+    out.flags.writeable = False
     return out
 
 
@@ -382,7 +411,8 @@ def _mean_value_reports(co) -> dict:
         for rv in co["mv_r"]}
 
 
-def _run_conditions(cfg: RunConfig, space, model) -> dict:
+def _run_conditions(cfg: RunConfig) -> dict:
+    space, model = cfg.space, cfg.model
     co = cfg["conditions"]
     sp = cfg["space"]
     fam = cfg["model"]["family"]
@@ -409,8 +439,7 @@ def _run_conditions(cfg: RunConfig, space, model) -> dict:
             r=r_eff if fam != "plaplace" else None,
             p=model.family.p if fam == "plaplace" else None,
             kappa=co["kappa"], c=sp["q_amp"],
-            eps=(None if co["kappa"] is None
-                 else 1.0 - co["kappa"] * sp["q_decay"] / (2.0 * sp["gamma"])))
+            eps=1.0 - co["kappa"] * sp["q_decay"] / (2.0 * sp["gamma"]))
         gates = ["EI"]
         if fam == "porous":
             gates.append("*E")
@@ -433,7 +462,12 @@ def _run_conditions(cfg: RunConfig, space, model) -> dict:
     return out
 
 
-def _run_experiments(cfg: RunConfig, space, model, threads):
+def _ensemble(cfg: RunConfig, which: str, threads, **kw):
+    return run_paths(cfg.space, cfg.model, cfg.coupling, cfg.sim, which,
+                     x0=cfg.x0, y0=cfg.y0, threads=threads, **kw)
+
+
+def _run_experiments(cfg: RunConfig, threads):
     ex = cfg["experiments"]
     which = ex["which"]
     out: dict = {}
@@ -441,19 +475,14 @@ def _run_experiments(cfg: RunConfig, space, model, threads):
     rec = None
     if not which:
         return out, series, rec
-    sim = build_sim(cfg)
-    params = build_coupling(cfg)
-    x0 = _initial_state(cfg, "x0")
-    y0 = _initial_state(cfg, "y0")
-    dist0 = float(h_norm(space, x0 - y0))
+    space, model, sim, x0 = cfg.space, cfg.model, cfg.sim, cfg.x0
+    dist0 = _start_distance(cfg)
     needs_coupled = {"survival", "lemma31", "supermartingale", "chain",
                      "marginal_ou"} & set(which)
     if needs_coupled:
         deltas = tuple(m * dist0 for m in ex["lemma31_deltas"])
-        rec = run_paths(space, model, params, sim, "coupled", x0=x0, y0=y0,
-                        delta_grid=deltas,
-                        record_v_norms=cfg["sim"]["record_v_norms"],
-                        threads=threads)
+        rec = _ensemble(cfg, "coupled", threads, delta_grid=deltas,
+                        record_v_norms=cfg["sim"]["record_v_norms"])
         out["ensemble"] = {
             "n_paths": int(sim.n_paths),
             "failed_paths": int(np.sum(rec.failed)),
@@ -492,11 +521,10 @@ def _run_experiments(cfg: RunConfig, space, model, threads):
         t_m = ex["marginal_t"]
         if t_m is None:
             t_m = sim.checkpoint_times[-1]
-        out["marginal_ou"] = xp.marginal_ou_check(rec, space, model, x0, y0,
-                                                  t_m)
+        out["marginal_ou"] = xp.marginal_ou_check(rec, space, model, x0,
+                                                  cfg.y0, t_m)
     if "contraction" in which:
-        sync = run_paths(space, model, params, sim, "synchronous",
-                         x0=x0, y0=y0, threads=threads)
+        sync = _ensemble(cfg, "synchronous", threads)
         fit = xp.contraction_fit(sync, t_min=ex["fit_t_min"])
         bound = ex["fit_rate_bound"]
         res = dict(fit)
@@ -515,7 +543,8 @@ def _run_experiments(cfg: RunConfig, space, model, threads):
         direction[ex["holder_direction_mode"] - 1] = 1.0
         res = xp.holder_ratio_scan(space, model, sim, x0, direction,
                                    ex["holder_epsilons"], t_h,
-                                   coupling_params=params, threads=threads)
+                                   coupling_params=cfg.coupling,
+                                   threads=threads)
         out["holder"] = res
         series["holder"] = ([r["eps"] for r in res["rows"]],
                             [r["estimate"] for r in res["rows"]],
@@ -614,21 +643,14 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     """
     t_start = time.time()
     usage_start = _usage() if resource else None
-    if seed is not None:
-        sim_vals = dict(cfg.values["sim"])
-        sim_vals["master_seed"] = int(seed)
-        vals = dict(cfg.values)
-        vals["sim"] = sim_vals
-        cfg = RunConfig(values=vals)
+    cfg = _with_seed(cfg, seed)
     digest = config_hash(cfg)
     base = Path(out_dir if out_dir is not None else cfg["output"]["directory"])
     dest = base / digest
     dest.mkdir(parents=True, exist_ok=True)
 
-    space = build_space(cfg)
-    model = build_model(cfg)
-    results, series, rec = _run_experiments(cfg, space, model, threads)
-    conditions = _run_conditions(cfg, space, model)
+    results, series, rec = _run_experiments(cfg, threads)
+    conditions = _run_conditions(cfg)
     if conditions:
         results["conditions"] = conditions
 
@@ -660,7 +682,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
             "numpy": np.__version__,
         },
         "wall_time_s": time.time() - t_start,
-        "workers": (len(path_batches(build_sim(cfg).n_paths, threads))
+        "workers": (len(path_batches(cfg.sim.n_paths, threads))
                     if cfg["experiments"]["which"] else 0),
     }
     if resource:
@@ -682,28 +704,19 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _threads(args) -> int:
-    """``--threads``, else the SPDE_REFLECT_THREADS / CPU default."""
-    if args.threads is not None:
-        return args.threads
-    try:
-        return default_threads()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _load(args) -> RunConfig:
+    return _with_seed(parse_config_file(args.config), args.seed)
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config_file(args.config)
-    code = run(cfg, out_dir=args.out, seed=args.seed, threads=_threads(args))
+    cfg = _load(args)
+    code = run(cfg, out_dir=args.out, threads=args.threads)
     print(f"config {config_hash(cfg)}: " + ("FAILED" if code else "ok"))
     return code
 
 
 def _cmd_check_conditions(args) -> int:
-    cfg = parse_config_file(args.config)
-    space = build_space(cfg)
-    model = build_model(cfg)
-    reports = _run_conditions(cfg, space, model)
+    reports = _run_conditions(_load(args))
     if not reports:
         print("no conditions selected in [conditions] which")
         return 0
@@ -725,18 +738,8 @@ def _cmd_check_conditions(args) -> int:
     return 1 if bad else 0
 
 
-def _ensemble(args, which: str):
-    """Config and ensemble record of a ``couple``/``fit-rate`` command."""
-    cfg = parse_config_file(args.config)
-    rec = run_paths(build_space(cfg), build_model(cfg), build_coupling(cfg),
-                    build_sim(cfg, args.seed), which,
-                    x0=_initial_state(cfg, "x0"), y0=_initial_state(cfg, "y0"),
-                    threads=_threads(args))
-    return cfg, rec
-
-
 def _cmd_couple(args) -> int:
-    _, rec = _ensemble(args, "coupled")
+    rec = _ensemble(_load(args), "coupled", args.threads)
     times, p, se = xp.survival_curve(rec)
     print("t, P(tau_n > t), std_err")
     for t, pv, s in zip(times, p, se):
@@ -753,7 +756,12 @@ def _cmd_couple(args) -> int:
 
 
 def _cmd_fit_rate(args) -> int:
-    cfg, rec = _ensemble(args, "synchronous")
+    cfg = _load(args)
+    try:
+        _fit_window(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"fit-rate: {exc}") from None
+    rec = _ensemble(cfg, "synchronous", args.threads)
     fit = xp.contraction_fit(rec, t_min=cfg["experiments"]["fit_t_min"])
     print(f"decay rate of log E|X-Y|^2: {fit['rate']:.6g} "
           f"(95% CI [{fit['ci'][0]:.6g}, {fit['ci'][1]:.6g}], "
@@ -762,15 +770,13 @@ def _cmd_fit_rate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = parse_config_file(args.config)
+    cfg = _load(args)
     _check_ou_law(cfg, "oracle")
-    space, model = build_space(cfg), build_model(cfg)
-    x0 = _initial_state(cfg, "x0")
     print("Ornstein-Uhlenbeck analytics per H-mode (linear family, B = 0)")
-    for t in build_sim(cfg, args.seed).checkpoint_times:
-        mean, var = xp.ou_oracle(space, model, x0, t)
+    for t in cfg.sim.checkpoint_times:
+        mean, var = xp.ou_oracle(cfg.space, cfg.model, cfg.x0, t)
         head = ", ".join(f"mode{i+1}: mean={mean[i]:.6g} var={var[i]:.6g}"
-                         for i in range(min(4, space.n_modes)))
+                         for i in range(min(4, cfg.space.n_modes)))
         print(f"t={t:.6g}  {head}")
     return 0
 
@@ -797,7 +803,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         if name in ("run", "couple", "fit-rate"):    # the ensemble commands
             p.add_argument("--threads", type=int, default=None,
-                           help="forked path workers (default: env or CPUs)")
+                           help="forked path workers (default: usable CPUs)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -239,8 +239,11 @@ def coupling_tail_bound(record: PathEnsembleRecord, kprime: float) -> dict:
             "ok": bool(np.all(means <= bound + 3.0 * ses))}
 
 
-def fit_window(times, t_min: float) -> np.ndarray:
-    """Mask of the checkpoints >= t_min; raises unless it holds two."""
+def fit_window(times, t_min: float, dist0: float) -> np.ndarray:
+    """Mask of the checkpoints >= t_min; raises unless it holds two, and on a
+    degenerate pair, whose start distance ``dist0`` is 0 (x = y)."""
+    if dist0 == 0.0:
+        raise ValueError("degenerate pair: x = y")
     window = np.asarray(times, dtype=float) >= t_min - 1e-12
     if np.count_nonzero(window) < 2:
         raise ValueError("fit window must contain at least two checkpoints")
@@ -256,9 +259,7 @@ def contraction_fit(record: PathEnsembleRecord, *, t_min: float = 0.0) -> dict:
     """
     d2 = record.h_dist[record.live] ** 2
     times = record.checkpoint_times
-    if d2.shape[0] == 0 or float(np.max(d2[:, 0])) == 0.0:
-        raise ValueError("degenerate pair: x = y")
-    window = fit_window(times, t_min)
+    window = fit_window(times, t_min, float(np.max(d2[:, 0], initial=0.0)))
     tw = times[window]
 
     def slope_of(mat):

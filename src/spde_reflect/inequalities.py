@@ -129,7 +129,7 @@ def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
     the streamed :func:`mean_value_batch`.  The free constant is ``given``,
     or else ``fit(terms)`` on one batch.  ``check(terms, const)`` then
     returns the margins, their scale and optionally a ``floor`` on each
-    ``_SLAB``-sample slab of a fresh batch; a margin below
+    ``_SLAB``-sample slab of a fresh batch; a margin that is NaN or below
     ``-(_REL_TOL * scale + floor)`` is a violation.  The slabs' violations
     are summed and ``worst_margin`` is the least slab minimum, NaN if any
     margin is NaN.  ``constants(const)`` names the constants the report
@@ -146,7 +146,7 @@ def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
         tol = _REL_TOL * scale
         if floor:
             tol = tol + floor[0]
-        bad += int(np.sum(margins < -tol))
+        bad += int(np.sum(~(margins >= -tol)))
         lows.append(np.min(margins))
     return ConditionReport(
         condition_id=condition_id,

@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import threading
 import traceback
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -120,28 +119,24 @@ def philox_generator(master_seed: int, *labels: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_TLS = threading.local()
+# one Philox per process (each forked worker has its own copy), re-keyed
+# for every block: this avoids re-seeding entropy per block, and resetting
+# the full state makes the stream identical to a fresh construction with
+# the same key
+_PHILOX = np.random.Philox(key=[0, 0])
+_KEYED = np.random.Generator(_PHILOX)
+_STATE = _PHILOX.state
 
 
 def _keyed_generator(key0: int, key1: int) -> np.random.Generator:
-    # reusing a thread-local Philox avoids re-seeding entropy per block;
-    # resetting the full state makes the stream identical to a fresh
-    # construction with the same key
-    bg = getattr(_TLS, "philox", None)
-    if bg is None:
-        bg = np.random.Philox(key=[0, 0])
-        _TLS.philox = bg
-        _TLS.gen = np.random.Generator(bg)
-        _TLS.state = bg.state
-    st = _TLS.state
-    st["state"]["key"][0] = key0
-    st["state"]["key"][1] = key1
-    st["state"]["counter"][:] = 0
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bg.state = st
-    return _TLS.gen
+    _STATE["state"]["key"][0] = key0
+    _STATE["state"]["key"][1] = key1
+    _STATE["state"]["counter"][:] = 0
+    _STATE["buffer_pos"] = 4
+    _STATE["has_uint32"] = 0
+    _STATE["uinteger"] = 0
+    _PHILOX.state = _STATE
+    return _KEYED
 
 
 def noise_block(master_seed: int, step: int, channel: int, block: int,
@@ -325,7 +320,7 @@ class StepBuffers:
 
     Create one set per worker batch and pass it to every step of that
     batch's rows (``step_coupled(..., work=)``); a set must not be shared
-    between threads.
+    between workers.
     """
 
     def __init__(self, space: SpectralSpace, rows: int):
@@ -615,14 +610,7 @@ class PathEnsembleRecord:
 
 
 def default_threads() -> int:
-    """SPDE_REFLECT_THREADS, else the number of CPUs this process may run on."""
-    env = os.environ.get("SPDE_REFLECT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError("SPDE_REFLECT_THREADS must be an integer, "
-                             f"got {env!r}") from None
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)

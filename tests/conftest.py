@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spde_reflect import make_space
+from spde_reflect.spaces import make_space
 from spde_reflect.models import ModelSpec, Porous, PLaplace, FastDiff
 
 

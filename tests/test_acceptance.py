@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spde_reflect import make_space, h_norm
+from spde_reflect.spaces import make_space, h_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, FastDiff, LipschitzDiagonal, unit_base,
 )

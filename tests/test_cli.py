@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spde_reflect import cli
 from spde_reflect.cli import (
     ConfigError, RunConfig, parse_config, parse_config_file, config_hash, run,
     main, build_space, build_model, build_coupling, build_sim,
@@ -201,6 +202,19 @@ _BAD_CONFIGS = {
                       + "[experiments]\nwhich = lemma31\n",
                       "experiments: lemma31: t = 0.0 is not a recorded "
                       "checkpoint"),
+    "lemma31_deltas": (MINIMAL + SHORT + "[experiments]\nwhich = lemma31\n"
+                       "lemma31_deltas =\n",
+                       "experiments: lemma31: lemma31_deltas must not be empty"),
+    "contraction_x0_is_y0": (MINIMAL + SHORT + "x0 = 1\ny0 = 1\n"
+                             "[experiments]\nwhich = contraction\n",
+                             "experiments: contraction: degenerate pair: x = y"),
+    "nash_m": ("[model]\nfamily = fastdiff\nr = 0.5\n"
+               "[conditions]\nwhich = nash\nnash_m = -1\n",
+               "conditions.nash_m must be > 0"),
+    "interpolation_kappa": (MINIMAL + "[conditions]\nwhich = interpolation\n"
+                            "kappa = 0\n",
+                            "conditions.kappa > 0 is required for the "
+                            "selected checks"),
 }
 
 
@@ -340,15 +354,6 @@ def test_main_run_subcommand(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["run", "couple", "fit-rate"])
-def test_main_bad_thread_env_exit_code(command, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPDE_REFLECT_THREADS", "abc")
-    path = _write(tmp_path, SMALL_RUN)
-    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "SPDE_REFLECT_THREADS" in err
-
-
 def test_main_check_conditions(tmp_path, capsys):
     path = _write(tmp_path, SMALL_RUN)
     code = main(["check-conditions", "--config", path])
@@ -417,6 +422,32 @@ def test_run_dump_paths_and_aggregate(tmp_path):
     for name, ser in agg["estimates"].items():
         assert len(ser["value"]) == len(ser["std_err"]) == len(ser["grid"])
     assert agg["pass_flags"]["lemma31"] is True
+
+
+@pytest.mark.parametrize("change, message", [
+    ("[experiments]\nfit_t_min = 0.02\n",
+     "fit window must contain at least two checkpoints"),
+    ("x0 = 1\ny0 = 1\n", "degenerate pair: x = y"),
+], ids=["fit_t_min", "x0_is_y0"])
+def test_fit_rate_refuses_before_stepping(change, message, tmp_path, capsys,
+                                          monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_paths was called")
+
+    monkeypatch.setattr(cli, "run_paths", no_run)
+    path = _write(tmp_path, MINIMAL + SHORT + change)
+    assert main(["fit-rate", "--config", path, "--threads", "1"]) == 2
+    assert "config error: fit-rate: " + message in capsys.readouterr().err
+
+
+def test_run_builds_the_space_once(tmp_path, monkeypatch):
+    # run reuses the objects parse_config built instead of building them again
+    calls = []
+    make_space = cli.make_space
+    monkeypatch.setattr(cli, "make_space",
+                        lambda *a, **kw: calls.append(a) or make_space(*a, **kw))
+    assert run(parse_config(SMALL_RUN), out_dir=tmp_path, threads=1) == 0
+    assert len(calls) == 1
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
@@ -528,22 +559,40 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_estimator_outputs_frozen(tmp_path, capsys):
+def _couple_and_fit_rate(tmp_path, capsys, text, *flags) -> dict:
+    """Digests of the couple and fit-rate outputs of one config."""
+    path = _write(tmp_path, text)
+    capsys.readouterr()
+    assert main(["couple", "--config", path, *flags,
+                 "--out", str(tmp_path / "couple")]) == 0
+    assert main(["fit-rate", "--config", path, *flags]) == 0
+    got = {"stdout": _sha(capsys.readouterr().out.encode())}
+    for f in sorted((tmp_path / "couple").iterdir()):
+        got[f"couple/{f.name}"] = _sha(f.read_bytes())
+    return got
+
+
+# 600 paths span three noise blocks, so two workers fork a second batch
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimator_outputs_frozen(threads, tmp_path, capsys):
     # pinned-seed self-oracle: the estimators and their writers must keep
     # every output byte; manifest.json is left out (it holds a wall time)
     got = {}
     for tag, text, code in (("r1", FROZEN_R1, 0), ("r2", FROZEN_R2, 1)):
         cfg = parse_config(text)
-        assert run(cfg, out_dir=tmp_path / tag, threads=1) == code
+        assert run(cfg, out_dir=tmp_path / tag, threads=threads) == code
         for f in sorted((tmp_path / tag / config_hash(cfg)).iterdir()):
             if f.name != "manifest.json":
                 got[f"{tag}/{f.name}"] = _sha(f.read_bytes())
-    path = _write(tmp_path, FROZEN_R1)
-    capsys.readouterr()
-    assert main(["couple", "--config", path, "--threads", "1",
-                 "--out", str(tmp_path / "couple")]) == 0
-    assert main(["fit-rate", "--config", path, "--threads", "1"]) == 0
-    got["stdout"] = _sha(capsys.readouterr().out.encode())
-    for f in sorted((tmp_path / "couple").iterdir()):
-        got[f"couple/{f.name}"] = _sha(f.read_bytes())
+    got.update(_couple_and_fit_rate(tmp_path, capsys, FROZEN_R1,
+                                    "--threads", str(threads)))
     assert got == FROZEN_DIGESTS
+
+
+def test_seed_option_replaces_master_seed(tmp_path, capsys):
+    text = FROZEN_R1.replace("master_seed = 11", "master_seed = 12")
+    assert text != FROZEN_R1
+    got = _couple_and_fit_rate(tmp_path, capsys, text, "--seed", "11",
+                               "--threads", "1")
+    assert got == {k: v for k, v in FROZEN_DIGESTS.items()
+                   if k == "stdout" or k.startswith("couple/")}

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from spde_reflect import coupling, make_space, h_norm, h_inner
+from spde_reflect import coupling
+from spde_reflect.spaces import make_space, h_norm, h_inner
 from spde_reflect.coupling import (
     CouplingParams, cutoff_h, cutoff_h_prime, sqrt1mh2, sqrt1mh2_prime,
     cutoff_h_prime_sup, sigma_n_apply, reflect_apply,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spde_reflect import make_space, h_norm
+from spde_reflect.spaces import make_space, h_norm
 from spde_reflect.models import ModelSpec, Porous, PLaplace, LipschitzDiagonal, unit_base
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import SimConfig, run_paths

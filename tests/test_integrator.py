@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spde_reflect import make_space, h_norm
+from spde_reflect.spaces import make_space, h_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, LipschitzDiagonal, ZeroDiffusion, unit_base,
 )
@@ -21,16 +21,10 @@ from conftest import e_k
 
 
 def test_default_threads_counts_usable_cpus(monkeypatch):
-    monkeypatch.delenv("SPDE_REFLECT_THREADS", raising=False)
     monkeypatch.setattr(integrator.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0, 3},
                         raising=False)
     assert integrator.default_threads() == 2
-    monkeypatch.setenv("SPDE_REFLECT_THREADS", " 3 ")
-    assert integrator.default_threads() == 3
-    monkeypatch.setenv("SPDE_REFLECT_THREADS", "abc")
-    with pytest.raises(ValueError, match="SPDE_REFLECT_THREADS"):
-        integrator.default_threads()
 
 
 def test_sim_config_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spde_reflect import make_space, h_norm
+from spde_reflect.spaces import make_space, h_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, FastDiff, ZeroDiffusion, LipschitzDiagonal,
     DriftOverflowError, drift, pairing_drift_diff, apply_B, b_diag, b_hs_diff,

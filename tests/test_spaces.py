@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from spde_reflect import (
+from spde_reflect.spaces import (
     make_space, h_norm, q_norm, v_norm, to_grid, from_grid, quad,
 )
 from spde_reflect.spaces import ROW_CHUNK, rowblock_matmul
