@@ -256,6 +256,7 @@ def _validated(values: dict) -> RunConfig:
             elif w == "lemma31":
                 if not ex["lemma31_deltas"]:
                     raise ValueError("lemma31_deltas must not be empty")
+                xp._distinct_pair(_start_distance(cfg))
                 xp.checkpoint_index(cfg.sim.checkpoint_times, 0.0)
                 t = ex["lemma31_t"]
                 if t is not None and not 0.0 <= t <= cfg.sim.horizon:
@@ -429,9 +430,8 @@ def _run_conditions(cfg: RunConfig) -> dict:
                                      seed=seed)
         out["a1doubleprime"] = rep.as_dict()
     if "interpolation" in co["which"]:
-        rep = iq.check_interpolation_Q(space, co["kappa"], r=r_eff,
-                                       p=cfg["model"]["p"], variant=fam,
-                                       n_samples=co["samples"], seed=seed)
+        rep = iq.check_interpolation_Q(space, model, co["kappa"], co["samples"],
+                                       seed=seed)
         out["interpolation"] = rep.as_dict()
     if "spectrum" in co["which"]:
         params = iq.SpectrumParams(
@@ -467,14 +467,17 @@ def _ensemble(cfg: RunConfig, which: str, threads, **kw):
                      x0=cfg.x0, y0=cfg.y0, threads=threads, **kw)
 
 
-def _run_experiments(cfg: RunConfig, threads):
+# the selected experiments' results and series; the coupled ensemble's raw
+# paths are written to dest here, so that the record is freed on return,
+# before the condition suite allocates
+def _run_experiments(cfg: RunConfig, threads, dest: Path):
     ex = cfg["experiments"]
     which = ex["which"]
     out: dict = {}
     series: dict = {}
     rec = None
     if not which:
-        return out, series, rec
+        return out, series
     space, model, sim, x0 = cfg.space, cfg.model, cfg.sim, cfg.x0
     dist0 = _start_distance(cfg)
     needs_coupled = {"survival", "lemma31", "supermartingale", "chain",
@@ -489,8 +492,10 @@ def _run_experiments(cfg: RunConfig, threads):
             "glued_fraction": float(np.mean(rec.coupled[rec.live])),
             "tau_n_hit_fraction": float(np.mean(~np.isnan(rec.tau_n[rec.live]))),
         }
+    # K' is read only by lemma31 and supermartingale, and bounding it from
+    # the model scans 2,000,001 points
     kprime = ex["super_kprime"]
-    if kprime is None:
+    if kprime is None and {"lemma31", "supermartingale"} & set(which):
         kprime = xp.d3_rate_bound(model)
     if "survival" in which:
         times, p, se = xp.survival_curve(rec)
@@ -549,7 +554,10 @@ def _run_experiments(cfg: RunConfig, threads):
         series["holder"] = ([r["eps"] for r in res["rows"]],
                             [r["estimate"] for r in res["rows"]],
                             [r["std_err"] for r in res["rows"]])
-    return out, series, rec
+    if (rec is not None and cfg["output"]["dump_paths"]
+            and "csv" in cfg["output"]["formats"]):
+        _dump_paths_csv(dest / "paths.csv", rec)
+    return out, series
 
 
 def _aggregate_result(cfg: RunConfig, results: dict, series: dict) -> dict:
@@ -649,7 +657,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     dest = base / digest
     dest.mkdir(parents=True, exist_ok=True)
 
-    results, series, rec = _run_experiments(cfg, threads)
+    results, series = _run_experiments(cfg, threads, dest)
     conditions = _run_conditions(cfg)
     if conditions:
         results["conditions"] = conditions
@@ -672,8 +680,6 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         for name, (grid, vals, errs) in series.items():
             _write_csv(dest / f"{name}.csv", grid, vals, errs,
                        grid_name=grid_names.get(name, "grid"))
-        if cfg["output"]["dump_paths"] and rec is not None:
-            _dump_paths_csv(dest / "paths.csv", rec)
     manifest = {
         "config_hash": digest,
         "config": cfg.values,

@@ -65,13 +65,21 @@ def checkpoint_index(times, t: float) -> int:
     return j
 
 
+def _distinct_pair(dist0: float) -> float:
+    """The start distance ``dist0``; raises on a degenerate pair, whose
+    distance is 0 (x = y), for which no fit or escape bound is defined."""
+    if dist0 == 0.0:
+        raise ValueError("degenerate pair: x = y")
+    return dist0
+
+
 def d3_rate_bound(model: ModelSpec) -> float:
     """Distance-process drift rate K' = K + 2 sup|h'|^2 from the model data."""
     return lipschitz_K_bound(model) + 2.0 * cutoff_h_prime_sup() ** 2
 
 
-def survival_curve(record: PathEnsembleRecord, times=None):
-    """Empirical P(tau_n > t) with binomial standard errors.
+def survival_curve(record: PathEnsembleRecord):
+    """Empirical P(tau_n > t) at the checkpoints, with binomial standard errors.
 
     Nonincreasing in t by construction.  Paths that never reached 1/n within
     the horizon count as survivors at every checkpoint.
@@ -79,25 +87,24 @@ def survival_curve(record: PathEnsembleRecord, times=None):
     tau = record.tau_n[record.live]
     if tau.size == 0:
         raise ValueError("no live paths")
-    times = np.asarray(record.checkpoint_times if times is None else times,
-                       dtype=float)
+    times = record.checkpoint_times
     p, se = frequency(np.isnan(tau) | (tau > times[:, None]))
     return times, p, se
 
 
-def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float,
-                  deltas=None) -> dict:
+def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float) -> dict:
     """Escape bound P(tau_n ^ t >= tau_{n,delta}) <= |x-y| e^(K't) / delta.
 
     Uses the recorded delta-crossing times; the empirical probability passes
     when it does not exceed the bound by more than 3 binomial standard
     errors.  Grid points with delta <= |x-y| are vacuous (bound >= 1).
+    Raises on a degenerate pair (x = y at the start).
     """
     if record.tau_delta.shape[1] == 0:
         raise ValueError("record has no delta-crossing times")
     j0 = checkpoint_index(record.checkpoint_times, 0.0)
     live = record.live
-    dist0 = float(record.h_dist[live][0, j0])
+    dist0 = _distinct_pair(float(record.h_dist[live][0, j0]))
     td = record.tau_delta[live]                 # (M, deltas)
     tn = record.tau_n[live][:, None]
     p, se = frequency((~np.isnan(td) & (td <= t)
@@ -106,8 +113,7 @@ def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float,
     rows = [{"delta": float(d), "probability": float(pj), "std_err": float(s),
              "bound": float(b), "margin": float(b + 3.0 * s - pj),
              "vacuous": bool(d <= dist0), "ok": bool(pj <= b + 3.0 * s)}
-            for d, pj, s, b in zip(record.delta_grid, p, se, bounds)
-            if deltas is None or np.any(np.isclose(d, np.asarray(deltas, float)))]
+            for d, pj, s, b in zip(record.delta_grid, p, se, bounds)]
     return {"t": float(t), "kprime": float(kprime), "dist0": dist0,
             "rows": rows, "ok": all(r["ok"] for r in rows)}
 
@@ -136,26 +142,20 @@ class GSpec:
     * ``log_power`` (r)                 g(s) = int_0^s log(e + 1/z)^(r/(1+r)) dz
     * ``sqrt_log``                      g(s) = int_0^s sqrt(log(e + 1/z)) dz
     * ``power`` (eps)                   g(s) = s^eps
-    * ``exp_power`` (lam, gam, eps)     g(s) = 1 - exp(-lam s^eps) + gam s^eps
     """
     kind: str
     eps: float | None = None
     delta: float | None = None
-    lam: float | None = None
-    gam: float | None = None
     r: float | None = None
 
     def __post_init__(self):
-        if self.kind in ("clipped_linear", "power", "exp_power"):
+        if self.kind in ("clipped_linear", "power"):
             if self.eps is None or not 0.0 < self.eps < 1.0:
                 raise ValueError("eps must lie in (0, 1)")
         if self.kind == "clipped_linear" and (self.delta is None or self.delta <= 0):
             raise ValueError("clipped_linear needs delta > 0")
         if self.kind == "log_power" and (self.r is None or self.r <= 0):
             raise ValueError("log_power needs r > 0")
-        if self.kind == "exp_power":
-            if self.lam is None or self.lam <= 0 or self.gam is None or self.gam < 0:
-                raise ValueError("exp_power needs lam > 0, gam >= 0")
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -166,8 +166,6 @@ class GSpec:
             return sc - sc ** (1.0 + self.eps) / (4.0 * self.delta ** self.eps)
         if self.kind == "power":
             return s ** self.eps
-        if self.kind == "exp_power":
-            return 1.0 - np.exp(-self.lam * s ** self.eps) + self.gam * s ** self.eps
         if self.kind == "log_power":
             a = self.r / (1.0 + self.r)
             return _gl_primitive(lambda z: np.log(np.e + 1.0 / z) ** a, s)
@@ -241,9 +239,8 @@ def coupling_tail_bound(record: PathEnsembleRecord, kprime: float) -> dict:
 
 def fit_window(times, t_min: float, dist0: float) -> np.ndarray:
     """Mask of the checkpoints >= t_min; raises unless it holds two, and on a
-    degenerate pair, whose start distance ``dist0`` is 0 (x = y)."""
-    if dist0 == 0.0:
-        raise ValueError("degenerate pair: x = y")
+    degenerate pair (see :func:`_distinct_pair`)."""
+    _distinct_pair(dist0)
     window = np.asarray(times, dtype=float) >= t_min - 1e-12
     if np.count_nonzero(window) < 2:
         raise ValueError("fit window must contain at least two checkpoints")

@@ -43,7 +43,10 @@ single trajectory and mirrored).
 Every run goes through that one step and records the pair.  The
 synchronous coupling is the step without the reflected channel; a
 single-equation run is the synchronous run from y0 = x0, glued at t = 0,
-whose steps evaluate and advance x only and copy it to y.
+whose steps evaluate and advance x only and copy it to y.  Overflow has one
+policy: a path whose new x or y is not finite is frozen at NaN and its
+first non-finite mode is recorded in ``CouplingState.fail_mode``; no step
+raises on it, and ``run_paths`` reports each failed path with its time.
 
 Buffers
 -------
@@ -89,8 +92,8 @@ from .coupling import CouplingParams, coupled_diffusion_increments
 
 __all__ = [
     "BLOCK_ROWS", "SimConfig", "CouplingState", "PathEnsembleRecord",
-    "StepOverflow", "StepBuffers", "noise_block", "gen_noise", "philox_generator",
-    "step_single", "step_coupled", "make_coupling_state", "run_paths",
+    "StepBuffers", "noise_block", "gen_noise", "philox_generator",
+    "step_coupled", "make_coupling_state", "run_paths",
     "path_batches", "default_threads",
 ]
 
@@ -225,17 +228,6 @@ class SimConfig:
 
     def checkpoint_steps(self) -> list:
         return [int(round(t / self.dt)) for t in self.checkpoint_times]
-
-
-class StepOverflow(RuntimeError):
-    """A state coefficient became non-finite during stepping."""
-
-    def __init__(self, time: float, mode: int, path: int = 0):
-        self.time = float(time)
-        self.mode = int(mode)
-        self.path = int(path)
-        super().__init__(
-            f"state overflow at t={time:g} (path {path}, mode {mode + 1})")
 
 
 @dataclass
@@ -465,31 +457,6 @@ def _band_noise(config: SimConfig, step_index: int, path_lo: int,
     return out
 
 
-# a single step moves a pair glued at its start, which never enters the band
-_GLUED = CouplingParams(n=1)
-
-
-def step_single(space: SpectralSpace, model: ModelSpec, config: SimConfig,
-                x: np.ndarray, t: float, step_index: int,
-                *, noise=None) -> np.ndarray:
-    """One marginal-equation step from t; noise drawn from the keyed streams.
-
-    This is the x of a synchronous step of the pair glued at x.  ``noise``
-    may supply explicit (dW1, dW2) arrays (used by tests and by the
-    deterministic-drift examples).  Raises StepOverflow on non-finite
-    output and ValueError at or past the horizon.
-    """
-    x = np.asarray(x, dtype=float)
-    state = replace(make_coupling_state(space, _GLUED, x, x), time=t,
-                    step_index=step_index)
-    new = step_coupled(space, model, _GLUED, config, state, synchronous=True,
-                       noise=None if noise is None else (*noise, None))
-    bad = np.flatnonzero(new.failed)
-    if bad.size:
-        raise StepOverflow(new.time, new.fail_mode[bad[0]], bad[0])
-    return new.x if x.ndim > 1 else new.x[0]
-
-
 def step_coupled(space: SpectralSpace, model: ModelSpec,
                  params: CouplingParams, config: SimConfig,
                  state: CouplingState, *, noise=None,
@@ -503,7 +470,8 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     synchronous step.  ``work`` holds the step's intermediates (a fresh set
     when None); it must have been built for ``state.n_paths`` rows.  A path
     whose new x or y is not finite is frozen at NaN and its first
-    non-finite mode recorded in ``fail_mode``.
+    non-finite mode recorded in ``fail_mode``.  Raises ValueError at or
+    past the horizon.
     """
     if state.time >= config.horizon - 1e-12:
         raise ValueError("state is already at the horizon")

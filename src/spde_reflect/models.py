@@ -11,12 +11,13 @@ Families
   r in (0, 1) plus the time coefficient beta(t) = beta0 + beta_amp *
   sin(beta_freq * t).  Weighted space.
 
-The drift returns the Galerkin projection of A(t, v) in sine coefficients.
+``drift_and_split_rate`` returns the Galerkin projection of A(t, v) in sine
+coefficients, with the stiffness rate the time step splits off.
 ``pairing_drift_diff`` evaluates the dual pairing
 <A(t,v1) - A(t,v2), v1 - v2> in the family's closed form (quadrature for
 the pointwise products, exact spectral inversion of -L for the zero-order
 terms); it is the independent route used by the inequality checkers and is
-deliberately not derived from ``drift``.
+deliberately not derived from ``drift_and_split_rate``.
 
 Diffusion coefficients B are either zero or diagonal Lipschitz maps
 b_i(v) = c0 * tanh(c_i(v)) * a_i acting mode by mode, where c_i(v) is the
@@ -38,9 +39,8 @@ from .spaces import (
 __all__ = [
     "Porous", "PLaplace", "FastDiff",
     "ZeroDiffusion", "LipschitzDiagonal",
-    "ModelSpec", "DriftOverflowError", "DriftBuffers",
-    "drift", "drift_and_split_rate", "pairing_drift_diff",
-    "apply_B", "b_hs_diff", "b_diag", "unit_base",
+    "ModelSpec", "DriftBuffers", "drift_and_split_rate", "pairing_drift_diff",
+    "b_hs_diff", "b_diag", "unit_base",
     "signed_power", "beta_sup",
 ]
 
@@ -134,14 +134,6 @@ class ModelSpec:
             and fam.phi_slope == 0.0))
 
 
-class DriftOverflowError(FloatingPointError):
-    """Drift evaluation produced a non-finite coefficient."""
-
-    def __init__(self, mode_index: int, message: str | None = None):
-        self.mode_index = int(mode_index)
-        super().__init__(message or f"non-finite drift in mode {mode_index + 1}")
-
-
 def signed_power(s: np.ndarray, r: float, out: np.ndarray | None = None,
                  abs_s: np.ndarray | None = None):
     """|s|^(r-1) s for r >= 1, |s|^r sgn(s) for r in (0,1); same formula.
@@ -182,13 +174,6 @@ def _row_max(a: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.max(a, axis=-1, out=out)
     np.maximum.reduceat(a.reshape(-1), np.arange(0, a.size, a.shape[-1]),
                         out=out.reshape(-1))
-    return out
-
-
-def _check_finite(out: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))
-        raise DriftOverflowError(int(bad[0][-1]))
     return out
 
 
@@ -272,17 +257,6 @@ def drift_and_split_rate(space: SpectralSpace, model: ModelSpec, t: float,
     return np.add(dr, np.multiply(zero_order, v, out=buf.scratch), out=dr), mu
 
 
-def drift(space: SpectralSpace, model: ModelSpec, t: float,
-          v: np.ndarray) -> np.ndarray:
-    """Galerkin projection of A(t, v); batches over leading axes of v.
-
-    Raises DriftOverflowError on a non-finite coefficient.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = drift_and_split_rate(space, model, t, v)
-    return _check_finite(out)
-
-
 def pairing_drift_diff(space: SpectralSpace, model: ModelSpec, t: float,
                        v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Dual pairing <A(t,v1) - A(t,v2), v1 - v2> in closed form."""
@@ -329,12 +303,6 @@ def b_diag(space: SpectralSpace, model: ModelSpec, t: float,
     # c0 * tanh(sqrt(w) v) * base, in that order
     c = np.tanh(np.multiply(space.root_h_weights, v, out=out), out=out)
     return np.multiply(np.multiply(spec.c0, c, out=c), spec.base, out=c)
-
-
-def apply_B(space: SpectralSpace, model: ModelSpec, t: float,
-            v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Diagonal action B(t, v) w on a state w."""
-    return b_diag(space, model, t, v) * np.asarray(w, dtype=float)
 
 
 def b_hs_diff(space: SpectralSpace, model: ModelSpec, t: float,

@@ -251,8 +251,8 @@ def test_criterion_10_inequality_suite():
     rep = check_A1doubleprime(sp63, ModelSpec(FastDiff(r=0.5)), 3.0, 10_000,
                               seed=1010)
     ok &= rep.verdict == "pass" and rep.fitted_constants["theta"] > 0.0
-    rep = check_interpolation_Q(sp63, 3.0, r=0.5, variant="fastdiff",
-                                n_samples=10_000, seed=1010)
+    rep = check_interpolation_Q(sp63, ModelSpec(FastDiff(r=0.5)), 3.0, 10_000,
+                                seed=1010)
     ok &= rep.verdict == "pass"
     # spectrum gates with brute-force scans to i = 10^6
     gates = [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,10 @@ _BAD_CONFIGS = {
     "contraction_x0_is_y0": (MINIMAL + SHORT + "x0 = 1\ny0 = 1\n"
                              "[experiments]\nwhich = contraction\n",
                              "experiments: contraction: degenerate pair: x = y"),
+    # every delta would be m |x - y| = 0, and the escape bound 0 / 0
+    "lemma31_x0_is_y0": (MINIMAL + SHORT + "x0 = 1\ny0 = 1\n"
+                         "[experiments]\nwhich = lemma31\n",
+                         "experiments: lemma31: degenerate pair: x = y"),
     "nash_m": ("[model]\nfamily = fastdiff\nr = 0.5\n"
                "[conditions]\nwhich = nash\nnash_m = -1\n",
                "conditions.nash_m must be > 0"),
@@ -362,6 +367,21 @@ def test_main_check_conditions(tmp_path, capsys):
     assert "a1prime" in out and "pass" in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_kappa_is_a_clean_fail(tmp_path, capsys):
+    # the interpolation powers overflow at kappa = 1e-300: the report reads
+    # fail with NaN margins, and no overflow warning escapes
+    text = (Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
+            ).read_text()
+    text = re.sub(r"(?m)^which = meanvalue, .*$", "which = interpolation", text)
+    text = re.sub(r"(?m)^kappa = .*$", "kappa = 1e-300", text)
+    out = tmp_path / "out"
+    assert main(["check-conditions", "--config", _write(tmp_path, text),
+                 "--out", str(out)]) == 1
+    rep = json.loads((out / "conditions.json").read_text())["interpolation"]
+    assert rep["verdict"] == "fail" and rep["violation_count"] == 2000
+
+
 @pytest.mark.parametrize("command", ["check-conditions", "oracle"])
 def test_threads_only_on_forking_commands(command, tmp_path, capsys):
     # only run, couple and fit-rate fork path workers
@@ -438,6 +458,41 @@ def test_fit_rate_refuses_before_stepping(change, message, tmp_path, capsys,
     path = _write(tmp_path, MINIMAL + SHORT + change)
     assert main(["fit-rate", "--config", path, "--threads", "1"]) == 2
     assert "config error: fit-rate: " + message in capsys.readouterr().err
+
+
+def test_run_bounds_k_prime_only_for_the_experiments_that_read_it(
+        tmp_path, monkeypatch):
+    # only lemma31 and supermartingale read K', whose bound scans 2,000,001
+    # points of the cutoff
+    def no_scan():
+        raise AssertionError("cutoff_h_prime_sup was called")
+
+    monkeypatch.setattr(cli.xp, "cutoff_h_prime_sup", no_scan)
+    cfg = parse_config(MINIMAL + SHORT + "n_paths = 16\n"
+                       "[experiments]\nwhich = survival\n")
+    assert run(cfg, out_dir=tmp_path, threads=1) == 0
+
+
+def test_run_frees_the_ensemble_before_the_conditions(tmp_path, monkeypatch):
+    # paths.csv is written before the condition suite runs, and no ensemble
+    # record is alive while it does
+    records = []
+    run_paths, run_conditions = cli.run_paths, cli._run_conditions
+
+    def kept(*args, **kwargs):
+        rec = run_paths(*args, **kwargs)
+        records.append(weakref.ref(rec))
+        return rec
+
+    def conditions(cfg):
+        assert list(tmp_path.glob("*/paths.csv"))
+        assert records and all(r() is None for r in records)
+        return run_conditions(cfg)
+
+    monkeypatch.setattr(cli, "run_paths", kept)
+    monkeypatch.setattr(cli, "_run_conditions", conditions)
+    cfg = parse_config(SMALL_RUN + "\n[output]\ndump_paths = true\n")
+    assert run(cfg, out_dir=tmp_path, threads=1) == 0
 
 
 def test_run_builds_the_space_once(tmp_path, monkeypatch):

@@ -67,8 +67,8 @@ def test_survival_stable_under_horizon_refinement(porous_space, porous_linear):
                                 checkpoint_times=shared + (0.2,)),
                       "coupled", x0=x0, y0=-x0, threads=1)
     _, pa, _ = survival_curve(rec_a)
-    _, pb, _ = survival_curve(rec_b, times=np.asarray(shared))
-    np.testing.assert_array_equal(pa, pb)
+    _, pb, _ = survival_curve(rec_b)
+    np.testing.assert_array_equal(pa, pb[:len(shared)])
 
 
 def test_lemma31_vacuous_and_bounds(small_coupled):
@@ -84,9 +84,21 @@ def test_lemma31_vacuous_and_bounds(small_coupled):
 
 
 def test_lemma31_vacuous_flag(small_coupled):
-    res = check_lemma31(small_coupled, t=0.2, kprime=0.0,
-                        deltas=(small_coupled.delta_grid[0],))
+    # every delta of the grid exceeds the start distance 0.9
+    res = check_lemma31(small_coupled, t=0.2, kprime=0.0)
+    assert [r["delta"] for r in res["rows"]] == [1.8, 3.6, 9.0]
     assert all(not r["vacuous"] for r in res["rows"])
+
+
+def test_lemma31_refuses_a_degenerate_pair(porous_space, porous_linear):
+    # with x = y every delta m |x - y| is 0, and the bound 0 / 0 is undefined
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=8, master_seed=103,
+                    checkpoint_times=(0.0, 0.01))
+    x0 = e_k(16, 1, 0.3)
+    rec = run_paths(porous_space, porous_linear, CouplingParams(n=2), cfg,
+                    "coupled", x0=x0, y0=x0, delta_grid=(0.0, 0.0), threads=1)
+    with pytest.raises(ValueError, match="degenerate pair: x = y"):
+        check_lemma31(rec, t=0.01, kprime=0.0)
 
 
 def test_supermartingale_glued(glued_record):
@@ -114,7 +126,7 @@ def test_gspec_validation():
     with pytest.raises(ValueError):
         GSpec("clipped_linear", eps=0.5)          # missing delta
     with pytest.raises(ValueError):
-        GSpec("exp_power", eps=0.5, lam=-1.0, gam=0.1)
+        GSpec("log_power", r=0.0)
 
 
 def test_gspec_integral_against_dense_quadrature():
@@ -135,8 +147,7 @@ def test_gspec_monotone_concave_shapes():
     s = np.linspace(0.0, 1.0, 200)
     for g in (GSpec("identity"), GSpec("power", eps=0.5),
               GSpec("clipped_linear", eps=0.5, delta=1.0),
-              GSpec("log_power", r=2.0), GSpec("sqrt_log"),
-              GSpec("exp_power", eps=0.5, lam=2.0, gam=0.1)):
+              GSpec("log_power", r=2.0), GSpec("sqrt_log")):
         vals = g(s)
         assert np.all(np.diff(vals) >= -1e-12)   # nondecreasing
         assert vals[0] == pytest.approx(0.0, abs=1e-12)

@@ -231,8 +231,8 @@ def test_a1doubleprime_scaling_homogeneity(ex63_space, fastdiff_half):
 def test_interpolation_single_mode_identity(ex41_space):
     # a one-mode vector makes both sides proportional; fitted constant is
     # finite and the fresh batch passes
-    rep = check_interpolation_Q(ex41_space, 8.0, r=2.0, variant="porous",
-                                n_samples=4_000)
+    rep = check_interpolation_Q(ex41_space, ModelSpec(Porous(r=2.0)), 8.0,
+                                4_000)
     assert rep.verdict == "pass"
     assert np.isfinite(rep.fitted_constants["C"])
 
@@ -241,23 +241,22 @@ def test_interpolation_constant_stable_in_modes():
     fits = []
     for n_modes in (128, 256):
         sp = make_space(n_modes, 2.0, weighted=True, q_decay=0.75)
-        rep = check_interpolation_Q(sp, 8.0, r=2.0, variant="porous",
-                                    n_samples=4_000)
+        rep = check_interpolation_Q(sp, ModelSpec(Porous(r=2.0)), 8.0, 4_000)
         assert rep.verdict == "pass"
         fits.append(rep.fitted_constants["C"])
     assert abs(fits[1] - fits[0]) <= 0.10 * max(fits)
 
 
 def test_interpolation_fastdiff(ex63_space):
-    rep = check_interpolation_Q(ex63_space, 3.0, r=0.5, variant="fastdiff",
-                                n_samples=10_000)
+    rep = check_interpolation_Q(ex63_space, ModelSpec(FastDiff(r=0.5)), 3.0,
+                                10_000)
     assert rep.verdict == "pass"
     assert rep.fitted_constants["eta"] > 0.0
 
 
 def test_interpolation_plaplace(plap_space):
-    rep = check_interpolation_Q(plap_space, 2.5, p=2.0, variant="plaplace",
-                                n_samples=10_000)
+    rep = check_interpolation_Q(plap_space, ModelSpec(PLaplace(p=2.0)), 2.5,
+                                10_000)
     assert rep.verdict == "pass"
 
 
@@ -383,14 +382,13 @@ def _frozen_cases(n=2000, n_mv=20000):
     s = 5
     return {
         "interp_plaplace": lambda: check_interpolation_Q(
-            plap, 2.5, p=2.0, variant="plaplace", n_samples=n, seed=s),
-        "interp_porous": lambda: check_interpolation_Q(
-            ex41, 8.0, r=2.0, variant="porous", n_samples=n, seed=s),
+            plap, ModelSpec(PLaplace(p=2.0)), 2.5, n, seed=s),
+        "interp_porous": lambda: check_interpolation_Q(ex41, por, 8.0, n,
+                                                       seed=s),
         "interp_porous_fail": lambda: check_interpolation_Q(
-            ex41, 8.0, r=2.0, variant="porous", n_samples=n, seed=s,
-            safety=1.5),
-        "interp_fastdiff": lambda: check_interpolation_Q(
-            ex63, 3.0, r=0.5, variant="fastdiff", n_samples=n, seed=s),
+            ex41, por, 8.0, n, seed=s, safety=1.5),
+        "interp_fastdiff": lambda: check_interpolation_Q(ex63, fd, 3.0, n,
+                                                         seed=s),
         "a1prime_fit": lambda: check_A1prime(ex41, por, 8.0, n, seed=s),
         "a1prime_given": lambda: check_A1prime(ex41, por, 8.0, n, seed=s,
                                                K=0.5, theta=1.0),
@@ -563,8 +561,7 @@ def _zero_sample_checks():
         "a1prime_given": lambda n: check_A1prime(sp, por, 8.0, n, K=0.0,
                                                  theta=1.0),
         "a1doubleprime": lambda n: check_A1doubleprime(sp, fd, 3.0, n),
-        "interpolation": lambda n: check_interpolation_Q(
-            sp, 8.0, r=2.0, n_samples=n),
+        "interpolation": lambda n: check_interpolation_Q(sp, por, 8.0, n),
         "coercivity": lambda n: fit_coercivity(sp, por, n),
     }
 

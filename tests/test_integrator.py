@@ -13,11 +13,23 @@ from spde_reflect.models import (
 from spde_reflect import integrator
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import (
-    SimConfig, StepOverflow, gen_noise, noise_block, step_single,
-    step_coupled, make_coupling_state, run_paths, BLOCK_ROWS, StepBuffers,
-    _split_factors,
+    SimConfig, gen_noise, noise_block, step_coupled, make_coupling_state,
+    run_paths, BLOCK_ROWS, StepBuffers, _split_factors,
 )
 from conftest import e_k
+
+
+def glued_step(space, model, config, x, t, step_index, *, noise=None):
+    """The single-equation step from t, as run_paths takes it: a synchronous
+    step of the pair glued at x, which never enters the band.  ``noise``
+    may supply explicit (dW1, dW2); returns the new state, whose x is the
+    stepped one."""
+    glued = CouplingParams(n=1)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    state = replace(make_coupling_state(space, glued, x, x), time=t,
+                    step_index=step_index)
+    return step_coupled(space, model, glued, config, state, synchronous=True,
+                        noise=None if noise is None else (*noise, None))
 
 
 def test_default_threads_counts_usable_cpus(monkeypatch):
@@ -146,29 +158,34 @@ def test_step_single_deterministic_drift(porous_space, porous_linear):
     cfg = SimConfig(dt=dt, horizon=1.0, n_paths=1, master_seed=0,
                     scheme="explicit")
     z = np.zeros(16)
-    out = step_single(porous_space, porous_linear, cfg, e_k(16, 1), 0.0, 0,
-                      noise=(z, z))
+    out = glued_step(porous_space, porous_linear, cfg, e_k(16, 1), 0.0, 0,
+                     noise=(z, z)).x[0]
     np.testing.assert_allclose(out, (1.0 - np.pi ** 2 * dt) * e_k(16, 1),
                                atol=1e-14)
     cfg2 = SimConfig(dt=dt, horizon=1.0, n_paths=1, master_seed=0,
                      scheme="semi_implicit")
-    out2 = step_single(porous_space, porous_linear, cfg2, e_k(16, 1), 0.0, 0,
-                       noise=(z, z))
+    out2 = glued_step(porous_space, porous_linear, cfg2, e_k(16, 1), 0.0, 0,
+                      noise=(z, z)).x[0]
     np.testing.assert_allclose(out2, np.exp(-np.pi ** 2 * dt) * e_k(16, 1),
                                atol=1e-14)
 
 
 def test_step_single_overflow(porous_space):
+    # an overflow is recorded as the program records it: the path is frozen
+    # at NaN with its first non-finite mode, and nothing is raised
     m = ModelSpec(Porous(r=3.0))
     cfg = SimConfig(dt=1e-3, horizon=1.0, n_paths=1, master_seed=0,
                     scheme="explicit")
-    with pytest.raises(StepOverflow):
-        x = np.full(16, 1e160)
-        step_single(porous_space, m, cfg, x, 0.0, 0,
-                    noise=(np.zeros(16), np.zeros(16)))
-    # a step from the horizon is refused, as for pairs
+    new = glued_step(porous_space, m, cfg, np.full(16, 1e160), 0.0, 0,
+                     noise=(np.zeros(16), np.zeros(16)))
+    assert 0 <= new.fail_mode[0] < 16
+    assert np.all(np.isnan(new.x)) and np.all(np.isnan(new.y))
+    # a step from the horizon is refused
+    at_horizon = replace(make_coupling_state(porous_space, CouplingParams(n=1),
+                                             np.zeros(16), np.zeros(16)),
+                         time=1.0, step_index=1000)
     with pytest.raises(ValueError, match="horizon"):
-        step_single(porous_space, m, cfg, np.zeros(16), 1.0, 1000)
+        step_coupled(porous_space, m, CouplingParams(n=1), cfg, at_horizon)
 
 
 def test_ou_variance_oracle(porous_space, porous_linear):
@@ -205,8 +222,8 @@ def test_strong_convergence_order():
         steps = int(round(horizon / dt))
         for k in range(steps):
             inc = fine[k * stride:(k + 1) * stride].sum(axis=0)[None, :]
-            x = step_single(sp, m, cfg, x, k * dt, k,
-                            noise=(np.zeros((1, 8)), inc))
+            x = glued_step(sp, m, cfg, x, k * dt, k,
+                           noise=(np.zeros((1, 8)), inc)).x
         return x[0]
 
     ref = integrate(ref_dt)
@@ -418,10 +435,10 @@ def test_scalar_split_rate_matches_per_row(porous_space, plap_space,
         return dr, np.full(np.shape(v)[:-1], mu)
 
     scalar = [step_coupled(space, model, params, cfg, st),
-              step_single(space, model, cfg, st.x, 0.0, 0)]
+              glued_step(space, model, cfg, st.x, 0.0, 0).x]
     monkeypatch.setattr(integrator, "drift_and_split_rate", per_row)
     rows = [step_coupled(space, model, params, cfg, st),
-            step_single(space, model, cfg, st.x, 0.0, 0)]
+            glued_step(space, model, cfg, st.x, 0.0, 0).x]
     _assert_states_equal(scalar[0], rows[0])
     np.testing.assert_array_equal(scalar[1], rows[1])
 
@@ -696,7 +713,7 @@ def test_drift_evaluated_unless_exact_split(porous_space, monkeypatch, family,
     monkeypatch.setattr(integrator, "drift_and_split_rate", counted)
     step_coupled(porous_space, model, params, cfg, st)
     step_coupled(porous_space, model, params, cfg, st, synchronous=True)
-    step_single(porous_space, model, cfg, st.x, 0.0, 0)
+    glued_step(porous_space, model, cfg, st.x, 0.0, 0)
     assert len(calls) == 5
     exact = ModelSpec(Porous(r=1.0))
     step_coupled(porous_space, exact, params, replace(cfg, scheme="semi_implicit"),

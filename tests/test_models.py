@@ -4,7 +4,7 @@ import pytest
 from spde_reflect.spaces import make_space, h_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, FastDiff, ZeroDiffusion, LipschitzDiagonal,
-    DriftOverflowError, drift, pairing_drift_diff, apply_B, b_diag, b_hs_diff,
+    drift_and_split_rate, pairing_drift_diff, b_diag, b_hs_diff,
     unit_base, signed_power, _row_max,
 )
 from spde_reflect.inequalities import fit_coercivity
@@ -23,19 +23,19 @@ def test_family_validation():
 
 
 def test_drift_linear_porous(porous_space, porous_linear):
-    d = drift(porous_space, porous_linear, 0.0, e_k(16, 1))
+    d = drift_and_split_rate(porous_space, porous_linear, 0.0, e_k(16, 1))[0]
     np.testing.assert_allclose(d, -np.pi ** 2 * e_k(16, 1), atol=1e-10)
 
 
 def test_drift_plaplace_p2(plap_space, plap_p2):
-    d = drift(plap_space, plap_p2, 0.0, e_k(16, 1))
+    d = drift_and_split_rate(plap_space, plap_p2, 0.0, e_k(16, 1))[0]
     np.testing.assert_allclose(d, -np.pi ** 2 * e_k(16, 1), atol=1e-9)
 
 
 def test_drift_porous_r3_analytic(porous_space):
     # (sqrt2 sin)^3 = (3 sqrt2/2) sin(pi x) - (sqrt2/2) sin(3 pi x)
     m = ModelSpec(Porous(r=3.0))
-    d = drift(porous_space, m, 0.0, e_k(16, 1))
+    d = drift_and_split_rate(porous_space, m, 0.0, e_k(16, 1))[0]
     assert d[0] == pytest.approx(-1.5 * np.pi ** 2, rel=1e-12)
     assert d[2] == pytest.approx(0.5 * (3.0 * np.pi) ** 2, rel=1e-12)
     assert np.max(np.abs(d[[1] + list(range(3, 16))])) < 1e-10
@@ -48,13 +48,13 @@ def test_drift_quadrature_oracle():
     fine = make_space(12, 1.0, oversample=64)
     gen = np.random.default_rng(4)
     v = gen.standard_normal(12) * np.arange(1, 13.0) ** -1.5
-    d_coarse = drift(coarse, m, 0.0, v)
-    d_fine = drift(fine, m, 0.0, v)
+    d_coarse = drift_and_split_rate(coarse, m, 0.0, v)[0]
+    d_fine = drift_and_split_rate(fine, m, 0.0, v)[0]
     np.testing.assert_allclose(d_coarse, d_fine, atol=1e-6)
 
 
 def test_drift_fastdiff_zero_at_origin(porous_space, fastdiff_half):
-    d = drift(porous_space, fastdiff_half, 0.0, np.zeros(16))
+    d = drift_and_split_rate(porous_space, fastdiff_half, 0.0, np.zeros(16))[0]
     np.testing.assert_array_equal(d, np.zeros(16))
 
 
@@ -63,16 +63,9 @@ def test_fastdiff_beta_term(porous_space):
     base = ModelSpec(FastDiff(r=0.5))
     v = e_k(16, 1, 0.3)
     np.testing.assert_allclose(
-        drift(porous_space, m, 0.0, v) - drift(porous_space, base, 0.0, v),
+        drift_and_split_rate(porous_space, m, 0.0, v)[0]
+        - drift_and_split_rate(porous_space, base, 0.0, v)[0],
         2.0 * v, atol=1e-12)
-
-
-def test_drift_overflow_flagged(porous_space):
-    m = ModelSpec(Porous(r=3.0))
-    huge = np.full(16, 1e200)
-    with pytest.raises(DriftOverflowError) as exc:
-        drift(porous_space, m, 0.0, huge)
-    assert 1 <= exc.value.mode_index + 1 <= 16
 
 
 def test_pairing_equal_points(porous_space, porous_r2):
@@ -105,8 +98,8 @@ def test_linear_case_equivalence(plap_space):
     # porous r=1 and p-Laplacian p=2 share the drift on 100 random vectors
     gen = np.random.default_rng(6)
     v = gen.standard_normal((100, 16))
-    d1 = drift(plap_space, ModelSpec(Porous(r=1.0)), 0.0, v)
-    d2 = drift(plap_space, ModelSpec(PLaplace(p=2.0)), 0.0, v)
+    d1, _ = drift_and_split_rate(plap_space, ModelSpec(Porous(r=1.0)), 0.0, v)
+    d2, _ = drift_and_split_rate(plap_space, ModelSpec(PLaplace(p=2.0)), 0.0, v)
     assert np.max(np.abs(d1 - d2)) < 1e-8
 
 
@@ -140,7 +133,7 @@ def test_hemicontinuity_surrogate(porous_space, porous_r2):
     def values(n_grid):
         s = np.linspace(-1.0, 1.0, n_grid)
         states = v1[None, :] + s[:, None] * v2[None, :]
-        d = drift(porous_space, porous_r2, 0.0, states)
+        d = drift_and_split_rate(porous_space, porous_r2, 0.0, states)[0]
         return d @ v
 
     coarse = np.max(np.abs(np.diff(values(101))))
@@ -171,7 +164,7 @@ def test_apply_B_zero(porous_space, porous_linear):
     gen = np.random.default_rng(9)
     v, w = gen.standard_normal((2, 16))
     np.testing.assert_array_equal(
-        apply_B(porous_space, porous_linear, 0.0, v, w), np.zeros(16))
+        b_diag(porous_space, porous_linear, 0.0, v) * w, np.zeros(16))
     assert b_hs_diff(porous_space, porous_linear, 0.0, v, w) == 0.0
 
 
