@@ -150,6 +150,10 @@ _SCHEMA = {
 
 _EXPERIMENTS = ("survival", "lemma31", "supermartingale", "chain",
                 "contraction", "marginal_ou", "holder")
+# the experiments that report a path mean with its standard error
+# (survival and lemma31 report frequencies, with binomial ones)
+_PATH_MEAN_SE = ("supermartingale", "chain", "contraction", "marginal_ou",
+                 "holder")
 _CONDITIONS = ("meanvalue", "a1prime", "a1doubleprime", "interpolation",
                "spectrum", "nash", "coercivity")
 
@@ -245,6 +249,8 @@ def _validated(values: dict) -> RunConfig:
         if w not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {w!r}")
         try:
+            if w in _PATH_MEAN_SE:
+                xp._two_paths(cfg.sim.n_paths)
             if w == "supermartingale":
                 _g_spec_from(ex, _start_distance(cfg))
             elif w == "contraction":
@@ -492,8 +498,8 @@ def _run_experiments(cfg: RunConfig, threads, dest: Path):
             "glued_fraction": float(np.mean(rec.coupled[rec.live])),
             "tau_n_hit_fraction": float(np.mean(~np.isnan(rec.tau_n[rec.live]))),
         }
-    # K' is read only by lemma31 and supermartingale, and bounding it from
-    # the model scans 2,000,001 points
+    # K' is read only by lemma31 and supermartingale; bounding it from the
+    # model evaluates |h'| at 6,002 points of the cutoff band
     kprime = ex["super_kprime"]
     if kprime is None and {"lemma31", "supermartingale"} & set(which):
         kprime = xp.d3_rate_bound(model)
@@ -745,7 +751,12 @@ def _cmd_check_conditions(args) -> int:
 
 
 def _cmd_couple(args) -> int:
-    rec = _ensemble(_load(args), "coupled", args.threads)
+    cfg = _load(args)
+    try:
+        xp._two_paths(cfg.sim.n_paths)     # mean_distance.csv's errors
+    except ValueError as exc:
+        raise ConfigError(f"couple: {exc}") from None
+    rec = _ensemble(cfg, "coupled", args.threads)
     times, p, se = xp.survival_curve(rec)
     print("t, P(tau_n > t), std_err")
     for t, pv, s in zip(times, p, se):
@@ -787,6 +798,18 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """The value of ``--threads``: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spde-reflect",
@@ -808,8 +831,9 @@ def main(argv=None) -> int:
                        help="override sim.master_seed")
         p.add_argument("--out", default=None, help="output directory")
         if name in ("run", "couple", "fit-rate"):    # the ensemble commands
-            p.add_argument("--threads", type=int, default=None,
-                           help="forked path workers (default: usable CPUs)")
+            p.add_argument("--threads", type=_worker_count, default=None,
+                           help="forked path workers, at least 1 "
+                                "(default: usable CPUs)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -103,21 +103,33 @@ def sqrt1mh2_prime(s):
 def cutoff_h_prime_sup() -> float:
     """Supremum of |h'|: its maximum over a dense grid of the band (cached).
 
-    |h'| rises and then falls on the band, so every 1000th grid point
-    locates the peak to within one coarse step, and the maximum over the
-    2000 grid points on either side of that coarse maximum is the maximum
-    over the whole grid.
+    The grid is ``np.linspace(0.5, 1.0, 2_000_001)``, but only two parts of
+    it are evaluated.  |h'| rises and then falls on the band, so the 2,001
+    coarse points (every 1000th) locate the peak to within one coarse step,
+    and the maximum over the at most 4,001 points within 2000 of that
+    coarse maximum is the maximum over the whole grid.
     """
     global _H_PRIME_SUP
     if _H_PRIME_SUP is None:
-        s = np.linspace(0.5, 1.0, 2_000_001)
-        peak = 1000 * int(np.argmax(np.abs(cutoff_h_prime(s[::1000]))))
-        near = s[max(peak - 2000, 0):peak + 2001]
+        coarse = _band_grid(np.arange(0, _GRID_STEPS + 1, 1000, dtype=float))
+        peak = 1000 * int(np.argmax(np.abs(cutoff_h_prime(coarse))))
+        near = _band_grid(np.arange(max(peak - 2000, 0),
+                                    min(peak + 2001, _GRID_STEPS + 1),
+                                    dtype=float))
         _H_PRIME_SUP = float(np.max(np.abs(cutoff_h_prime(near))))
     return _H_PRIME_SUP
 
 
 _H_PRIME_SUP = None
+_GRID_STEPS = 2_000_000
+
+
+def _band_grid(k: np.ndarray) -> np.ndarray:
+    """Points k of ``np.linspace(0.5, 1.0, _GRID_STEPS + 1)``, formed as
+    linspace forms them: k * step + 0.5, and the last point exactly 1.0."""
+    s = k * (0.5 / _GRID_STEPS) + 0.5
+    s[k == _GRID_STEPS] = 1.0
+    return s
 
 
 def reflection_direction(space: SpectralSpace, u: np.ndarray, v: np.ndarray,

@@ -39,10 +39,20 @@ __all__ = [
 
 
 def mean_se(vals):
-    """Mean over paths (axis 0) and its standard error."""
+    """Mean over paths (axis 0) and its standard error; the standard error
+    needs two rows (see :func:`_two_paths`)."""
     vals = np.asarray(vals)
     return (np.mean(vals, axis=0),
             np.std(vals, axis=0, ddof=1) / np.sqrt(vals.shape[0]))
+
+
+def _two_paths(n_paths: int) -> None:
+    """Raises when ``n_paths`` is below two, the fewest paths from which
+    :func:`mean_se` can form a standard error (one path leaves zero degrees
+    of freedom and a NaN standard error)."""
+    if n_paths < 2:
+        raise ValueError(f"a path-mean standard error needs n_paths >= 2, "
+                         f"got {n_paths}")
 
 
 def frequency(hits):
@@ -285,7 +295,8 @@ class CylinderFunctional:
     space: SpectralSpace
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.tanh(h_mode_coeffs(self.space, coeffs)[..., 0])
+        # mode 0 of h_mode_coeffs, without scaling the other modes
+        return np.tanh(self.space.root_h_weights[0] * coeffs[..., 0])
 
     @property
     def osc(self) -> float:
@@ -297,9 +308,13 @@ def canonical_f(space: SpectralSpace) -> CylinderFunctional:
 
 
 def semigroup_difference(record: PathEnsembleRecord, f) -> dict:
-    """Coupled estimator of P_t f(x) - P_t f(y) with paired standard errors."""
-    fx = f(record.x_coeffs[record.live])
-    fy = f(record.y_coeffs[record.live])
+    """Coupled estimator of P_t f(x) - P_t f(y) with paired standard errors.
+
+    ``f`` is evaluated on every path, failed ones included, and its values
+    on the live paths are kept, so that no copy of the states is made.
+    """
+    fx = f(record.x_coeffs)[record.live]
+    fy = f(record.y_coeffs)[record.live]
     est, se = mean_se(fx - fy)
     return {"times": record.checkpoint_times, "estimate": est, "std_err": se}
 
@@ -377,7 +392,8 @@ def marginal_ou_check(record: PathEnsembleRecord, space: SpectralSpace,
     for name, coeffs, start in (("x", record.x_coeffs, x0),
                                 ("y", record.y_coeffs, y0)):
         mean_th, var_th = ou_oracle(space, model, start, t)
-        c = h_mode_coeffs(space, coeffs[live, j])[:, 0]
+        # mode 0 of h_mode_coeffs, on the checkpoint's live rows
+        c = space.root_h_weights[0] * coeffs[live, j, 0]
         mean_e, se_mean = floats(mean_se(c))
         var_e = float(np.var(c, ddof=1))
         se_var = float(var_e * np.sqrt(2.0 / (m - 1)))
@@ -429,7 +445,7 @@ def holder_ratio_scan(space: SpectralSpace, model: ModelSpec,
         shifted = glued(np.asarray(x) + eps * direction)
         live = base.live & shifted.live
         est, se = floats(mean_se(
-            f(base.x_coeffs[live, j]) - f(shifted.x_coeffs[live, j])))
+            f(base.x_coeffs[:, j])[live] - f(shifted.x_coeffs[:, j])[live]))
         row = {"eps": float(eps), "estimate": est, "std_err": se,
                "inconclusive": bool(est == 0.0 or abs(est) < 3.0 * se)}
         if coupling_params is not None:

@@ -585,7 +585,12 @@ def default_threads() -> int:
 
 
 def path_batches(n_paths: int, threads: int | None = None) -> list:
-    """run_paths's block-aligned (lo, hi) path batches, one per worker."""
+    """run_paths's block-aligned (lo, hi) path batches, one per worker.
+
+    Raises ValueError when ``threads`` is given and below 1.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     # block-aligned, so the noise streams do not depend on the batching
     n_workers = threads if threads is not None else default_threads()
     n_blocks = (n_paths + BLOCK_ROWS - 1) // BLOCK_ROWS

@@ -221,6 +221,14 @@ _BAD_CONFIGS = {
                             "conditions.kappa > 0 is required for the "
                             "selected checks"),
 }
+# a path mean's standard error needs two paths; one leaves it NaN
+_BAD_CONFIGS.update({
+    f"one_path_{w}": ((LINEAR if w == "marginal_ou" else MINIMAL) + SHORT
+                      + f"n_paths = 1\n[experiments]\nwhich = {w}\n",
+                      f"experiments: {w}: a path-mean standard error needs "
+                      "n_paths >= 2, got 1")
+    for w in ("supermartingale", "chain", "contraction", "marginal_ou",
+              "holder")})
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
@@ -236,6 +244,43 @@ def test_bad_config_is_a_config_error(name, tmp_path, capsys):
                  "--threads", "1"]) == 2
     assert "config error: " + message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_frequencies_accept_one_path(tmp_path):
+    # survival and lemma31 report binomial standard errors, which one path
+    # defines
+    cfg = parse_config(MINIMAL + SHORT + "n_paths = 1\n"
+                       "[experiments]\nwhich = survival, lemma31\n")
+    assert run(cfg, out_dir=tmp_path, threads=1) == 0
+
+
+def test_couple_refuses_one_path(tmp_path, capsys, monkeypatch):
+    # mean_distance.csv holds path-mean standard errors
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_paths was called")
+
+    monkeypatch.setattr(cli, "run_paths", no_run)
+    out = tmp_path / "out"
+    path = _write(tmp_path, MINIMAL + SHORT + "n_paths = 1\n")
+    assert main(["couple", "--config", path, "--out", str(out)]) == 2
+    assert ("config error: couple: a path-mean standard error needs "
+            "n_paths >= 2, got 1") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "couple", "fit-rate"])
+@pytest.mark.parametrize("value", ["0", "-5", "two"])
+def test_threads_must_be_a_positive_integer(command, value, tmp_path,
+                                            capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_paths was called")
+
+    monkeypatch.setattr(cli, "run_paths", no_run)
+    path = _write(tmp_path, SMALL_RUN)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, "--threads", value])
+    assert exc.value.code == 2
+    assert "argument --threads: " in capsys.readouterr().err
 
 
 def test_holder_direction_mode_bounds_are_inclusive():
@@ -462,8 +507,8 @@ def test_fit_rate_refuses_before_stepping(change, message, tmp_path, capsys,
 
 def test_run_bounds_k_prime_only_for_the_experiments_that_read_it(
         tmp_path, monkeypatch):
-    # only lemma31 and supermartingale read K', whose bound scans 2,000,001
-    # points of the cutoff
+    # only lemma31 and supermartingale read K', whose bound evaluates |h'|
+    # at 6,002 points of the cutoff band
     def no_scan():
         raise AssertionError("cutoff_h_prime_sup was called")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,18 @@ def test_cutoff_prime_sup_equals_full_scan(monkeypatch):
     monkeypatch.setattr(coupling, "_H_PRIME_SUP", None)
     full = np.max(np.abs(cutoff_h_prime(np.linspace(0.5, 1.0, 2_000_001))))
     assert cutoff_h_prime_sup() == float(full)
+
+
+def test_cutoff_prime_sup_builds_no_dense_grid(monkeypatch):
+    # only the coarse points and the window near the peak are formed
+    monkeypatch.setattr(coupling, "_H_PRIME_SUP", None)
+    tracemalloc.start()
+    try:
+        cutoff_h_prime_sup()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @settings(max_examples=300, deadline=None)

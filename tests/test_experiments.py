@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spde_reflect.spaces import make_space, h_norm
+from spde_reflect.spaces import make_space, h_norm, h_mode_coeffs
 from spde_reflect.models import ModelSpec, Porous, PLaplace, LipschitzDiagonal, unit_base
 from spde_reflect.coupling import CouplingParams
-from spde_reflect.integrator import SimConfig, run_paths
+from spde_reflect.integrator import SimConfig, PathEnsembleRecord, run_paths
 from spde_reflect.experiments import (
     GSpec, survival_curve, check_lemma31, supermartingale_diagnostic,
     coupling_tail_bound, contraction_fit, holder_ratio_scan, ou_oracle,
@@ -239,6 +241,92 @@ def test_prop21_chain_small(ex41_space, porous_r2):
 def test_semigroup_difference_shrinks(small_coupled, porous_space):
     sg = semigroup_difference(small_coupled, canonical_f(porous_space))
     assert abs(sg["estimate"][-1]) < abs(sg["estimate"][0])
+
+
+@pytest.fixture(scope="module")
+def failing_record(porous_space, porous_r2):
+    # the explicit scheme past its stability limit: some pairs overflow and
+    # are NaN from their failure on, the others stay finite
+    cfg = SimConfig(dt=2e-4, horizon=0.008, n_paths=300, master_seed=16,
+                    checkpoint_times=(0.0, 0.004, 0.005, 0.006, 0.008),
+                    scheme="explicit")
+    x0 = e_k(16, 1, 2.0)
+    rec = run_paths(porous_space, porous_r2, CouplingParams(n=2), cfg,
+                    "coupled", x0=x0, y0=-x0, threads=1)
+    assert 0 < np.sum(rec.failed) < cfg.n_paths
+    assert np.isnan(rec.x_coeffs[rec.failed]).any()
+    return rec
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_estimators_on_failed_paths_match_the_full_mode_formulas(
+        failing_record, porous_space, porous_linear):
+    # the estimators read mode 0 of every path and keep the live ones; the
+    # reference scales every mode of the live rows' copies first
+    rec, space = failing_record, porous_space
+    live = rec.live
+
+    def f_ref(coeffs):
+        return np.tanh(h_mode_coeffs(space, coeffs)[..., 0])
+
+    d = f_ref(rec.x_coeffs[live]) - f_ref(rec.y_coeffs[live])
+    est = np.mean(d, axis=0)
+    se = np.std(d, axis=0, ddof=1) / np.sqrt(d.shape[0])
+    sg = semigroup_difference(rec, canonical_f(space))
+    assert _bits(sg["estimate"]) == _bits(est)
+    assert _bits(sg["std_err"]) == _bits(se)
+
+    _, surv, surv_se = survival_curve(rec)
+    bound = 2.0 * surv + 4.0 * np.sqrt(se ** 2 + (2.0 * surv_se) ** 2) + 1e-9
+    rows = prop21_chain(rec, canonical_f(space))["rows"]
+    assert _bits([r["lhs"] for r in rows]) == _bits(np.abs(est))
+    assert _bits([r["bound"] for r in rows]) == _bits(bound)
+
+    # the oracle's law is not the record's; only the estimates are compared
+    x0 = e_k(16, 1, 2.0)
+    res = marginal_ou_check(rec, space, porous_linear, x0, -x0, 0.006)
+    j = 3
+    for side, coeffs in (("x", rec.x_coeffs), ("y", rec.y_coeffs)):
+        c = h_mode_coeffs(space, coeffs[live, j])[:, 0]
+        got = res["sides"][side]
+        assert got["mean"] == float(np.mean(c))
+        assert got["se_mean"] == float(np.std(c, ddof=1) / np.sqrt(c.size))
+        var = float(np.var(c, ddof=1))
+        assert got["var"] == var
+        assert got["se_var"] == float(var * np.sqrt(2.0 / (c.size - 1)))
+
+
+def _random_record(space, n_paths, times, seed=0) -> PathEnsembleRecord:
+    """A record of Gaussian states and stopping times, nothing stepped."""
+    gen = np.random.default_rng(seed)
+    shape = (n_paths, len(times), space.n_modes)
+    tau = np.where(gen.random(n_paths) < 0.5,
+                   gen.random(n_paths) * times[-1], np.nan)
+    return PathEnsembleRecord(
+        checkpoint_times=np.asarray(times, dtype=float),
+        x_coeffs=gen.standard_normal(shape), y_coeffs=gen.standard_normal(shape),
+        h_dist=gen.random(shape[:2]), q_dist=gen.random(shape[:2]),
+        v_accum_x=None, v_accum_y=None, tau_n=tau,
+        dist_at_tau_n=gen.random(n_paths), t_n=tau,
+        coupled=np.zeros(n_paths, bool), delta_grid=np.zeros(0),
+        tau_delta=np.zeros((n_paths, 0)), failed=np.zeros(n_paths, bool),
+        failures=[], n=2)
+
+
+def test_prop21_chain_copies_no_states(porous_space):
+    # f reads one mode, so the chain's transients are (P, C), not (P, C, N)
+    rec = _random_record(porous_space, 2048, np.linspace(0.0, 0.1, 11))
+    f = canonical_f(porous_space)
+    tracemalloc.start()
+    try:
+        prop21_chain(rec, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * rec.x_coeffs.nbytes
 
 
 def test_holder_trivial_cases(porous_space, porous_linear):

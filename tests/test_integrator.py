@@ -39,6 +39,12 @@ def test_default_threads_counts_usable_cpus(monkeypatch):
     assert integrator.default_threads() == 2
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_path_batches_refuses_fewer_than_one_worker(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        integrator.path_batches(1000, threads)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.2, horizon=0.1, n_paths=1, master_seed=1)
