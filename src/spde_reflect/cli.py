@@ -67,8 +67,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return v
+
+
 def _parse_float_list(s: str):
-    return tuple(float(p) for p in s.split(",") if p.strip())
+    return tuple(_parse_float(p) for p in s.split(",") if p.strip())
 
 
 def _parse_str_list(s: str):
@@ -81,32 +88,32 @@ _REQUIRED = object()
 _SCHEMA = {
     "space": {
         "n_modes": (int, 16),
-        "gamma": (float, 1.0),
-        "q_amp": (float, 1.0),
-        "q_decay": (float, 0.75),
+        "gamma": (_parse_float, 1.0),
+        "q_amp": (_parse_float, 1.0),
+        "q_decay": (_parse_float, 0.75),
         "oversample": (int, 4),
     },
     "model": {
         "family": (str, _REQUIRED),
-        "r": (float, None),
-        "psi_scale": (float, 1.0),
-        "phi_slope": (float, 0.0),
-        "p": (float, None),
-        "beta0": (float, 0.0),
-        "beta_amp": (float, 0.0),
-        "beta_freq": (float, 0.0),
+        "r": (_parse_float, None),
+        "psi_scale": (_parse_float, 1.0),
+        "phi_slope": (_parse_float, 0.0),
+        "p": (_parse_float, None),
+        "beta0": (_parse_float, 0.0),
+        "beta_amp": (_parse_float, 0.0),
+        "beta_freq": (_parse_float, 0.0),
         "b_spec": (str, "zero"),
-        "c0": (float, 0.0),
-        "b_base_decay": (float, 1.0),
-        "theta": (float, None),
+        "c0": (_parse_float, 0.0),
+        "b_base_decay": (_parse_float, 1.0),
+        "theta": (_parse_float, None),
     },
     "coupling": {
         "n": (int, 10),
-        "glue_eps": (float, 1e-12),
+        "glue_eps": (_parse_float, 1e-12),
     },
     "sim": {
-        "dt": (float, 1e-4),
-        "horizon": (float, 0.5),
+        "dt": (_parse_float, 1e-4),
+        "horizon": (_parse_float, 0.5),
         "n_paths": (int, 1000),
         "master_seed": (int, 12345),
         "scheme": (str, "semi_implicit"),
@@ -118,27 +125,27 @@ _SCHEMA = {
     },
     "experiments": {
         "which": (_parse_str_list, ()),
-        "kappa": (float, None),
+        "kappa": (_parse_float, None),
         "lemma31_deltas": (_parse_float_list, (2.0, 4.0, 8.0)),
-        "lemma31_t": (float, None),
-        "lemma31_kprime": (float, None),
+        "lemma31_t": (_parse_float, None),
+        "lemma31_kprime": (_parse_float, None),
         "super_g": (str, "identity"),
-        "super_eps": (float, 0.5),
-        "super_kprime": (float, None),
-        "marginal_t": (float, None),
-        "fit_t_min": (float, 0.0),
-        "fit_rate_bound": (float, None),
+        "super_eps": (_parse_float, 0.5),
+        "super_kprime": (_parse_float, None),
+        "marginal_t": (_parse_float, None),
+        "fit_t_min": (_parse_float, 0.0),
+        "fit_rate_bound": (_parse_float, None),
         "holder_epsilons": (_parse_float_list, (0.01, 0.02, 0.04)),
-        "holder_t": (float, None),
+        "holder_t": (_parse_float, None),
         "holder_direction_mode": (int, 1),
     },
     "conditions": {
         "which": (_parse_str_list, ()),
         "samples": (int, 10000),
-        "kappa": (float, None),
+        "kappa": (_parse_float, None),
         "mv_r": (_parse_float_list, (0.25, 0.5, 0.75)),
         "mv_samples": (int, 1000000),
-        "nash_m": (float, None),
+        "nash_m": (_parse_float, None),
         "seed": (int, 777),
     },
     "output": {
@@ -156,6 +163,8 @@ _PATH_MEAN_SE = ("supermartingale", "chain", "contraction", "marginal_ou",
                  "holder")
 _CONDITIONS = ("meanvalue", "a1prime", "a1doubleprime", "interpolation",
                "spectrum", "nash", "coercivity")
+# the spectrum gate of each family, checked next to the Hilbert-Schmidt one
+_FAMILY_GATE = {"porous": "*E", "plaplace": "**E", "fastdiff": "SB"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +263,8 @@ def _validated(values: dict) -> RunConfig:
             if w == "supermartingale":
                 _g_spec_from(ex, _start_distance(cfg))
             elif w == "contraction":
-                _fit_window(cfg)
+                xp.fit_window(cfg.sim.checkpoint_times, ex["fit_t_min"],
+                              _start_distance(cfg))
             elif w in ("marginal_ou", "holder"):
                 t = ex["marginal_t" if w == "marginal_ou" else "holder_t"]
                 if t is not None:
@@ -262,6 +272,8 @@ def _validated(values: dict) -> RunConfig:
             elif w == "lemma31":
                 if not ex["lemma31_deltas"]:
                     raise ValueError("lemma31_deltas must not be empty")
+                if min(ex["lemma31_deltas"]) <= 0.0:
+                    raise ValueError("lemma31_deltas entries must be > 0")
                 xp._distinct_pair(_start_distance(cfg))
                 xp.checkpoint_index(cfg.sim.checkpoint_times, 0.0)
                 t = ex["lemma31_t"]
@@ -272,6 +284,9 @@ def _validated(values: dict) -> RunConfig:
     for w in co["which"]:
         if w not in _CONDITIONS:
             raise ConfigError(f"unknown condition {w!r}")
+    for f in cfg["output"]["formats"]:
+        if f not in ("json", "csv"):
+            raise ConfigError(f"unknown output format {f!r}")
     if co["samples"] < 1 or co["mv_samples"] < 1:
         raise ConfigError("conditions.samples and mv_samples must be >= 1")
     r_eff = cfg.model.family.r
@@ -301,12 +316,9 @@ def _validated(values: dict) -> RunConfig:
     return cfg
 
 
-def _with_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
-    """``cfg`` with sim.master_seed replaced by ``seed``, when one is given."""
-    if seed is None:
-        return cfg
-    return _validated({**cfg.values,
-                       "sim": {**cfg["sim"], "master_seed": int(seed)}})
+def _replaced(cfg: RunConfig, section: str, **values) -> RunConfig:
+    """``cfg`` with these keys of ``section`` replaced, validated anew."""
+    return _validated({**cfg.values, section: {**cfg[section], **values}})
 
 
 def _check_ou_law(cfg: RunConfig, context: str) -> None:
@@ -319,12 +331,6 @@ def _check_ou_law(cfg: RunConfig, context: str) -> None:
 
 def _start_distance(cfg: RunConfig) -> float:
     return float(h_norm(cfg.space, cfg.x0 - cfg.y0))
-
-
-def _fit_window(cfg: RunConfig) -> np.ndarray:
-    """The contraction fit's checkpoints; raises when no fit can be made."""
-    return xp.fit_window(cfg.sim.checkpoint_times,
-                         cfg["experiments"]["fit_t_min"], _start_distance(cfg))
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -446,14 +452,7 @@ def _run_conditions(cfg: RunConfig) -> dict:
             p=model.family.p if fam == "plaplace" else None,
             kappa=co["kappa"], c=sp["q_amp"],
             eps=1.0 - co["kappa"] * sp["q_decay"] / (2.0 * sp["gamma"]))
-        gates = ["EI"]
-        if fam == "porous":
-            gates.append("*E")
-        elif fam == "plaplace":
-            gates.append("**E")
-        else:
-            gates.append("SB")
-        for g in gates:
+        for g in ("EI", _FAMILY_GATE[fam]):
             rep = iq.check_spectrum_condition(g, params)
             out[f"spectrum_{g}"] = rep.as_dict()
     if "nash" in co["which"]:
@@ -468,15 +467,22 @@ def _run_conditions(cfg: RunConfig) -> dict:
     return out
 
 
+class _NoLivePath(RuntimeError):
+    """An ensemble in which every path failed, which no estimator can read."""
+
+
 def _ensemble(cfg: RunConfig, which: str, threads, **kw):
-    return run_paths(cfg.space, cfg.model, cfg.coupling, cfg.sim, which,
-                     x0=cfg.x0, y0=cfg.y0, threads=threads, **kw)
+    rec = run_paths(cfg.space, cfg.model, cfg.coupling, cfg.sim, which,
+                    x0=cfg.x0, y0=cfg.y0, threads=threads, **kw)
+    if not rec.live.any():
+        raise _NoLivePath(f"all {rec.n_paths} paths of the {which} ensemble failed")
+    return rec
 
 
 # the selected experiments' results and series; the coupled ensemble's raw
 # paths are written to dest here, so that the record is freed on return,
 # before the condition suite allocates
-def _run_experiments(cfg: RunConfig, threads, dest: Path):
+def _run_experiments(cfg: RunConfig, threads, dest: Path | None):
     ex = cfg["experiments"]
     which = ex["which"]
     out: dict = {}
@@ -605,8 +611,8 @@ def _g_spec_from(ex: dict, dist0: float) -> xp.GSpec:
 
 
 # results whose "ok" flag gates the exit status
-_GATED = ("lemma31", "supermartingale", "coupling_tail", "chain",
-          "marginal_ou", "contraction")
+_GATED = ("ensemble", "lemma31", "supermartingale", "coupling_tail",
+          "chain", "marginal_ou", "contraction")
 
 
 def collect_failures(results: dict) -> list:
@@ -615,6 +621,12 @@ def collect_failures(results: dict) -> list:
             + [{"check": f"condition:{name}", "flag": "verdict"}
                for name, rep in results.get("conditions", {}).items()
                if rep["verdict"] == "fail"])
+
+
+def _write_json(path: Path, obj) -> None:
+    # repr stands in for any value JSON cannot hold
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=repr)
+                    + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, grid, values, std_errs, grid_name="grid") -> None:
@@ -657,13 +669,20 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     """
     t_start = time.time()
     usage_start = _usage() if resource else None
-    cfg = _with_seed(cfg, seed)
+    if seed is not None:
+        cfg = _replaced(cfg, "sim", master_seed=int(seed))
     digest = config_hash(cfg)
     base = Path(out_dir if out_dir is not None else cfg["output"]["directory"])
     dest = base / digest
     dest.mkdir(parents=True, exist_ok=True)
 
-    results, series = _run_experiments(cfg, threads, dest)
+    try:
+        results, series = _run_experiments(cfg, threads, dest)
+    except _NoLivePath:
+        # the estimators are skipped; the failed ensemble is the failed check
+        n = cfg.sim.n_paths
+        results = {"ensemble": {"n_paths": n, "failed_paths": n, "ok": False}}
+        series = {}
     conditions = _run_conditions(cfg)
     if conditions:
         results["conditions"] = conditions
@@ -677,9 +696,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         "failed_checks": failures,
     }
     if "json" in cfg["output"]["formats"]:
-        (dest / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        _write_json(dest / "summary.json", summary)
     if "csv" in cfg["output"]["formats"]:
         grid_names = {"survival": "time", "supermartingale": "time",
                       "contraction": "time", "holder": "eps"}
@@ -702,13 +719,9 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         manifest["cpu_s"] = {"self": cpu - usage_start[0][0],
                              "workers": w_cpu - usage_start[1][0]}
         manifest["peak_rss_mb"] = {"self": rss, "largest_worker": w_rss}
-    (dest / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, default=repr) + "\n",
-        encoding="utf-8")
+    _write_json(dest / "manifest.json", manifest)
     if failures:
-        (dest / "failures.json").write_text(
-            json.dumps({"failed_checks": failures}, sort_keys=True, indent=2)
-            + "\n", encoding="utf-8")
+        _write_json(dest / "failures.json", {"failed_checks": failures})
         return 1
     return 0
 
@@ -717,7 +730,9 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
 # subcommands
 
 def _load(args) -> RunConfig:
-    return _with_seed(parse_config_file(args.config), args.seed)
+    cfg = parse_config_file(args.config)
+    return (cfg if args.seed is None
+            else _replaced(cfg, "sim", master_seed=args.seed))
 
 
 def _cmd_run(args) -> int:
@@ -744,9 +759,7 @@ def _cmd_check_conditions(args) -> int:
     if args.out:
         dest = Path(args.out)
         dest.mkdir(parents=True, exist_ok=True)
-        (dest / "conditions.json").write_text(
-            json.dumps(reports, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        _write_json(dest / "conditions.json", reports)
     return 1 if bad else 0
 
 
@@ -773,13 +786,9 @@ def _cmd_couple(args) -> int:
 
 
 def _cmd_fit_rate(args) -> int:
-    cfg = _load(args)
-    try:
-        _fit_window(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"fit-rate: {exc}") from None
-    rec = _ensemble(cfg, "synchronous", args.threads)
-    fit = xp.contraction_fit(rec, t_min=cfg["experiments"]["fit_t_min"])
+    # the contraction experiment, with its checks, and nothing else
+    cfg = _replaced(_load(args), "experiments", which=("contraction",))
+    fit = _run_experiments(cfg, args.threads, None)[0]["contraction"]
     print(f"decay rate of log E|X-Y|^2: {fit['rate']:.6g} "
           f"(95% CI [{fit['ci'][0]:.6g}, {fit['ci'][1]:.6g}], "
           f"window {fit['t_window']})")
@@ -841,6 +850,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except _NoLivePath as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -61,41 +61,35 @@ def _smoothstep_prime(u):
     return 6.0 * u * (1.0 - u)
 
 
-def cutoff_h(s):
-    """Cutoff value h(s); s must be nonnegative (scalar or array)."""
+def _band(s):
+    """u = clip(2s - 1, 0, 1) and the open band 1/2 < s < 1, for s >= 0."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("cutoff argument must be nonnegative")
-    u = np.clip(2.0 * s - 1.0, 0.0, 1.0)
+    return np.clip(2.0 * s - 1.0, 0.0, 1.0), (s > 0.5) & (s < 1.0)
+
+
+def cutoff_h(s):
+    """Cutoff value h(s); s must be nonnegative (scalar or array)."""
+    u, _ = _band(s)
     return np.sin(0.5 * np.pi * _smoothstep(u))
 
 
 def cutoff_h_prime(s):
     """Derivative h'(s) (zero outside the transition band)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("cutoff argument must be nonnegative")
-    inside = (s > 0.5) & (s < 1.0)
-    u = np.clip(2.0 * s - 1.0, 0.0, 1.0)
+    u, inside = _band(s)
     val = np.pi * _smoothstep_prime(u) * np.cos(0.5 * np.pi * _smoothstep(u))
     return np.where(inside, val, 0.0)
 
 
 def sqrt1mh2(s):
     """sqrt(1 - h(s)^2) = cos(pi/2 * S(2s-1)) on the band; C^1 as well."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("cutoff argument must be nonnegative")
-    u = np.clip(2.0 * s - 1.0, 0.0, 1.0)
+    u, _ = _band(s)
     return np.cos(0.5 * np.pi * _smoothstep(u))
 
 
 def sqrt1mh2_prime(s):
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("cutoff argument must be nonnegative")
-    inside = (s > 0.5) & (s < 1.0)
-    u = np.clip(2.0 * s - 1.0, 0.0, 1.0)
+    u, inside = _band(s)
     val = -np.pi * _smoothstep_prime(u) * np.sin(0.5 * np.pi * _smoothstep(u))
     return np.where(inside, val, 0.0)
 

@@ -108,13 +108,15 @@ def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float) -> dict:
     Uses the recorded delta-crossing times; the empirical probability passes
     when it does not exceed the bound by more than 3 binomial standard
     errors.  Grid points with delta <= |x-y| are vacuous (bound >= 1).
-    Raises on a degenerate pair (x = y at the start).
+    Raises on a degenerate pair (x = y at the start) and on a delta <= 0.
     """
     if record.tau_delta.shape[1] == 0:
         raise ValueError("record has no delta-crossing times")
     j0 = checkpoint_index(record.checkpoint_times, 0.0)
     live = record.live
     dist0 = _distinct_pair(float(record.h_dist[live][0, j0]))
+    if np.any(record.delta_grid <= 0.0):
+        raise ValueError("every delta must be > 0")
     td = record.tau_delta[live]                 # (M, deltas)
     tn = record.tau_n[live][:, None]
     p, se = frequency((~np.isnan(td) & (td <= t)

@@ -309,41 +309,50 @@ def kappa_fastdiff_interval(gamma: float, r: float, delta: float, d: int = 1):
     return lo, hi
 
 
-def _supremand_exponent(which: str, params: SpectrumParams) -> float:
-    g, dl = params.gamma, params.delta
-    if which == "*E":
-        if params.kappa is None or params.r is None:
-            raise ValueError("*E needs kappa and r")
-        return -2.0 * g + 2.0 * params.kappa * dl / (1.0 + params.r)
-    if which == "**E":
-        if params.kappa is None or params.p is None:
-            raise ValueError("**E needs kappa and p")
-        return dl - params.p / params.kappa
-    if which == "SB":
-        if params.kappa is None or params.eps is None:
-            raise ValueError("SB needs kappa and eps")
-        return dl + 2.0 * g * (params.eps - 1.0) / params.kappa
-    if which == "EI":
-        return -2.0 * dl
-    raise ValueError(f"unknown spectrum condition {which!r}")
+# each spectrum gate: the parameters it needs, the i-exponent of its
+# supremand in closed form, and the supremand over (i, lambda_i, q_i); the
+# scan of the supremand is the independent check of the exponent
+_SPECTRUM_GATES = {
+    "*E": (("kappa", "r"),
+           lambda s: -2.0 * s.gamma + 2.0 * s.kappa * s.delta / (1.0 + s.r),
+           lambda s, i, lam, q: lam ** -1.0 * q ** (-2.0 * s.kappa / (1.0 + s.r))),
+    "**E": (("kappa", "p"),
+            lambda s: s.delta - s.p / s.kappa,
+            lambda s, i, lam, q: q ** -1.0 * i ** (-s.p / s.kappa)),
+    "SB": (("kappa", "eps"),
+           lambda s: s.delta + 2.0 * s.gamma * (s.eps - 1.0) / s.kappa,
+           lambda s, i, lam, q: np.abs(q) ** -1.0 * lam ** ((s.eps - 1.0) / s.kappa)),
+    "EI": ((), lambda s: -2.0 * s.delta, lambda s, i, lam, q: np.cumsum(q * q)),
+}
+
+
+def _spectrum_gate(which: str, params: SpectrumParams):
+    """(exponent, supremand) of gate ``which``; raises when ``params`` lacks
+    one of its parameters."""
+    if which not in _SPECTRUM_GATES:
+        raise ValueError(f"unknown spectrum condition {which!r}")
+    needs, exponent, supremand = _SPECTRUM_GATES[which]
+    if any(getattr(params, k) is None for k in needs):
+        raise ValueError(f"{which} needs {' and '.join(needs)}")
+    return exponent, supremand
 
 
 def scan_supremand(which: str, params: SpectrumParams, i_max: int = 1_000_000):
     """Numeric scan of the supremand over i <= i_max (sanity route)."""
+    supremand = _spectrum_gate(which, params)[1]
     i = np.arange(1, i_max + 1, dtype=float)
-    lam = (np.pi * i) ** (2.0 * params.gamma)
-    q = params.c * i ** (-params.delta)
-    if which == "*E":
-        vals = lam ** -1.0 * q ** (-2.0 * params.kappa / (1.0 + params.r))
-    elif which == "**E":
-        vals = q ** -1.0 * i ** (-params.p / params.kappa)
-    elif which == "SB":
-        vals = np.abs(q) ** -1.0 * lam ** ((params.eps - 1.0) / params.kappa)
-    elif which == "EI":
-        vals = np.cumsum(q * q)
-    else:
-        raise ValueError(f"unknown spectrum condition {which!r}")
-    return vals
+    return supremand(params, i, (np.pi * i) ** (2.0 * params.gamma),
+                     params.c * i ** (-params.delta))
+
+
+def _exact_report(condition_id: str, ok: bool, constants: dict,
+                  worst_margin: float, notes: str) -> ConditionReport:
+    """The one-sample report of a gate decided exactly, without sampling."""
+    return ConditionReport(
+        condition_id=condition_id, sample_count=1,
+        violation_count=0 if ok else 1, fitted_constants=constants,
+        worst_margin=worst_margin, verdict="pass" if ok else "fail",
+        notes=notes)
 
 
 def check_spectrum_condition(which: str, params: SpectrumParams) -> ConditionReport:
@@ -353,11 +362,8 @@ def check_spectrum_condition(which: str, params: SpectrumParams) -> ConditionRep
     exponent of i; for the Hilbert-Schmidt sum it needs exponent < -1.
     The report also carries the worked kappa formulas where defined.
     """
-    exp = _supremand_exponent(which, params)
-    if which == "EI":
-        finite = exp < -1.0
-    else:
-        finite = exp <= 0.0
+    exp = _spectrum_gate(which, params)[0](params)
+    finite = exp < -1.0 if which == "EI" else exp <= 0.0
     consts = {"exponent": exp}
     if params.r is not None and params.r >= 1.0:
         consts["kappa_example_porous"] = kappa_porous_example(
@@ -370,16 +376,11 @@ def check_spectrum_condition(which: str, params: SpectrumParams) -> ConditionRep
                                          params.delta, params.d)
         consts["kappa_interval_lo"] = lo
         consts["kappa_interval_hi"] = hi
-    return ConditionReport(
-        condition_id=f"spectrum_{which}",
-        sample_count=1,
-        violation_count=0 if finite else 1,
-        fitted_constants=consts,
-        worst_margin=-exp if which != "EI" else -(exp + 1.0),
-        verdict="pass" if finite else "fail",
-        notes="finite iff i-exponent of the supremand is nonpositive"
-              if which != "EI" else "summable iff i-exponent < -1",
-    )
+    return _exact_report(
+        f"spectrum_{which}", finite, consts,
+        -exp if which != "EI" else -(exp + 1.0),
+        "finite iff i-exponent of the supremand is nonpositive"
+        if which != "EI" else "summable iff i-exponent < -1")
 
 
 def mean_value_batch(n_samples: int, seed: int = 1234):
@@ -464,15 +465,7 @@ def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,
         consts.update({"eps": eps, "eps_hi": eps_hi})
         ok = ok and (0.0 < eps < eps_hi)
         notes = "eps window (0, (1-r) m / (2(1+r))) checked"
-    return ok, ConditionReport(
-        condition_id="nash_gate",
-        sample_count=1,
-        violation_count=0 if ok else 1,
-        fitted_constants=consts,
-        worst_margin=bound - m,
-        verdict="pass" if ok else "fail",
-        notes=notes,
-    )
+    return ok, _exact_report("nash_gate", ok, consts, bound - m, notes)
 
 
 def fit_coercivity(space: SpectralSpace, model: ModelSpec,

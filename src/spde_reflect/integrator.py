@@ -201,19 +201,22 @@ class SimConfig:
     horizon: float
     n_paths: int
     master_seed: int
-    checkpoint_times: tuple = ()
+    checkpoint_times: tuple | None = None     # None: the horizon alone
     scheme: str = "semi_implicit"
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= self.horizon:
-            raise ValueError("need 0 < dt <= horizon")
+        if not 0.0 < self.dt <= self.horizon < np.inf:
+            raise ValueError("need 0 < dt <= horizon < inf")
         if not _on_grid(self.horizon, self.dt):
             raise ValueError("horizon must be a multiple of dt")
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ValueError("scheme must be semi_implicit or explicit")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        cps = tuple(float(t) for t in self.checkpoint_times)
+        times = self.checkpoint_times
+        cps = tuple(float(t) for t in ((self.horizon,) if times is None else times))
+        if not cps:
+            raise ValueError("checkpoint_times must be nonempty")
         if any(t < 0.0 or t > self.horizon + 1e-12 for t in cps):
             raise ValueError("checkpoint_times must lie in [0, horizon]")
         if list(cps) != sorted(cps):
@@ -221,6 +224,8 @@ class SimConfig:
         if not all(_on_grid(t, self.dt) for t in cps):
             raise ValueError("checkpoint_times must be multiples of dt")
         object.__setattr__(self, "checkpoint_times", cps)
+        if len(set(self.checkpoint_steps())) < len(cps):
+            raise ValueError("checkpoint_times collide after snapping to steps")
 
     @property
     def n_steps(self) -> int:
@@ -470,10 +475,10 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     synchronous step.  ``work`` holds the step's intermediates (a fresh set
     when None); it must have been built for ``state.n_paths`` rows.  A path
     whose new x or y is not finite is frozen at NaN and its first
-    non-finite mode recorded in ``fail_mode``.  Raises ValueError at or
-    past the horizon.
+    non-finite mode recorded in ``fail_mode``.  Raises ValueError when
+    ``state.step_index`` has reached the horizon's step.
     """
-    if state.time >= config.horizon - 1e-12:
+    if state.step_index >= config.n_steps:
         raise ValueError("state is already at the horizon")
     t = state.time
     if work is None:
@@ -664,10 +669,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     if x0.shape != (space.n_modes,):
         raise ValueError("x0 must be a single coefficient vector")
     cps = config.checkpoint_steps()
-    if len(cps) == 0:
-        raise ValueError("config.checkpoint_times must be nonempty")
-    if len(set(cps)) != len(cps):
-        raise ValueError("checkpoint_times collide after snapping to steps")
     n_paths = config.n_paths
     n_cp = len(cps)
     nm = space.n_modes

@@ -160,9 +160,7 @@ def h_norm(space: SpectralSpace, x: np.ndarray,
 
     ``scratch``, an array shaped like x, receives the terms w_i x_i^2.
     """
-    x = np.asarray(x, dtype=float)
-    terms = np.multiply(space.h_weights, x, out=scratch)
-    return np.sqrt(np.sum(np.multiply(terms, x, out=terms), axis=-1))
+    return np.sqrt(h_inner(space, x, x, scratch))
 
 
 def h_inner(space: SpectralSpace, x: np.ndarray, y: np.ndarray,

@@ -220,6 +220,29 @@ _BAD_CONFIGS = {
                             "kappa = 0\n",
                             "conditions.kappa > 0 is required for the "
                             "selected checks"),
+    # the time grid is SimConfig's: at least one checkpoint, one per step
+    "checkpoints_empty": (MINIMAL + "[sim]\ncheckpoints =\n",
+                          "sim: checkpoint_times must be nonempty"),
+    "checkpoints_same_step": (MINIMAL + "[sim]\ndt = 0.01\nhorizon = 0.1\n"
+                              "checkpoints = 0, 0.01, 0.01\n",
+                              "sim: checkpoint_times collide after snapping "
+                              "to steps"),
+    # every float, scalar or list entry, must be finite
+    "nonfinite_scalar": (MINIMAL + "[space]\ngamma = nan\n",
+                         "line 6: bad value for 'gamma': not a finite "
+                         "number: 'nan'"),
+    "nonfinite_horizon": (MINIMAL + "[sim]\nhorizon = inf\n",
+                          "line 6: bad value for 'horizon': not a finite "
+                          "number: 'inf'"),
+    "nonfinite_list_entry": (MINIMAL + "[sim]\nx0 = 1, -inf\n",
+                             "line 6: bad value for 'x0': not a finite "
+                             "number: '-inf'"),
+    "formats": (MINIMAL + "[output]\nformats = JSON\n",
+                "unknown output format 'JSON'"),
+    "lemma31_deltas_zero": (MINIMAL + SHORT + "[experiments]\nwhich = lemma31\n"
+                            "lemma31_deltas = 0, 2\n",
+                            "experiments: lemma31: lemma31_deltas entries "
+                            "must be > 0"),
 }
 # a path mean's standard error needs two paths; one leaves it NaN
 _BAD_CONFIGS.update({
@@ -244,6 +267,50 @@ def test_bad_config_is_a_config_error(name, tmp_path, capsys):
                  "--threads", "1"]) == 2
     assert "config error: " + message in capsys.readouterr().err
     assert not out.exists()
+
+
+# every path of this explicit r = 2 run overflows before its horizon
+ALL_FAIL = """
+[space]
+n_modes = 16
+gamma = 2.0
+
+[model]
+family = porous
+r = 2.0
+
+[sim]
+scheme = explicit
+dt = 5e-3
+horizon = 0.05
+n_paths = 8
+
+[experiments]
+which = survival, contraction
+"""
+
+
+def test_an_ensemble_without_a_live_path_fails_cleanly(tmp_path, capsys):
+    # no estimator reads it; run reports it as a failed check, couple and
+    # fit-rate print one error line
+    cfg = parse_config(ALL_FAIL)
+    assert run(cfg, out_dir=tmp_path, threads=1) == 1
+    dest = tmp_path / config_hash(cfg)
+    text = (dest / "summary.json").read_text()
+    assert "NaN" not in text
+    summary = json.loads(text)
+    assert summary["results"] == {
+        "ensemble": {"n_paths": 8, "failed_paths": 8, "ok": False}}
+    assert summary["failed_checks"] == [{"check": "ensemble", "flag": "ok"}]
+    assert json.loads((dest / "failures.json").read_text()) == {
+        "failed_checks": summary["failed_checks"]}
+    path = _write(tmp_path, ALL_FAIL)
+    for command, which in (("couple", "coupled"), ("fit-rate", "synchronous")):
+        capsys.readouterr()
+        assert main([command, "--config", path, "--threads", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: all 8 paths of the {which} ensemble failed\n"
 
 
 def test_frequencies_accept_one_path(tmp_path):
@@ -493,7 +560,10 @@ def test_run_dump_paths_and_aggregate(tmp_path):
     ("[experiments]\nfit_t_min = 0.02\n",
      "fit window must contain at least two checkpoints"),
     ("x0 = 1\ny0 = 1\n", "degenerate pair: x = y"),
-], ids=["fit_t_min", "x0_is_y0"])
+    # fit-rate runs the contraction experiment, whose standard errors need
+    # two paths
+    ("n_paths = 1\n", "a path-mean standard error needs n_paths >= 2, got 1"),
+], ids=["fit_t_min", "x0_is_y0", "one_path"])
 def test_fit_rate_refuses_before_stepping(change, message, tmp_path, capsys,
                                           monkeypatch):
     def no_run(*args, **kwargs):
@@ -502,7 +572,8 @@ def test_fit_rate_refuses_before_stepping(change, message, tmp_path, capsys,
     monkeypatch.setattr(cli, "run_paths", no_run)
     path = _write(tmp_path, MINIMAL + SHORT + change)
     assert main(["fit-rate", "--config", path, "--threads", "1"]) == 2
-    assert "config error: fit-rate: " + message in capsys.readouterr().err
+    assert ("config error: experiments: contraction: " + message
+            in capsys.readouterr().err)
 
 
 def test_run_bounds_k_prime_only_for_the_experiments_that_read_it(

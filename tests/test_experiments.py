@@ -103,6 +103,17 @@ def test_lemma31_refuses_a_degenerate_pair(porous_space, porous_linear):
         check_lemma31(rec, t=0.01, kprime=0.0)
 
 
+def test_lemma31_refuses_a_nonpositive_delta(porous_space, porous_linear):
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=8, master_seed=103,
+                    checkpoint_times=(0.0, 0.01))
+    x0 = e_k(16, 1, 0.3)
+    for deltas in ((0.0, 2.0), (-2.0,)):
+        rec = run_paths(porous_space, porous_linear, CouplingParams(n=2), cfg,
+                        "coupled", x0=x0, y0=-x0, delta_grid=deltas, threads=1)
+        with pytest.raises(ValueError, match="every delta must be > 0"):
+            check_lemma31(rec, t=0.01, kprime=0.0)
+
+
 def test_supermartingale_glued(glued_record):
     res = supermartingale_diagnostic(glued_record, GSpec("identity"), 0.0)
     assert res["ok"]

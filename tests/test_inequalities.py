@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -304,6 +305,19 @@ def test_spectrum_exponent_matches_brute_force(which, params, finite):
         assert growth <= 1.0 + 1e-9
     else:
         assert growth > 2.0
+
+
+@pytest.mark.parametrize("which, params, message", [
+    ("*E", SpectrumParams(gamma=2.0, delta=0.75, kappa=8.0), "*E needs kappa and r"),
+    ("**E", SpectrumParams(gamma=1.0, delta=0.8, kappa=2.5), "**E needs kappa and p"),
+    ("SB", SpectrumParams(gamma=1.0, delta=0.6, kappa=3.0), "SB needs kappa and eps"),
+    ("XX", SpectrumParams(gamma=1.0, delta=0.6), "unknown spectrum condition 'XX'"),
+])
+def test_spectrum_gate_refuses_missing_parameters(which, params, message):
+    # the exact verdict and the scan read one table of each gate's needs
+    for route in (check_spectrum_condition, scan_supremand):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            route(which, params)
 
 
 # --- Nash gate and kappa calculators ---------------------------------------

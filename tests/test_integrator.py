@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -68,6 +69,24 @@ def test_sim_config_validation():
     assert cfg.n_steps == 1250
     assert cfg.checkpoint_steps() == [0, 25, 75, 500, 1250]
     assert SimConfig(dt=0.1, horizon=0.3, n_paths=1, master_seed=1).n_steps == 3
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"checkpoint_times": ()}, "checkpoint_times must be nonempty"),
+    ({"checkpoint_times": (0.0, 0.01, 0.01)},
+     "checkpoint_times collide after snapping to steps"),
+    ({"horizon": np.inf}, "need 0 < dt <= horizon < inf"),
+    ({"horizon": np.nan}, "need 0 < dt <= horizon < inf"),
+], ids=["no_checkpoint", "same_step", "infinite_horizon", "nan_horizon"])
+def test_sim_config_owns_the_time_grid(change, message):
+    kw = {"dt": 0.01, "horizon": 0.1, "n_paths": 1, "master_seed": 1, **change}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimConfig(**kw)
+
+
+def test_sim_config_default_grid_is_the_horizon():
+    cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, master_seed=1)
+    assert cfg.checkpoint_times == (0.1,) and cfg.checkpoint_steps() == [10]
 
 
 def test_noise_deterministic():
