@@ -1,5 +1,8 @@
 """Configuration parsing, experiment orchestration, and persistence.
 
+Three commands read a config: ``run`` steps the ensembles and runs every
+selected experiment and condition check, ``check-conditions`` runs only
+the condition checks, and ``oracle`` prints the Ornstein-Uhlenbeck law.
 Config files are flat INI-style sections of ``key = value`` lines with
 ``#`` comments.  Parsing is total: unknown sections or keys, duplicate
 keys and type errors fail with a line-anchored message; the parser then
@@ -12,6 +15,8 @@ results land in ``<out>/<config_hash>/`` as
                         byte-stable for a fixed (config, seed),
 * one ``<name>.csv`` per series (grid, estimate, std_err; 17 significant
   digits),
+* ``paths.csv``      -- with ``[output] dump_paths = true``, one row per
+                        (path, checkpoint) of the coupled ensemble,
 * ``manifest.json``  -- config echo, seed, library versions, and wall
                         time, workers, CPU and peak RSS (not reproducible,
                         so kept out of the summary),
@@ -310,6 +315,9 @@ def _validated(values: dict) -> RunConfig:
             raise ConfigError("the Nash gate applies to the fast-diffusion family")
         if co["nash_m"] is not None and not co["nash_m"] > 0.0:
             raise ConfigError("conditions.nash_m must be > 0")
+    if "meanvalue" in co["which"] and not co["mv_r"]:
+        raise ConfigError(
+            "conditions.mv_r must not be empty when meanvalue is selected")
     for rv in co["mv_r"]:
         if not 0.0 < rv < 1.0:
             raise ConfigError("conditions.mv_r entries must lie in (0, 1)")
@@ -430,21 +438,15 @@ def _run_conditions(cfg: RunConfig) -> dict:
     sp = cfg["space"]
     fam = cfg["model"]["family"]
     r_eff = model.family.r
-    seed = co["seed"]
     out = {}
-    if "meanvalue" in co["which"] and co["mv_r"]:
+    if "meanvalue" in co["which"]:
         out.update(_mean_value_reports(co))
-    if "a1prime" in co["which"]:
-        rep = iq.check_A1prime(space, model, co["kappa"], co["samples"], seed=seed)
-        out["a1prime"] = rep.as_dict()
-    if "a1doubleprime" in co["which"]:
-        rep = iq.check_A1doubleprime(space, model, co["kappa"], co["samples"],
-                                     seed=seed)
-        out["a1doubleprime"] = rep.as_dict()
-    if "interpolation" in co["which"]:
-        rep = iq.check_interpolation_Q(space, model, co["kappa"], co["samples"],
-                                       seed=seed)
-        out["interpolation"] = rep.as_dict()
+    for name, checker in (("a1prime", iq.check_A1prime),
+                          ("a1doubleprime", iq.check_A1doubleprime),
+                          ("interpolation", iq.check_interpolation_Q)):
+        if name in co["which"]:
+            out[name] = checker(space, model, co["kappa"], co["samples"],
+                                seed=co["seed"]).as_dict()
     if "spectrum" in co["which"]:
         params = iq.SpectrumParams(
             gamma=sp["gamma"], delta=sp["q_decay"], d=1,
@@ -462,7 +464,7 @@ def _run_conditions(cfg: RunConfig) -> dict:
             kappa=co["kappa"])
         out["nash"] = rep.as_dict()
     if "coercivity" in co["which"]:
-        rep = iq.fit_coercivity(space, model, co["samples"], seed=seed)
+        rep = iq.fit_coercivity(space, model, co["samples"], seed=co["seed"])
         out["coercivity"] = rep.as_dict()
     return out
 
@@ -482,14 +484,12 @@ def _ensemble(cfg: RunConfig, which: str, threads, **kw):
 # the selected experiments' results and series; the coupled ensemble's raw
 # paths are written to dest here, so that the record is freed on return,
 # before the condition suite allocates
-def _run_experiments(cfg: RunConfig, threads, dest: Path | None):
+def _run_experiments(cfg: RunConfig, threads, dest: Path):
     ex = cfg["experiments"]
     which = ex["which"]
     out: dict = {}
     series: dict = {}
     rec = None
-    if not which:
-        return out, series
     space, model, sim, x0 = cfg.space, cfg.model, cfg.sim, cfg.x0
     dist0 = _start_distance(cfg)
     needs_coupled = {"survival", "lemma31", "supermartingale", "chain",
@@ -620,7 +620,7 @@ def collect_failures(results: dict) -> list:
              if results.get(name, {}).get("ok") is False]
             + [{"check": f"condition:{name}", "flag": "verdict"}
                for name, rep in results.get("conditions", {}).items()
-               if rep["verdict"] == "fail"])
+               if rep["verdict"] != "pass"])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -755,44 +755,12 @@ def _cmd_check_conditions(args) -> int:
         print(f"{name:<{wid}}  {rep['verdict']:<7} "
               f"violations={rep['violation_count']:<6} "
               f"worst_margin={rep['worst_margin']:.3e}  {consts}")
-        bad += rep["verdict"] == "fail"
+        bad += rep["verdict"] != "pass"
     if args.out:
         dest = Path(args.out)
         dest.mkdir(parents=True, exist_ok=True)
         _write_json(dest / "conditions.json", reports)
     return 1 if bad else 0
-
-
-def _cmd_couple(args) -> int:
-    cfg = _load(args)
-    try:
-        xp._two_paths(cfg.sim.n_paths)     # mean_distance.csv's errors
-    except ValueError as exc:
-        raise ConfigError(f"couple: {exc}") from None
-    rec = _ensemble(cfg, "coupled", args.threads)
-    times, p, se = xp.survival_curve(rec)
-    print("t, P(tau_n > t), std_err")
-    for t, pv, s in zip(times, p, se):
-        print(f"{t:.6g}, {pv:.6g}, {s:.6g}")
-    print(f"glued fraction: {float(np.mean(rec.coupled[rec.live])):.6g}")
-    if args.out:
-        dest = Path(args.out)
-        dest.mkdir(parents=True, exist_ok=True)
-        _write_csv(dest / "survival.csv", times, p, se, grid_name="time")
-        _write_csv(dest / "mean_distance.csv", times,
-                   *xp.mean_se(rec.h_dist[rec.live]), grid_name="time")
-        _dump_paths_csv(dest / "paths.csv", rec)
-    return 0
-
-
-def _cmd_fit_rate(args) -> int:
-    # the contraction experiment, with its checks, and nothing else
-    cfg = _replaced(_load(args), "experiments", which=("contraction",))
-    fit = _run_experiments(cfg, args.threads, None)[0]["contraction"]
-    print(f"decay rate of log E|X-Y|^2: {fit['rate']:.6g} "
-          f"(95% CI [{fit['ci'][0]:.6g}, {fit['ci'][1]:.6g}], "
-          f"window {fit['t_window']})")
-    return 0
 
 
 def _cmd_oracle(args) -> int:
@@ -829,17 +797,13 @@ def main(argv=None) -> int:
             ("run", _cmd_run, "run configured experiments and conditions"),
             ("check-conditions", _cmd_check_conditions,
              "run only the structural-inequality checks"),
-            ("couple", _cmd_couple, "simulate the coupled ensemble and "
-                                    "print the survival curve"),
-            ("fit-rate", _cmd_fit_rate, "fit the contraction rate on a "
-                                        "synchronous ensemble"),
             ("oracle", _cmd_oracle, "print Ornstein-Uhlenbeck analytics")):
         p = sub.add_parser(name, help=help_txt)
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override sim.master_seed")
         p.add_argument("--out", default=None, help="output directory")
-        if name in ("run", "couple", "fit-rate"):    # the ensemble commands
+        if name == "run":            # the one command that forks path workers
             p.add_argument("--threads", type=_worker_count, default=None,
                            help="forked path workers, at least 1 "
                                 "(default: usable CPUs)")
@@ -850,9 +814,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NoLivePath as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+_VACUOUS = 1e-6                      # median |fitted term| / median |lhs|
 _SLAB = 32_768                       # samples per validation slab
 _ROW_SLAB = 1_024                    # states per grid slab, 4 ROW_CHUNKs
 
@@ -50,7 +51,7 @@ class ConditionReport:
     violation_count: int
     fitted_constants: dict
     worst_margin: float
-    verdict: str                     # pass | fail
+    verdict: str                     # pass | fail | vacuous
     notes: str = ""
 
     def as_dict(self) -> dict:
@@ -120,7 +121,7 @@ def _by_rows(terms, *states):
 
 
 def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
-                       constants, given=None) -> ConditionReport:
+                       constants, given=None, fitted_term=None) -> ConditionReport:
     """The protocol every sampled checker shares.
 
     ``sample()`` draws a fresh batch of ``n_samples`` points and returns
@@ -133,7 +134,9 @@ def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
     ``-(_REL_TOL * scale + floor)`` is a violation.  The slabs' violations
     are summed and ``worst_margin`` is the least slab minimum, NaN if any
     margin is NaN.  ``constants(const)`` names the constants the report
-    carries.
+    carries.  With no violation, a fitted (not ``given``) constant reads
+    ``vacuous`` when ``fitted_term(terms, const)``, its term and the lhs,
+    has a median ``|term|`` below ``_VACUOUS`` times the median ``|lhs|``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -148,13 +151,20 @@ def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
             tol = tol + floor[0]
         bad += int(np.sum(~(margins >= -tol)))
         lows.append(np.min(margins))
+    verdict = "pass" if bad == 0 else "fail"
+    if bad == 0 and given is None and fitted_term is not None:
+        # upper medians by partition: np.median would import numpy.ma
+        term, lhs = (np.partition(np.abs(a), n_samples // 2)[n_samples // 2]
+                     for a in fitted_term(terms, const))
+        if term < _VACUOUS * lhs:
+            verdict = "vacuous"
     return ConditionReport(
         condition_id=condition_id,
         sample_count=n_samples,
         violation_count=bad,
         fitted_constants=constants(const),
         worst_margin=float(np.min(lows)),
-        verdict="pass" if bad == 0 else "fail",
+        verdict=verdict,
     )
 
 
@@ -194,7 +204,7 @@ def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
         condition_id, n_samples,
         lambda: _by_rows(terms, *sample_state_pairs(space, gen, n_samples)),
         fit, check, lambda theta: {"K": K, "theta": theta, "kappa": kappa},
-        given=theta)
+        given=theta, fitted_term=lambda t, theta: (theta * t[2], t[0]))
 
 
 def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
@@ -267,18 +277,19 @@ def check_interpolation_Q(space: SpectralSpace, model: ModelSpec, kappa: float,
         return lq ** 2 * dn ** (kappa - 2.0), dq ** kappa
 
     if fam.kind == "fastdiff":      # lhs >= eta rhs
-        name = "eta"
+        name, fitted_term = "eta", lambda lr, c: (c * lr[1], lr[0])
         fit = lambda lr: float(np.min(lr[0] / lr[1])) * safety
         check = lambda lr, c: (lr[0] - c * lr[1], np.abs(lr[0]) + c * lr[1])
     else:                           # lhs <= C rhs
-        name = "C"
+        name, fitted_term = "C", None
         fit = lambda lr: float(np.max(lr[0] / lr[1])) / safety
         check = lambda lr, c: (c * lr[1] - lr[0], np.abs(lr[0]) + c * lr[1])
     with np.errstate(over="ignore", invalid="ignore"):
         return _fit_then_validate(
             f"interpolation_{fam.kind}", n_samples,
             lambda: _by_rows(terms, sample_states(space, gen, n_samples)),
-            fit, check, lambda c: {name: c, "kappa": kappa})
+            fit, check, lambda c: {name: c, "kappa": kappa},
+            fitted_term=fitted_term)
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,9 @@ _BAD_CONFIGS = {
                             "lemma31_deltas = 0, 2\n",
                             "experiments: lemma31: lemma31_deltas entries "
                             "must be > 0"),
+    "mv_r_empty": (MINIMAL + "[conditions]\nwhich = meanvalue\nmv_r =\n",
+                   "conditions.mv_r must not be empty when meanvalue is "
+                   "selected"),
 }
 # a path mean's standard error needs two paths; one leaves it NaN
 _BAD_CONFIGS.update({
@@ -290,9 +293,8 @@ which = survival, contraction
 """
 
 
-def test_an_ensemble_without_a_live_path_fails_cleanly(tmp_path, capsys):
-    # no estimator reads it; run reports it as a failed check, couple and
-    # fit-rate print one error line
+def test_an_ensemble_without_a_live_path_fails_cleanly(tmp_path):
+    # no estimator reads it; run reports it as a failed check
     cfg = parse_config(ALL_FAIL)
     assert run(cfg, out_dir=tmp_path, threads=1) == 1
     dest = tmp_path / config_hash(cfg)
@@ -304,13 +306,6 @@ def test_an_ensemble_without_a_live_path_fails_cleanly(tmp_path, capsys):
     assert summary["failed_checks"] == [{"check": "ensemble", "flag": "ok"}]
     assert json.loads((dest / "failures.json").read_text()) == {
         "failed_checks": summary["failed_checks"]}
-    path = _write(tmp_path, ALL_FAIL)
-    for command, which in (("couple", "coupled"), ("fit-rate", "synchronous")):
-        capsys.readouterr()
-        assert main([command, "--config", path, "--threads", "1"]) == 1
-        out, err = capsys.readouterr()
-        assert not out
-        assert err == f"error: all 8 paths of the {which} ensemble failed\n"
 
 
 def test_frequencies_accept_one_path(tmp_path):
@@ -321,21 +316,7 @@ def test_frequencies_accept_one_path(tmp_path):
     assert run(cfg, out_dir=tmp_path, threads=1) == 0
 
 
-def test_couple_refuses_one_path(tmp_path, capsys, monkeypatch):
-    # mean_distance.csv holds path-mean standard errors
-    def no_run(*args, **kwargs):
-        raise AssertionError("run_paths was called")
-
-    monkeypatch.setattr(cli, "run_paths", no_run)
-    out = tmp_path / "out"
-    path = _write(tmp_path, MINIMAL + SHORT + "n_paths = 1\n")
-    assert main(["couple", "--config", path, "--out", str(out)]) == 2
-    assert ("config error: couple: a path-mean standard error needs "
-            "n_paths >= 2, got 1") in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "couple", "fit-rate"])
+@pytest.mark.parametrize("command", ["run"])
 @pytest.mark.parametrize("value", ["0", "-5", "two"])
 def test_threads_must_be_a_positive_integer(command, value, tmp_path,
                                             capsys, monkeypatch):
@@ -496,12 +477,37 @@ def test_tiny_kappa_is_a_clean_fail(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["check-conditions", "oracle"])
 def test_threads_only_on_forking_commands(command, tmp_path, capsys):
-    # only run, couple and fit-rate fork path workers
+    # only run forks path workers
     path = _write(tmp_path, SMALL_RUN)
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", path, "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_run_is_the_only_ensemble_command(tmp_path, capsys):
+    # the survival curve, the per-path distances (paths.csv) and the
+    # contraction rate all come from run
+    path = _write(tmp_path, SMALL_RUN)
+    for command in ("couple", "fit-rate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_a_vacuous_condition_fails(tmp_path, capsys):
+    # on porous_accept's space and model, kappa = 20 fits theta ~ 6.5e-8:
+    # no violation, and a bound that says nothing
+    text = (MINIMAL + "[space]\ngamma = 2.0\n[conditions]\nwhich = a1prime\n"
+            "kappa = 20\nsamples = 2000\nseed = 1\n")
+    assert main(["check-conditions", "--config", _write(tmp_path, text)]) == 1
+    assert "vacuous" in capsys.readouterr().out
+    cfg = parse_config(text)
+    assert run(cfg, out_dir=tmp_path) == 1
+    assert json.loads((tmp_path / config_hash(cfg) / "failures.json")
+                      .read_text())["failed_checks"] == [
+        {"check": "condition:a1prime", "flag": "verdict"}]
 
 
 def test_main_oracle(tmp_path, capsys):
@@ -531,49 +537,19 @@ def test_marginal_ou_uses_the_linear_rate(tmp_path):
     assert res["ok"]
 
 
-def test_main_couple_and_fit_rate(tmp_path, capsys):
-    path = _write(tmp_path, SMALL_RUN)
-    assert main(["couple", "--config", path, "--threads", "1",
-                 "--out", str(tmp_path / "c")]) == 0
-    assert (tmp_path / "c" / "survival.csv").exists()
-    paths_csv = (tmp_path / "c" / "paths.csv").read_text().splitlines()
-    assert paths_csv[0] == "path,time,x_mode1,h_dist,q_dist,tau_n,glued"
-    assert len(paths_csv) == 1 + 128 * 4   # one row per (path, checkpoint)
-    assert main(["fit-rate", "--config", path, "--threads", "1"]) == 0
-    assert "decay rate" in capsys.readouterr().out
-
-
 def test_run_dump_paths_and_aggregate(tmp_path):
     cfg = parse_config(SMALL_RUN + "\n[output]\ndump_paths = true\n")
     assert run(cfg, out_dir=tmp_path, threads=1) == 0
     dest = tmp_path / config_hash(cfg)
-    assert (dest / "paths.csv").exists()
+    paths_csv = (dest / "paths.csv").read_text().splitlines()
+    assert paths_csv[0] == "path,time,x_mode1,h_dist,q_dist,tau_n,glued"
+    assert len(paths_csv) == 1 + 128 * 4   # one row per (path, checkpoint)
     summary = json.loads((dest / "summary.json").read_text())
     agg = summary["experiment_result"]
     assert agg["config_hash"] == config_hash(cfg)
     for name, ser in agg["estimates"].items():
         assert len(ser["value"]) == len(ser["std_err"]) == len(ser["grid"])
     assert agg["pass_flags"]["lemma31"] is True
-
-
-@pytest.mark.parametrize("change, message", [
-    ("[experiments]\nfit_t_min = 0.02\n",
-     "fit window must contain at least two checkpoints"),
-    ("x0 = 1\ny0 = 1\n", "degenerate pair: x = y"),
-    # fit-rate runs the contraction experiment, whose standard errors need
-    # two paths
-    ("n_paths = 1\n", "a path-mean standard error needs n_paths >= 2, got 1"),
-], ids=["fit_t_min", "x0_is_y0", "one_path"])
-def test_fit_rate_refuses_before_stepping(change, message, tmp_path, capsys,
-                                          monkeypatch):
-    def no_run(*args, **kwargs):
-        raise AssertionError("run_paths was called")
-
-    monkeypatch.setattr(cli, "run_paths", no_run)
-    path = _write(tmp_path, MINIMAL + SHORT + change)
-    assert main(["fit-rate", "--config", path, "--threads", "1"]) == 2
-    assert ("config error: experiments: contraction: " + message
-            in capsys.readouterr().err)
 
 
 def test_run_bounds_k_prime_only_for_the_experiments_that_read_it(
@@ -691,12 +667,6 @@ super_g = clipped_linear
 """
 
 FROZEN_DIGESTS = {
-    "couple/mean_distance.csv":
-        "f6476515c0604b896d5fb10b12274aec44e24e97ed4c0ed2950de79eaa47e35c",
-    "couple/paths.csv":
-        "2ea54ce2fbe96b7374a4baa2fb8ac7613aa6a4de84a3b0705d2ec159a65de07e",
-    "couple/survival.csv":
-        "a5467e12efd209489bfb9c0b01ac58711579cbf904ea3f2b9e106de5a50556b3",
     "r1/contraction.csv":
         "937af0265b46f33f4fe6ecaa3de77250d8e928387011f56be8cd9a2ba9807de8",
     "r1/holder.csv":
@@ -721,8 +691,6 @@ FROZEN_DIGESTS = {
         "e571567995e83443a97f791f3d8082fbeda309728247d8ba58cb5d7a58d77569",
     "r2/survival.csv":
         "daf0a626151c7e2660eb4219db307d7c5966b48fcf8da27be3aee4ed248976d4",
-    "stdout":
-        "1fd31740a78eb404214656fc1d78a676a05eb84944d333d8564a70ac3e5b5e17",
 }
 
 
@@ -730,40 +698,31 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _couple_and_fit_rate(tmp_path, capsys, text, *flags) -> dict:
-    """Digests of the couple and fit-rate outputs of one config."""
-    path = _write(tmp_path, text)
-    capsys.readouterr()
-    assert main(["couple", "--config", path, *flags,
-                 "--out", str(tmp_path / "couple")]) == 0
-    assert main(["fit-rate", "--config", path, *flags]) == 0
-    got = {"stdout": _sha(capsys.readouterr().out.encode())}
-    for f in sorted((tmp_path / "couple").iterdir()):
-        got[f"couple/{f.name}"] = _sha(f.read_bytes())
-    return got
+def _digests(dest: Path, tag: str) -> dict:
+    """sha256 of every output in ``dest`` but manifest.json (a wall time)."""
+    return {f"{tag}/{f.name}": _sha(f.read_bytes())
+            for f in sorted(dest.iterdir()) if f.name != "manifest.json"}
 
 
 # 600 paths span three noise blocks, so two workers fork a second batch
 @pytest.mark.parametrize("threads", [1, 2])
-def test_estimator_outputs_frozen(threads, tmp_path, capsys):
+def test_estimator_outputs_frozen(threads, tmp_path):
     # pinned-seed self-oracle: the estimators and their writers must keep
-    # every output byte; manifest.json is left out (it holds a wall time)
+    # every output byte
     got = {}
     for tag, text, code in (("r1", FROZEN_R1, 0), ("r2", FROZEN_R2, 1)):
         cfg = parse_config(text)
         assert run(cfg, out_dir=tmp_path / tag, threads=threads) == code
-        for f in sorted((tmp_path / tag / config_hash(cfg)).iterdir()):
-            if f.name != "manifest.json":
-                got[f"{tag}/{f.name}"] = _sha(f.read_bytes())
-    got.update(_couple_and_fit_rate(tmp_path, capsys, FROZEN_R1,
-                                    "--threads", str(threads)))
+        got.update(_digests(tmp_path / tag / config_hash(cfg), tag))
     assert got == FROZEN_DIGESTS
 
 
-def test_seed_option_replaces_master_seed(tmp_path, capsys):
+def test_seed_option_replaces_master_seed(tmp_path):
     text = FROZEN_R1.replace("master_seed = 11", "master_seed = 12")
     assert text != FROZEN_R1
-    got = _couple_and_fit_rate(tmp_path, capsys, text, "--seed", "11",
-                               "--threads", "1")
-    assert got == {k: v for k, v in FROZEN_DIGESTS.items()
-                   if k == "stdout" or k.startswith("couple/")}
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, text), "--seed", "11",
+                 "--out", str(out), "--threads", "1"]) == 0
+    # the config with its seed replaced is FROZEN_R1, hash included
+    assert _digests(out / config_hash(parse_config(FROZEN_R1)), "r1") == {
+        k: v for k, v in FROZEN_DIGESTS.items() if k.startswith("r1/")}

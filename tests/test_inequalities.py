@@ -190,6 +190,23 @@ def test_a1prime_monotone_in_K(ex41_space, porous_r2):
     assert smaller_theta.violation_count == 0
 
 
+def test_a_constant_fitted_to_about_zero_is_vacuous(ex41_space, porous_r2,
+                                                     ex63_space, fastdiff_half):
+    # at kappa = 20 the fit leaves theta ~ 6.5e-8: no violation, and a
+    # defect term ~ 1e-10 of |lhs|, so the bound says nothing
+    rep = check_A1prime(ex41_space, porous_r2, 20.0, 2000, seed=1)
+    assert rep.violation_count == 0 and rep.verdict == "vacuous"
+    assert rep.fitted_constants["theta"] < 1e-6
+    # a given constant is checked as stated
+    given = check_A1prime(ex41_space, porous_r2, 20.0, 2000, seed=1,
+                          theta=rep.fitted_constants["theta"])
+    assert given.verdict == "pass"
+    # the fast-diffusion interpolation fits eta the same way
+    rep = check_interpolation_Q(ex63_space, fastdiff_half, 3.0, 2000,
+                                safety=1e-9)
+    assert rep.violation_count == 0 and rep.verdict == "vacuous"
+
+
 # --- (A1'') ----------------------------------------------------------------
 
 def test_a1doubleprime_example(ex63_space, fastdiff_half):
