@@ -13,7 +13,7 @@ results land in ``<out>/<config_hash>/`` as
 
 * ``summary.json``   -- every experiment result and condition report,
                         byte-stable for a fixed (config, seed),
-* one ``<name>.csv`` per series (grid, estimate, std_err; 17 significant
+* one ``<name>.csv`` per series (time, estimate, std_err; 17 significant
   digits),
 * ``paths.csv``      -- with ``[output] dump_paths = true``, one row per
                         (path, checkpoint) of the coupled ensemble,
@@ -87,7 +87,12 @@ def _parse_str_list(s: str):
     return tuple(p.strip() for p in s.split(",") if p.strip())
 
 
-# section -> key -> (parser, default); required keys use _REQUIRED
+# section -> key -> (parser, default); required keys use _REQUIRED.
+# [sim] record_v_norms and [experiments] holder_epsilons, holder_t and
+# holder_direction_mode are parsed and hashed, and nothing reads them:
+# config_hash hashes every key, defaults included, so dropping one would
+# move every pinned summary.json.  ROADMAP item 1, which re-pins, deletes
+# them.
 _REQUIRED = object()
 
 _SCHEMA = {
@@ -161,11 +166,10 @@ _SCHEMA = {
 }
 
 _EXPERIMENTS = ("survival", "lemma31", "supermartingale", "chain",
-                "contraction", "marginal_ou", "holder")
+                "contraction", "marginal_ou")
 # the experiments that report a path mean with its standard error
 # (survival and lemma31 report frequencies, with binomial ones)
-_PATH_MEAN_SE = ("supermartingale", "chain", "contraction", "marginal_ou",
-                 "holder")
+_PATH_MEAN_SE = ("supermartingale", "chain", "contraction", "marginal_ou")
 _CONDITIONS = ("meanvalue", "a1prime", "a1doubleprime", "interpolation",
                "spectrum", "nash", "coercivity")
 # the spectrum gate of each family, checked next to the Hilbert-Schmidt one
@@ -252,9 +256,6 @@ def _validated(values: dict) -> RunConfig:
     fam = mo["family"]
     if fam == "plaplace" and sp["gamma"] != 1.0:
         raise ConfigError("p-Laplacian runs require space.gamma = 1")
-    if not 1 <= ex["holder_direction_mode"] <= sp["n_modes"]:
-        raise ConfigError(
-            "experiments.holder_direction_mode must lie in [1, space.n_modes]")
     if "marginal_ou" in ex["which"]:
         _check_ou_law(cfg, "experiments")
     # each selected experiment's parameters are checked by the code that
@@ -270,10 +271,8 @@ def _validated(values: dict) -> RunConfig:
             elif w == "contraction":
                 xp.fit_window(cfg.sim.checkpoint_times, ex["fit_t_min"],
                               _start_distance(cfg))
-            elif w in ("marginal_ou", "holder"):
-                t = ex["marginal_t" if w == "marginal_ou" else "holder_t"]
-                if t is not None:
-                    xp.checkpoint_index(cfg.sim.checkpoint_times, t)
+            elif w == "marginal_ou" and ex["marginal_t"] is not None:
+                xp.checkpoint_index(cfg.sim.checkpoint_times, ex["marginal_t"])
             elif w == "lemma31":
                 if not ex["lemma31_deltas"]:
                     raise ValueError("lemma31_deltas must not be empty")
@@ -469,15 +468,22 @@ def _run_conditions(cfg: RunConfig) -> dict:
     return out
 
 
-class _NoLivePath(RuntimeError):
-    """An ensemble in which every path failed, which no estimator can read."""
+class _TooFewLivePaths(RuntimeError):
+    """An ensemble with fewer live paths than its estimators read; its one
+    argument is the ensemble's failed ``results`` entry."""
 
 
 def _ensemble(cfg: RunConfig, which: str, threads, **kw):
+    """The ``which`` ensemble; raises ``_TooFewLivePaths`` unless two paths
+    live when a selected experiment reports a path mean with its standard
+    error, and one otherwise (the rule ``_validated`` applies to n_paths)."""
     rec = run_paths(cfg.space, cfg.model, cfg.coupling, cfg.sim, which,
                     x0=cfg.x0, y0=cfg.y0, threads=threads, **kw)
-    if not rec.live.any():
-        raise _NoLivePath(f"all {rec.n_paths} paths of the {which} ensemble failed")
+    need = 2 if set(_PATH_MEAN_SE) & set(cfg["experiments"]["which"]) else 1
+    if np.count_nonzero(rec.live) < need:
+        raise _TooFewLivePaths({"n_paths": int(rec.n_paths),
+                                "failed_paths": int(np.sum(rec.failed)),
+                                "ok": False})
     return rec
 
 
@@ -496,8 +502,7 @@ def _run_experiments(cfg: RunConfig, threads, dest: Path):
                      "marginal_ou"} & set(which)
     if needs_coupled:
         deltas = tuple(m * dist0 for m in ex["lemma31_deltas"])
-        rec = _ensemble(cfg, "coupled", threads, delta_grid=deltas,
-                        record_v_norms=cfg["sim"]["record_v_norms"])
+        rec = _ensemble(cfg, "coupled", threads, delta_grid=deltas)
         out["ensemble"] = {
             "n_paths": int(sim.n_paths),
             "failed_paths": int(np.sum(rec.failed)),
@@ -552,20 +557,6 @@ def _run_experiments(cfg: RunConfig, threads, dest: Path):
         out["contraction"] = res
         series["contraction"] = (sync.checkpoint_times,
                                  *xp.mean_se(sync.h_dist[sync.live] ** 2))
-    if "holder" in which:
-        t_h = ex["holder_t"]
-        if t_h is None:
-            t_h = sim.checkpoint_times[-1]
-        direction = np.zeros(space.n_modes)
-        direction[ex["holder_direction_mode"] - 1] = 1.0
-        res = xp.holder_ratio_scan(space, model, sim, x0, direction,
-                                   ex["holder_epsilons"], t_h,
-                                   coupling_params=cfg.coupling,
-                                   threads=threads)
-        out["holder"] = res
-        series["holder"] = ([r["eps"] for r in res["rows"]],
-                            [r["estimate"] for r in res["rows"]],
-                            [r["std_err"] for r in res["rows"]])
     if (rec is not None and cfg["output"]["dump_paths"]
             and "csv" in cfg["output"]["formats"]):
         _dump_paths_csv(dest / "paths.csv", rec)
@@ -578,9 +569,6 @@ def _aggregate_result(cfg: RunConfig, results: dict, series: dict) -> dict:
     if "contraction" in results:
         fit = results["contraction"]
         rates["contraction"] = (fit["rate"], *fit["ci"])
-    if "holder" in results and np.isfinite(results["holder"]["slope"]):
-        s, se = results["holder"]["slope"], results["holder"]["slope_se"]
-        rates["holder_exponent"] = (s, s - 2 * se, s + 2 * se)
     return {
         "experiment_id": "run",
         "config_hash": config_hash(cfg),
@@ -629,11 +617,11 @@ def _write_json(path: Path, obj) -> None:
                     + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, grid, values, std_errs, grid_name="grid") -> None:
+def _write_csv(path: Path, times, values, std_errs) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{grid_name},estimate,std_err\n")
-        for g, v, s in zip(grid, values, std_errs):
-            fh.write(f"{float(g):.17g},{float(v):.17g},{float(s):.17g}\n")
+        fh.write("time,estimate,std_err\n")
+        for t, v, s in zip(times, values, std_errs):
+            fh.write(f"{float(t):.17g},{float(v):.17g},{float(s):.17g}\n")
 
 
 def _dump_paths_csv(path: Path, rec) -> None:
@@ -678,10 +666,9 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
 
     try:
         results, series = _run_experiments(cfg, threads, dest)
-    except _NoLivePath:
+    except _TooFewLivePaths as exc:
         # the estimators are skipped; the failed ensemble is the failed check
-        n = cfg.sim.n_paths
-        results = {"ensemble": {"n_paths": n, "failed_paths": n, "ok": False}}
+        results = {"ensemble": exc.args[0]}
         series = {}
     conditions = _run_conditions(cfg)
     if conditions:
@@ -698,11 +685,8 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     if "json" in cfg["output"]["formats"]:
         _write_json(dest / "summary.json", summary)
     if "csv" in cfg["output"]["formats"]:
-        grid_names = {"survival": "time", "supermartingale": "time",
-                      "contraction": "time", "holder": "eps"}
-        for name, (grid, vals, errs) in series.items():
-            _write_csv(dest / f"{name}.csv", grid, vals, errs,
-                       grid_name=grid_names.get(name, "grid"))
+        for name, (times, vals, errs) in series.items():
+            _write_csv(dest / f"{name}.csv", times, vals, errs)
     manifest = {
         "config_hash": digest,
         "config": cfg.values,
@@ -729,21 +713,17 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _load(args) -> RunConfig:
-    cfg = parse_config_file(args.config)
-    return (cfg if args.seed is None
-            else _replaced(cfg, "sim", master_seed=args.seed))
-
-
 def _cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config_file(args.config)
+    if args.seed is not None:
+        cfg = _replaced(cfg, "sim", master_seed=args.seed)
     code = run(cfg, out_dir=args.out, threads=args.threads)
     print(f"config {config_hash(cfg)}: " + ("FAILED" if code else "ok"))
     return code
 
 
 def _cmd_check_conditions(args) -> int:
-    reports = _run_conditions(_load(args))
+    reports = _run_conditions(parse_config_file(args.config))
     if not reports:
         print("no conditions selected in [conditions] which")
         return 0
@@ -764,7 +744,7 @@ def _cmd_check_conditions(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config_file(args.config)
     _check_ou_law(cfg, "oracle")
     print("Ornstein-Uhlenbeck analytics per H-mode (linear family, B = 0)")
     for t in cfg.sim.checkpoint_times:
@@ -800,10 +780,11 @@ def main(argv=None) -> int:
             ("oracle", _cmd_oracle, "print Ornstein-Uhlenbeck analytics")):
         p = sub.add_parser(name, help=help_txt)
         p.add_argument("--config", required=True, help="path to config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override sim.master_seed")
-        p.add_argument("--out", default=None, help="output directory")
-        if name == "run":            # the one command that forks path workers
+        if name != "oracle":         # oracle only prints
+            p.add_argument("--out", default=None, help="output directory")
+        if name == "run":            # the one command that steps paths
+            p.add_argument("--seed", type=int, default=None,
+                           help="override sim.master_seed")
             p.add_argument("--threads", type=_worker_count, default=None,
                            help="forked path workers, at least 1 "
                                 "(default: usable CPUs)")

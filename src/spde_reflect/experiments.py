@@ -2,8 +2,8 @@
 
 Survival curves of the coupling time, the escape-probability bound, the
 supermartingale diagnostics with the proofs' concave test functions,
-contraction-rate fits, Hoelder-ratio scans with common random numbers, and
-the exact Ornstein-Uhlenbeck oracle for the linear family.
+contraction-rate fits, and the exact Ornstein-Uhlenbeck oracle for the
+linear family.
 
 Per-mode observables (the OU oracle, the canonical cylinder functional)
 are expressed in H-orthonormal coordinates sqrt(w_i) x_i so that the mode-i
@@ -23,16 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import SpectralSpace, h_norm, h_mode_coeffs
+from .spaces import SpectralSpace, h_mode_coeffs
 from .models import ModelSpec
-from .coupling import CouplingParams, cutoff_h_prime_sup
-from .integrator import SimConfig, PathEnsembleRecord, run_paths
+from .coupling import cutoff_h_prime_sup
+from .integrator import PathEnsembleRecord
 from .inequalities import lipschitz_K_bound
 
 __all__ = [
     "GSpec", "canonical_f",
     "survival_curve", "check_lemma31", "supermartingale_diagnostic",
-    "coupling_tail_bound", "contraction_fit", "holder_ratio_scan",
+    "coupling_tail_bound", "contraction_fit",
     "ou_oracle", "semigroup_difference", "prop21_chain",
     "marginal_ou_check", "d3_rate_bound",
 ]
@@ -411,62 +411,3 @@ def marginal_ou_check(record: PathEnsembleRecord, space: SpectralSpace,
                     for v in out["sides"].values())
     return out
 
-
-def holder_ratio_scan(space: SpectralSpace, model: ModelSpec,
-                      config: SimConfig, x: np.ndarray, direction: np.ndarray,
-                      epsilons, t: float, f=None,
-                      coupling_params: CouplingParams | None = None,
-                      threads: int | None = None) -> dict:
-    """Semigroup difference |P_t f(x) - P_t f(x + eps dir)| over an eps grid.
-
-    Common random numbers: the base run and every shifted run are
-    synchronous runs of the pair glued at their start (y0 = x0), and they
-    share the master seed, so per-path differences are strongly correlated
-    and the paired standard error is small.  When coupling parameters are
-    given, a reflection-coupled run provides a cross-check estimate.
-    Entries whose signal falls below 3 SE are marked inconclusive; the
-    log-log slope is fitted over the conclusive entries (diagnostic only, no
-    pass/fail).
-    """
-    if f is None:
-        f = canonical_f(space)
-    direction = np.asarray(direction, dtype=float)
-    nd = h_norm(space, direction)
-    if nd == 0.0:
-        raise ValueError("direction must be nonzero")
-    direction = direction / nd
-    j = checkpoint_index(config.checkpoint_times, t)
-
-    def glued(start):
-        return run_paths(space, model, CouplingParams(n=1), config,
-                         "synchronous", x0=start, y0=start, threads=threads)
-
-    base = glued(x)
-    rows = []
-    for eps in epsilons:
-        shifted = glued(np.asarray(x) + eps * direction)
-        live = base.live & shifted.live
-        est, se = floats(mean_se(
-            f(base.x_coeffs[:, j])[live] - f(shifted.x_coeffs[:, j])[live]))
-        row = {"eps": float(eps), "estimate": est, "std_err": se,
-               "inconclusive": bool(est == 0.0 or abs(est) < 3.0 * se)}
-        if coupling_params is not None:
-            crec = run_paths(space, model, coupling_params, config, "coupled",
-                             x0=x, y0=np.asarray(x) + eps * direction,
-                             threads=threads)
-            sg = semigroup_difference(crec, f)
-            row["coupled_estimate"] = float(sg["estimate"][j])
-            row["coupled_std_err"] = float(sg["std_err"][j])
-        rows.append(row)
-    good = [r for r in rows if not r["inconclusive"]]
-    if len(good) >= 2:
-        le = np.log([r["eps"] for r in good])
-        lv = np.log([abs(r["estimate"]) for r in good])
-        slope = float(np.polyfit(le, lv, 1)[0])
-        resid = lv - np.polyval(np.polyfit(le, lv, 1), le)
-        se_slope = float(np.sqrt(np.sum(resid ** 2) / max(len(good) - 2, 1)
-                                 / np.sum((le - np.mean(le)) ** 2)))
-    else:
-        slope, se_slope = float("nan"), float("nan")
-    return {"t": float(t), "rows": rows,
-            "slope": slope, "slope_se": se_slope}

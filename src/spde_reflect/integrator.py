@@ -86,7 +86,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .spaces import SpectralSpace, h_norm, q_norm, v_norm
+from .spaces import SpectralSpace, h_norm, q_norm
 from .models import ModelSpec, DriftBuffers, drift_and_split_rate
 from .coupling import CouplingParams, coupled_diffusion_increments
 
@@ -561,8 +561,6 @@ class PathEnsembleRecord:
     y_coeffs: np.ndarray
     h_dist: np.ndarray                   # (P, C) H-norm of x - y
     q_dist: np.ndarray
-    v_accum_x: np.ndarray | None         # (P, C) int_0^t |X_s|_V^{1+r} ds,
-    v_accum_y: np.ndarray | None         # with record_v_norms only
     tau_n: np.ndarray
     dist_at_tau_n: np.ndarray
     t_n: np.ndarray
@@ -653,8 +651,7 @@ def _run_batches(run_rows, bounds) -> None:
 def run_paths(space: SpectralSpace, model: ModelSpec,
               params: CouplingParams, config: SimConfig,
               which: str = "coupled", *, x0: np.ndarray, y0: np.ndarray,
-              delta_grid=(), record_v_norms: bool = False,
-              threads: int | None = None) -> PathEnsembleRecord:
+              delta_grid=(), threads: int | None = None) -> PathEnsembleRecord:
     """Monte Carlo driver: simulate all pairs and collect observables.
 
     ``which`` is ``"coupled"`` (reflection) or ``"synchronous"`` (shared
@@ -676,7 +673,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
     x_out, y_out = _shared((2, n_paths, n_cp, nm))
     h_out, q_out = _shared((2, n_paths, n_cp))
-    va_x, va_y = _shared((2, n_paths, n_cp)) if record_v_norms else (None, None)
     # each path's final CouplingState records, and the time it failed at
     final = {"fail_mode": _shared(n_paths, int), "tau_n": _shared(n_paths),
              "dist_at_tau_n": _shared(n_paths), "t_n": _shared(n_paths),
@@ -684,7 +680,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
              "tau_delta": _shared((n_paths, len(delta_grid)))}
     fail_time = _shared(n_paths)
 
-    r_exp = 1.0 + model.family.r
     cp_index = {k: i for i, k in enumerate(cps)}
 
     def run_rows(lo: int, hi: int):
@@ -692,7 +687,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         st = make_coupling_state(space, params, np.tile(x0, (rows, 1)),
                                  np.tile(y0, (rows, 1)), delta_grid=delta_grid)
         work = StepBuffers(space, rows)
-        acc = np.zeros((2, rows))             # the V-norm integrals of x, y
 
         def record(i):
             x_out[lo:hi, i], y_out[lo:hi, i] = st.x, st.y
@@ -700,8 +694,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                 d = st.x - st.y
                 h_out[lo:hi, i] = h_norm(space, d)
                 q_out[lo:hi, i] = q_norm(space, d)
-            if record_v_norms:
-                va_x[lo:hi, i], va_y[lo:hi, i] = acc
 
         n_steps = config.n_steps
         for k in range(n_steps + 1):
@@ -709,12 +701,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                 record(cp_index[k])
             if k == n_steps:
                 break
-            if record_v_norms:
-                live = ~st.failed
-                with np.errstate(invalid="ignore", over="ignore"):
-                    for a, v in zip(acc, (st.x, st.y)):
-                        v = np.where(live, v_norm(space, v, model.family), 0.0)
-                        a += config.dt * v ** r_exp
             prev_failed = st.failed
             st = step_coupled(space, model, params, config, st, path_lo=lo,
                               synchronous=(which != "coupled"), work=work)
@@ -728,7 +714,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         checkpoint_times=times,
         x_coeffs=x_out, y_coeffs=y_out,
         h_dist=h_out, q_dist=q_out,
-        v_accum_x=va_x, v_accum_y=va_y,
         tau_n=final["tau_n"], dist_at_tau_n=final["dist_at_tau_n"],
         t_n=final["t_n"], coupled=final["coupled"],
         delta_grid=np.asarray(delta_grid, dtype=float),

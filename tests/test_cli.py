@@ -159,11 +159,6 @@ _BAD_CONFIGS = {
                 "conditions.samples and mv_samples must be >= 1"),
     "mv_samples": (MINIMAL + "[conditions]\nmv_samples = 0\n",
                    "conditions.samples and mv_samples must be >= 1"),
-    "holder_mode_zero": (MINIMAL + "[experiments]\nholder_direction_mode = 0\n",
-                         "experiments.holder_direction_mode must lie in"),
-    "holder_mode_high": (MINIMAL + "[space]\nn_modes = 4\n"
-                         "[experiments]\nholder_direction_mode = 5\n",
-                         "experiments.holder_direction_mode must lie in"),
     "x0_too_long": (MINIMAL + "[space]\nn_modes = 2\n[sim]\nx0 = 1, 2, 3\n",
                     "sim.x0 has more entries than space.n_modes"),
     "y0_too_long": (MINIMAL + "[space]\nn_modes = 2\n[sim]\ny0 = 1, 2, 3\n",
@@ -189,9 +184,9 @@ _BAD_CONFIGS = {
                    "marginal_t = 0.005\n",
                    "experiments: marginal_ou: t = 0.005 is not a recorded "
                    "checkpoint"),
-    "holder_t": (MINIMAL + SHORT + "[experiments]\nwhich = holder\n"
-                 "holder_t = 0.005\n",
-                 "experiments: holder: t = 0.005 is not a recorded checkpoint"),
+    # the Lipschitz scan by common random numbers is gone
+    "holder": (MINIMAL + "[experiments]\nwhich = holder\n",
+               "unknown experiment 'holder'"),
     "fit_t_min": (MINIMAL + SHORT + "[experiments]\nwhich = contraction\n"
                   "fit_t_min = 0.02\n",
                   "experiments: contraction: fit window must contain at least "
@@ -253,8 +248,7 @@ _BAD_CONFIGS.update({
                       + f"n_paths = 1\n[experiments]\nwhich = {w}\n",
                       f"experiments: {w}: a path-mean standard error needs "
                       "n_paths >= 2, got 1")
-    for w in ("supermartingale", "chain", "contraction", "marginal_ou",
-              "holder")})
+    for w in ("supermartingale", "chain", "contraction", "marginal_ou")})
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
@@ -292,20 +286,48 @@ n_paths = 8
 which = survival, contraction
 """
 
+# seven of these eight paths overflow, and the one left cannot form the
+# standard error of a path mean
+ONE_LIVE = """
+[space]
+n_modes = 4
+gamma = 1.0
+q_amp = 5.0
 
+[model]
+family = porous
+r = 3.0
+
+[sim]
+scheme = explicit
+dt = 1e-3
+horizon = 0.05
+n_paths = 8
+master_seed = 2
+x0 = 0.5
+y0 = -0.5
+
+[experiments]
+which = survival, supermartingale, chain
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_ensemble_without_a_live_path_fails_cleanly(tmp_path):
-    # no estimator reads it; run reports it as a failed check
-    cfg = parse_config(ALL_FAIL)
-    assert run(cfg, out_dir=tmp_path, threads=1) == 1
-    dest = tmp_path / config_hash(cfg)
-    text = (dest / "summary.json").read_text()
-    assert "NaN" not in text
-    summary = json.loads(text)
-    assert summary["results"] == {
-        "ensemble": {"n_paths": 8, "failed_paths": 8, "ok": False}}
-    assert summary["failed_checks"] == [{"check": "ensemble", "flag": "ok"}]
-    assert json.loads((dest / "failures.json").read_text()) == {
-        "failed_checks": summary["failed_checks"]}
+    # no estimator reads an ensemble with fewer live paths than it needs;
+    # run reports it as a failed check
+    for text, failed in ((ALL_FAIL, 8), (ONE_LIVE, 7)):
+        cfg = parse_config(text)
+        assert run(cfg, out_dir=tmp_path, threads=1) == 1
+        dest = tmp_path / config_hash(cfg)
+        written = (dest / "summary.json").read_text()
+        assert "NaN" not in written
+        summary = json.loads(written)
+        assert summary["results"] == {
+            "ensemble": {"n_paths": 8, "failed_paths": failed, "ok": False}}
+        assert summary["failed_checks"] == [{"check": "ensemble", "flag": "ok"}]
+        assert json.loads((dest / "failures.json").read_text()) == {
+            "failed_checks": summary["failed_checks"]}
 
 
 def test_frequencies_accept_one_path(tmp_path):
@@ -329,12 +351,6 @@ def test_threads_must_be_a_positive_integer(command, value, tmp_path,
         main([command, "--config", path, "--threads", value])
     assert exc.value.code == 2
     assert "argument --threads: " in capsys.readouterr().err
-
-
-def test_holder_direction_mode_bounds_are_inclusive():
-    text = MINIMAL + "[space]\nn_modes = 4\n[experiments]\n"
-    for mode in (1, 4):
-        parse_config(text + f"holder_direction_mode = {mode}\n")
 
 
 @pytest.mark.parametrize("change, message", [
@@ -475,14 +491,22 @@ def test_tiny_kappa_is_a_clean_fail(tmp_path, capsys):
     assert rep["verdict"] == "fail" and rep["violation_count"] == 2000
 
 
-@pytest.mark.parametrize("command", ["check-conditions", "oracle"])
-def test_threads_only_on_forking_commands(command, tmp_path, capsys):
-    # only run forks path workers
+@pytest.mark.parametrize("command, option", [
+    pytest.param("check-conditions", ["--threads", "2"], id="check-conditions"),
+    pytest.param("oracle", ["--threads", "2"], id="oracle"),
+    pytest.param("check-conditions", ["--seed", "2"],
+                 id="check-conditions-seed"),
+    pytest.param("oracle", ["--seed", "2"], id="oracle-seed"),
+    pytest.param("oracle", ["--out", "out"], id="oracle-out"),
+])
+def test_threads_only_on_forking_commands(command, option, tmp_path, capsys):
+    # only run forks path workers and draws path noise; oracle writes no file
     path = _write(tmp_path, SMALL_RUN)
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", path, "--threads", "2"])
+        main([command, "--config", path, *option])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert ("unrecognized arguments: " + " ".join(option)
+            in capsys.readouterr().err)
 
 
 def test_run_is_the_only_ensemble_command(tmp_path, capsys):
@@ -629,7 +653,7 @@ x0 = 0.6
 y0 = -0.6
 
 [experiments]
-which = survival, lemma31, supermartingale, chain, contraction, marginal_ou, holder
+which = survival, lemma31, supermartingale, chain, contraction, marginal_ou
 lemma31_t = 0.05
 super_g = log_power
 fit_rate_bound = -15
@@ -661,7 +685,7 @@ x0 = 1.2
 y0 = -1.2
 
 [experiments]
-which = survival, lemma31, supermartingale, chain, contraction, holder
+which = survival, lemma31, supermartingale, chain, contraction
 lemma31_t = 0.05
 super_g = clipped_linear
 """
@@ -669,12 +693,10 @@ super_g = clipped_linear
 FROZEN_DIGESTS = {
     "r1/contraction.csv":
         "937af0265b46f33f4fe6ecaa3de77250d8e928387011f56be8cd9a2ba9807de8",
-    "r1/holder.csv":
-        "5ca87ef68c019060db54d0f365be7c189139e04418656903898e62d1488770af",
     "r1/paths.csv":
         "2ea54ce2fbe96b7374a4baa2fb8ac7613aa6a4de84a3b0705d2ec159a65de07e",
     "r1/summary.json":
-        "f9dd0fca34f17387a17eee48ecb969208862997eeb5aa1e65d06f13355ae544d",
+        "85692434e521e6115e6800ad39c6a2656e852f5bc0fb99fc1e68a9977503203d",
     "r1/supermartingale.csv":
         "92effae8780bb9744bf51308b734dc823d90a079f26b25cea77957003d3b3b44",
     "r1/survival.csv":
@@ -683,10 +705,8 @@ FROZEN_DIGESTS = {
         "b219837edcc22f03dbfe8dae584df1ef151058684637992a04bd38e609ba6493",
     "r2/failures.json":
         "0462f808493ca4efcbe5fae3d49c2ecb74aecae400a780a1ae95f4040f793642",
-    "r2/holder.csv":
-        "f8346936aa08af71c16dd01f16c632a83707657d773a7e38e660ca9c39e07bea",
     "r2/summary.json":
-        "b4ea9bf4eb7594de1661bb90cebc7474319df12e9777c60ab400aa298852b3d1",
+        "6a3dd9d6a05d8a20f0d031434c318b7d4071057f652161099c8e30936fe938d6",
     "r2/supermartingale.csv":
         "e571567995e83443a97f791f3d8082fbeda309728247d8ba58cb5d7a58d77569",
     "r2/survival.csv":

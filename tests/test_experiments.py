@@ -9,7 +9,7 @@ from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import SimConfig, PathEnsembleRecord, run_paths
 from spde_reflect.experiments import (
     GSpec, survival_curve, check_lemma31, supermartingale_diagnostic,
-    coupling_tail_bound, contraction_fit, holder_ratio_scan, ou_oracle,
+    coupling_tail_bound, contraction_fit, ou_oracle,
     canonical_f, semigroup_difference, prop21_chain, marginal_ou_check,
     d3_rate_bound,
 )
@@ -320,8 +320,7 @@ def _random_record(space, n_paths, times, seed=0) -> PathEnsembleRecord:
         checkpoint_times=np.asarray(times, dtype=float),
         x_coeffs=gen.standard_normal(shape), y_coeffs=gen.standard_normal(shape),
         h_dist=gen.random(shape[:2]), q_dist=gen.random(shape[:2]),
-        v_accum_x=None, v_accum_y=None, tau_n=tau,
-        dist_at_tau_n=gen.random(n_paths), t_n=tau,
+        tau_n=tau, dist_at_tau_n=gen.random(n_paths), t_n=tau,
         coupled=np.zeros(n_paths, bool), delta_grid=np.zeros(0),
         tau_delta=np.zeros((n_paths, 0)), failed=np.zeros(n_paths, bool),
         failures=[], n=2)
@@ -340,38 +339,6 @@ def test_prop21_chain_copies_no_states(porous_space):
     assert peak < 0.5 * rec.x_coeffs.nbytes
 
 
-def test_holder_trivial_cases(porous_space, porous_linear):
-    cfg = SimConfig(dt=1e-3, horizon=0.02, n_paths=64, master_seed=105,
-                    checkpoint_times=(0.0, 0.02))
-    x0 = e_k(16, 1, 0.2)
-    res = holder_ratio_scan(porous_space, porous_linear, cfg, x0,
-                            e_k(16, 1), [0.0, 0.05], 0.02)
-    zero_row = res["rows"][0]
-    assert zero_row["estimate"] == 0.0   # eps = 0: identical runs (CRN)
-
-    class ConstF:
-        osc = 0.0
-
-        def __call__(self, coeffs):
-            return np.zeros(coeffs.shape[:-1])
-
-    res2 = holder_ratio_scan(porous_space, porous_linear, cfg, x0,
-                             e_k(16, 1), [0.05], 0.02, f=ConstF())
-    assert res2["rows"][0]["estimate"] == 0.0
-
-
-def test_holder_crn_vs_coupled_agreement(porous_space, porous_linear):
-    cfg = SimConfig(dt=2e-4, horizon=0.05, n_paths=2048, master_seed=106,
-                    checkpoint_times=(0.0, 0.05))
-    x0 = e_k(16, 1, 0.3)
-    res = holder_ratio_scan(porous_space, porous_linear, cfg, x0,
-                            e_k(16, 1), [0.25], 0.05,
-                            coupling_params=CouplingParams(n=4), threads=1)
-    row = res["rows"][0]
-    comb = np.sqrt(row["std_err"] ** 2 + row["coupled_std_err"] ** 2)
-    assert abs(row["estimate"] - row["coupled_estimate"]) <= 3.0 * comb
-
-
 def test_survival_regression_fixture():
     # pinned-seed self-oracle: frozen values from the recorded run
     sp = make_space(12, 2.0, weighted=True, q_amp=1.0, q_decay=0.75)
@@ -385,24 +352,6 @@ def test_survival_regression_fixture():
     _, p, _ = survival_curve(rec)
     frozen = [1.0, 0.4619140625, 0.1171875, 0.0078125, 0.0, 0.0]
     np.testing.assert_allclose(p, frozen, atol=1e-15)
-
-
-def test_holder_regression_fixture(porous_linear):
-    # pinned-seed self-oracle for the common-random-number scan
-    sp = make_space(8, 1.0, weighted=True, q_amp=1.0, q_decay=0.75)
-    cfg = SimConfig(dt=2e-4, horizon=0.05, n_paths=2048, master_seed=31337,
-                    checkpoint_times=(0.0, 0.05))
-    x0 = np.zeros(8)
-    x0[0] = 0.3
-    d = np.zeros(8)
-    d[0] = 1.0
-    res = holder_ratio_scan(sp, porous_linear, cfg, x0, d,
-                            [0.1, 0.2, 0.4], 0.05, threads=1)
-    frozen = [-0.05880492980893399, -0.11688046241342323, -0.2293771431507758]
-    got = [r["estimate"] for r in res["rows"]]
-    np.testing.assert_allclose(got, frozen, rtol=1e-12)
-    assert res["slope"] == pytest.approx(0.9818563132753886, abs=1e-9)
-    assert not any(r["inconclusive"] for r in res["rows"])
 
 
 def test_contraction_with_diffusion_bound(plap_space):
