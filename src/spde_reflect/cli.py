@@ -178,15 +178,15 @@ _FAMILY_GATE = {"porous": "*E", "plaplace": "**E", "fastdiff": "SB"}
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Fully validated, default-filled configuration and, when made by
-    ``parse_config``, the objects every command runs."""
+    """Fully validated, default-filled configuration and the objects every
+    command runs."""
     values: dict          # section -> key -> parsed value
-    space: SpectralSpace | None = None
-    model: ModelSpec | None = None
-    coupling: CouplingParams | None = None
-    sim: SimConfig | None = None
-    x0: np.ndarray | None = None          # initial states, read-only
-    y0: np.ndarray | None = None
+    space: SpectralSpace
+    model: ModelSpec
+    coupling: CouplingParams
+    sim: SimConfig
+    x0: np.ndarray        # initial states, read-only
+    y0: np.ndarray
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -240,16 +240,15 @@ def parse_config_file(path) -> RunConfig:
 
 def _validated(values: dict) -> RunConfig:
     """RunConfig of ``values`` with its objects built and its rules checked."""
-    bare = RunConfig(values=values)
     built = {}
     for section, build in (("space", build_space), ("model", build_model),
                            ("coupling", build_coupling), ("sim", build_sim)):
         try:
-            built[section] = build(bare)
+            built[section] = build(values)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
-    cfg = RunConfig(values=values, x0=_initial_state(bare, "x0"),
-                    y0=_initial_state(bare, "y0"), **built)
+    cfg = RunConfig(values=values, x0=_initial_state(values, "x0"),
+                    y0=_initial_state(values, "y0"), **built)
     # each object checks its own section; only rules no object owns follow
     sp, mo, ex, co = (cfg["space"], cfg["model"], cfg["experiments"],
                       cfg["conditions"])
@@ -267,7 +266,7 @@ def _validated(values: dict) -> RunConfig:
             if w in _PATH_MEAN_SE:
                 xp._two_paths(cfg.sim.n_paths)
             if w == "supermartingale":
-                _g_spec_from(ex, _start_distance(cfg))
+                _g_spec_from(ex, _start_distance(cfg), cfg.model.family.r)
             elif w == "contraction":
                 xp.fit_window(cfg.sim.checkpoint_times, ex["fit_t_min"],
                               _start_distance(cfg))
@@ -351,9 +350,9 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each reads its sections by name, from a values dict or a RunConfig
 
-def build_space(cfg: RunConfig):
+def build_space(cfg):
     sp = cfg["space"]
     weighted = cfg["model"]["family"] != "plaplace"
     return make_space(sp["n_modes"], sp["gamma"], weighted=weighted,
@@ -361,7 +360,7 @@ def build_space(cfg: RunConfig):
                       oversample=sp["oversample"])
 
 
-def build_model(cfg: RunConfig) -> ModelSpec:
+def build_model(cfg) -> ModelSpec:
     mo = cfg["model"]
     fam_name = mo["family"]
     if fam_name not in ("porous", "plaplace", "fastdiff"):
@@ -389,12 +388,12 @@ def build_model(cfg: RunConfig) -> ModelSpec:
     return ModelSpec(family=fam, b_spec=b, theta=mo["theta"])
 
 
-def build_coupling(cfg: RunConfig) -> CouplingParams:
+def build_coupling(cfg) -> CouplingParams:
     return CouplingParams(n=cfg["coupling"]["n"],
                           glue_eps=cfg["coupling"]["glue_eps"])
 
 
-def build_sim(cfg: RunConfig, seed_override: int | None = None) -> SimConfig:
+def build_sim(cfg, seed_override: int | None = None) -> SimConfig:
     sm = cfg["sim"]
     if sm["checkpoints"] is not None:
         cps = tuple(sm["checkpoints"])
@@ -408,7 +407,7 @@ def build_sim(cfg: RunConfig, seed_override: int | None = None) -> SimConfig:
         checkpoint_times=cps, scheme=sm["scheme"])
 
 
-def _initial_state(cfg: RunConfig, key: str) -> np.ndarray:
+def _initial_state(cfg, key: str) -> np.ndarray:
     coeffs = cfg["sim"][key]
     n = cfg["space"]["n_modes"]
     if len(coeffs) > n:
@@ -426,9 +425,8 @@ def _mean_value_reports(co) -> dict:
     # the pairs do not depend on r: one batch serves every exponent; it is
     # freed on return, before the next checker draws its states
     batch = iq.mean_value_batch(co["mv_samples"], co["seed"])
-    return {f"meanvalue_r{rv:g}": iq.check_scalar_mean_value(
-        rv, co["mv_samples"], seed=co["seed"], batch=batch).as_dict()
-        for rv in co["mv_r"]}
+    return {f"meanvalue_r{rv:g}": iq.check_scalar_mean_value(rv, batch).as_dict()
+            for rv in co["mv_r"]}
 
 
 def _run_conditions(cfg: RunConfig) -> dict:
@@ -532,13 +530,13 @@ def _run_experiments(cfg: RunConfig, threads, dest: Path):
         out["lemma31"] = res
         out["lemma31_kprime_zero"] = res_zero
     if "supermartingale" in which:
-        g = _g_spec_from(ex, dist0)
+        g = _g_spec_from(ex, dist0, model.family.r)
         res = xp.supermartingale_diagnostic(rec, g, kprime)
         out["supermartingale"] = res
         out["coupling_tail"] = xp.coupling_tail_bound(rec, kprime)
         series["supermartingale"] = (res["times"], res["mean"], res["std_err"])
     if "chain" in which:
-        out["chain"] = xp.prop21_chain(rec, xp.canonical_f(space))
+        out["chain"] = xp.prop21_chain(rec, space)
     if "marginal_ou" in which:
         t_m = ex["marginal_t"]
         if t_m is None:
@@ -583,7 +581,9 @@ def _aggregate_result(cfg: RunConfig, results: dict, series: dict) -> dict:
     }
 
 
-def _g_spec_from(ex: dict, dist0: float) -> xp.GSpec:
+# the super_g test function; r is the model's exponent (p - 1 for the
+# p-Laplacian), which log_power reads
+def _g_spec_from(ex: dict, dist0: float, r: float) -> xp.GSpec:
     name = ex["super_g"]
     if name == "identity":
         return xp.GSpec("identity")
@@ -592,7 +592,7 @@ def _g_spec_from(ex: dict, dist0: float) -> xp.GSpec:
     if name == "clipped_linear":
         return xp.GSpec("clipped_linear", eps=ex["super_eps"], delta=2.0 * dist0)
     if name == "log_power":
-        return xp.GSpec("log_power", r=1.0)
+        return xp.GSpec("log_power", r=r)
     if name == "sqrt_log":
         return xp.GSpec("sqrt_log")
     raise ValueError(f"unknown super_g {name!r}")

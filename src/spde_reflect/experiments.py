@@ -5,7 +5,7 @@ supermartingale diagnostics with the proofs' concave test functions,
 contraction-rate fits, and the exact Ornstein-Uhlenbeck oracle for the
 linear family.
 
-Per-mode observables (the OU oracle, the canonical cylinder functional)
+Per-mode observables (the OU oracle, the oscillation chain's witness f)
 are expressed in H-orthonormal coordinates sqrt(w_i) x_i so that the mode-i
 marginal of the linear family is the scalar OU process with rate kappa_i
 (see ``ou_oracle``) and noise amplitude q_i.
@@ -30,10 +30,10 @@ from .integrator import PathEnsembleRecord
 from .inequalities import lipschitz_K_bound
 
 __all__ = [
-    "GSpec", "canonical_f",
+    "GSpec",
     "survival_curve", "check_lemma31", "supermartingale_diagnostic",
     "coupling_tail_bound", "contraction_fit",
-    "ou_oracle", "semigroup_difference", "prop21_chain",
+    "ou_oracle", "prop21_chain",
     "marginal_ou_check", "d3_rate_bound",
 ]
 
@@ -151,7 +151,7 @@ class GSpec:
     kinds:
     * ``identity``                      g(s) = s
     * ``clipped_linear`` (eps, delta)   g(s) = s - s^(1+eps) / (4 delta^eps)
-    * ``log_power`` (r)                 g(s) = int_0^s log(e + 1/z)^(r/(1+r)) dz
+    * ``log_power`` (r, the model's)    g(s) = int_0^s log(e + 1/z)^(r/(1+r)) dz
     * ``sqrt_log``                      g(s) = int_0^s sqrt(log(e + 1/z)) dz
     * ``power`` (eps)                   g(s) = s^eps
     """
@@ -291,51 +291,28 @@ def contraction_fit(record: PathEnsembleRecord, *, t_min: float = 0.0) -> dict:
             "t_window": (float(tw[0]), float(tw[-1])), "n_paths": int(m)}
 
 
-@dataclass(frozen=True)
-class CylinderFunctional:
-    """Bounded smooth witness f(v) = tanh(first H-mode coefficient)."""
-    space: SpectralSpace
-
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        # mode 0 of h_mode_coeffs, without scaling the other modes
-        return np.tanh(self.space.root_h_weights[0] * coeffs[..., 0])
-
-    @property
-    def osc(self) -> float:
-        return 2.0
-
-
-def canonical_f(space: SpectralSpace) -> CylinderFunctional:
-    return CylinderFunctional(space)
-
-
-def semigroup_difference(record: PathEnsembleRecord, f) -> dict:
-    """Coupled estimator of P_t f(x) - P_t f(y) with paired standard errors.
-
-    ``f`` is evaluated on every path, failed ones included, and its values
-    on the live paths are kept, so that no copy of the states is made.
-    """
-    fx = f(record.x_coeffs)[record.live]
-    fy = f(record.y_coeffs)[record.live]
-    est, se = mean_se(fx - fy)
-    return {"times": record.checkpoint_times, "estimate": est, "std_err": se}
-
-
-def prop21_chain(record: PathEnsembleRecord, f) -> dict:
+def prop21_chain(record: PathEnsembleRecord, space: SpectralSpace) -> dict:
     """Oscillation bound |P_t f(x) - P_t f(y)| <= osc(f) P(tau_n > t) + noise.
 
-    The Monte Carlo allowance is 4 combined standard errors, combining the
-    paired estimator SE and the survival SE scaled by osc(f).  A floor of
-    1e-9 absorbs the sub-statistical residual of coupled-but-not-yet-glued
-    paths once every path has crossed 1/n (at finite n the exact bound
-    carries an extra Lipschitz tail of order e^(K't)/n; the floor is far
-    below it).
+    The witness is f(v) = tanh(sqrt(w_1) v_1), of the first H-mode
+    coefficient, with osc(f) = 2; P_t f(x) - P_t f(y) is the paired mean
+    over the live pairs.  The Monte Carlo allowance is 4 combined standard
+    errors, combining the paired estimator SE and the survival SE scaled by
+    osc(f).  A floor of 1e-9 absorbs the sub-statistical residual of
+    coupled-but-not-yet-glued paths once every path has crossed 1/n (at
+    finite n the exact bound carries an extra Lipschitz tail of order
+    e^(K't)/n; the floor is far below it).
     """
-    sg = semigroup_difference(record, f)
+    # f reads mode 0 of every path, failed ones included, so that no copy
+    # of the states is made; the live rows are kept
+    root_w1 = space.root_h_weights[0]
+    fx = np.tanh(root_w1 * record.x_coeffs[..., 0])[record.live]
+    fy = np.tanh(root_w1 * record.y_coeffs[..., 0])[record.live]
+    est, est_se = mean_se(fx - fy)
     times, surv, surv_se = survival_curve(record)
-    osc = getattr(f, "osc", 2.0)
-    lhs = np.abs(sg["estimate"])
-    comb = np.sqrt(sg["std_err"] ** 2 + (osc * surv_se) ** 2)
+    osc = 2.0
+    lhs = np.abs(est)
+    comb = np.sqrt(est_se ** 2 + (osc * surv_se) ** 2)
     rhs = osc * surv + 4.0 * comb + 1e-9
     # once every path has crossed 1/n the oscillation term is identically
     # zero and only the finite-n Lipschitz tail remains, which the bound

@@ -404,6 +404,8 @@ def mean_value_batch(n_samples: int, seed: int = 1234):
     chunked draws continue the same stream, so the pairs are those of
     whole-batch draws, in about 16 bytes per pair.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     gen = philox_generator(seed, 0x3C)
     s1, s2 = gen.standard_cauchy(n_samples), gen.standard_cauchy(n_samples)
     for t in (s1, s2):
@@ -422,23 +424,19 @@ def mean_value_batch(n_samples: int, seed: int = 1234):
     return s1, s2
 
 
-def check_scalar_mean_value(r: float, n_samples: int = 1_000_000, *,
-                            seed: int = 1234, batch=None) -> ConditionReport:
+def check_scalar_mean_value(r: float, batch) -> ConditionReport:
     """Pointwise bound (s1-s2)(s1^r - s2^r) >= r |s1-s2|^2 (|s1| v |s2|)^(r-1).
 
-    The pairs are ``batch``, a :func:`mean_value_batch` of ``n_samples``
-    pairs, or else that batch drawn from ``seed``.  Every exponent is
-    checked on the same pairs, so the reports for several r are not
-    independent evidence.  The 0/0 quotient at s1 = s2 = 0 is taken as 0
-    by convention.
+    The pairs are ``batch``, two arrays of equal length such as a
+    :func:`mean_value_batch`.  Every exponent is checked on the same pairs,
+    so the reports for several r are not independent evidence.  The 0/0
+    quotient at s1 = s2 = 0 is taken as 0 by convention.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    if batch is not None and any(np.shape(s) != (n_samples,) for s in batch):
-        raise ValueError("batch must hold two arrays of n_samples values")
-
-    def sample():
-        return mean_value_batch(n_samples, seed) if batch is None else batch
+    n_samples = len(batch[0])
+    if any(np.shape(s) != (n_samples,) for s in batch):
+        raise ValueError("batch must hold two arrays of equal length")
 
     def check(s, r):
         s1, s2 = s
@@ -455,8 +453,8 @@ def check_scalar_mean_value(r: float, n_samples: int = 1_000_000, *,
         return (lhs - rhs, np.abs(lhs) + np.abs(rhs),
                 1e-13 * (np.abs(d) * (p1 + p2)))
 
-    return _fit_then_validate("scalar_mean_value", n_samples, sample, None,
-                              check, lambda r: {"r": r}, given=r)
+    return _fit_then_validate("scalar_mean_value", n_samples, lambda: batch,
+                              None, check, lambda r: {"r": r}, given=r)
 
 
 def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,
@@ -481,21 +479,19 @@ def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,
 
 def fit_coercivity(space: SpectralSpace, model: ModelSpec,
                    n_samples: int = 10_000, *, seed: int = 1234,
-                   theta: float | None = None,
                    safety: float = 0.9) -> ConditionReport:
     """Coercivity surrogate <A(v), v> + |B(v)|_HS^2 / 2 <= C(1+|v|^2) - theta |v|_V^(1+r)."""
     fam = model.family
-    if theta is None:
-        if model.theta is not None:
-            theta = 0.5 * model.theta
-        elif fam.kind == "porous":
-            theta = 0.5 * fam.psi_scale
-        elif fam.kind == "fastdiff":
-            theta = 0.5 * fam.r
-        else:
-            # the V-norm mixes field and gradient; stay below the
-            # Poincare-limited coefficient
-            theta = 0.2
+    if model.theta is not None:
+        theta = 0.5 * model.theta
+    elif fam.kind == "porous":
+        theta = 0.5 * fam.psi_scale
+    elif fam.kind == "fastdiff":
+        theta = 0.5 * fam.r
+    else:
+        # the V-norm mixes field and gradient; stay below the
+        # Poincare-limited coefficient
+        theta = 0.2
     gen = philox_generator(seed, 0xC0)
 
     def terms(v):

@@ -88,7 +88,7 @@ class FastDiff:
 
 @dataclass(frozen=True)
 class ZeroDiffusion:
-    c0: float = 0.0
+    """B = 0."""
 
 
 @dataclass(frozen=True)

@@ -113,15 +113,13 @@ class SpectralSpace:
 
 
 def make_space(n_modes: int, gamma: float = 1.0, *, weighted: bool = True,
-               q_coeffs: np.ndarray | None = None,
                q_amp: float = 1.0, q_decay: float = 0.75,
                oversample: int = 4) -> SpectralSpace:
     """Construct a :class:`SpectralSpace`.
 
-    ``q_coeffs`` overrides the default power-law spectrum
-    q_i = q_amp * i^(-q_decay).  ``oversample`` fixes M = oversample * N and
-    must be at least 4 so that pointwise nonlinearities up to cubic order are
-    integrated exactly.
+    The noise spectrum is the power law q_i = q_amp * i^(-q_decay).
+    ``oversample`` fixes M = oversample * N and must be at least 4 so that
+    pointwise nonlinearities up to cubic order are integrated exactly.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -131,12 +129,6 @@ def make_space(n_modes: int, gamma: float = 1.0, *, weighted: bool = True,
         raise ValueError("oversample must be >= 4 (aliasing guard)")
     idx = np.arange(1, n_modes + 1, dtype=float)
     lambdas = (np.pi * idx) ** (2.0 * gamma)
-    if q_coeffs is None:
-        q_coeffs = q_amp * idx ** (-q_decay)
-    else:
-        q_coeffs = np.asarray(q_coeffs, dtype=float)
-        if q_coeffs.shape != (n_modes,):
-            raise ValueError("q_coeffs must have shape (n_modes,)")
     m = oversample * n_modes
     h = 1.0 / (m + 1)
     nodes = np.linspace(0.0, 1.0, m + 2)
@@ -148,7 +140,7 @@ def make_space(n_modes: int, gamma: float = 1.0, *, weighted: bool = True,
     proj = (sine * quad_w).T
     return SpectralSpace(
         n_modes=n_modes, gamma=gamma, weighted=weighted,
-        lambdas=lambdas, q_coeffs=q_coeffs,
+        lambdas=lambdas, q_coeffs=q_amp * idx ** (-q_decay),
         nodes=nodes, quad_w=quad_w, oversample=oversample,
         sine=sine, dsine=dsine, proj=proj,
     )
@@ -178,8 +170,8 @@ def h_mode_coeffs(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
 def q_norm(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
     """Intrinsic noise norm sqrt(sum w_i q_i^-2 x_i^2).
 
-    Modes with q_i = 0 put x outside the noise range; the result is then the
-    +inf sentinel (inf over the empty set).  A zero coefficient on a dead
+    Modes with q_i = 0 (q_amp = 0, or an i^(-q_decay) that underflows) put
+    x outside the noise range; the result is then +inf.  A zero coefficient on a dead
     mode contributes nothing.
     """
     x = np.asarray(x, dtype=float)

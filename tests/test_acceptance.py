@@ -22,11 +22,12 @@ from spde_reflect.coupling import (
 from spde_reflect.integrator import SimConfig, run_paths
 from spde_reflect.experiments import (
     GSpec, survival_curve, check_lemma31, supermartingale_diagnostic,
-    contraction_fit, marginal_ou_check, prop21_chain, canonical_f,
+    contraction_fit, marginal_ou_check, prop21_chain,
     d3_rate_bound, coupling_tail_bound,
 )
 from spde_reflect.inequalities import (
-    check_scalar_mean_value, check_A1prime, check_A1doubleprime,
+    check_scalar_mean_value, mean_value_batch, check_A1prime,
+    check_A1doubleprime,
     check_interpolation_Q, check_spectrum_condition, SpectrumParams,
     scan_supremand, kappa_porous_example, kappa_plaplace_example,
     kappa_fastdiff_interval,
@@ -198,7 +199,7 @@ def test_criterion_07_escape_bound(porous_record):
 def test_criterion_08_oscillation_chain(porous_record, fastdiff_record):
     ok = True
     for sp, model, cfg, x0, rec in (porous_record, fastdiff_record):
-        res = prop21_chain(rec, canonical_f(sp))
+        res = prop21_chain(rec, sp)
         ok &= res["ok"]
         gated = [r for r in res["rows"] if r["gated"]]
         ok &= len(gated) >= 4
@@ -234,11 +235,12 @@ def test_criterion_09_contraction_rate():
 def test_criterion_10_inequality_suite():
     ok = True
     # scalar mean-value inequality, 10^6 pairs per exponent
+    pairs = mean_value_batch(1_000_000, 1010)
     for r in (0.25, 0.5, 0.75):
-        rep = check_scalar_mean_value(r, 1_000_000, seed=1010)
+        rep = check_scalar_mean_value(r, pairs)
         ok &= rep.verdict == "pass"
     # analytic instance: porous r=1, unit noise, kappa=2, theta = pi^2
-    sp_unit = make_space(16, 1.0, weighted=True, q_coeffs=np.ones(16))
+    sp_unit = make_space(16, 1.0, weighted=True, q_decay=0.0)
     rep = check_A1prime(sp_unit, ModelSpec(Porous(r=1.0)), 2.0, 10_000,
                         K=0.0, theta=np.pi ** 2, seed=1010)
     ok &= rep.verdict == "pass"

@@ -9,7 +9,7 @@ import pytest
 
 from spde_reflect import cli
 from spde_reflect.cli import (
-    ConfigError, RunConfig, parse_config, parse_config_file, config_hash, run,
+    ConfigError, parse_config, parse_config_file, config_hash, run,
     main, build_space, build_model, build_coupling, build_sim,
 )
 
@@ -363,7 +363,7 @@ def test_build_model_rejects_what_it_cannot_build(change, message):
     values = dict(parse_config(MINIMAL).values)
     values["model"] = {**values["model"], **change}
     with pytest.raises(ValueError, match=re.escape(message)):
-        build_model(RunConfig(values=values))
+        build_model(values)
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -410,6 +410,22 @@ def test_run_happy_path(tmp_path):
     assert (dest / "manifest.json").exists()
     header = (dest / "survival.csv").read_text().splitlines()[0]
     assert header == "time,estimate,std_err"
+
+
+@pytest.mark.parametrize("r", ["2.0", "1.0"])
+def test_log_power_reads_the_model_exponent(tmp_path, r):
+    # log(e + 1/z)^(r/(1+r)) is sqrt_log's integrand exactly when r = 1
+    means = {}
+    for g in ("log_power", "sqrt_log"):
+        text = SMALL_RUN.replace("r = 2.0", f"r = {r}").replace(
+            "which = survival, lemma31, supermartingale, chain",
+            f"which = supermartingale\nsuper_g = {g}")
+        cfg = parse_config(text.split("[conditions]")[0])
+        run(cfg, out_dir=tmp_path, threads=1)
+        summary = json.loads((tmp_path / config_hash(cfg) / "summary.json")
+                             .read_text())
+        means[g] = summary["results"]["supermartingale"]["mean"]
+    assert (means["log_power"] != means["sqrt_log"]) == (r != "1.0")
 
 
 def test_run_repeat_is_byte_identical(tmp_path):

@@ -167,7 +167,7 @@ def test_qv_rate_lower_bound(weighted):
 
 
 def _unit_noise_space():
-    return make_space(16, 1.0, weighted=True, q_coeffs=np.ones(16))
+    return make_space(16, 1.0, weighted=True, q_decay=0.0)
 
 
 def test_increments_synchronous_below_band(porous_linear):

@@ -10,7 +10,7 @@ from spde_reflect.integrator import SimConfig, PathEnsembleRecord, run_paths
 from spde_reflect.experiments import (
     GSpec, survival_curve, check_lemma31, supermartingale_diagnostic,
     coupling_tail_bound, contraction_fit, ou_oracle,
-    canonical_f, semigroup_difference, prop21_chain, marginal_ou_check,
+    prop21_chain, marginal_ou_check,
     d3_rate_bound,
 )
 from conftest import e_k
@@ -245,13 +245,14 @@ def test_prop21_chain_small(ex41_space, porous_r2):
     x0 = e_k(16, 1, 0.15 * np.pi ** 2)
     rec = run_paths(ex41_space, porous_r2, params, cfg, "coupled",
                     x0=x0, y0=-x0, threads=1)
-    res = prop21_chain(rec, canonical_f(ex41_space))
+    res = prop21_chain(rec, ex41_space)
     assert res["ok"]
 
 
 def test_semigroup_difference_shrinks(small_coupled, porous_space):
-    sg = semigroup_difference(small_coupled, canonical_f(porous_space))
-    assert abs(sg["estimate"][-1]) < abs(sg["estimate"][0])
+    # each row's lhs is |P_t f(x) - P_t f(y)|
+    rows = prop21_chain(small_coupled, porous_space)["rows"]
+    assert rows[-1]["lhs"] < rows[0]["lhs"]
 
 
 @pytest.fixture(scope="module")
@@ -286,13 +287,9 @@ def test_estimators_on_failed_paths_match_the_full_mode_formulas(
     d = f_ref(rec.x_coeffs[live]) - f_ref(rec.y_coeffs[live])
     est = np.mean(d, axis=0)
     se = np.std(d, axis=0, ddof=1) / np.sqrt(d.shape[0])
-    sg = semigroup_difference(rec, canonical_f(space))
-    assert _bits(sg["estimate"]) == _bits(est)
-    assert _bits(sg["std_err"]) == _bits(se)
-
     _, surv, surv_se = survival_curve(rec)
     bound = 2.0 * surv + 4.0 * np.sqrt(se ** 2 + (2.0 * surv_se) ** 2) + 1e-9
-    rows = prop21_chain(rec, canonical_f(space))["rows"]
+    rows = prop21_chain(rec, space)["rows"]
     assert _bits([r["lhs"] for r in rows]) == _bits(np.abs(est))
     assert _bits([r["bound"] for r in rows]) == _bits(bound)
 
@@ -329,10 +326,9 @@ def _random_record(space, n_paths, times, seed=0) -> PathEnsembleRecord:
 def test_prop21_chain_copies_no_states(porous_space):
     # f reads one mode, so the chain's transients are (P, C), not (P, C, N)
     rec = _random_record(porous_space, 2048, np.linspace(0.0, 0.1, 11))
-    f = canonical_f(porous_space)
     tracemalloc.start()
     try:
-        prop21_chain(rec, f)
+        prop21_chain(rec, porous_space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -36,32 +36,21 @@ def test_mean_value_worked_examples():
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
 def test_mean_value_no_violations(r):
-    rep = check_scalar_mean_value(r, 200_000)
+    rep = check_scalar_mean_value(r, mean_value_batch(200_000))
     assert rep.verdict == "pass" and rep.violation_count == 0
 
 
 def test_mean_value_domain():
     with pytest.raises(ValueError):
-        check_scalar_mean_value(1.5)
-
-
-@pytest.mark.parametrize("seed", [1234, 7])
-def test_mean_value_shared_batch_matches_own_draw(seed):
-    # one batch serves every exponent: each report is the one a call that
-    # draws its own pairs gives
-    batch = mean_value_batch(20_000, seed)
-    for r in (0.25, 0.5, 0.75):
-        shared = check_scalar_mean_value(r, 20_000, seed=seed, batch=batch)
-        own = check_scalar_mean_value(r, 20_000, seed=seed)
-        assert shared.as_dict() == own.as_dict()
+        check_scalar_mean_value(1.5, mean_value_batch(10))
 
 
 def test_mean_value_batch_of_wrong_length_rejected():
+    # a length-1 second array would broadcast against the first
     batch = mean_value_batch(1000)
-    with pytest.raises(ValueError, match="batch"):
-        check_scalar_mean_value(0.5, 999, batch=batch)
-    with pytest.raises(ValueError, match="batch"):
-        check_scalar_mean_value(0.5, 1000, batch=(batch[0], batch[1][:-1]))
+    for short in (batch[1][:-1], batch[1][:1]):
+        with pytest.raises(ValueError, match="batch"):
+            check_scalar_mean_value(0.5, (batch[0], short))
 
 
 def _mean_value_whole_batch(r, s1, s2):
@@ -93,7 +82,7 @@ def test_mean_value_matches_whole_batch_formula(r):
     batches = [mean_value_batch(100_003, seed) for seed in (1234, 7)]
     batches.append(_hand_made_mean_value_batch())
     for s1, s2 in batches:
-        rep = check_scalar_mean_value(r, s1.size, batch=(s1, s2))
+        rep = check_scalar_mean_value(r, (s1, s2))
         assert (rep.violation_count, rep.worst_margin) == \
             _mean_value_whole_batch(r, s1, s2)
 
@@ -127,7 +116,7 @@ def test_mean_value_batch_streams_the_whole_batch_draws(n, seed):
 # --- (A1') -----------------------------------------------------------------
 
 def _unit_q_space():
-    return make_space(16, 1.0, weighted=True, q_coeffs=np.ones(16))
+    return make_space(16, 1.0, weighted=True, q_decay=0.0)
 
 
 def test_a1prime_analytic_linear():
@@ -437,8 +426,9 @@ def _frozen_cases(n=2000, n_mv=20000):
         "coercivity_plaplace_lipschitz": lambda: fit_coercivity(
             plap, ModelSpec(PLaplace(p=3.0), lip), n, seed=s),
         "coercivity_fastdiff_theta": lambda: fit_coercivity(
-            ex63, fd, n, seed=s, theta=0.1),
-        "meanvalue": lambda: check_scalar_mean_value(0.5, n_mv, seed=s),
+            ex63, ModelSpec(FastDiff(r=0.5), theta=0.2), n, seed=s),
+        "meanvalue": lambda: check_scalar_mean_value(
+            0.5, mean_value_batch(n_mv, s)),
     }
 
 
@@ -587,7 +577,8 @@ def _zero_sample_checks():
     sp = make_space(8, 1.0, weighted=True, q_decay=0.75)
     por, fd = ModelSpec(Porous(r=2.0)), ModelSpec(FastDiff(r=0.5))
     return {
-        "meanvalue": lambda n: check_scalar_mean_value(0.5, n),
+        "meanvalue": lambda n: check_scalar_mean_value(0.5,
+                                                       mean_value_batch(n)),
         "a1prime": lambda n: check_A1prime(sp, por, 8.0, n),
         "a1prime_given": lambda n: check_A1prime(sp, por, 8.0, n, K=0.0,
                                                  theta=1.0),
