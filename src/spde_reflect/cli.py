@@ -23,9 +23,13 @@ results land in ``<out>/<config_hash>/`` as
 * ``failures.json``  -- machine-readable report when a gated check fails
                         (the process exits nonzero).
 
-Workers, forked processes that write into shared pages (without ``os.fork``
-the batches run in turn), number ``--threads``, else the usable CPUs;
-outputs are independent of the worker count by construction.
+Both ``run`` and ``check-conditions`` fork workers (``integrator.run_forked``;
+without ``os.fork`` the work runs here in turn): ``run`` for its path
+batches, which write into shared pages, and both for the sampled condition
+checkers, whose reports come back through pipes.  ``run`` takes the worker
+count from ``--threads``, else the usable CPUs; ``check-conditions`` always
+uses the usable CPUs.  Outputs are independent of the worker count by
+construction.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from .models import (
     unit_base,
 )
 from .coupling import CouplingParams
-from .integrator import SimConfig, path_batches, run_paths
+from .integrator import (SimConfig, default_threads, path_batches, run_forked,
+                         run_paths)
 from . import experiments as xp
 from . import inequalities as iq
 
@@ -429,41 +434,64 @@ def _mean_value_reports(co) -> dict:
             for rv in co["mv_r"]}
 
 
-def _run_conditions(cfg: RunConfig) -> dict:
+def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
+    """The selected condition reports, in the order of ``groups`` below.
+
+    Each sampled group is a task.  The first one selected (the mean-value
+    group, the largest, when it is) has the calling process to itself, and
+    the others are dealt in turn over the other workers, ``threads`` or
+    else the usable CPUs, each a forked child.  The exact gates run here.
+    Each checker draws from its own Philox stream of ``seed``, so the
+    reports do not depend on the worker count.
+    """
     space, model = cfg.space, cfg.model
     co = cfg["conditions"]
     sp = cfg["space"]
     fam = cfg["model"]["family"]
     r_eff = model.family.r
-    out = {}
-    if "meanvalue" in co["which"]:
-        out.update(_mean_value_reports(co))
-    for name, checker in (("a1prime", iq.check_A1prime),
-                          ("a1doubleprime", iq.check_A1doubleprime),
-                          ("interpolation", iq.check_interpolation_Q)):
-        if name in co["which"]:
-            out[name] = checker(space, model, co["kappa"], co["samples"],
-                                seed=co["seed"]).as_dict()
-    if "spectrum" in co["which"]:
+
+    def sampled(name, checker, *args):
+        return lambda: {name: checker(space, model, *args, co["samples"],
+                                      seed=co["seed"]).as_dict()}
+
+    def spectrum():
         params = iq.SpectrumParams(
             gamma=sp["gamma"], delta=sp["q_decay"], d=1,
             r=r_eff if fam != "plaplace" else None,
             p=model.family.p if fam == "plaplace" else None,
             kappa=co["kappa"], c=sp["q_amp"],
             eps=1.0 - co["kappa"] * sp["q_decay"] / (2.0 * sp["gamma"]))
-        for g in ("EI", _FAMILY_GATE[fam]):
-            rep = iq.check_spectrum_condition(g, params)
-            out[f"spectrum_{g}"] = rep.as_dict()
-    if "nash" in co["which"]:
+        return {f"spectrum_{g}": iq.check_spectrum_condition(g, params).as_dict()
+                for g in ("EI", _FAMILY_GATE[fam])}
+
+    def nash():
         m_nash = co["nash_m"] if co["nash_m"] is not None else 1.0 / sp["gamma"]
         _, rep = iq.nash_exponent_gate(
             m_nash, r_eff, gamma=sp["gamma"], d=1, delta=sp["q_decay"],
             kappa=co["kappa"])
-        out["nash"] = rep.as_dict()
-    if "coercivity" in co["which"]:
-        rep = iq.fit_coercivity(space, model, co["samples"], seed=co["seed"])
-        out["coercivity"] = rep.as_dict()
-    return out
+        return {"nash": rep.as_dict()}
+
+    groups = {
+        "meanvalue": lambda: _mean_value_reports(co),
+        "a1prime": sampled("a1prime", iq.check_A1prime, co["kappa"]),
+        "a1doubleprime": sampled("a1doubleprime", iq.check_A1doubleprime,
+                                 co["kappa"]),
+        "interpolation": sampled("interpolation", iq.check_interpolation_Q,
+                                 co["kappa"]),
+        "spectrum": spectrum,
+        "nash": nash,
+        "coercivity": sampled("coercivity", iq.fit_coercivity),
+    }
+    selected = [g for g in groups if g in co["which"]]
+    tasks = [g for g in selected if g not in ("spectrum", "nash")]
+    n = min(len(tasks), threads if threads is not None else default_threads())
+    head = 1 if n > 1 else len(tasks)
+    deals = [tasks[:head]] + [tasks[head + i::n - 1] for i in range(n - 1)]
+    done = {g: groups[g]() for g in selected if g not in tasks}
+    for reports in run_forked([lambda d=d: {g: groups[g]() for g in d}
+                               for d in deals]):
+        done.update(reports)
+    return {k: rep for g in selected for k, rep in done[g].items()}
 
 
 class _TooFewLivePaths(RuntimeError):
@@ -641,7 +669,7 @@ def _dump_paths_csv(path: Path, rec) -> None:
 
 
 # [CPU s, peak RSS MiB] of this process and of its reaped children (the
-# forked path workers; the RSS is the largest child's)
+# forked path and condition workers; the RSS is the largest child's)
 def _usage() -> list:
     return [(ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0)
             for ru in map(resource.getrusage,
@@ -655,7 +683,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     Returns the process exit status: 0 on success, 1 when a gated check
     failed (a machine-readable report is written next to the summary).
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     usage_start = _usage() if resource else None
     if seed is not None:
         cfg = _replaced(cfg, "sim", master_seed=int(seed))
@@ -670,9 +698,11 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         # the estimators are skipped; the failed ensemble is the failed check
         results = {"ensemble": exc.args[0]}
         series = {}
-    conditions = _run_conditions(cfg)
+    t_experiments = time.perf_counter()
+    conditions = _run_conditions(cfg, threads)
     if conditions:
         results["conditions"] = conditions
+    t_conditions = time.perf_counter()
 
     failures = collect_failures(results)
     summary = {
@@ -687,6 +717,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     if "csv" in cfg["output"]["formats"]:
         for name, (times, vals, errs) in series.items():
             _write_csv(dest / f"{name}.csv", times, vals, errs)
+    t_write = time.perf_counter()
     manifest = {
         "config_hash": digest,
         "config": cfg.values,
@@ -694,7 +725,12 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "wall_time_s": time.time() - t_start,
+        "wall_time_s": time.perf_counter() - t_start,
+        # experiments: the ensembles, the estimators and paths.csv; write:
+        # summary.json and the series
+        "phase_wall_s": {"experiments": t_experiments - t_start,
+                         "conditions": t_conditions - t_experiments,
+                         "write": t_write - t_conditions},
         "workers": (len(path_batches(cfg.sim.n_paths, threads))
                     if cfg["experiments"]["which"] else 0),
     }
@@ -723,7 +759,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_conditions(args) -> int:
-    reports = _run_conditions(parse_config_file(args.config))
+    reports = _run_conditions(parse_config_file(args.config), None)
     if not reports:
         print("no conditions selected in [conditions] which")
         return 0
@@ -786,7 +822,8 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None,
                            help="override sim.master_seed")
             p.add_argument("--threads", type=_worker_count, default=None,
-                           help="forked path workers, at least 1 "
+                           help="forked workers for the paths and the "
+                                "condition checks, at least 1 "
                                 "(default: usable CPUs)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

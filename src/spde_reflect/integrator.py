@@ -72,16 +72,26 @@ builds a fresh one and runs the same code.  The states a step returns are
 fresh arrays and alias no buffer.  Output bytes are those of a step that
 allocates its temporaries: each value comes from the same operations in
 the same order, and the grid transforms keep their 256-row matmul chunks.
-The batches after the first run in forked worker processes that write into
-shared pages; without ``os.fork`` the batches run one after another.
+
+Workers
+-------
+``run_forked`` is the package's one fork: it runs the first of a list of
+tasks here and each other in a forked child that pickles its value back
+(without ``os.fork`` all run here in turn).  ``run_paths`` hands it one
+block-aligned batch per worker, which writes into shared pages, and the
+condition suite in ``cli`` hands it one group of checkers per worker.  Both
+take the worker count from ``run --threads``, else the usable CPUs
+(``check-conditions`` always uses the usable CPUs).
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import pickle
 import traceback
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -94,7 +104,7 @@ __all__ = [
     "BLOCK_ROWS", "SimConfig", "CouplingState", "PathEnsembleRecord",
     "StepBuffers", "noise_block", "gen_noise", "philox_generator",
     "step_coupled", "make_coupling_state", "run_paths",
-    "path_batches", "default_threads",
+    "path_batches", "default_threads", "run_forked",
 ]
 
 BLOCK_ROWS = 256              # fixed global noise-block height (determinism contract)
@@ -609,43 +619,54 @@ def _shared(shape, dtype=float) -> np.ndarray:
     return np.frombuffer(buf, dtype, n).reshape(shape)
 
 
-def _run_batches(run_rows, bounds) -> None:
-    # run_rows(lo, hi) for every batch, each batch after the first in a
-    # forked child.  A child that raises sends its traceback through a pipe
-    # and exits with status 1.  Python >= 3.12 may warn when a process with
-    # BLAS threads forks (not verified: the package is tested on 3.11).
-    children = []                    # [pid, read end of its traceback pipe]
+def run_forked(tasks) -> list:
+    """Call every zero-argument task; return their values in task order.
+
+    The first task runs in this process and each of the others in a forked
+    child, which pickles its value back through a pipe; without ``os.fork``
+    the tasks run here one after another.  A task that raises in a child
+    ends, once every child is reaped, in a ``RuntimeError`` that carries its
+    traceback; an exception of the first task takes precedence.
+    """
+    # Python >= 3.12 may warn when a process with BLAS threads forks (not
+    # verified: the package is tested on 3.11)
+    children = []                    # [pid, read end of its result pipe]
     try:
-        for lo, hi in bounds[1:] if hasattr(os, "fork") else ():
+        for task in tasks[1:] if hasattr(os, "fork") else ():
             r, w = os.pipe()
             children.append([None, r])
             try:
                 pid = children[-1][0] = os.fork()
                 if pid == 0:
                     try:
-                        run_rows(lo, hi)
-                        os._exit(0)
-                    except BaseException:
-                        os.write(w, traceback.format_exc().encode())
+                        try:
+                            out, status = pickle.dumps(task()), 0
+                        except BaseException:
+                            out, status = traceback.format_exc().encode(), 1
+                        with os.fdopen(w, "wb") as fh:
+                            fh.write(out)
+                        os._exit(status)
                     finally:
                         os._exit(1)
             finally:
                 # a later child must not hold this write end, or the pipe
                 # would not reach end-of-file when this child exits
                 os.close(w)
-        # without os.fork no child was started, and every batch runs here
-        for lo, hi in bounds[:1] if children else bounds:
-            run_rows(lo, hi)
+        # without os.fork no child was started, and every task runs here
+        values = [task() for task in (tasks[:1] if children else tasks)]
     finally:
-        # every child is reaped, and this batch's exception takes precedence
-        errors = []
+        # every child is reaped; its pipe is drained first, so a child
+        # whose value outgrows the pipe buffer does not block
+        outs, errors = [], []
         for pid, r in children:
-            with os.fdopen(r) as fh:
-                msg = fh.read()
+            with os.fdopen(r, "rb") as fh:
+                outs.append(fh.read())
             if pid is not None and os.waitpid(pid, 0)[1]:
-                errors.append(msg or f"worker {pid} ended without a traceback")
+                errors.append(outs[-1].decode(errors="replace")
+                              or f"worker {pid} ended without a traceback")
     if errors:
-        raise RuntimeError("path worker failed:\n" + "\n".join(errors))
+        raise RuntimeError("forked worker failed:\n" + "\n".join(errors))
+    return values + [pickle.loads(out) for out in outs]
 
 
 def run_paths(space: SpectralSpace, model: ModelSpec,
@@ -708,7 +729,8 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         for name, out in final.items():
             out[lo:hi] = getattr(st, name)
 
-    _run_batches(run_rows, path_batches(n_paths, threads))
+    run_forked([partial(run_rows, lo, hi)
+                for lo, hi in path_batches(n_paths, threads)])
     failed = final["fail_mode"] >= 0
     return PathEnsembleRecord(
         checkpoint_times=times,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import weakref
 from pathlib import Path
@@ -445,6 +446,12 @@ def test_run_repeat_is_byte_identical(tmp_path):
     assert manifest["workers"] == 2
     assert manifest["cpu_s"]["workers"] > 0
     assert manifest["peak_rss_mb"]["largest_worker"] > 0
+    # where the run's time went: the phases are disjoint and lie inside it
+    phases = manifest["phase_wall_s"]
+    assert set(phases) == {"experiments", "conditions", "write"}
+    assert all(v >= 0 for v in phases.values())
+    assert phases["experiments"] > 0 and phases["conditions"] > 0
+    assert sum(phases.values()) <= manifest["wall_time_s"]
 
 
 def test_run_negative_control_exits_nonzero(tmp_path):
@@ -507,6 +514,76 @@ def test_tiny_kappa_is_a_clean_fail(tmp_path, capsys):
     assert rep["verdict"] == "fail" and rep["violation_count"] == 2000
 
 
+# small condition suites and the forks they make at 1, 2 and 3 workers:
+# porous (the mean-value group and three state checks), fast diffusion
+# (A1'' and the Nash gate) and one of exact gates only
+COND_SUITES = {
+    "porous": (MINIMAL + "[space]\nn_modes = 8\ngamma = 2.0\nq_decay = 0.75\n"
+               "[conditions]\nwhich = meanvalue, a1prime, interpolation, "
+               "spectrum, coercivity\nsamples = 500\nmv_samples = 5000\n"
+               "kappa = 8.0\n", [0, 1, 2]),
+    "fastdiff": ("[space]\nn_modes = 8\nq_decay = 0.6\n"
+                 "[model]\nfamily = fastdiff\nr = 0.5\n"
+                 "[conditions]\nwhich = a1doubleprime, interpolation, "
+                 "spectrum, nash, meanvalue\nsamples = 500\n"
+                 "mv_samples = 5000\nkappa = 3.0\n", [0, 1, 2]),
+    "exact": ("[space]\nq_decay = 0.6\n[model]\nfamily = fastdiff\nr = 0.5\n"
+              "[conditions]\nwhich = spectrum, nash\nkappa = 3.0\n",
+              [0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(COND_SUITES))
+def test_condition_reports_worker_count_deterministic(suite, monkeypatch):
+    # the first sampled group runs in this process and the others are dealt
+    # over forked workers; without os.fork they all run here in turn.  The
+    # reports, their key order included, are the same at every count
+    text, n_forks = COND_SUITES[suite]
+    cfg = parse_config(text)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    def report(threads):
+        forks.clear()
+        out = json.dumps(cli._run_conditions(cfg, threads), indent=2)
+        return out, len(forks)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    got = [report(t) for t in (1, 2, 3)]
+    monkeypatch.delattr(os, "fork")
+    got.append(report(3))
+    assert [n for _, n in got] == n_forks + [0]
+    assert all(out == got[0][0] for out, _ in got)
+    assert json.loads(got[0][0])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked workers")
+def test_condition_worker_failure_reaped(monkeypatch):
+    # at two workers coercivity runs in a forked child: its traceback comes
+    # back and no process is left; the mean-value group runs here, and its
+    # own exception takes precedence
+    cfg = parse_config(COND_SUITES["porous"][0])
+
+    def fails(*args, **kwargs):
+        raise ValueError("checker failed")
+
+    monkeypatch.setattr(cli.iq, "fit_coercivity", fails)
+    with pytest.raises(RuntimeError, match="(?s)Traceback.*checker failed"):
+        cli._run_conditions(cfg, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(cli.iq, "mean_value_batch", fails)
+    with pytest.raises(ValueError, match="checker failed"):
+        cli._run_conditions(cfg, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("command, option", [
     pytest.param("check-conditions", ["--threads", "2"], id="check-conditions"),
     pytest.param("oracle", ["--threads", "2"], id="oracle"),
@@ -516,7 +593,9 @@ def test_tiny_kappa_is_a_clean_fail(tmp_path, capsys):
     pytest.param("oracle", ["--out", "out"], id="oracle-out"),
 ])
 def test_threads_only_on_forking_commands(command, option, tmp_path, capsys):
-    # only run forks path workers and draws path noise; oracle writes no file
+    # run and check-conditions both fork workers, but only run takes a
+    # worker count (check-conditions uses the usable CPUs) and draws path
+    # noise; oracle writes no file
     path = _write(tmp_path, SMALL_RUN)
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", path, *option])
@@ -616,10 +695,10 @@ def test_run_frees_the_ensemble_before_the_conditions(tmp_path, monkeypatch):
         records.append(weakref.ref(rec))
         return rec
 
-    def conditions(cfg):
+    def conditions(cfg, threads):
         assert list(tmp_path.glob("*/paths.csv"))
         assert records and all(r() is None for r in records)
-        return run_conditions(cfg)
+        return run_conditions(cfg, threads)
 
     monkeypatch.setattr(cli, "run_paths", kept)
     monkeypatch.setattr(cli, "_run_conditions", conditions)

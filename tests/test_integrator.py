@@ -15,7 +15,7 @@ from spde_reflect import integrator
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import (
     SimConfig, gen_noise, noise_block, step_coupled, make_coupling_state,
-    run_paths, BLOCK_ROWS, StepBuffers, _split_factors,
+    run_paths, run_forked, BLOCK_ROWS, StepBuffers, _split_factors,
 )
 from conftest import e_k
 
@@ -411,6 +411,18 @@ def test_run_paths_worker_failure_reaped(porous_space, porous_r2,
     fail_from[0] = 0
     with pytest.raises(ValueError, match="step failed at path_lo 0"):
         run()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked workers")
+def test_run_forked_values_larger_than_the_pipe_buffer():
+    # each 1 MiB value outgrows a 64 KiB pipe buffer, so both children block
+    # on their pipes until the caller drains them in turn
+    size = 1 << 17
+    values = run_forked([lambda i=i: np.arange(size) * i for i in range(3)])
+    for i, v in enumerate(values):
+        np.testing.assert_array_equal(v, np.arange(size) * i)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
