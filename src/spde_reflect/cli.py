@@ -26,10 +26,11 @@ results land in ``<out>/<config_hash>/`` as
 Both ``run`` and ``check-conditions`` fork workers (``integrator.run_forked``;
 without ``os.fork`` the work runs here in turn): ``run`` for its path
 batches, which write into shared pages, and both for the sampled condition
-checkers, whose reports come back through pipes.  ``run`` takes the worker
-count from ``--threads``, else the usable CPUs; ``check-conditions`` always
-uses the usable CPUs.  Outputs are independent of the worker count by
-construction.
+checkers, whose reports come back through pipes; once the mean-value pairs
+are drawn, they are split over the workers too, in slab-aligned ranges
+whose reports merge exactly.  ``run`` takes the worker count from
+``--threads``, else the usable CPUs; ``check-conditions`` always uses the
+usable CPUs.  Outputs are independent of the worker count by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 try:
     import resource
@@ -426,23 +428,44 @@ def _initial_state(cfg, key: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _mean_value_reports(co) -> dict:
-    # the pairs do not depend on r: one batch serves every exponent; it is
-    # freed on return, before the next checker draws its states
-    batch = iq.mean_value_batch(co["mv_samples"], co["seed"])
-    return {f"meanvalue_r{rv:g}": iq.check_scalar_mean_value(rv, batch).as_dict()
-            for rv in co["mv_r"]}
+def _mean_value_reports(co, workers: int) -> dict:
+    # the pairs do not depend on r: one batch serves every exponent.  Once
+    # drawn it is split into _SLAB-aligned ranges, one per worker: the first
+    # is checked here and each other in a forked child, which reads the
+    # pairs copy-on-write.  The ranges' validation slabs are the whole
+    # batch's, so the merged reports are its reports bit for bit.  The
+    # batch is freed on return, before the next checker draws its states
+    s1, s2 = iq.mean_value_batch(co["mv_samples"], co["seed"])
+
+    def check(lo, hi):
+        return [iq.check_scalar_mean_value(rv, (s1[lo:hi], s2[lo:hi]))
+                for rv in co["mv_r"]]
+
+    parts = run_forked([partial(check, lo, hi) for lo, hi
+                        in path_batches(len(s1), workers, iq._SLAB)])
+    out = {}
+    for rv, reps in zip(co["mv_r"], zip(*parts)):
+        bad = sum(rep.violation_count for rep in reps)
+        out[f"meanvalue_r{rv:g}"] = replace(
+            reps[0], sample_count=sum(rep.sample_count for rep in reps),
+            violation_count=bad, verdict="pass" if bad == 0 else "fail",
+            # np.min, not min: a NaN margin in any range propagates
+            worst_margin=float(np.min([rep.worst_margin for rep in reps])),
+        ).as_dict()
+    return out
 
 
 def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
     """The selected condition reports, in the order of ``groups`` below.
 
     Each sampled group is a task.  The first one selected (the mean-value
-    group, the largest, when it is) has the calling process to itself, and
-    the others are dealt in turn over the other workers, ``threads`` or
-    else the usable CPUs, each a forked child.  The exact gates run here.
-    Each checker draws from its own Philox stream of ``seed``, so the
-    reports do not depend on the worker count.
+    group, the largest, when it is) runs in the calling process, and the
+    others are dealt in turn over the other workers, ``threads`` or else
+    the usable CPUs, each a forked child.  Once the mean-value pairs are
+    drawn, they are split over all of those workers, however few groups
+    there are (``_mean_value_reports``).  The exact gates run here.  Each
+    checker draws from its own Philox stream of ``seed``, so the reports
+    do not depend on the worker count.
     """
     space, model = cfg.space, cfg.model
     co = cfg["conditions"]
@@ -471,8 +494,9 @@ def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
             kappa=co["kappa"])
         return {"nash": rep.as_dict()}
 
+    workers = threads if threads is not None else default_threads()
     groups = {
-        "meanvalue": lambda: _mean_value_reports(co),
+        "meanvalue": lambda: _mean_value_reports(co, workers),
         "a1prime": sampled("a1prime", iq.check_A1prime, co["kappa"]),
         "a1doubleprime": sampled("a1doubleprime", iq.check_A1doubleprime,
                                  co["kappa"]),
@@ -484,7 +508,7 @@ def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
     }
     selected = [g for g in groups if g in co["which"]]
     tasks = [g for g in selected if g not in ("spectrum", "nash")]
-    n = min(len(tasks), threads if threads is not None else default_threads())
+    n = min(len(tasks), workers)
     head = 1 if n > 1 else len(tasks)
     deals = [tasks[:head]] + [tasks[head + i::n - 1] for i in range(n - 1)]
     done = {g: groups[g]() for g in selected if g not in tasks}

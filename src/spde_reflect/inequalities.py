@@ -418,9 +418,11 @@ def mean_value_batch(n_samples: int, seed: int = 1234):
             a, b = s1[lo:lo + _SLAB], s2[lo:lo + _SLAB]
             hit = gen.random(out=buf[:a.size]) < frac
             if kind == "zero":
-                a[hit] = 0.0
-            else:                               # an exact or a near tie
-                b[hit] = a[hit] * (1.0 + 1e-9) if kind == "tiny" else a[hit]
+                np.copyto(a, 0.0, where=hit)
+            elif kind == "tiny":                # a near tie
+                np.multiply(a, 1.0 + 1e-9, out=b, where=hit)
+            else:                               # an exact tie
+                np.copyto(b, a, where=hit)
     return s1, s2
 
 

@@ -78,10 +78,12 @@ Workers
 ``run_forked`` is the package's one fork: it runs the first of a list of
 tasks here and each other in a forked child that pickles its value back
 (without ``os.fork`` all run here in turn).  ``run_paths`` hands it one
-block-aligned batch per worker, which writes into shared pages, and the
-condition suite in ``cli`` hands it one group of checkers per worker.  Both
-take the worker count from ``run --threads``, else the usable CPUs
-(``check-conditions`` always uses the usable CPUs).
+block-aligned batch per worker, which writes into shared pages.  The
+condition suite in ``cli`` hands it one group of checkers per worker and,
+once the mean-value pairs are drawn, one slab-aligned range of them per
+worker (split by ``path_batches`` too), which the children read
+copy-on-write.  Both take the worker count from ``run --threads``, else
+the usable CPUs (``check-conditions`` always uses the usable CPUs).
 """
 
 from __future__ import annotations
@@ -597,18 +599,22 @@ def default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def path_batches(n_paths: int, threads: int | None = None) -> list:
-    """run_paths's block-aligned (lo, hi) path batches, one per worker.
+def path_batches(n_paths: int, threads: int | None = None,
+                 block: int = BLOCK_ROWS) -> list:
+    """The (lo, hi) batches of ``n_paths`` rows, one per worker, each a run
+    of whole ``block``-row blocks; ``run_paths`` steps its noise blocks
+    in these batches.
 
     Raises ValueError when ``threads`` is given and below 1.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # block-aligned, so the noise streams do not depend on the batching
+    # block-aligned, so neither the noise streams nor a split check's
+    # validation slabs depend on the batching
     n_workers = threads if threads is not None else default_threads()
-    n_blocks = (n_paths + BLOCK_ROWS - 1) // BLOCK_ROWS
+    n_blocks = (n_paths + block - 1) // block
     per = -(-n_blocks // max(1, min(n_workers, n_blocks)))
-    return [(b0 * BLOCK_ROWS, min((b0 + per) * BLOCK_ROWS, n_paths))
+    return [(b0 * block, min((b0 + per) * block, n_paths))
             for b0 in range(0, n_blocks, per)]
 
 

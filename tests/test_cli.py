@@ -516,7 +516,9 @@ def test_tiny_kappa_is_a_clean_fail(tmp_path, capsys):
 
 # small condition suites and the forks they make at 1, 2 and 3 workers:
 # porous (the mean-value group and three state checks), fast diffusion
-# (A1'' and the Nash gate) and one of exact gates only
+# (A1'' and the Nash gate), one of exact gates only, and one whose 100,003
+# mean-value pairs span four validation slabs, split into two ranges at 2
+# and 3 workers (forks: the group workers and one range child)
 COND_SUITES = {
     "porous": (MINIMAL + "[space]\nn_modes = 8\ngamma = 2.0\nq_decay = 0.75\n"
                "[conditions]\nwhich = meanvalue, a1prime, interpolation, "
@@ -530,6 +532,10 @@ COND_SUITES = {
     "exact": ("[space]\nq_decay = 0.6\n[model]\nfamily = fastdiff\nr = 0.5\n"
               "[conditions]\nwhich = spectrum, nash\nkappa = 3.0\n",
               [0, 0, 0]),
+    "slabs": (MINIMAL + "[space]\nn_modes = 8\ngamma = 2.0\nq_decay = 0.75\n"
+              "[conditions]\nwhich = meanvalue, a1prime, interpolation\n"
+              "samples = 500\nmv_samples = 100003\nkappa = 8.0\n",
+              [0, 2, 3]),
 }
 
 
@@ -562,11 +568,39 @@ def test_condition_reports_worker_count_deterministic(suite, monkeypatch):
     assert json.loads(got[0][0])
 
 
+def test_mean_value_ranges_merge_a_violation_and_a_nan(monkeypatch):
+    # a pair whose |s1 - s2|^2 rounds up to the least subnormal violates
+    # the bound at r = 0.75, and a NaN pair at every r; both sit in the
+    # last range, and the merged reports are the whole batch's at every
+    # worker count: the counts summed, the NaN margin propagated
+    cfg = parse_config(COND_SUITES["slabs"][0])
+    draw = cli.iq.mean_value_batch
+
+    def planted(n, seed):
+        s1, s2 = draw(n, seed)
+        s1[-2:], s2[-2:] = (0.8 * np.sqrt(5e-324), np.nan), (0.0, 1.0)
+        return s1, s2
+
+    monkeypatch.setattr(cli.iq, "mean_value_batch", planted)
+    pairs = planted(100003, 1234)
+    want = {f"meanvalue_r{r:g}": cli.iq.check_scalar_mean_value(r, pairs)
+            for r in (0.25, 0.5, 0.75)}
+    assert [rep.violation_count for rep in want.values()] == [1, 1, 2]
+    assert all(np.isnan(rep.worst_margin) and rep.verdict == "fail"
+               for rep in want.values())
+    got = [json.dumps(cli._run_conditions(cfg, t), indent=2) for t in (1, 2, 3)]
+    assert got[1] == got[0] and got[2] == got[0]
+    reports = json.loads(got[0])
+    assert json.dumps({k: reports[k] for k in want}) == json.dumps(
+        {k: rep.as_dict() for k, rep in want.items()})
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked workers")
 def test_condition_worker_failure_reaped(monkeypatch):
-    # at two workers coercivity runs in a forked child: its traceback comes
-    # back and no process is left; the mean-value group runs here, and its
-    # own exception takes precedence
+    # at two workers coercivity runs in a forked child, and so does a range
+    # of mean-value pairs: each traceback comes back and no process is
+    # left; the mean-value draw runs here, and its own exception takes
+    # precedence
     cfg = parse_config(COND_SUITES["porous"][0])
 
     def fails(*args, **kwargs):
@@ -575,6 +609,21 @@ def test_condition_worker_failure_reaped(monkeypatch):
     monkeypatch.setattr(cli.iq, "fit_coercivity", fails)
     with pytest.raises(RuntimeError, match="(?s)Traceback.*checker failed"):
         cli._run_conditions(cfg, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # at two workers the second range of the 100,003 mean-value pairs is
+    # checked in a child forked after the draw
+    parent, check = os.getpid(), cli.iq.check_scalar_mean_value
+
+    def fails_in_a_child(r, pairs):
+        if os.getpid() != parent:
+            raise ValueError("range check failed")
+        return check(r, pairs)
+
+    monkeypatch.setattr(cli.iq, "check_scalar_mean_value", fails_in_a_child)
+    with pytest.raises(RuntimeError,
+                       match="(?s)Traceback.*range check failed"):
+        cli._run_conditions(parse_config(COND_SUITES["slabs"][0]), 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     monkeypatch.setattr(cli.iq, "mean_value_batch", fails)
