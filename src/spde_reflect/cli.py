@@ -526,9 +526,17 @@ class _TooFewLivePaths(RuntimeError):
 def _ensemble(cfg: RunConfig, which: str, threads, **kw):
     """The ``which`` ensemble; raises ``_TooFewLivePaths`` unless two paths
     live when a selected experiment reports a path mean with its standard
-    error, and one otherwise (the rule ``_validated`` applies to n_paths)."""
+    error, and one otherwise (the rule ``_validated`` applies to n_paths).
+
+    Glued pairs leave the step unless ``marginal_ou`` or ``dump_paths``
+    reads a glued path's own x, or the run is a single equation (y0 = x0).
+    """
+    keep_glued = ("marginal_ou" in cfg["experiments"]["which"]
+                  or cfg["output"]["dump_paths"]
+                  or np.array_equal(cfg.x0, cfg.y0))
     rec = run_paths(cfg.space, cfg.model, cfg.coupling, cfg.sim, which,
-                    x0=cfg.x0, y0=cfg.y0, threads=threads, **kw)
+                    x0=cfg.x0, y0=cfg.y0, threads=threads,
+                    retire_glued=not keep_glued, **kw)
     need = 2 if set(_PATH_MEAN_SE) & set(cfg["experiments"]["which"]) else 1
     if np.count_nonzero(rec.live) < need:
         raise _TooFewLivePaths({"n_paths": int(rec.n_paths),

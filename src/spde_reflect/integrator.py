@@ -65,20 +65,38 @@ glued, y is copied from x and |x|_H checked) and the distance |x - y|_H is
 computed once, in the used-up increment buffers.  It doubles as the finite
 check: a non-finite coefficient makes it non-finite, so only the rows with
 a non-finite distance are searched for a first bad mode.  ``run_paths``
-creates one set per worker batch, for synchronous and coupled runs alike,
-and reuses it on every step, so the large intermediates are not
-allocated and faulted in afresh on each step; a step called without a set
-builds a fresh one and runs the same code.  The states a step returns are
-fresh arrays and alias no buffer.  Output bytes are those of a step that
-allocates its temporaries: each value comes from the same operations in
-the same order, and the grid transforms keep their 256-row matmul chunks.
+creates one set per worker batch (and one per repack, see Workers), for
+synchronous and coupled runs alike, and reuses it on every step, so the
+large intermediates are not allocated and faulted in afresh on each step;
+a step called without a set builds a fresh one and runs the same code.
+The states a step returns are fresh arrays and alias no buffer.  Output
+bytes are those of a step that allocates its temporaries: each value comes
+from the same operations in the same order, and the grid transforms keep
+their 256-row matmul chunks.
 
 Workers
 -------
 ``run_forked`` is the package's one fork: it runs the first of a list of
 tasks here and each other in a forked child that pickles its value back
 (without ``os.fork`` all run here in turn).  ``run_paths`` hands it one
-block-aligned batch per worker, which writes into shared pages.  The
+block-aligned batch per worker, which writes into shared pages.
+
+A batch steps only its unretired rows: a failed path retires, and with
+``run_paths(retire_glued=True)`` so does a glued pair, keeping the state
+of the step it retired at.  Retired rows stay in the step until a whole
+chunk can be freed: when the unretired rows of the batch's whole 256-row
+chunks fit in fewer chunks, they are packed, in batch order, into that
+many chunks, the last one filled up with retired rows (stepped, never
+written back).  The short tail chunk of the batch's last block keeps its
+place after them and its order, because its rows' bits come from its own
+short product; a full chunk's rows keep theirs wherever they sit in it
+(``tests/test_spaces.py`` asserts this of the BLAS build).  A packed step
+draws the keyed channels in batch layout, for the blocks holding an
+unretired row and, for the reflected channel, the blocks holding a row in
+the band, as the unpacked step decides them, and gathers them into the
+packed rows; until the first repack the step is the unpacked one.  The
+old buffer set is dropped before the packed one is built, and its noise
+grid keeps the batch-layout channels.  The
 condition suite in ``cli`` hands it one group of checkers per worker and,
 once the mean-value pairs are drawn, one slab-aligned range of them per
 worker (split by ``path_batches`` too), which the children read
@@ -440,38 +458,43 @@ def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
     return np.add(new, np.multiply(nfac, noise, out=noise), out=new)
 
 
-def _shared_noise(model: ModelSpec, config: SimConfig, step_index: int,
-                  path_lo: int, out: np.ndarray):
-    """Keyed (dW1, dW2) written into out[0] and out[1]; dW1 is None when
-    the model has no diffusion."""
-    rows, n_modes = out.shape[1:]
-    if model.has_diffusion:
-        return tuple(gen_noise(config.master_seed, step_index, rows, n_modes,
-                               config.dt, channels=(0, 1), path_lo=path_lo,
-                               out=out[:2]))
-    return None, gen_noise(config.master_seed, step_index, rows, n_modes,
-                           config.dt, channels=(1,), path_lo=path_lo,
-                           out=out[1:2])[0]
-
-
-def _band_noise(config: SimConfig, step_index: int, path_lo: int,
-                in_band: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Keyed channel-2 increments, written into ``out``, for the noise blocks
-    holding a row of ``in_band``; the rows of every other block are zero."""
-    lo, hi = path_lo, path_lo + in_band.size
+def _block_noise(config: SimConfig, step_index: int, path_lo: int,
+                 need: np.ndarray | None, channels: tuple,
+                 out: np.ndarray) -> None:
+    """Keyed increments of ``channels``, written into out[0], out[1], ...,
+    of the rows [path_lo, path_lo + out.shape[1]), for the noise blocks
+    holding a row of ``need`` (every block when None); the rows of every
+    other block are zero."""
+    lo, hi = path_lo, path_lo + out.shape[1]
     edges = [lo, *range(lo - lo % BLOCK_ROWS + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
     # adjacent blocks that need drawing are drawn by one call
-    for hit, run in groupby(zip(edges, edges[1:]),
-                            key=lambda e: bool(np.any(in_band[e[0] - lo:e[1] - lo]))):
+    for hit, run in groupby(zip(edges, edges[1:]), key=lambda e: (
+            need is None or bool(np.any(need[e[0] - lo:e[1] - lo])))):
         run = list(run)
         a, b = run[0][0], run[-1][1]
         if hit:
-            gen_noise(config.master_seed, step_index, b - a, out.shape[1],
-                      config.dt, channels=(2,), path_lo=a,
-                      out=out[None, a - lo:b - lo])
+            gen_noise(config.master_seed, step_index, b - a, out.shape[2],
+                      config.dt, channels=channels, path_lo=a,
+                      out=out[:, a - lo:b - lo])
         else:
-            out[a - lo:b - lo] = 0.0
-    return out
+            out[:, a - lo:b - lo] = 0.0
+
+
+def _step_noise(model: ModelSpec, config: SimConfig, step_index: int,
+                path_lo: int, drawn: np.ndarray | None,
+                in_band: np.ndarray | None, out: np.ndarray):
+    """Keyed (dW1, dW2, dW3) of one step, written into out[0], out[1] and
+    out[2].  The shared channels are drawn for the blocks holding a row of
+    ``drawn`` (every block when None), the reflected one for those holding
+    a row of ``in_band``.  dW1 is None when the model has no diffusion, dW3
+    None when ``in_band`` is (the synchronous step)."""
+    shared = (0, 1) if model.has_diffusion else (1,)
+    _block_noise(config, step_index, path_lo, drawn, shared,
+                 out[2 - len(shared):2])
+    if in_band is not None:
+        _block_noise(config, step_index, path_lo, in_band, (2,), out[2:])
+    return (out[0] if model.has_diffusion else None, out[1],
+            None if in_band is None else out[2])
 
 
 def step_coupled(space: SpectralSpace, model: ModelSpec,
@@ -496,13 +519,11 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     if work is None:
         work = StepBuffers(space, state.n_paths)
     if noise is None:
-        dw1, dw2 = _shared_noise(model, config, state.step_index, path_lo,
-                                 work.noise)
         # the cutoff vanishes outside the band, so only blocks with a row
         # inside it need the reflected channel
-        dw3 = None if synchronous else _band_noise(
-            config, state.step_index, path_lo, params.n * state.dist > 0.5,
-            work.noise[2])
+        dw1, dw2, dw3 = _step_noise(
+            model, config, state.step_index, path_lo, None,
+            None if synchronous else params.n * state.dist > 0.5, work.noise)
     else:
         dw1, dw2, dw3 = (None if a is None else
                          np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
@@ -567,7 +588,13 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
 
 @dataclass
 class PathEnsembleRecord:
-    """Per-path checkpoint observables of a Monte Carlo run."""
+    """Per-path checkpoint observables of a Monte Carlo run.
+
+    A path retired from the step keeps, at every later checkpoint, the
+    state of the step it retired at: NaN once failed, and for a pair
+    retired once glued x = y at its gluing time t_n, so that its h_dist and
+    q_dist stay 0.
+    """
     checkpoint_times: np.ndarray
     x_coeffs: np.ndarray                 # (P, C, N)
     y_coeffs: np.ndarray
@@ -675,10 +702,24 @@ def run_forked(tasks) -> list:
     return values + [pickle.loads(out) for out in outs]
 
 
+# the per-path arrays of a CouplingState
+_PATH_FIELDS = ("x", "y", "coupled", "tau_n", "dist_at_tau_n", "t_n",
+                "tau_delta", "fail_mode", "dist")
+
+
+def _write_back(full: CouplingState, st: CouplingState, rows: np.ndarray,
+                pos) -> None:
+    """Copy the per-path arrays at ``st``'s positions ``pos`` into the
+    batch rows ``rows`` of ``full``."""
+    for name in _PATH_FIELDS:
+        getattr(full, name)[rows] = getattr(st, name)[pos]
+
+
 def run_paths(space: SpectralSpace, model: ModelSpec,
               params: CouplingParams, config: SimConfig,
               which: str = "coupled", *, x0: np.ndarray, y0: np.ndarray,
-              delta_grid=(), threads: int | None = None) -> PathEnsembleRecord:
+              delta_grid=(), threads: int | None = None,
+              retire_glued: bool = False) -> PathEnsembleRecord:
     """Monte Carlo driver: simulate all pairs and collect observables.
 
     ``which`` is ``"coupled"`` (reflection) or ``"synchronous"`` (shared
@@ -686,6 +727,13 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     every path, and y0 = x0 gives the single-equation run, glued at t = 0.
     Output is a deterministic function of (config, space, model, params)
     regardless of the worker count.
+
+    A path leaves the stepped rows once it has failed, and with
+    ``retire_glued`` once it is glued; its record then keeps the state of
+    the step it left at (NaN for a failed path; x = y at its gluing time
+    t_n for a glued one, so its h_dist and q_dist stay 0).  A retired pair
+    can no longer fail.  Without ``retire_glued`` a glued pair is stepped
+    to the horizon, for callers that read its own x.
     """
     if which not in ("coupled", "synchronous"):
         raise ValueError("which must be coupled or synchronous")
@@ -697,6 +745,7 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     n_cp = len(cps)
     nm = space.n_modes
     times = np.array([k * config.dt for k in cps])
+    synchronous = which != "coupled"
 
     x_out, y_out = _shared((2, n_paths, n_cp, nm))
     h_out, q_out = _shared((2, n_paths, n_cp))
@@ -709,31 +758,107 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
     cp_index = {k: i for i, k in enumerate(cps)}
 
+    def retired(s: CouplingState) -> np.ndarray:
+        return s.failed | (s.coupled & retire_glued)
+
     def run_rows(lo: int, hi: int):
         rows = hi - lo
         st = make_coupling_state(space, params, np.tile(x0, (rows, 1)),
                                  np.tile(y0, (rows, 1)), delta_grid=delta_grid)
+        # st steps the batch rows ``stepped``: every row in order until the
+        # first repack; then the unretired rows of the whole chunks, padded
+        # with retired rows to whole chunks, and after them the short tail,
+        # whose rows' bits rest on its own short product and which so
+        # never moves.  ``live`` marks st's unretired rows.
+        head = rows - rows % BLOCK_ROWS
+        stepped, live = np.arange(rows), ~retired(st)
+        chunks = head // BLOCK_ROWS
         work = StepBuffers(space, rows)
+        noise = None                 # the keyed channels in batch layout
+        # every row's state in batch order, a retired row's as it was on the
+        # step it retired at; kept apart from st only once a row retires,
+        # so that a run retiring none allocates as an unpacked one does
+        full = None
+
+        def synced() -> CouplingState:
+            if full is not None:
+                _write_back(full, st, stepped[live], live)
+            return st if full is None else full
 
         def record(i):
-            x_out[lo:hi, i], y_out[lo:hi, i] = st.x, st.y
+            rec = synced()
+            x_out[lo:hi, i], y_out[lo:hi, i] = rec.x, rec.y
             with np.errstate(invalid="ignore", over="ignore"):
-                d = st.x - st.y
+                d = rec.x - rec.y
                 h_out[lo:hi, i] = h_norm(space, d)
                 q_out[lo:hi, i] = q_norm(space, d)
 
+        def repack():
+            nonlocal st, stepped, live, chunks, work, noise
+            gone = retired(synced())
+            kept = np.flatnonzero(~gone[:head])
+            chunks = -(-kept.size // BLOCK_ROWS)
+            pad = np.flatnonzero(gone[:head])[:chunks * BLOCK_ROWS - kept.size]
+            stepped = np.concatenate([kept, pad, np.arange(head, rows)])
+            live = ~gone[stepped]
+            # the old buffers' noise grid holds the batch's channels, and
+            # the rest of them is dropped before the packed set is built
+            if noise is None:
+                noise = work.noise
+            work = None
+            st = replace(st, **{f: getattr(full, f)[stepped]
+                                for f in _PATH_FIELDS})
+            work = StepBuffers(space, stepped.size)
+
+        def step():
+            if noise is None:
+                return step_coupled(space, model, params, config, st,
+                                    path_lo=lo, synchronous=synchronous,
+                                    work=work)
+            # the keyed blocks holding an unretired row are drawn in batch
+            # layout, with the unpacked step's per-block band decision, and
+            # gathered into st's rows
+            drawn = np.zeros(rows, dtype=bool)
+            drawn[stepped[live]] = True
+            in_band = None
+            if not synchronous:
+                in_band = np.zeros(rows, dtype=bool)
+                in_band[stepped] = params.n * st.dist > 0.5
+            dw = _step_noise(model, config, st.step_index, lo, drawn,
+                             in_band, noise)
+            packed = tuple(None if a is None else
+                           np.take(a, stepped, axis=0, out=b, mode="clip")
+                           for a, b in zip(dw, work.noise))
+            return step_coupled(space, model, params, config, st,
+                                noise=packed, path_lo=lo,
+                                synchronous=synchronous, work=work)
+
         n_steps = config.n_steps
         for k in range(n_steps + 1):
+            # rows that retire keep the state of this step boundary; a step
+            # leaves the state it starts from unchanged, so the first state
+            # with a retired row can hold every row from then on
+            gone = live & retired(st)
+            if np.any(gone):
+                if full is None:
+                    full = st
+                pos = np.flatnonzero(gone)
+                _write_back(full, st, stepped[pos], pos)
+                fail_time[lo:hi][stepped[pos[st.failed[pos]]]] = st.time
+                live[pos] = False
+                # repack once a whole chunk can be freed
+                n_live = np.count_nonzero(live[:chunks * BLOCK_ROWS])
+                if k < n_steps and -(-n_live // BLOCK_ROWS) < chunks:
+                    repack()
             if k in cp_index:
                 record(cp_index[k])
             if k == n_steps:
                 break
-            prev_failed = st.failed
-            st = step_coupled(space, model, params, config, st, path_lo=lo,
-                              synchronous=(which != "coupled"), work=work)
-            fail_time[lo:hi][st.failed & ~prev_failed] = st.time
+            if np.any(live):
+                st = step()
+        done = synced()
         for name, out in final.items():
-            out[lo:hi] = getattr(st, name)
+            out[lo:hi] = getattr(done, name)
 
     run_forked([partial(run_rows, lo, hi)
                 for lo, hi in path_batches(n_paths, threads)])

@@ -755,6 +755,31 @@ def test_run_frees_the_ensemble_before_the_conditions(tmp_path, monkeypatch):
     assert run(cfg, out_dir=tmp_path, threads=1) == 0
 
 
+@pytest.mark.parametrize("text, retire", [
+    (MINIMAL + SHORT + "n_paths = 16\n[experiments]\nwhich = survival\n", True),
+    (MINIMAL + SHORT + "n_paths = 16\n[experiments]\nwhich = survival\n"
+     "[output]\ndump_paths = true\n", False),
+    (LINEAR + SHORT + "n_paths = 16\n[experiments]\nwhich = marginal_ou\n",
+     False),
+    (MINIMAL + SHORT + "n_paths = 16\nx0 = 0.5\ny0 = 0.5\n"
+     "[experiments]\nwhich = survival\n", False),
+], ids=["default", "dump_paths", "marginal_ou", "single_equation"])
+def test_run_retires_glued_pairs_unless_their_x_is_read(tmp_path, monkeypatch,
+                                                        text, retire):
+    # marginal_ou and paths.csv read a glued path's own x, and a
+    # single-equation run is glued from the start
+    seen = []
+    run_paths = cli.run_paths
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["retire_glued"])
+        return run_paths(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_paths", recorded)
+    assert run(parse_config(text), out_dir=tmp_path, threads=1) == 0
+    assert seen == [retire]
+
+
 def test_run_builds_the_space_once(tmp_path, monkeypatch):
     # run reuses the objects parse_config built instead of building them again
     calls = []

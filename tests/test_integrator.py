@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spde_reflect.spaces import make_space, h_norm, v_norm
+from spde_reflect.spaces import make_space, h_norm, q_norm, v_norm
 from spde_reflect.models import (
     ModelSpec, Porous, PLaplace, LipschitzDiagonal, ZeroDiffusion, unit_base,
 )
@@ -869,3 +869,152 @@ def test_run_paths_has_no_single_mode(porous_space, porous_linear):
     with pytest.raises(ValueError, match="coupled or synchronous"):
         run_paths(porous_space, porous_linear, CouplingParams(n=1), cfg,
                   "single", x0=x0, y0=x0)
+
+
+def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=()):
+    """The record fields of a coupled run whose loop steps every row to the
+    horizon, in one batch, with the step's own keyed noise."""
+    p = cfg.n_paths
+    st = make_coupling_state(space, params, np.tile(x0, (p, 1)),
+                             np.tile(y0, (p, 1)), delta_grid=delta_grid)
+    work = StepBuffers(space, p)
+    cps = cfg.checkpoint_steps()
+    out = {"x_coeffs": [], "y_coeffs": [], "h_dist": [], "q_dist": []}
+    fail_time = np.full(p, np.nan)
+    for k in range(cfg.n_steps + 1):
+        if k in cps:
+            with np.errstate(invalid="ignore", over="ignore"):
+                d = st.x - st.y
+                for name, v in zip(out, (st.x, st.y, h_norm(space, d),
+                                         q_norm(space, d))):
+                    out[name].append(v)
+        if k == cfg.n_steps:
+            break
+        before = st.failed
+        st = step_coupled(space, model, params, cfg, st, work=work)
+        fail_time[st.failed & ~before] = st.time
+    out = {name: np.stack(v, axis=1) for name, v in out.items()}
+    out.update({name: getattr(st, name) for name in (
+        "tau_n", "dist_at_tau_n", "t_n", "coupled", "tau_delta", "failed")})
+    out["failures"] = [(int(q), float(fail_time[q]), int(st.fail_mode[q]))
+                       for q in np.flatnonzero(st.failed)]
+    return out
+
+
+def _assert_retired_record(rec, ref, retire_glued):
+    """rec is ref, except that with ``retire_glued`` a glued pair's x and y
+    stay at their equal state of its gluing time."""
+    for name in ("tau_n", "dist_at_tau_n", "t_n", "coupled", "tau_delta",
+                 "failed", "h_dist", "q_dist"):
+        _assert_bits_equal(getattr(rec, name), ref[name], name)
+    assert rec.failures == ref["failures"]
+    glued = rec.t_n[:, None] <= rec.checkpoint_times
+    if not retire_glued:
+        glued[:] = False
+    for name in ("x_coeffs", "y_coeffs"):
+        _assert_bits_equal(getattr(rec, name)[~glued], ref[name][~glued], name)
+    _assert_bits_equal(rec.x_coeffs[glued], rec.y_coeffs[glued], "glued")
+    first = np.argmax(glued, axis=1)
+    frozen = rec.x_coeffs[np.arange(rec.n_paths), first][:, None]
+    _assert_bits_equal(np.where(glued[..., None], frozen, rec.x_coeffs),
+                       rec.x_coeffs, "frozen")
+
+
+def _count_step_rows(monkeypatch):
+    """The row counts of the steps run in this process, as a list."""
+    rows, step = [], integrator.step_coupled
+
+    def counted(space, model, params, config, state, **kw):
+        rows.append(state.n_paths)
+        return step(space, model, params, config, state, **kw)
+
+    monkeypatch.setattr(integrator, "step_coupled", counted)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def gluing_pairs(porous_r2):
+    """smoke.cfg's porous r = 2 pair on 1100 paths to t = 0.3, by which
+    every pair glues, and the record of a loop stepping every row."""
+    sp = make_space(8, 2.0, q_decay=0.75)
+    params = CouplingParams(n=20)
+    cfg = SimConfig(dt=5e-4, horizon=0.3, n_paths=4 * BLOCK_ROWS + 76,
+                    master_seed=99,
+                    checkpoint_times=(0.0, 0.1, 0.15, 0.2, 0.25, 0.3))
+    x0 = e_k(8, 1, 1.4804406601634037)
+    d0 = float(h_norm(sp, 2 * x0))
+    ref = _every_row_record(sp, porous_r2, params, cfg, x0, -x0, (d0, 2 * d0))
+    return sp, params, cfg, x0, (d0, 2 * d0), ref
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("retire_glued", [False, True],
+                         ids=["keep_glued", "retire_glued"])
+def test_retired_pairs_keep_every_other_bit(gluing_pairs, porous_r2,
+                                            monkeypatch, threads,
+                                            retire_glued):
+    # four blocks and a 76-row tail, which two workers split 768/332; as
+    # pairs glue, the stepped rows are repacked into fewer whole chunks.
+    # The record is that of a loop stepping every row, but for a retired
+    # pair's x and y
+    sp, params, cfg, x0, deltas, ref = gluing_pairs
+    rows = _count_step_rows(monkeypatch)
+    rec = run_paths(sp, porous_r2, params, cfg, x0=x0, y0=-x0,
+                    delta_grid=deltas, threads=threads,
+                    retire_glued=retire_glued)
+    assert rec.coupled.all() and not rec.failed.any()
+    _assert_retired_record(rec, ref, retire_glued)
+    # a retired pair is frozen, not stepped on
+    assert np.any(rec.x_coeffs != ref["x_coeffs"]) == retire_glued
+    if threads == 1:
+        packed = sorted(set(rows), reverse=True)
+        if retire_glued:
+            assert packed[0] == cfg.n_paths and packed[-1] < 2 * BLOCK_ROWS
+            assert all(n % BLOCK_ROWS == 76 for n in packed)
+            assert len(rows) < cfg.n_steps
+        else:
+            assert packed == [cfg.n_paths] and len(rows) == cfg.n_steps
+
+
+def test_batch_with_every_row_retired_stops_stepping(porous_r2, monkeypatch):
+    # smoke.cfg's single block to t = 0.4: every pair glues, no row is left
+    # to step, and the later checkpoints read the frozen pairs
+    sp = make_space(8, 2.0, q_decay=0.75)
+    params = CouplingParams(n=20)
+    cfg = SimConfig(dt=5e-4, horizon=0.4, n_paths=BLOCK_ROWS, master_seed=99,
+                    checkpoint_times=(0.0, 0.1, 0.2, 0.3, 0.4))
+    x0 = e_k(8, 1, 1.4804406601634037)
+    ref = _every_row_record(sp, porous_r2, params, cfg, x0, -x0)
+    rows = _count_step_rows(monkeypatch)
+    rec = run_paths(sp, porous_r2, params, cfg, x0=x0, y0=-x0, threads=1,
+                    retire_glued=True)
+    assert rec.coupled.all()
+    last = int(round(np.nanmax(rec.t_n) / cfg.dt))
+    assert rows == [BLOCK_ROWS] * last and last < cfg.n_steps
+    _assert_retired_record(rec, ref, True)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("retire_glued", [False, True],
+                         ids=["keep_glued", "retire_glued"])
+def test_failed_rows_retire_with_their_failure_records(porous_space, porous_r2,
+                                                       monkeypatch, threads,
+                                                       retire_glued):
+    # the explicit scheme past its stability limit, as in
+    # test_run_paths_coupled_overflow_isolated: 597 of 600 pairs fail
+    # between t = 0.00375 and 0.0095, so the failed rows of the first
+    # 512 are repacked into one chunk; the failures, their times and modes
+    # and every other field are those of a loop stepping every row
+    cfg = SimConfig(dt=2.5e-4, horizon=0.01, n_paths=600, master_seed=16,
+                    checkpoint_times=(0.0, 0.004, 0.005, 0.006, 0.01),
+                    scheme="explicit")
+    params = CouplingParams(n=2)
+    x0 = e_k(16, 1, 2.0)
+    ref = _every_row_record(porous_space, porous_r2, params, cfg, x0, -x0)
+    rows = _count_step_rows(monkeypatch)
+    rec = run_paths(porous_space, porous_r2, params, cfg, x0=x0, y0=-x0,
+                    threads=threads, retire_glued=retire_glued)
+    assert 0 < len(rec.failures) < cfg.n_paths
+    _assert_retired_record(rec, ref, retire_glued)
+    if threads == 1:
+        assert sorted(set(rows)) == [BLOCK_ROWS + 88, cfg.n_paths]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from spde_reflect.spaces import (
-    make_space, h_norm, q_norm, v_norm, to_grid, from_grid, quad,
+    make_space, h_norm, q_norm, v_norm, to_grid, from_grid, grad_to_grid,
+    quad,
 )
 from spde_reflect.spaces import ROW_CHUNK, rowblock_matmul
 from spde_reflect.models import Porous, PLaplace, FastDiff
@@ -157,6 +158,44 @@ def test_quad_is_chunked_product(porous_space):
             np.testing.assert_array_equal(got, values @ w)
     values = gen.standard_normal(w.size) ** 2
     np.testing.assert_array_equal(quad(porous_space, values), values @ w)
+
+
+def test_full_chunks_keep_every_row_bits(ex41_space):
+    # run_paths packs a batch's unretired rows into whole
+    # ROW_CHUNK-row chunks, padded with zeros or other rows, ahead of the
+    # short tail chunk; every row must keep the bits it has in the batch.
+    # Short chunks do not keep them, so a BLAS build that rounds a row of a
+    # full chunk by its place or neighbours fails here.
+    sp = ex41_space
+    gen = np.random.default_rng(41)
+    head, tail = 10 * ROW_CHUNK, 136
+    coeffs = gen.standard_normal((head + tail, sp.n_modes)) / sp.lambdas
+    grid = to_grid(sp, coeffs)
+    transforms = {
+        "to_grid": (lambda a: to_grid(sp, a), coeffs),
+        "from_grid": (lambda a: from_grid(sp, a), grid),
+        "grad_to_grid": (lambda a: grad_to_grid(sp, a), coeffs),
+        # the p-Laplace drift's projection, a non-contiguous right operand
+        "dsine.T": (lambda a: rowblock_matmul(a, sp.dsine.T), grid),
+        "h_norm": (lambda a: h_norm(sp, a), coeffs),
+    }
+    for name, (f, batch) in transforms.items():
+        ref = f(batch)
+        for trial in range(12):
+            rows = np.sort(gen.choice(head, size=gen.integers(1, head + 1),
+                                      replace=False))
+            n_pad = -rows.size % ROW_CHUNK
+            if trial % 2:
+                pad = batch[gen.choice(head, size=n_pad)]
+            else:
+                pad = np.zeros((n_pad, batch.shape[1]))
+            got = f(np.concatenate([batch[rows], pad, batch[head:]]))
+            np.testing.assert_array_equal(
+                got[:rows.size].view(np.uint64), ref[rows].view(np.uint64),
+                err_msg=f"{name}, {rows.size} rows")
+            np.testing.assert_array_equal(
+                got[-tail:].view(np.uint64), ref[head:].view(np.uint64),
+                err_msg=f"{name}, tail")
 
 
 def test_from_grid_zero(porous_space):
