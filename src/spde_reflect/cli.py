@@ -7,7 +7,9 @@ Config files are flat INI-style sections of ``key = value`` lines with
 ``#`` comments.  Parsing is total: unknown sections or keys, duplicate
 keys and type errors fail with a line-anchored message; the parser then
 builds the space, model, coupling and sim objects, whose own checks fail
-as ``<section>: <message>``, and checks the few rules no object owns.
+as ``<section>: <message>``, and each selected experiment and condition
+by the rule its own code calls, as ``<section>: <name>: <message>``; it
+states only the few rules no object owns.
 The effective (default-filled) configuration is canonicalized and hashed;
 results land in ``<out>/<config_hash>/`` as
 
@@ -256,77 +258,70 @@ def _validated(values: dict) -> RunConfig:
             raise ConfigError(f"{section}: {exc}") from None
     cfg = RunConfig(values=values, x0=_initial_state(values, "x0"),
                     y0=_initial_state(values, "y0"), **built)
-    # each object checks its own section; only rules no object owns follow
-    sp, mo, ex, co = (cfg["space"], cfg["model"], cfg["experiments"],
-                      cfg["conditions"])
-    fam = mo["family"]
-    if fam == "plaplace" and sp["gamma"] != 1.0:
+    # each object checks its own section, and each selected experiment and
+    # condition its parameters, by the code that reads them, so that a bad
+    # one fails before any ensemble is stepped or sample drawn; only rules
+    # that no object owns are stated here
+    if cfg["model"]["family"] == "plaplace" and cfg["space"]["gamma"] != 1.0:
         raise ConfigError("p-Laplacian runs require space.gamma = 1")
-    if "marginal_ou" in ex["which"]:
+    if "marginal_ou" in cfg["experiments"]["which"]:
         _check_ou_law(cfg, "experiments")
-    # each selected experiment's parameters are checked by the code that
-    # reads them, so that a bad one fails before any ensemble is stepped
-    for w in ex["which"]:
-        if w not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {w!r}")
-        try:
-            if w in _PATH_MEAN_SE:
-                xp._two_paths(cfg.sim.n_paths)
-            if w == "supermartingale":
-                _g_spec_from(ex, _start_distance(cfg), cfg.model.family.r)
-            elif w == "contraction":
-                xp.fit_window(cfg.sim.checkpoint_times, ex["fit_t_min"],
-                              _start_distance(cfg))
-            elif w == "marginal_ou" and ex["marginal_t"] is not None:
-                xp.checkpoint_index(cfg.sim.checkpoint_times, ex["marginal_t"])
-            elif w == "lemma31":
-                if not ex["lemma31_deltas"]:
-                    raise ValueError("lemma31_deltas must not be empty")
-                if min(ex["lemma31_deltas"]) <= 0.0:
-                    raise ValueError("lemma31_deltas entries must be > 0")
-                xp._distinct_pair(_start_distance(cfg))
-                xp.checkpoint_index(cfg.sim.checkpoint_times, 0.0)
-                t = ex["lemma31_t"]
-                if t is not None and not 0.0 <= t <= cfg.sim.horizon:
-                    raise ValueError("lemma31_t must lie in [0, sim.horizon]")
-        except ValueError as exc:
-            raise ConfigError(f"experiments: {w}: {exc}") from None
-    for w in co["which"]:
-        if w not in _CONDITIONS:
-            raise ConfigError(f"unknown condition {w!r}")
+    for section, known, rule in (
+            ("experiments", _EXPERIMENTS, _experiment_rule),
+            ("conditions", _CONDITIONS, _condition_rule)):
+        for w in cfg[section]["which"]:
+            if w not in known:
+                raise ConfigError(f"unknown {section[:-1]} {w!r}")
+            try:
+                rule(cfg, w)
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {w}: {exc}") from None
     for f in cfg["output"]["formats"]:
         if f not in ("json", "csv"):
             raise ConfigError(f"unknown output format {f!r}")
-    if co["samples"] < 1 or co["mv_samples"] < 1:
+    if min(cfg["conditions"]["samples"], cfg["conditions"]["mv_samples"]) < 1:
         raise ConfigError("conditions.samples and mv_samples must be >= 1")
-    r_eff = cfg.model.family.r
-    needs_kappa = {"a1prime", "a1doubleprime", "interpolation", "spectrum"}
-    if needs_kappa & set(co["which"]) and not (
-            co["kappa"] is not None and co["kappa"] > 0.0):
-        raise ConfigError(
-            "conditions.kappa > 0 is required for the selected checks")
-    if "a1prime" in co["which"]:
-        if fam == "fastdiff":
-            raise ConfigError("a1prime applies to r >= 1 families")
-        if co["kappa"] <= r_eff - 1.0:
-            raise ConfigError(
-                f"a1prime requires kappa > r - 1 (kappa={co['kappa']}, r={r_eff})")
-    if "a1doubleprime" in co["which"] and fam != "fastdiff":
-        raise ConfigError("a1doubleprime applies to the fast-diffusion family")
-    if "spectrum" in co["which"] and sp["q_decay"] <= 0.5:
-        raise ConfigError("the Hilbert-Schmidt gate needs q_decay > 1/2")
-    if "nash" in co["which"]:
-        if fam != "fastdiff":
-            raise ConfigError("the Nash gate applies to the fast-diffusion family")
-        if co["nash_m"] is not None and not co["nash_m"] > 0.0:
-            raise ConfigError("conditions.nash_m must be > 0")
-    if "meanvalue" in co["which"] and not co["mv_r"]:
-        raise ConfigError(
-            "conditions.mv_r must not be empty when meanvalue is selected")
-    for rv in co["mv_r"]:
-        if not 0.0 < rv < 1.0:
-            raise ConfigError("conditions.mv_r entries must lie in (0, 1)")
     return cfg
+
+
+# raises unless experiment w can run on cfg; steps nothing
+def _experiment_rule(cfg: RunConfig, w: str) -> None:
+    ex = cfg["experiments"]
+    if w in _PATH_MEAN_SE:
+        xp._two_paths(cfg.sim.n_paths)
+    if w == "supermartingale":
+        _g_spec_from(ex, _start_distance(cfg), cfg.model.family.r)
+    elif w == "contraction":
+        xp.fit_window(cfg.sim.checkpoint_times, ex["fit_t_min"],
+                      _start_distance(cfg))
+    elif w == "marginal_ou" and ex["marginal_t"] is not None:
+        xp.checkpoint_index(cfg.sim.checkpoint_times, ex["marginal_t"])
+    elif w == "lemma31":
+        xp._distinct_pair(_start_distance(cfg))
+        xp._positive_deltas(ex["lemma31_deltas"])
+        xp.checkpoint_index(cfg.sim.checkpoint_times, 0.0)
+        t = ex["lemma31_t"]
+        if t is not None and not 0.0 <= t <= cfg.sim.horizon:
+            raise ValueError("lemma31_t must lie in [0, sim.horizon]")
+
+
+# raises unless condition w can be checked on cfg, by the rule its checker
+# or gate calls; draws nothing
+def _condition_rule(cfg: RunConfig, w: str) -> None:
+    co, model = cfg["conditions"], cfg.model
+    if w == "meanvalue":
+        if not co["mv_r"]:
+            raise ValueError("mv_r must not be empty")
+        for rv in co["mv_r"]:
+            iq._mean_value_rule(rv)
+    elif w == "a1prime":
+        iq._a1prime_rule(model, co["kappa"])
+    elif w == "a1doubleprime":
+        iq._a1doubleprime_rule(model, co["kappa"])
+    elif w == "interpolation":
+        iq._positive_kappa(co["kappa"])
+    elif w in ("spectrum", "nash"):
+        _exact_gate(cfg, w)
 
 
 def _replaced(cfg: RunConfig, section: str, **values) -> RunConfig:
@@ -455,6 +450,29 @@ def _mean_value_reports(co, workers: int) -> dict:
     return out
 
 
+# the reports of the exact gate w, spectrum or nash, decided without
+# sampling; the parser calls it too, so that a gate's own refusal of its
+# parameters is a config error
+def _exact_gate(cfg: RunConfig, w: str) -> dict:
+    sp, co, fam = cfg["space"], cfg["conditions"], cfg.model.family
+    kappa = co["kappa"]
+    if w == "nash":
+        m = co["nash_m"] if co["nash_m"] is not None else 1.0 / sp["gamma"]
+        _, rep = iq.nash_exponent_gate(m, fam.r, gamma=sp["gamma"], d=1,
+                                       delta=sp["q_decay"], kappa=kappa)
+        return {"nash": rep.as_dict()}
+    params = iq.SpectrumParams(
+        gamma=sp["gamma"], delta=sp["q_decay"], d=1,
+        r=fam.r if fam.kind != "plaplace" else None,
+        p=fam.p if fam.kind == "plaplace" else None,
+        kappa=kappa, c=sp["q_amp"],
+        # the SB gate's worked eps = 1 - kappa delta / (2 gamma)
+        eps=None if kappa is None
+        else 1.0 - kappa * sp["q_decay"] / (2.0 * sp["gamma"]))
+    return {f"spectrum_{g}": iq.check_spectrum_condition(g, params).as_dict()
+            for g in ("EI", _FAMILY_GATE[fam.kind])}
+
+
 def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
     """The selected condition reports, in the order of ``groups`` below.
 
@@ -469,30 +487,10 @@ def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
     """
     space, model = cfg.space, cfg.model
     co = cfg["conditions"]
-    sp = cfg["space"]
-    fam = cfg["model"]["family"]
-    r_eff = model.family.r
 
     def sampled(name, checker, *args):
         return lambda: {name: checker(space, model, *args, co["samples"],
                                       seed=co["seed"]).as_dict()}
-
-    def spectrum():
-        params = iq.SpectrumParams(
-            gamma=sp["gamma"], delta=sp["q_decay"], d=1,
-            r=r_eff if fam != "plaplace" else None,
-            p=model.family.p if fam == "plaplace" else None,
-            kappa=co["kappa"], c=sp["q_amp"],
-            eps=1.0 - co["kappa"] * sp["q_decay"] / (2.0 * sp["gamma"]))
-        return {f"spectrum_{g}": iq.check_spectrum_condition(g, params).as_dict()
-                for g in ("EI", _FAMILY_GATE[fam])}
-
-    def nash():
-        m_nash = co["nash_m"] if co["nash_m"] is not None else 1.0 / sp["gamma"]
-        _, rep = iq.nash_exponent_gate(
-            m_nash, r_eff, gamma=sp["gamma"], d=1, delta=sp["q_decay"],
-            kappa=co["kappa"])
-        return {"nash": rep.as_dict()}
 
     workers = threads if threads is not None else default_threads()
     groups = {
@@ -502,8 +500,8 @@ def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
                                  co["kappa"]),
         "interpolation": sampled("interpolation", iq.check_interpolation_Q,
                                  co["kappa"]),
-        "spectrum": spectrum,
-        "nash": nash,
+        "spectrum": partial(_exact_gate, cfg, "spectrum"),
+        "nash": partial(_exact_gate, cfg, "nash"),
         "coercivity": sampled("coercivity", iq.fit_coercivity),
     }
     selected = [g for g in groups if g in co["which"]]
@@ -641,21 +639,13 @@ def _aggregate_result(cfg: RunConfig, results: dict, series: dict) -> dict:
     }
 
 
-# the super_g test function; r is the model's exponent (p - 1 for the
-# p-Laplacian), which log_power reads
+# the super_g test function, given the parameters its kind reads; r is the
+# model's exponent (p - 1 for the p-Laplacian), which log_power reads
 def _g_spec_from(ex: dict, dist0: float, r: float) -> xp.GSpec:
-    name = ex["super_g"]
-    if name == "identity":
-        return xp.GSpec("identity")
-    if name == "power":
-        return xp.GSpec("power", eps=ex["super_eps"])
-    if name == "clipped_linear":
-        return xp.GSpec("clipped_linear", eps=ex["super_eps"], delta=2.0 * dist0)
-    if name == "log_power":
-        return xp.GSpec("log_power", r=r)
-    if name == "sqrt_log":
-        return xp.GSpec("sqrt_log")
-    raise ValueError(f"unknown super_g {name!r}")
+    reads = {"power": {"eps": ex["super_eps"]},
+             "clipped_linear": {"eps": ex["super_eps"], "delta": 2.0 * dist0},
+             "log_power": {"r": r}}
+    return xp.GSpec(ex["super_g"], **reads.get(ex["super_g"], {}))
 
 
 # results whose "ok" flag gates the exit status

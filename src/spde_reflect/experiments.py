@@ -83,6 +83,14 @@ def _distinct_pair(dist0: float) -> float:
     return dist0
 
 
+# raises unless the escape bound's delta grid is nonempty and positive
+def _positive_deltas(deltas) -> None:
+    if len(deltas) == 0:
+        raise ValueError("needs at least one delta")
+    if np.any(np.asarray(deltas) <= 0.0):
+        raise ValueError("every delta must be > 0")
+
+
 def d3_rate_bound(model: ModelSpec) -> float:
     """Distance-process drift rate K' = K + 2 sup|h'|^2 from the model data."""
     return lipschitz_K_bound(model) + 2.0 * cutoff_h_prime_sup() ** 2
@@ -108,15 +116,12 @@ def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float) -> dict:
     Uses the recorded delta-crossing times; the empirical probability passes
     when it does not exceed the bound by more than 3 binomial standard
     errors.  Grid points with delta <= |x-y| are vacuous (bound >= 1).
-    Raises on a degenerate pair (x = y at the start) and on a delta <= 0.
+    Raises on x = y at the start, an empty delta grid or a delta <= 0.
     """
-    if record.tau_delta.shape[1] == 0:
-        raise ValueError("record has no delta-crossing times")
     j0 = checkpoint_index(record.checkpoint_times, 0.0)
     live = record.live
     dist0 = _distinct_pair(float(record.h_dist[live][0, j0]))
-    if np.any(record.delta_grid <= 0.0):
-        raise ValueError("every delta must be > 0")
+    _positive_deltas(record.delta_grid)
     td = record.tau_delta[live]                 # (M, deltas)
     tn = record.tau_n[live][:, None]
     p, se = frequency((~np.isnan(td) & (td <= t)
@@ -161,6 +166,9 @@ class GSpec:
     r: float | None = None
 
     def __post_init__(self):
+        if self.kind not in ("identity", "clipped_linear", "log_power",
+                             "sqrt_log", "power"):
+            raise ValueError(f"unknown g kind {self.kind!r}")
         if self.kind in ("clipped_linear", "power"):
             if self.eps is None or not 0.0 < self.eps < 1.0:
                 raise ValueError("eps must lie in (0, 1)")
@@ -181,9 +189,8 @@ class GSpec:
         if self.kind == "log_power":
             a = self.r / (1.0 + self.r)
             return _gl_primitive(lambda z: np.log(np.e + 1.0 / z) ** a, s)
-        if self.kind == "sqrt_log":
-            return _gl_primitive(lambda z: np.sqrt(np.log(np.e + 1.0 / z)), s)
-        raise ValueError(f"unknown g kind {self.kind!r}")
+        # sqrt_log
+        return _gl_primitive(lambda z: np.sqrt(np.log(np.e + 1.0 / z)), s)
 
     @property
     def stop_at_tau(self) -> bool:

@@ -207,6 +207,40 @@ def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
         given=theta, fitted_term=lambda t, theta: (theta * t[2], t[0]))
 
 
+# The parameter rules of the checkers and gates.  Each checker calls its
+# rule before it draws anything, and the config parser calls the same rule
+# for each selected condition; no rule samples.
+
+def _positive_kappa(kappa) -> None:
+    if kappa is None or not kappa > 0.0:
+        raise ValueError(f"needs kappa > 0 (kappa={kappa})")
+
+
+def _a1prime_rule(model: ModelSpec, kappa) -> None:
+    r = model.family.r
+    if r < 1.0:
+        raise ValueError("A1' applies to families with r >= 1")
+    if kappa is None or not kappa > r - 1.0:
+        raise ValueError(f"needs kappa > r - 1 (kappa={kappa}, r={r})")
+
+
+def _a1doubleprime_rule(model: ModelSpec, kappa) -> None:
+    if model.family.kind != "fastdiff":
+        raise ValueError("A1'' applies to the fast-diffusion family")
+    _positive_kappa(kappa)
+
+
+def _mean_value_rule(r: float) -> None:
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"the mean-value exponent must lie in (0, 1), got {r}")
+
+
+def _nash_rule(m: float, r: float) -> None:
+    if not (m > 0.0 and 0.0 < r < 1.0):
+        raise ValueError(f"the Nash gate needs m > 0 and r in (0, 1), the "
+                         f"fast-diffusion range (m={m}, r={r})")
+
+
 def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
                   n_samples: int = 10_000, *, seed: int = 1234,
                   K: float | None = None, theta: float | None = None,
@@ -217,11 +251,8 @@ def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
     theta is fitted on one batch (given the model-derived K) and validated
     on a fresh one.
     """
+    _a1prime_rule(model, kappa)
     r = model.family.r
-    if r < 1.0:
-        raise ValueError("check_A1prime applies to families with r >= 1")
-    if kappa <= r - 1.0:
-        raise ValueError("kappa must exceed r - 1")
     # dn^(r+1-k) dq^k
     return _check_a1("A1prime", 0xA1,
                      lambda v1, v2, dn, ratio_k: dn ** (r + 1.0) * ratio_k,
@@ -233,11 +264,8 @@ def check_A1doubleprime(space: SpectralSpace, model: ModelSpec, kappa: float,
                         K: float | None = None, theta: float | None = None,
                         safety: float = 0.9) -> ConditionReport:
     """Fast-diffusion variant with the V-norm denominator, r in (0, 1)."""
+    _a1doubleprime_rule(model, kappa)
     fam = model.family
-    if fam.kind != "fastdiff":
-        raise ValueError("check_A1doubleprime applies to the fast-diffusion family")
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
 
     def defect(v1, v2, dn, ratio_k):
         vmax = np.maximum(v_norm(space, v1, fam), v_norm(space, v2, fam))
@@ -259,6 +287,7 @@ def check_interpolation_Q(space: SpectralSpace, model: ModelSpec, kappa: float,
     A kappa so small that these powers overflow gives NaN margins, which
     count as violations.
     """
+    _positive_kappa(kappa)
     fam = model.family
     r = fam.r
     gen = philox_generator(seed, 0x1F)
@@ -303,6 +332,13 @@ class SpectrumParams:
     kappa: float | None = None
     eps: float | None = None
     c: float = 1.0
+
+    # delta <= 0 or a given kappa <= 0 would divide by zero or flip a gate
+    def __post_init__(self):
+        if not self.delta > 0.0:
+            raise ValueError(f"needs delta > 0 (delta={self.delta})")
+        if self.kappa is not None:
+            _positive_kappa(self.kappa)
 
 
 def kappa_porous_example(gamma: float, r: float, delta: float, d: int = 1) -> float:
@@ -434,8 +470,7 @@ def check_scalar_mean_value(r: float, batch) -> ConditionReport:
     so the reports for several r are not independent evidence.  The 0/0
     quotient at s1 = s2 = 0 is taken as 0 by convention.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
+    _mean_value_rule(r)
     n_samples = len(batch[0])
     if any(np.shape(s) != (n_samples,) for s in batch):
         raise ValueError("batch must hold two arrays of equal length")
@@ -464,8 +499,7 @@ def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,
                        kappa: float | None = None):
     """Gate m < 2(1+r)/(1-r), plus the worked eps-window when spectrum data
     is supplied (eps = (2 gamma - kappa d delta) / (2 gamma))."""
-    if m <= 0.0 or not 0.0 < r < 1.0:
-        raise ValueError("need m > 0 and r in (0, 1)")
+    _nash_rule(m, r)
     bound = 2.0 * (1.0 + r) / (1.0 - r)
     ok = m < bound
     consts = {"m": m, "bound": bound}

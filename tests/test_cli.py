@@ -180,7 +180,7 @@ _BAD_CONFIGS = {
                   "experiments: supermartingale: eps must lie in (0, 1)"),
     "super_g": (MINIMAL + SHORT + "[experiments]\nwhich = supermartingale\n"
                 "super_g = wibble\n",
-                "experiments: supermartingale: unknown super_g 'wibble'"),
+                "experiments: supermartingale: unknown g kind 'wibble'"),
     "marginal_t": (LINEAR + SHORT + "[experiments]\nwhich = marginal_ou\n"
                    "marginal_t = 0.005\n",
                    "experiments: marginal_ou: t = 0.005 is not a recorded "
@@ -201,7 +201,7 @@ _BAD_CONFIGS = {
                       "checkpoint"),
     "lemma31_deltas": (MINIMAL + SHORT + "[experiments]\nwhich = lemma31\n"
                        "lemma31_deltas =\n",
-                       "experiments: lemma31: lemma31_deltas must not be empty"),
+                       "experiments: lemma31: needs at least one delta"),
     "contraction_x0_is_y0": (MINIMAL + SHORT + "x0 = 1\ny0 = 1\n"
                              "[experiments]\nwhich = contraction\n",
                              "experiments: contraction: degenerate pair: x = y"),
@@ -209,13 +209,36 @@ _BAD_CONFIGS = {
     "lemma31_x0_is_y0": (MINIMAL + SHORT + "x0 = 1\ny0 = 1\n"
                          "[experiments]\nwhich = lemma31\n",
                          "experiments: lemma31: degenerate pair: x = y"),
+    # each selected condition's parameters are checked by its checker's rule
     "nash_m": ("[model]\nfamily = fastdiff\nr = 0.5\n"
                "[conditions]\nwhich = nash\nnash_m = -1\n",
-               "conditions.nash_m must be > 0"),
+               "conditions: nash: the Nash gate needs m > 0 and r in (0, 1), "
+               "the fast-diffusion range (m=-1.0, r=0.5)"),
+    "nash_porous": (MINIMAL + "[conditions]\nwhich = nash\n",
+                    "conditions: nash: the Nash gate needs m > 0 and r in "
+                    "(0, 1), the fast-diffusion range (m=1.0, r=2.0)"),
     "interpolation_kappa": (MINIMAL + "[conditions]\nwhich = interpolation\n"
                             "kappa = 0\n",
-                            "conditions.kappa > 0 is required for the "
-                            "selected checks"),
+                            "conditions: interpolation: needs kappa > 0 "
+                            "(kappa=0.0)"),
+    "a1prime_fastdiff": ("[model]\nfamily = fastdiff\nr = 0.5\n"
+                         "[conditions]\nwhich = a1prime\nkappa = 3\n",
+                         "conditions: a1prime: A1' applies to families with "
+                         "r >= 1"),
+    "a1doubleprime_porous": (MINIMAL + "[conditions]\nwhich = a1doubleprime\n"
+                             "kappa = 3\n",
+                             "conditions: a1doubleprime: A1'' applies to the "
+                             "fast-diffusion family"),
+    "mv_r": (MINIMAL + "[conditions]\nwhich = meanvalue\nmv_r = 0.5, 1.5\n",
+             "conditions: meanvalue: the mean-value exponent must lie in "
+             "(0, 1), got 1.5"),
+    "spectrum_kappa": (MINIMAL + "[conditions]\nwhich = spectrum\nkappa = 0\n",
+                       "conditions: spectrum: needs kappa > 0 (kappa=0.0)"),
+    "spectrum_no_kappa": (MINIMAL + "[conditions]\nwhich = spectrum\n",
+                          "conditions: spectrum: *E needs kappa and r"),
+    "spectrum_q_decay": (MINIMAL + "[space]\nq_decay = 0\n"
+                         "[conditions]\nwhich = spectrum\nkappa = 4\n",
+                         "conditions: spectrum: needs delta > 0 (delta=0.0)"),
     # the time grid is SimConfig's: at least one checkpoint, one per step
     "checkpoints_empty": (MINIMAL + "[sim]\ncheckpoints =\n",
                           "sim: checkpoint_times must be nonempty"),
@@ -237,11 +260,9 @@ _BAD_CONFIGS = {
                 "unknown output format 'JSON'"),
     "lemma31_deltas_zero": (MINIMAL + SHORT + "[experiments]\nwhich = lemma31\n"
                             "lemma31_deltas = 0, 2\n",
-                            "experiments: lemma31: lemma31_deltas entries "
-                            "must be > 0"),
+                            "experiments: lemma31: every delta must be > 0"),
     "mv_r_empty": (MINIMAL + "[conditions]\nwhich = meanvalue\nmv_r =\n",
-                   "conditions.mv_r must not be empty when meanvalue is "
-                   "selected"),
+                   "conditions: meanvalue: mv_r must not be empty"),
 }
 # a path mean's standard error needs two paths; one leaves it NaN
 _BAD_CONFIGS.update({
@@ -253,7 +274,13 @@ _BAD_CONFIGS.update({
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
-def test_bad_config_is_a_config_error(name, tmp_path, capsys):
+def test_bad_config_is_a_config_error(name, tmp_path, capsys, monkeypatch):
+    # refused before any path is stepped or any condition sample drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path or sample was drawn")
+
+    monkeypatch.setattr(cli, "run_paths", no_draw)
+    monkeypatch.setattr(cli.iq, "philox_generator", no_draw)
     text, message = _BAD_CONFIGS[name]
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
@@ -662,6 +689,27 @@ def test_run_is_the_only_ensemble_command(tmp_path, capsys):
             main([command, "--config", path])
         assert exc.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_a_thin_noise_spectrum_fails_the_hilbert_schmidt_gate(tmp_path):
+    # sum q_i^2 diverges at q_decay = 0.4: the EI gate reports the failure,
+    # while *E, finite at kappa = 4, passes
+    text = (MINIMAL + "[space]\nq_decay = 0.4\n"
+            "[conditions]\nwhich = spectrum\nkappa = 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, text), "--out", str(out),
+                 "--threads", "1"]) == 1
+    failures = json.loads((out / config_hash(parse_config(text))
+                           / "failures.json").read_text())
+    assert failures["failed_checks"] == [
+        {"check": "condition:spectrum_EI", "flag": "verdict"}]
+
+
+def test_unselected_condition_parameters_are_not_checked():
+    for keys in ("which = a1prime\nkappa = 8\nmv_r = 1.5\n",
+                 "mv_r = 1.5\nkappa = -1\nnash_m = -1\n"):
+        cfg = parse_config(MINIMAL + "[conditions]\n" + keys)
+        assert cfg["conditions"]["mv_r"] == (1.5,)
 
 
 def test_a_vacuous_condition_fails(tmp_path, capsys):

@@ -140,6 +140,9 @@ def test_gspec_validation():
         GSpec("clipped_linear", eps=0.5)          # missing delta
     with pytest.raises(ValueError):
         GSpec("log_power", r=0.0)
+    # an unknown kind is refused when built, not when first evaluated
+    with pytest.raises(ValueError, match="unknown g kind 'wibble'"):
+        GSpec("wibble")
 
 
 def test_gspec_integral_against_dense_quadrature():

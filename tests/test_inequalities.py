@@ -326,6 +326,36 @@ def test_spectrum_gate_refuses_missing_parameters(which, params, message):
             route(which, params)
 
 
+# each refused before a sample is drawn or a formula divides by kappa or delta
+@pytest.mark.parametrize("probe, message", [
+    pytest.param(lambda: check_interpolation_Q(
+        _unit_q_space(), ModelSpec(Porous(r=2.0)), 0.0, 100),
+        "needs kappa > 0", id="interpolation-kappa=0"),
+    pytest.param(lambda: check_interpolation_Q(
+        _unit_q_space(), ModelSpec(Porous(r=2.0)), -1.0, 100),
+        "needs kappa > 0", id="interpolation-kappa=-1"),
+    pytest.param(lambda: check_spectrum_condition("*E", SpectrumParams(
+        gamma=2.0, delta=0.75, r=2.0, kappa=0.0)),
+        "needs kappa > 0", id="*E-kappa=0"),
+    pytest.param(lambda: check_spectrum_condition("**E", SpectrumParams(
+        gamma=1.0, delta=0.8, p=2.0, kappa=0.0)),
+        "needs kappa > 0", id="**E-kappa=0"),
+    pytest.param(lambda: check_spectrum_condition("SB", SpectrumParams(
+        gamma=1.0, delta=0.6, r=0.5, kappa=0.0, eps=1.0)),
+        "needs kappa > 0", id="SB-kappa=0"),
+    pytest.param(lambda: check_spectrum_condition("EI", SpectrumParams(
+        gamma=1.0, delta=0.0, r=0.5, kappa=3.0)),
+        "needs delta > 0", id="EI-delta=0"),
+])
+def test_nonpositive_kappa_or_delta_refused(probe, message, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(inequalities, "philox_generator", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        probe()
+
+
 # --- Nash gate and kappa calculators ---------------------------------------
 
 def test_nash_gate_examples():
