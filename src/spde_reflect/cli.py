@@ -17,8 +17,9 @@ results land in ``<out>/<config_hash>/`` as
                         byte-stable for a fixed (config, seed),
 * one ``<name>.csv`` per series (time, estimate, std_err; 17 significant
   digits),
-* ``paths.csv``      -- with ``[output] dump_paths = true``, one row per
-                        (path, checkpoint) of the coupled ensemble,
+* ``paths.csv``      -- with ``[output] dump_paths = true`` and ``csv``
+                        among the formats, one row per (path, checkpoint)
+                        of the coupled ensemble,
 * ``manifest.json``  -- config echo, seed, library versions, and wall
                         time, workers, CPU and peak RSS (not reproducible,
                         so kept out of the summary),
@@ -466,9 +467,8 @@ def _exact_gate(cfg: RunConfig, w: str) -> dict:
         r=fam.r if fam.kind != "plaplace" else None,
         p=fam.p if fam.kind == "plaplace" else None,
         kappa=kappa, c=sp["q_amp"],
-        # the SB gate's worked eps = 1 - kappa delta / (2 gamma)
         eps=None if kappa is None
-        else 1.0 - kappa * sp["q_decay"] / (2.0 * sp["gamma"]))
+        else iq._worked_eps(sp["gamma"], 1, sp["q_decay"], kappa))
     return {f"spectrum_{g}": iq.check_spectrum_condition(g, params).as_dict()
             for g in ("EI", _FAMILY_GATE[fam.kind])}
 
@@ -516,6 +516,11 @@ def _run_conditions(cfg: RunConfig, threads: int | None) -> dict:
     return {k: rep for g in selected for k, rep in done[g].items()}
 
 
+def _writes_paths_csv(cfg: RunConfig) -> bool:
+    """A run of cfg writes the coupled ensemble's ``paths.csv``."""
+    return cfg["output"]["dump_paths"] and "csv" in cfg["output"]["formats"]
+
+
 class _TooFewLivePaths(RuntimeError):
     """An ensemble with fewer live paths than its estimators read; its one
     argument is the ensemble's failed ``results`` entry."""
@@ -526,11 +531,11 @@ def _ensemble(cfg: RunConfig, which: str, threads, **kw):
     live when a selected experiment reports a path mean with its standard
     error, and one otherwise (the rule ``_validated`` applies to n_paths).
 
-    Glued pairs leave the step unless ``marginal_ou`` or ``dump_paths``
+    Glued pairs leave the step unless ``marginal_ou`` or ``paths.csv``
     reads a glued path's own x, or the run is a single equation (y0 = x0).
     """
     keep_glued = ("marginal_ou" in cfg["experiments"]["which"]
-                  or cfg["output"]["dump_paths"]
+                  or _writes_paths_csv(cfg)
                   or np.array_equal(cfg.x0, cfg.y0))
     rec = run_paths(cfg.space, cfg.model, cfg.coupling, cfg.sim, which,
                     x0=cfg.x0, y0=cfg.y0, threads=threads,
@@ -613,8 +618,7 @@ def _run_experiments(cfg: RunConfig, threads, dest: Path):
         out["contraction"] = res
         series["contraction"] = (sync.checkpoint_times,
                                  *xp.mean_se(sync.h_dist[sync.live] ** 2))
-    if (rec is not None and cfg["output"]["dump_paths"]
-            and "csv" in cfg["output"]["formats"]):
+    if rec is not None and _writes_paths_csv(cfg):
         _dump_paths_csv(dest / "paths.csv", rec)
     return out, series
 

@@ -233,10 +233,8 @@ def _band_increments(space: SpectralSpace, params: CouplingParams, x, y,
     shared = q g z2, on the band rows ``rows`` (flat indices) of dx and dy.
 
     The rows are gathered into four (B, N) slabs of ``scratch``, the
-    products are formed there and the results scattered; when the band
-    holds every row and all of them are reflected, the inputs are read and
-    the results written in place.  Every value comes from the operations
-    of the full formula, in its order.
+    products are formed there and the results scattered.  Every value comes
+    from the operations of the full formula, in its order.
     """
     n_modes = space.n_modes
     root_w = space.root_h_weights
@@ -251,42 +249,30 @@ def _band_increments(space: SpectralSpace, params: CouplingParams, x, y,
         # reflected rows first, so that the reflection works on a prefix
         order = np.argsort(~active, kind="stable")
         rows, h = rows[order], h[order]
-    whole = n_act == rows.size == x.shape[0]     # rows is 0, 1, ..., P - 1
     k = rows.size
     if scratch is None:
         scratch = np.empty(4 * k * n_modes)
     shared, z3, u, v = scratch.reshape(-1)[:4 * k * n_modes].reshape(
         4, k, n_modes)
-
-    def gather(a, dst):
-        return a if whole else np.take(a, rows, axis=0, out=dst, mode="clip")
-
-    def combine(qhz, dst):
-        # dst = shared + qhz, formed in place when every row is in the band
-        if whole:
-            np.add(shared, qhz, out=dst)
-        else:
-            dst[rows] = np.add(shared, qhz, out=qhz)
-
     h = h[:, None]
     g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
     # shared = q * g * z2, with z2 = dW2 / root_w held in z3's slab
-    z2 = np.divide(gather(dW2, z3), root_w, out=z3)
+    z2 = np.divide(np.take(dW2, rows, axis=0, out=z3, mode="clip"), root_w,
+                   out=z3)
     np.multiply(np.multiply(q, g, out=shared), z2, out=shared)
-    np.divide(gather(dW3, z3), root_w, out=z3)
+    np.divide(np.take(dW3, rows, axis=0, out=z3, mode="clip"), root_w, out=z3)
     # dx = shared + q * h * z3
     qhz = np.multiply(np.multiply(q, h, out=u), z3, out=u)
-    combine(qhz, dx)
+    dx[rows] = np.add(shared, qhz, out=qhz)
     if n_act:
         a = slice(0, n_act)
-        xa, ya = (x, y) if whole else (
-            np.take(x, rows[a], axis=0, out=u[a], mode="clip"),
-            np.take(y, rows[a], axis=0, out=v[a], mode="clip"))
-        reflect_apply(space, xa, ya, params.n, z3[a], out=z3[a],
-                      scratch=(u[a], v[a]))
+        reflect_apply(space,
+                      np.take(x, rows[a], axis=0, out=u[a], mode="clip"),
+                      np.take(y, rows[a], axis=0, out=v[a], mode="clip"),
+                      params.n, z3[a], out=z3[a], scratch=(u[a], v[a]))
     # dy = shared + q * h * z3, z3 now reflected on the active rows
     qhz = np.multiply(np.multiply(q, h, out=u), z3, out=u)
-    combine(qhz, dy)
+    dy[rows] = np.add(shared, qhz, out=qhz)
 
 
 def _qn_quantities(space: SpectralSpace, v: np.ndarray, n: int):

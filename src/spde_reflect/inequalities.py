@@ -494,18 +494,24 @@ def check_scalar_mean_value(r: float, batch) -> ConditionReport:
                               None, check, lambda r: {"r": r}, given=r)
 
 
+def _worked_eps(gamma: float, d: int, delta: float, kappa: float) -> float:
+    """The worked eps = (2 gamma - kappa d delta) / (2 gamma) of the Nash
+    gate and of the SB spectrum gate."""
+    return (2.0 * gamma - kappa * d * delta) / (2.0 * gamma)
+
+
 def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,
                        d: int | None = None, delta: float | None = None,
                        kappa: float | None = None):
     """Gate m < 2(1+r)/(1-r), plus the worked eps-window when spectrum data
-    is supplied (eps = (2 gamma - kappa d delta) / (2 gamma))."""
+    is supplied (eps of ``_worked_eps``)."""
     _nash_rule(m, r)
     bound = 2.0 * (1.0 + r) / (1.0 - r)
     ok = m < bound
     consts = {"m": m, "bound": bound}
     notes = ""
     if None not in (gamma, d, delta, kappa):
-        eps = (2.0 * gamma - kappa * d * delta) / (2.0 * gamma)
+        eps = _worked_eps(gamma, d, delta, kappa)
         eps_hi = (1.0 - r) * m / (2.0 * (1.0 + r))
         consts.update({"eps": eps, "eps_hi": eps_hi})
         ok = ok and (0.0 < eps < eps_hi)

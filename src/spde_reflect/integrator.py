@@ -90,18 +90,20 @@ many chunks, the last one filled up with retired rows (stepped, never
 written back).  The short tail chunk of the batch's last block keeps its
 place after them and its order, because its rows' bits come from its own
 short product; a full chunk's rows keep theirs wherever they sit in it
-(``tests/test_spaces.py`` asserts this of the BLAS build).  A packed step
-draws the keyed channels in batch layout, for the blocks holding an
-unretired row and, for the reflected channel, the blocks holding a row in
-the band, as the unpacked step decides them, and gathers them into the
-packed rows; until the first repack the step is the unpacked one.  The
-old buffer set is dropped before the packed one is built, and its noise
-grid keeps the batch-layout channels.  The
-condition suite in ``cli`` hands it one group of checkers per worker and,
-once the mean-value pairs are drawn, one slab-aligned range of them per
-worker (split by ``path_batches`` too), which the children read
-copy-on-write.  Both take the worker count from ``run --threads``, else
-the usable CPUs (``check-conditions`` always uses the usable CPUs).
+(``tests/test_spaces.py`` asserts this of the BLAS build).  Every step
+draws the keyed channels in batch layout into the first buffer set's
+noise grid, for the blocks holding an unretired row and, for the
+reflected channel, the blocks holding a stepped row in the band; until
+the first repack batch layout is the step's, and after it the channels
+are gathered into the packed rows.  A block whose rows have all retired
+is not drawn, and no live row's noise depends on the packing.  At a
+repack the old buffer set is dropped, but for that noise grid, before
+the packed one is built.  The condition suite in ``cli`` hands it one
+group of checkers per worker and, once the mean-value pairs are drawn, one
+slab-aligned range of them per worker (split by ``path_batches`` too),
+which the children read copy-on-write.  Both take the worker count from
+``run --threads``, else the usable CPUs (``check-conditions`` always uses
+the usable CPUs).
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ import pickle
 import traceback
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -467,9 +469,10 @@ def _block_noise(config: SimConfig, step_index: int, path_lo: int,
     other block are zero."""
     lo, hi = path_lo, path_lo + out.shape[1]
     edges = [lo, *range(lo - lo % BLOCK_ROWS + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
+    hits = (repeat(True) if need is None else
+            np.logical_or.reduceat(need, np.subtract(edges[:-1], lo)))
     # adjacent blocks that need drawing are drawn by one call
-    for hit, run in groupby(zip(edges, edges[1:]), key=lambda e: (
-            need is None or bool(np.any(need[e[0] - lo:e[1] - lo])))):
+    for hit, run in groupby(zip(edges, edges[1:], hits), key=lambda e: e[2]):
         run = list(run)
         a, b = run[0][0], run[-1][1]
         if hit:
@@ -774,7 +777,9 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         stepped, live = np.arange(rows), ~retired(st)
         chunks = head // BLOCK_ROWS
         work = StepBuffers(space, rows)
-        noise = None                 # the keyed channels in batch layout
+        # the keyed channels in batch layout: the first set's noise grid,
+        # which st's rows read in place until the first repack
+        noise = work.noise
         # every row's state in batch order, a retired row's as it was on the
         # step it retired at; kept apart from st only once a row retires,
         # so that a run retiring none allocates as an unpacked one does
@@ -794,30 +799,24 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                 q_out[lo:hi, i] = q_norm(space, d)
 
         def repack():
-            nonlocal st, stepped, live, chunks, work, noise
+            nonlocal st, stepped, live, chunks, work
             gone = retired(synced())
             kept = np.flatnonzero(~gone[:head])
             chunks = -(-kept.size // BLOCK_ROWS)
             pad = np.flatnonzero(gone[:head])[:chunks * BLOCK_ROWS - kept.size]
             stepped = np.concatenate([kept, pad, np.arange(head, rows)])
             live = ~gone[stepped]
-            # the old buffers' noise grid holds the batch's channels, and
-            # the rest of them is dropped before the packed set is built
-            if noise is None:
-                noise = work.noise
+            # the old set is dropped, but for its noise grid, before the
+            # packed one is built
             work = None
             st = replace(st, **{f: getattr(full, f)[stepped]
                                 for f in _PATH_FIELDS})
             work = StepBuffers(space, stepped.size)
 
         def step():
-            if noise is None:
-                return step_coupled(space, model, params, config, st,
-                                    path_lo=lo, synchronous=synchronous,
-                                    work=work)
             # the keyed blocks holding an unretired row are drawn in batch
-            # layout, with the unpacked step's per-block band decision, and
-            # gathered into st's rows
+            # layout, the reflected channel by the per-block band decision,
+            # and once the batch has repacked gathered into st's rows
             drawn = np.zeros(rows, dtype=bool)
             drawn[stepped[live]] = True
             in_band = None
@@ -826,12 +825,13 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                 in_band[stepped] = params.n * st.dist > 0.5
             dw = _step_noise(model, config, st.step_index, lo, drawn,
                              in_band, noise)
-            packed = tuple(None if a is None else
+            if work.noise is not noise:
+                dw = tuple(None if a is None else
                            np.take(a, stepped, axis=0, out=b, mode="clip")
                            for a, b in zip(dw, work.noise))
-            return step_coupled(space, model, params, config, st,
-                                noise=packed, path_lo=lo,
-                                synchronous=synchronous, work=work)
+            return step_coupled(space, model, params, config, st, noise=dw,
+                                path_lo=lo, synchronous=synchronous,
+                                work=work)
 
         n_steps = config.n_steps
         for k in range(n_steps + 1):

@@ -566,6 +566,30 @@ COND_SUITES = {
 }
 
 
+@pytest.mark.parametrize("gamma, delta, kappa", [
+    (1.0, 0.6, 3.0), (1.5, 0.6, 2.0), (2.0, 0.9, 3.0), (0.5, 0.3, 1.0)])
+def test_nash_and_sb_gates_share_the_worked_eps(monkeypatch, gamma, delta,
+                                                kappa):
+    # at (1.5, 0.6, 2) the forms 1 - kappa delta / (2 gamma) and
+    # (2 gamma - kappa delta) / (2 gamma) differ in the last bit
+    cfg = parse_config(f"[space]\ngamma = {gamma}\nq_decay = {delta}\n"
+                       "[model]\nfamily = fastdiff\nr = 0.5\n"
+                       "[conditions]\nwhich = spectrum, nash\n"
+                       f"kappa = {kappa}\n")
+    given = []
+    check = cli.iq.check_spectrum_condition
+
+    def recorded(which, params):
+        given.append((which, params.eps))
+        return check(which, params)
+
+    monkeypatch.setattr(cli.iq, "check_spectrum_condition", recorded)
+    cli._exact_gate(cfg, "spectrum")
+    nash = cli._exact_gate(cfg, "nash")["nash"]
+    sb = [eps for which, eps in given if which == "SB"]
+    assert sb == [nash["fitted_constants"]["eps"]]
+
+
 @pytest.mark.parametrize("suite", sorted(COND_SUITES))
 def test_condition_reports_worker_count_deterministic(suite, monkeypatch):
     # the first sampled group runs in this process and the others are dealt
@@ -811,11 +835,15 @@ def test_run_frees_the_ensemble_before_the_conditions(tmp_path, monkeypatch):
      False),
     (MINIMAL + SHORT + "n_paths = 16\nx0 = 0.5\ny0 = 0.5\n"
      "[experiments]\nwhich = survival\n", False),
-], ids=["default", "dump_paths", "marginal_ou", "single_equation"])
+    (MINIMAL + SHORT + "n_paths = 16\n[experiments]\nwhich = survival\n"
+     "[output]\ndump_paths = true\nformats = json\n", True),
+], ids=["default", "dump_paths", "marginal_ou", "single_equation",
+        "dump_paths_json"])
 def test_run_retires_glued_pairs_unless_their_x_is_read(tmp_path, monkeypatch,
                                                         text, retire):
     # marginal_ou and paths.csv read a glued path's own x, and a
-    # single-equation run is glued from the start
+    # single-equation run is glued from the start; dump_paths without csv
+    # among the formats writes no paths.csv
     seen = []
     run_paths = cli.run_paths
 

@@ -871,9 +871,11 @@ def test_run_paths_has_no_single_mode(porous_space, porous_linear):
                   "single", x0=x0, y0=x0)
 
 
-def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=()):
-    """The record fields of a coupled run whose loop steps every row to the
-    horizon, in one batch, with the step's own keyed noise."""
+def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=(),
+                      synchronous=False):
+    """The record fields of a coupled (or ``synchronous``) run whose loop
+    steps every row to the horizon, in one batch, with the step's own keyed
+    noise."""
     p = cfg.n_paths
     st = make_coupling_state(space, params, np.tile(x0, (p, 1)),
                              np.tile(y0, (p, 1)), delta_grid=delta_grid)
@@ -891,7 +893,8 @@ def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=()):
         if k == cfg.n_steps:
             break
         before = st.failed
-        st = step_coupled(space, model, params, cfg, st, work=work)
+        st = step_coupled(space, model, params, cfg, st,
+                          synchronous=synchronous, work=work)
         fail_time[st.failed & ~before] = st.time
     out = {name: np.stack(v, axis=1) for name, v in out.items()}
     out.update({name: getattr(st, name) for name in (
@@ -995,25 +998,29 @@ def test_batch_with_every_row_retired_stops_stepping(porous_r2, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("retire_glued", [False, True],
-                         ids=["keep_glued", "retire_glued"])
+@pytest.mark.parametrize("which, retire_glued", [
+    ("coupled", False), ("coupled", True), ("synchronous", True)],
+    ids=["keep_glued", "retire_glued", "synchronous"])
 def test_failed_rows_retire_with_their_failure_records(porous_space, porous_r2,
                                                        monkeypatch, threads,
-                                                       retire_glued):
+                                                       which, retire_glued):
     # the explicit scheme past its stability limit, as in
-    # test_run_paths_coupled_overflow_isolated: 597 of 600 pairs fail
-    # between t = 0.00375 and 0.0095, so the failed rows of the first
+    # test_run_paths_coupled_overflow_isolated: 597 of 600 coupled pairs
+    # fail between t = 0.00375 and 0.0095, and 543 synchronous pairs from
+    # 1.6 e_1 between t = 0.00425 and 0.01, so the failed rows of the first
     # 512 are repacked into one chunk; the failures, their times and modes
     # and every other field are those of a loop stepping every row
     cfg = SimConfig(dt=2.5e-4, horizon=0.01, n_paths=600, master_seed=16,
                     checkpoint_times=(0.0, 0.004, 0.005, 0.006, 0.01),
                     scheme="explicit")
     params = CouplingParams(n=2)
-    x0 = e_k(16, 1, 2.0)
-    ref = _every_row_record(porous_space, porous_r2, params, cfg, x0, -x0)
+    synchronous = which == "synchronous"
+    x0 = e_k(16, 1, 1.6 if synchronous else 2.0)
+    ref = _every_row_record(porous_space, porous_r2, params, cfg, x0, -x0,
+                            synchronous=synchronous)
     rows = _count_step_rows(monkeypatch)
-    rec = run_paths(porous_space, porous_r2, params, cfg, x0=x0, y0=-x0,
-                    threads=threads, retire_glued=retire_glued)
+    rec = run_paths(porous_space, porous_r2, params, cfg, which, x0=x0,
+                    y0=-x0, threads=threads, retire_glued=retire_glued)
     assert 0 < len(rec.failures) < cfg.n_paths
     _assert_retired_record(rec, ref, retire_glued)
     if threads == 1:
