@@ -83,27 +83,29 @@ block-aligned batch per worker, which writes into shared pages.
 
 A batch steps only its unretired rows: a failed path retires, and with
 ``run_paths(retire_glued=True)`` so does a glued pair, keeping the state
-of the step it retired at.  Retired rows stay in the step until a whole
-chunk can be freed: when the unretired rows of the batch's whole 256-row
-chunks fit in fewer chunks, they are packed, in batch order, into that
-many chunks, the last one filled up with retired rows (stepped, never
-written back).  The short tail chunk of the batch's last block keeps its
-place after them and its order, because its rows' bits come from its own
-short product; a full chunk's rows keep theirs wherever they sit in it
-(``tests/test_spaces.py`` asserts this of the BLAS build).  Every step
-draws the keyed channels in batch layout into the first buffer set's
-noise grid, for the blocks holding an unretired row and, for the
-reflected channel, the blocks holding a stepped row in the band; until
-the first repack batch layout is the step's, and after it the channels
-are gathered into the packed rows.  A block whose rows have all retired
-is not drawn, and no live row's noise depends on the packing.  At a
-repack the old buffer set is dropped, but for that noise grid, before
-the packed one is built.  The condition suite in ``cli`` hands it one
-group of checkers per worker and, once the mean-value pairs are drawn, one
-slab-aligned range of them per worker (split by ``path_batches`` too),
-which the children read copy-on-write.  Both take the worker count from
-``run --threads``, else the usable CPUs (``check-conditions`` always uses
-the usable CPUs).
+of the step it retired at.  A batch holds one state, of its stepped rows:
+a retiring row writes its records (x, y and distances at every later
+checkpoint, and its stopping times) there and then, and a checkpoint
+writes only the unretired rows.  When the unretired rows of the batch's
+whole 256-row chunks fit in fewer chunks, they are packed, in batch
+order, into that many chunks, the last one filled up with retired rows
+(stepped, never written, and never in the band).  The short tail chunk
+of the batch's last block keeps its place after them and its order,
+because its rows' bits come from its own short product; a full chunk's
+rows keep theirs wherever they sit in it (``tests/test_spaces.py``
+asserts this of the BLAS build).  Every step draws the keyed channels in
+batch layout into the first buffer set's noise grid, for the blocks
+holding an unretired row and, for the reflected channel, the blocks
+holding a stepped row in the band; until the first repack batch layout
+is the step's, and after it the channels are gathered into the packed
+rows.  A block whose rows have all retired is not drawn, and no live
+row's noise depends on the packing.  At a repack the old buffer set is
+dropped, but for that noise grid, before the packed one is built.  The
+condition suite in ``cli`` hands it one group of checkers per worker
+and, once the mean-value pairs are drawn, one slab-aligned range of them
+per worker (split by ``path_batches`` too), which the children read
+copy-on-write.  Both take the worker count from ``run --threads``, else
+the usable CPUs (``check-conditions`` always uses the usable CPUs).
 """
 
 from __future__ import annotations
@@ -347,9 +349,9 @@ def make_coupling_state(space: SpectralSpace, params: CouplingParams,
 class StepBuffers:
     """Arrays one coupled step of ``rows`` paths writes its intermediates into.
 
-    Create one set per worker batch and pass it to every step of that
-    batch's rows (``step_coupled(..., work=)``); a set must not be shared
-    between workers.
+    ``run_paths`` creates one set per worker batch and one per repack,
+    and passes it to every step of those rows (``step_coupled(...,
+    work=)``); a set must not be shared between workers.
     """
 
     def __init__(self, space: SpectralSpace, rows: int):
@@ -710,14 +712,6 @@ _PATH_FIELDS = ("x", "y", "coupled", "tau_n", "dist_at_tau_n", "t_n",
                 "tau_delta", "fail_mode", "dist")
 
 
-def _write_back(full: CouplingState, st: CouplingState, rows: np.ndarray,
-                pos) -> None:
-    """Copy the per-path arrays at ``st``'s positions ``pos`` into the
-    batch rows ``rows`` of ``full``."""
-    for name in _PATH_FIELDS:
-        getattr(full, name)[rows] = getattr(st, name)[pos]
-
-
 def run_paths(space: SpectralSpace, model: ModelSpec,
               params: CouplingParams, config: SimConfig,
               which: str = "coupled", *, x0: np.ndarray, y0: np.ndarray,
@@ -772,46 +766,50 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         # first repack; then the unretired rows of the whole chunks, padded
         # with retired rows to whole chunks, and after them the short tail,
         # whose rows' bits rest on its own short product and which so
-        # never moves.  ``live`` marks st's unretired rows.
-        head = rows - rows % BLOCK_ROWS
-        stepped, live = np.arange(rows), ~retired(st)
-        chunks = head // BLOCK_ROWS
+        # never moves.  ``live`` marks st's rows whose records are still to
+        # be written: every row at first, so that a row retiring at step 0
+        # is written too.
+        stepped, live = np.arange(rows), np.ones(rows, dtype=bool)
+        chunks = rows // BLOCK_ROWS
         work = StepBuffers(space, rows)
         # the keyed channels in batch layout: the first set's noise grid,
         # which st's rows read in place until the first repack
         noise = work.noise
-        # every row's state in batch order, a retired row's as it was on the
-        # step it retired at; kept apart from st only once a row retires,
-        # so that a run retiring none allocates as an unpacked one does
-        full = None
 
-        def synced() -> CouplingState:
-            if full is not None:
-                _write_back(full, st, stepped[live], live)
-            return st if full is None else full
+        def write(pos, i, done):
+            # st's rows ``pos`` into their batch rows' records: x, y, h_dist
+            # and q_dist at checkpoint i and, for rows that are ``done``, at
+            # every later one and in the final records.  A slice reads st's
+            # arrays as they are, without a gather
+            out = lo + stepped[pos]
+            cp = slice(i, None if done else i + 1)
+            if i < n_cp:
+                x, y = st.x[pos], st.y[pos]
+                x_out[out, cp], y_out[out, cp] = x[:, None], y[:, None]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    d = x - y
+                    h_out[out, cp] = h_norm(space, d)[:, None]
+                    q_out[out, cp] = q_norm(space, d)[:, None]
+            if done:
+                for name, arr in final.items():
+                    arr[out] = getattr(st, name)[pos]
 
-        def record(i):
-            rec = synced()
-            x_out[lo:hi, i], y_out[lo:hi, i] = rec.x, rec.y
-            with np.errstate(invalid="ignore", over="ignore"):
-                d = rec.x - rec.y
-                h_out[lo:hi, i] = h_norm(space, d)
-                q_out[lo:hi, i] = q_norm(space, d)
+        def rows_of(mask):
+            return slice(None) if mask.all() else np.flatnonzero(mask)
 
         def repack():
             nonlocal st, stepped, live, chunks, work
-            gone = retired(synced())
-            kept = np.flatnonzero(~gone[:head])
+            whole = chunks * BLOCK_ROWS
+            kept = np.flatnonzero(live[:whole])
             chunks = -(-kept.size // BLOCK_ROWS)
-            pad = np.flatnonzero(gone[:head])[:chunks * BLOCK_ROWS - kept.size]
-            stepped = np.concatenate([kept, pad, np.arange(head, rows)])
-            live = ~gone[stepped]
+            pad = np.flatnonzero(~live[:whole])[:-kept.size % BLOCK_ROWS]
+            sel = np.concatenate([kept, pad, np.arange(whole, st.n_paths)])
+            stepped, live = stepped[sel], live[sel]
             # the old set is dropped, but for its noise grid, before the
             # packed one is built
             work = None
-            st = replace(st, **{f: getattr(full, f)[stepped]
-                                for f in _PATH_FIELDS})
-            work = StepBuffers(space, stepped.size)
+            st = replace(st, **{f: getattr(st, f)[sel] for f in _PATH_FIELDS})
+            work = StepBuffers(space, sel.size)
 
         def step():
             # the keyed blocks holding an unretired row are drawn in batch
@@ -835,30 +833,22 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
         n_steps = config.n_steps
         for k in range(n_steps + 1):
-            # rows that retire keep the state of this step boundary; a step
-            # leaves the state it starts from unchanged, so the first state
-            # with a retired row can hold every row from then on
-            gone = live & retired(st)
+            # a row that retires at this step boundary, and at the horizon
+            # every row still live, writes its records once, here
+            gone = live & (retired(st) | (k == n_steps))
             if np.any(gone):
-                if full is None:
-                    full = st
-                pos = np.flatnonzero(gone)
-                _write_back(full, st, stepped[pos], pos)
-                fail_time[lo:hi][stepped[pos[st.failed[pos]]]] = st.time
+                pos = rows_of(gone)
+                write(pos, np.searchsorted(cps, k), True)
+                fail_time[lo + stepped[pos][st.failed[pos]]] = st.time
                 live[pos] = False
                 # repack once a whole chunk can be freed
                 n_live = np.count_nonzero(live[:chunks * BLOCK_ROWS])
                 if k < n_steps and -(-n_live // BLOCK_ROWS) < chunks:
                     repack()
-            if k in cp_index:
-                record(cp_index[k])
-            if k == n_steps:
-                break
             if np.any(live):
+                if k in cp_index:
+                    write(rows_of(live), cp_index[k], False)
                 st = step()
-        done = synced()
-        for name, out in final.items():
-            out[lo:hi] = getattr(done, name)
 
     run_forked([partial(run_rows, lo, hi)
                 for lo, hi in path_batches(n_paths, threads)])

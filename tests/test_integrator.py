@@ -979,22 +979,45 @@ def test_retired_pairs_keep_every_other_bit(gluing_pairs, porous_r2,
             assert packed == [cfg.n_paths] and len(rows) == cfg.n_steps
 
 
-def test_batch_with_every_row_retired_stops_stepping(porous_r2, monkeypatch):
+@pytest.mark.parametrize("start, threads", [
+    ("reflected", 1), ("glued", 1), ("glued", 2)],
+    ids=["reflected", "glued-1", "glued-2"])
+def test_batch_with_every_row_retired_stops_stepping(porous_r2, monkeypatch,
+                                                      start, threads):
     # smoke.cfg's single block to t = 0.4: every pair glues, no row is left
-    # to step, and the later checkpoints read the frozen pairs
+    # to step, and the later checkpoints read the frozen pairs.  From
+    # y0 = x0 every row retires at step 0, here in two blocks and an 88-row
+    # tail (two batches, one forked, at two workers), and its records must
+    # still be written: x = y = x0 at every checkpoint, glued at t = 0
     sp = make_space(8, 2.0, q_decay=0.75)
     params = CouplingParams(n=20)
-    cfg = SimConfig(dt=5e-4, horizon=0.4, n_paths=BLOCK_ROWS, master_seed=99,
+    glued = start == "glued"
+    cfg = SimConfig(dt=5e-4, horizon=0.4, master_seed=99,
+                    n_paths=2 * BLOCK_ROWS + 88 if glued else BLOCK_ROWS,
                     checkpoint_times=(0.0, 0.1, 0.2, 0.3, 0.4))
     x0 = e_k(8, 1, 1.4804406601634037)
-    ref = _every_row_record(sp, porous_r2, params, cfg, x0, -x0)
-    rows = _count_step_rows(monkeypatch)
-    rec = run_paths(sp, porous_r2, params, cfg, x0=x0, y0=-x0, threads=1,
-                    retire_glued=True)
+    y0 = x0 if glued else -x0
+    if glued:
+        def never(*args, **kw):
+            raise AssertionError("a retired row was stepped")
+
+        # raising, so that a call in a forked worker fails the run too
+        monkeypatch.setattr(integrator, "step_coupled", never)
+    else:
+        ref = _every_row_record(sp, porous_r2, params, cfg, x0, y0)
+        rows = _count_step_rows(monkeypatch)
+    rec = run_paths(sp, porous_r2, params, cfg, x0=x0, y0=y0,
+                    threads=threads, retire_glued=True)
     assert rec.coupled.all()
-    last = int(round(np.nanmax(rec.t_n) / cfg.dt))
-    assert rows == [BLOCK_ROWS] * last and last < cfg.n_steps
-    _assert_retired_record(rec, ref, True)
+    if glued:
+        _assert_bits_equal(rec.x_coeffs,
+                           np.broadcast_to(x0, rec.x_coeffs.shape), "x_coeffs")
+        _assert_bits_equal(rec.y_coeffs, rec.x_coeffs, "y_coeffs")
+        assert np.all(rec.t_n == 0.0) and np.all(rec.tau_n == 0.0)
+    else:
+        last = int(round(np.nanmax(rec.t_n) / cfg.dt))
+        assert rows == [BLOCK_ROWS] * last and last < cfg.n_steps
+        _assert_retired_record(rec, ref, True)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -198,6 +198,25 @@ def test_full_chunks_keep_every_row_bits(ex41_space):
                 err_msg=f"{name}, tail")
 
 
+@pytest.mark.parametrize("space", ["ex41_space", "plap_space"],
+                         ids=["weighted", "unweighted"])
+def test_norms_of_a_row_subset_keep_their_bits(space, request):
+    # run_paths computes a retiring row's distances on the rows retiring
+    # at that step alone, unpadded; each must have the bits of the same row
+    # in the whole batch
+    sp = request.getfixturevalue(space)
+    gen = np.random.default_rng(29)
+    batch = gen.standard_normal((2 * ROW_CHUNK + 88, sp.n_modes)) / sp.lambdas
+    refs = {f: f(sp, batch) for f in (h_norm, q_norm)}
+    for trial in range(50):
+        rows = np.sort(gen.choice(batch.shape[0], size=gen.integers(1, 41),
+                                  replace=False))
+        for f, ref in refs.items():
+            np.testing.assert_array_equal(
+                f(sp, batch[rows]).view(np.uint64), ref[rows].view(np.uint64),
+                err_msg=f"{f.__name__}, {rows.size} rows")
+
+
 def test_from_grid_zero(porous_space):
     z = from_grid(porous_space, np.zeros(porous_space.nodes.size))
     np.testing.assert_array_equal(z, np.zeros(16))
