@@ -711,6 +711,15 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     """
     t_start = time.perf_counter()
     usage_start = _usage() if resource else None
+    # the peak RSS so far at the end of each phase, to show which set it
+    phase_rss = {}
+
+    def end_phase(name: str) -> float:
+        if resource:
+            (_, rss), (_, w_rss) = _usage()
+            phase_rss[name] = {"self": rss, "largest_worker": w_rss}
+        return time.perf_counter()
+
     if seed is not None:
         cfg = _replaced(cfg, "sim", master_seed=int(seed))
     digest = config_hash(cfg)
@@ -724,11 +733,11 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         # the estimators are skipped; the failed ensemble is the failed check
         results = {"ensemble": exc.args[0]}
         series = {}
-    t_experiments = time.perf_counter()
+    t_experiments = end_phase("experiments")
     conditions = _run_conditions(cfg, threads)
     if conditions:
         results["conditions"] = conditions
-    t_conditions = time.perf_counter()
+    t_conditions = end_phase("conditions")
 
     failures = collect_failures(results)
     summary = {
@@ -743,7 +752,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     if "csv" in cfg["output"]["formats"]:
         for name, (times, vals, errs) in series.items():
             _write_csv(dest / f"{name}.csv", times, vals, errs)
-    t_write = time.perf_counter()
+    t_write = end_phase("write")
     manifest = {
         "config_hash": digest,
         "config": cfg.values,
@@ -765,6 +774,7 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
         manifest["cpu_s"] = {"self": cpu - usage_start[0][0],
                              "workers": w_cpu - usage_start[1][0]}
         manifest["peak_rss_mb"] = {"self": rss, "largest_worker": w_rss}
+        manifest["phase_peak_rss_mb"] = phase_rss
     _write_json(dest / "manifest.json", manifest)
     if failures:
         _write_json(dest / "failures.json", {"failed_checks": failures})

@@ -116,6 +116,7 @@ def cutoff_h_prime_sup() -> float:
 
 _H_PRIME_SUP = None
 _GRID_STEPS = 2_000_000
+_BAND_SLAB = 1_024                   # band rows per _band_increments call
 
 
 def _band_grid(k: np.ndarray) -> np.ndarray:
@@ -190,9 +191,10 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     None.  ``dist`` is |x - y|_H when the caller already has it; ``out`` is
     an optional pair of contiguous arrays shaped like x that receive
     (dx, dy).  ``scratch``, a contiguous float array of at least 4 N values
-    per row of x, holds the rows inside the band while they are worked on
-    (a fresh array when None), and then channel 1 and the B term.  ``y``
-    None (every pair glued) forms dx only, without channel 3.
+    per row of x, holds the rows inside the band while they are worked on,
+    ``_BAND_SLAB`` rows at a time (a fresh array when None), and then
+    channel 1 and the B term.  ``y`` None (every pair glued) forms dx only,
+    without channel 3.
     """
     from .models import b_diag
     x = np.asarray(x, dtype=float)
@@ -212,9 +214,11 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         np.multiply(q, np.divide(dW2, root_w, out=dx), out=dx)
         if y is not None:
             np.copyto(dy, dx)
-    if band.size:
-        _band_increments(space, params, x, y, dW2, dW3, s, band, dx, dy,
-                         scratch)
+    # band rows a slab at a time: each is row-local, so the bits do not
+    # depend on the slab, and the scratch it touches stays small
+    for lo in range(0, band.size, _BAND_SLAB):
+        _band_increments(space, params, x, y, dW2, dW3, s,
+                         band[lo:lo + _BAND_SLAB], dx, dy, scratch)
     if model.has_diffusion:
         # the band rows are done, so the scratch holds z1 and the B term
         if scratch is None:

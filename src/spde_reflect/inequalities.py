@@ -10,7 +10,9 @@ and the worst margin seen.  The terms are formed on slabs of ``_ROW_SLAB``
 drawn states (a multiple of ``spaces.ROW_CHUNK``, so grid products chunk
 as on the whole batch) and validated in slabs of ``_SLAB`` samples, each
 check being elementwise; memory then grows only with the drawn states, and
-the report is bit for bit that of one whole-batch pass.
+the report is bit for bit that of one whole-batch pass.  A validation
+slab's temporaries, up to 17 arrays of ``_SLAB`` doubles (about 1.1 MB),
+fit in a 2 MiB L2 cache.
 
 Spectrum conditions for power-law data q_i = c i^-delta, lambda_i =
 (pi i)^(2 gamma) are decided exactly by the exponent of i in the
@@ -40,7 +42,10 @@ __all__ = [
 
 _REL_TOL = 1e-9
 _VACUOUS = 1e-6                      # median |fitted term| / median |lhs|
-_SLAB = 32_768                       # samples per validation slab
+# samples per validation slab: a slab's temporaries, up to 17 arrays of
+# 8,192 doubles (1.1 MB), fit in a 2 MiB L2 cache, and they are all the
+# memory a check adds to its terms
+_SLAB = 8_192
 _ROW_SLAB = 1_024                    # states per grid slab, 4 ROW_CHUNKs
 
 

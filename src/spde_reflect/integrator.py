@@ -599,6 +599,10 @@ class PathEnsembleRecord:
     state of the step it retired at: NaN once failed, and for a pair
     retired once glued x = y at its gluing time t_n, so that its h_dist and
     q_dist stay 0.
+
+    ``x_coeffs`` and ``y_coeffs`` are indexed (path, checkpoint, mode) but
+    stored mode-major: ``x_coeffs[..., i]``, mode i at every path and
+    checkpoint, is one contiguous (P, C) array.
     """
     checkpoint_times: np.ndarray
     x_coeffs: np.ndarray                 # (P, C, N)
@@ -744,7 +748,9 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     times = np.array([k * config.dt for k in cps])
     synchronous = which != "coupled"
 
-    x_out, y_out = _shared((2, n_paths, n_cp, nm))
+    # mode-major: each mode's (P, C) plane is contiguous, so a read of
+    # the first mode touches that plane alone
+    x_out, y_out = _shared((2, nm, n_paths, n_cp)).transpose(0, 2, 3, 1)
     h_out, q_out = _shared((2, n_paths, n_cp))
     # each path's final CouplingState records, and the time it failed at
     final = {"fail_mode": _shared(n_paths, int), "tau_n": _shared(n_paths),

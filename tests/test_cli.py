@@ -13,6 +13,7 @@ from spde_reflect.cli import (
     ConfigError, parse_config, parse_config_file, config_hash, run,
     main, build_space, build_model, build_coupling, build_sim,
 )
+from spde_reflect.integrator import path_batches
 
 
 MINIMAL = """
@@ -479,6 +480,13 @@ def test_run_repeat_is_byte_identical(tmp_path):
     assert all(v >= 0 for v in phases.values())
     assert phases["experiments"] > 0 and phases["conditions"] > 0
     assert sum(phases.values()) <= manifest["wall_time_s"]
+    # the peak RSS so far at the end of each phase, which never falls
+    peaks = manifest["phase_peak_rss_mb"]
+    assert set(peaks) == set(phases)
+    for who in ("self", "largest_worker"):
+        seq = [peaks[ph][who] for ph in ("experiments", "conditions", "write")]
+        seq.append(manifest["peak_rss_mb"][who])
+        assert seq[0] > 0 and seq == sorted(seq), who
 
 
 def test_run_negative_control_exits_nonzero(tmp_path):
@@ -544,8 +552,9 @@ def test_tiny_kappa_is_a_clean_fail(tmp_path, capsys):
 # small condition suites and the forks they make at 1, 2 and 3 workers:
 # porous (the mean-value group and three state checks), fast diffusion
 # (A1'' and the Nash gate), one of exact gates only, and one whose 100,003
-# mean-value pairs span four validation slabs, split into two ranges at 2
-# and 3 workers (forks: the group workers and one range child)
+# mean-value pairs span several validation slabs, split into one range of
+# whole slabs per worker (forks: a worker per group dealt past the first,
+# and a range child per range past the first)
 COND_SUITES = {
     "porous": (MINIMAL + "[space]\nn_modes = 8\ngamma = 2.0\nq_decay = 0.75\n"
                "[conditions]\nwhich = meanvalue, a1prime, interpolation, "
@@ -562,7 +571,8 @@ COND_SUITES = {
     "slabs": (MINIMAL + "[space]\nn_modes = 8\ngamma = 2.0\nq_decay = 0.75\n"
               "[conditions]\nwhich = meanvalue, a1prime, interpolation\n"
               "samples = 500\nmv_samples = 100003\nkappa = 8.0\n",
-              [0, 2, 3]),
+              [min(3, t) - 1 + len(path_batches(100_003, t, cli.iq._SLAB)) - 1
+               for t in (1, 2, 3)]),
 }
 
 

@@ -586,6 +586,15 @@ def test_mean_value_batch_memory_is_its_pairs():
     assert _traced_peak(lambda: mean_value_batch(n)) <= 16 * n + 2 ** 21
 
 
+def test_mean_value_check_memory_is_one_slab():
+    # the check's temporaries are those of one validation slab, whatever
+    # the number of pairs; 200,000 pairs span several slabs
+    batch = mean_value_batch(200_000, 7)
+    assert batch[0].size > 2 * inequalities._SLAB
+    peak = _traced_peak(lambda: check_scalar_mean_value(0.5, batch))
+    assert peak <= 1.5 * 2 ** 20
+
+
 def test_slabs_propagate_a_nan_margin(monkeypatch):
     margins = np.linspace(-1.0, 1.0, 2017)
     margins[1500] = np.nan                 # in the second of three slabs

@@ -447,6 +447,23 @@ def test_run_paths_worker_count_deterministic_linear(porous_space,
     np.testing.assert_array_equal(rec1.tau_n, rec4.tau_n)
 
 
+@pytest.mark.parametrize("which", ["coupled", "synchronous"])
+def test_record_is_stored_mode_major(porous_space, porous_linear, which):
+    # each mode's (path, checkpoint) plane is contiguous, so a first-mode
+    # read touches that plane alone; the second batch is written by a
+    # forked worker
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=2 * BLOCK_ROWS + 5,
+                    master_seed=3, checkpoint_times=(0.0, 0.005, 0.01))
+    x0 = e_k(16, 1, 0.35 * np.pi)
+    rec = run_paths(porous_space, porous_linear, CouplingParams(n=1), cfg,
+                    which, x0=x0, y0=-x0, threads=2)
+    for coeffs, start in ((rec.x_coeffs, x0), (rec.y_coeffs, -x0)):
+        assert coeffs.shape == (cfg.n_paths, 3, 16)
+        assert coeffs[..., 0].flags.c_contiguous
+        assert np.all(coeffs[:, 0] == start)
+        assert np.all(np.isfinite(coeffs)) and np.all(coeffs[:, -1] != start)
+
+
 @pytest.mark.parametrize("family", ["porous", "plaplace"])
 def test_scalar_split_rate_matches_per_row(porous_space, plap_space,
                                            monkeypatch, family):
