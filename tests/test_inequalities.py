@@ -103,8 +103,10 @@ def _mean_value_batch_whole(n, seed):
     return s1, s2
 
 
+# the edges of one slab, and the edges of four slabs
 @pytest.mark.parametrize("n", [1, inequalities._SLAB - 1, inequalities._SLAB,
-                               inequalities._SLAB + 1, 100_003])
+                               inequalities._SLAB + 1,
+                               32_767, 32_768, 32_769, 100_003])
 @pytest.mark.parametrize("seed", [1234, 7])
 def test_mean_value_batch_streams_the_whole_batch_draws(n, seed):
     got = mean_value_batch(n, seed)
