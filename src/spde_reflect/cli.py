@@ -686,7 +686,7 @@ def _dump_paths_csv(path: Path, rec) -> None:
             tau = rec.tau_n[p_idx]
             for j, t in enumerate(rec.checkpoint_times):
                 row = [str(p_idx), f"{float(t):.17g}",
-                       f"{float(rec.x_coeffs[p_idx, j, 0]):.17g}",
+                       f"{float(rec.x_mode1[p_idx, j]):.17g}",
                        f"{float(rec.h_dist[p_idx, j]):.17g}",
                        f"{float(rec.q_dist[p_idx, j]):.17g}",
                        "" if np.isnan(tau) else f"{float(tau):.17g}",

@@ -310,11 +310,10 @@ def prop21_chain(record: PathEnsembleRecord, space: SpectralSpace) -> dict:
     finite n the exact bound carries an extra Lipschitz tail of order
     e^(K't)/n; the floor is far below it).
     """
-    # f reads mode 0 of every path, failed ones included, so that no copy
-    # of the states is made; the live rows are kept
+    # f is taken of every path, failed ones included, and the live rows kept
     root_w1 = space.root_h_weights[0]
-    fx = np.tanh(root_w1 * record.x_coeffs[..., 0])[record.live]
-    fy = np.tanh(root_w1 * record.y_coeffs[..., 0])[record.live]
+    fx = np.tanh(root_w1 * record.x_mode1)[record.live]
+    fy = np.tanh(root_w1 * record.y_mode1)[record.live]
     est, est_se = mean_se(fx - fy)
     times, surv, surv_se = survival_curve(record)
     osc = 2.0
@@ -375,11 +374,11 @@ def marginal_ou_check(record: PathEnsembleRecord, space: SpectralSpace,
     live = record.live
     m = int(np.sum(live))
     out = {"t": float(t), "mode": 0, "n_paths": m, "sides": {}}
-    for name, coeffs, start in (("x", record.x_coeffs, x0),
-                                ("y", record.y_coeffs, y0)):
+    for name, mode1, start in (("x", record.x_mode1, x0),
+                               ("y", record.y_mode1, y0)):
         mean_th, var_th = ou_oracle(space, model, start, t)
         # mode 0 of h_mode_coeffs, on the checkpoint's live rows
-        c = space.root_h_weights[0] * coeffs[live, j, 0]
+        c = space.root_h_weights[0] * mode1[live, j]
         mean_e, se_mean = floats(mean_se(c))
         var_e = float(np.var(c, ddof=1))
         se_var = float(var_e * np.sqrt(2.0 / (m - 1)))

@@ -82,30 +82,30 @@ tasks here and each other in a forked child that pickles its value back
 block-aligned batch per worker, which writes into shared pages.
 
 A batch steps only its unretired rows: a failed path retires, and with
-``run_paths(retire_glued=True)`` so does a glued pair, keeping the state
-of the step it retired at.  A batch holds one state, of its stepped rows:
-a retiring row writes its records (x, y and distances at every later
-checkpoint, and its stopping times) there and then, and a checkpoint
-writes only the unretired rows.  When the unretired rows of the batch's
-whole 256-row chunks fit in fewer chunks, they are packed, in batch
-order, into that many chunks, the last one filled up with retired rows
-(stepped, never written, and never in the band).  The short tail chunk
-of the batch's last block keeps its place after them and its order,
-because its rows' bits come from its own short product; a full chunk's
-rows keep theirs wherever they sit in it (``tests/test_spaces.py``
+``run_paths(retire_glued=True)`` so does a glued pair.  A batch holds one
+state, of its stepped rows.  A row writes its records when it retires, or
+at the horizon: its full x and y, its stopping times, and mode 1 of x and
+y and the distances at every later checkpoint.  A checkpoint writes only
+the unretired rows, and of their states only mode 1.  When the unretired
+rows of the batch's whole 256-row chunks fit in fewer chunks, they are
+packed, in batch order, into that many chunks, the last one filled up
+with retired rows (stepped, never written, and never in the band).  The
+short tail chunk of the batch's last block keeps its place after them and
+its order, because its rows' bits come from its own short product; a full
+chunk's rows keep theirs wherever they sit in it (``tests/test_spaces.py``
 asserts this of the BLAS build).  Every step draws the keyed channels in
 batch layout into the first buffer set's noise grid, for the blocks
 holding an unretired row and, for the reflected channel, the blocks
-holding a stepped row in the band; until the first repack batch layout
-is the step's, and after it the channels are gathered into the packed
-rows.  A block whose rows have all retired is not drawn, and no live
-row's noise depends on the packing.  At a repack the old buffer set is
-dropped, but for that noise grid, before the packed one is built.  The
-condition suite in ``cli`` hands it one group of checkers per worker
-and, once the mean-value pairs are drawn, one slab-aligned range of them
-per worker (split by ``path_batches`` too), which the children read
-copy-on-write.  Both take the worker count from ``run --threads``, else
-the usable CPUs (``check-conditions`` always uses the usable CPUs).
+holding a stepped row in the band; until the first repack batch layout is
+the step's, and after it the channels are gathered into the packed rows.
+A block whose rows have all retired is not drawn, and no live row's noise
+depends on the packing.  At a repack the old buffer set is dropped, but
+for that noise grid, before the packed one is built.  The condition suite
+in ``cli`` hands it one group of checkers per worker and, once the
+mean-value pairs are drawn, one slab-aligned range of them per worker
+(split by ``path_batches`` too), which the children read copy-on-write.
+Both take the worker count from ``run --threads``, else the usable CPUs
+(``check-conditions`` always uses the usable CPUs).
 """
 
 from __future__ import annotations
@@ -593,22 +593,23 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
 
 @dataclass
 class PathEnsembleRecord:
-    """Per-path checkpoint observables of a Monte Carlo run.
+    """Per-path observables of a Monte Carlo run.
 
-    A path retired from the step keeps, at every later checkpoint, the
-    state of the step it retired at: NaN once failed, and for a pair
-    retired once glued x = y at its gluing time t_n, so that its h_dist and
-    q_dist stay 0.
-
-    ``x_coeffs`` and ``y_coeffs`` are indexed (path, checkpoint, mode) but
-    stored mode-major: ``x_coeffs[..., i]``, mode i at every path and
-    checkpoint, is one contiguous (P, C) array.
+    At each checkpoint the record holds mode 1 of x and y and the H- and
+    Q-norms of x - y over all modes.  ``x_final`` and ``y_final`` hold each
+    path's full state at the step where it stopped being stepped: the step
+    it retired at, else the horizon.  A retired path keeps that state at
+    every later checkpoint: NaN once failed, and for a pair retired once
+    glued x = y at its gluing time t_n, so that its h_dist and q_dist
+    stay 0.
     """
     checkpoint_times: np.ndarray
-    x_coeffs: np.ndarray                 # (P, C, N)
-    y_coeffs: np.ndarray
+    x_mode1: np.ndarray                  # (P, C) mode 1 of x
+    y_mode1: np.ndarray
     h_dist: np.ndarray                   # (P, C) H-norm of x - y
     q_dist: np.ndarray
+    x_final: np.ndarray                  # (P, N) state at the last step
+    y_final: np.ndarray
     tau_n: np.ndarray
     dist_at_tau_n: np.ndarray
     t_n: np.ndarray
@@ -621,7 +622,7 @@ class PathEnsembleRecord:
 
     @property
     def n_paths(self) -> int:
-        return self.x_coeffs.shape[0]
+        return self.x_mode1.shape[0]
 
     @property
     def live(self) -> np.ndarray:
@@ -731,10 +732,9 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
     A path leaves the stepped rows once it has failed, and with
     ``retire_glued`` once it is glued; its record then keeps the state of
-    the step it left at (NaN for a failed path; x = y at its gluing time
-    t_n for a glued one, so its h_dist and q_dist stay 0).  A retired pair
-    can no longer fail.  Without ``retire_glued`` a glued pair is stepped
-    to the horizon, for callers that read its own x.
+    the step it left at, in ``x_final`` and ``y_final`` and at every later
+    checkpoint (see ``PathEnsembleRecord``).  A retired pair can no longer
+    fail.  Without ``retire_glued`` a glued pair is stepped to the horizon.
     """
     if which not in ("coupled", "synchronous"):
         raise ValueError("which must be coupled or synchronous")
@@ -744,18 +744,17 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     cps = config.checkpoint_steps()
     n_paths = config.n_paths
     n_cp = len(cps)
-    nm = space.n_modes
     times = np.array([k * config.dt for k in cps])
     synchronous = which != "coupled"
 
-    # mode-major: each mode's (P, C) plane is contiguous, so a read of
-    # the first mode touches that plane alone
-    x_out, y_out = _shared((2, nm, n_paths, n_cp)).transpose(0, 2, 3, 1)
+    x_out, y_out = _shared((2, n_paths, n_cp))
     h_out, q_out = _shared((2, n_paths, n_cp))
-    # each path's final CouplingState records, and the time it failed at
-    final = {"fail_mode": _shared(n_paths, int), "tau_n": _shared(n_paths),
-             "dist_at_tau_n": _shared(n_paths), "t_n": _shared(n_paths),
-             "coupled": _shared(n_paths, bool),
+    # each path's final state and CouplingState records, and the time it
+    # failed at
+    x_fin, y_fin = _shared((2, n_paths, space.n_modes))
+    final = {"x": x_fin, "y": y_fin, "fail_mode": _shared(n_paths, int),
+             "tau_n": _shared(n_paths), "dist_at_tau_n": _shared(n_paths),
+             "t_n": _shared(n_paths), "coupled": _shared(n_paths, bool),
              "tau_delta": _shared((n_paths, len(delta_grid)))}
     fail_time = _shared(n_paths)
 
@@ -783,15 +782,16 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         noise = work.noise
 
         def write(pos, i, done):
-            # st's rows ``pos`` into their batch rows' records: x, y, h_dist
-            # and q_dist at checkpoint i and, for rows that are ``done``, at
-            # every later one and in the final records.  A slice reads st's
-            # arrays as they are, without a gather
+            # st's rows ``pos`` into their batch rows' records: mode 1 of x
+            # and y, h_dist and q_dist at checkpoint i and, for rows that
+            # are ``done``, at every later one and in the final state and
+            # records.  A slice reads st's arrays as they are, without a
+            # gather
             out = lo + stepped[pos]
             cp = slice(i, None if done else i + 1)
             if i < n_cp:
                 x, y = st.x[pos], st.y[pos]
-                x_out[out, cp], y_out[out, cp] = x[:, None], y[:, None]
+                x_out[out, cp], y_out[out, cp] = x[:, :1], y[:, :1]
                 with np.errstate(invalid="ignore", over="ignore"):
                     d = x - y
                     h_out[out, cp] = h_norm(space, d)[:, None]
@@ -861,8 +861,8 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     failed = final["fail_mode"] >= 0
     return PathEnsembleRecord(
         checkpoint_times=times,
-        x_coeffs=x_out, y_coeffs=y_out,
-        h_dist=h_out, q_dist=q_out,
+        x_mode1=x_out, y_mode1=y_out, h_dist=h_out, q_dist=q_out,
+        x_final=x_fin, y_final=y_fin,
         tau_n=final["tau_n"], dist_at_tau_n=final["dist_at_tau_n"],
         t_n=final["t_n"], coupled=final["coupled"],
         delta_grid=np.asarray(delta_grid, dtype=float),

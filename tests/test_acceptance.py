@@ -166,8 +166,11 @@ def test_criterion_05_gluing(linear_record, porous_record):
         saw_glued |= bool(np.any(glued))
         for j, t in enumerate(rec.checkpoint_times):
             sel = glued & (rec.t_n <= t)
-            ok &= bool(np.array_equal(rec.x_coeffs[sel, j],
-                                      rec.y_coeffs[sel, j]))
+            ok &= bool(np.array_equal(rec.x_mode1[sel, j],
+                                      rec.y_mode1[sel, j]))
+            ok &= bool(np.all(rec.h_dist[sel, j] == 0.0))
+            ok &= bool(np.all(rec.q_dist[sel, j] == 0.0))
+        ok &= bool(np.array_equal(rec.x_final[glued], rec.y_final[glued]))
     ok &= saw_glued
     _check(5, "glued paths stay identical at every later checkpoint", ok)
 

@@ -269,7 +269,7 @@ def failing_record(porous_space, porous_r2):
     rec = run_paths(porous_space, porous_r2, CouplingParams(n=2), cfg,
                     "coupled", x0=x0, y0=-x0, threads=1)
     assert 0 < np.sum(rec.failed) < cfg.n_paths
-    assert np.isnan(rec.x_coeffs[rec.failed]).any()
+    assert np.isnan(rec.x_final[rec.failed]).all()
     return rec
 
 
@@ -280,14 +280,17 @@ def _bits(a) -> bytes:
 def test_estimators_on_failed_paths_match_the_full_mode_formulas(
         failing_record, porous_space, porous_linear):
     # the estimators read mode 0 of every path and keep the live ones; the
-    # reference scales every mode of the live rows' copies first
+    # reference copies the live rows' mode 0 into full states and scales
+    # every mode of them first
     rec, space = failing_record, porous_space
     live = rec.live
 
-    def f_ref(coeffs):
-        return np.tanh(h_mode_coeffs(space, coeffs)[..., 0])
+    def h_ref(mode1):
+        states = np.zeros(mode1.shape + (space.n_modes,))
+        states[..., 0] = mode1
+        return h_mode_coeffs(space, states)[..., 0]
 
-    d = f_ref(rec.x_coeffs[live]) - f_ref(rec.y_coeffs[live])
+    d = np.tanh(h_ref(rec.x_mode1[live])) - np.tanh(h_ref(rec.y_mode1[live]))
     est = np.mean(d, axis=0)
     se = np.std(d, axis=0, ddof=1) / np.sqrt(d.shape[0])
     _, surv, surv_se = survival_curve(rec)
@@ -300,8 +303,8 @@ def test_estimators_on_failed_paths_match_the_full_mode_formulas(
     x0 = e_k(16, 1, 2.0)
     res = marginal_ou_check(rec, space, porous_linear, x0, -x0, 0.006)
     j = 3
-    for side, coeffs in (("x", rec.x_coeffs), ("y", rec.y_coeffs)):
-        c = h_mode_coeffs(space, coeffs[live, j])[:, 0]
+    for side, mode1 in (("x", rec.x_mode1), ("y", rec.y_mode1)):
+        c = h_ref(mode1[live, j])
         got = res["sides"][side]
         assert got["mean"] == float(np.mean(c))
         assert got["se_mean"] == float(np.std(c, ddof=1) / np.sqrt(c.size))
@@ -313,13 +316,15 @@ def test_estimators_on_failed_paths_match_the_full_mode_formulas(
 def _random_record(space, n_paths, times, seed=0) -> PathEnsembleRecord:
     """A record of Gaussian states and stopping times, nothing stepped."""
     gen = np.random.default_rng(seed)
-    shape = (n_paths, len(times), space.n_modes)
+    shape = (n_paths, len(times))
     tau = np.where(gen.random(n_paths) < 0.5,
                    gen.random(n_paths) * times[-1], np.nan)
     return PathEnsembleRecord(
         checkpoint_times=np.asarray(times, dtype=float),
-        x_coeffs=gen.standard_normal(shape), y_coeffs=gen.standard_normal(shape),
-        h_dist=gen.random(shape[:2]), q_dist=gen.random(shape[:2]),
+        x_mode1=gen.standard_normal(shape), y_mode1=gen.standard_normal(shape),
+        h_dist=gen.random(shape), q_dist=gen.random(shape),
+        x_final=gen.standard_normal((n_paths, space.n_modes)),
+        y_final=gen.standard_normal((n_paths, space.n_modes)),
         tau_n=tau, dist_at_tau_n=gen.random(n_paths), t_n=tau,
         coupled=np.zeros(n_paths, bool), delta_grid=np.zeros(0),
         tau_delta=np.zeros((n_paths, 0)), failed=np.zeros(n_paths, bool),
@@ -327,15 +332,17 @@ def _random_record(space, n_paths, times, seed=0) -> PathEnsembleRecord:
 
 
 def test_prop21_chain_copies_no_states(porous_space):
-    # f reads one mode, so the chain's transients are (P, C), not (P, C, N)
+    # f reads one mode, so the chain's transients are a few (P, C) planes,
+    # well below the 16 planes of one (P, C, N) state
     rec = _random_record(porous_space, 2048, np.linspace(0.0, 0.1, 11))
+    plane = rec.x_mode1.nbytes
     tracemalloc.start()
     try:
         prop21_chain(rec, porous_space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * rec.x_coeffs.nbytes
+    assert peak < 8 * plane
 
 
 def test_survival_regression_fixture():

@@ -221,7 +221,7 @@ def test_ou_variance_oracle(porous_space, porous_linear):
                     checkpoint_times=(0.0, t))
     rec = run_paths(porous_space, porous_linear, CouplingParams(n=1), cfg,
                     "synchronous", x0=np.zeros(16), y0=np.zeros(16), threads=1)
-    c1 = rec.x_coeffs[:, 1, 0] / np.pi      # H-mode coordinate
+    c1 = rec.x_mode1[:, 1] / np.pi          # H-mode coordinate
     target = (1.0 - np.exp(-2.0 * np.pi ** 2 * t)) / (2.0 * np.pi ** 2)
     se = target * np.sqrt(2.0 / (cfg.n_paths - 1))
     assert abs(np.var(c1, ddof=1) - target) < 3.0 * se
@@ -340,9 +340,11 @@ def test_run_paths_driver_transparency(porous_space, porous_linear):
     for k in range(20):
         st = step_coupled(porous_space, porous_linear, params, cfg, st)
         if st.step_index == 10:
-            np.testing.assert_array_equal(rec.x_coeffs[0, 1], st.x[0])
-    np.testing.assert_array_equal(rec.x_coeffs[0, 2], st.x[0])
-    np.testing.assert_array_equal(rec.y_coeffs[0, 2], st.y[0])
+            assert rec.x_mode1[0, 1] == st.x[0, 0]
+            assert rec.h_dist[0, 1] == h_norm(porous_space, st.x - st.y)[0]
+    assert rec.x_mode1[0, 2] == st.x[0, 0] and rec.y_mode1[0, 2] == st.y[0, 0]
+    np.testing.assert_array_equal(rec.x_final[0], st.x[0])
+    np.testing.assert_array_equal(rec.y_final[0], st.y[0])
 
 
 def test_run_paths_worker_count_deterministic(porous_space, monkeypatch):
@@ -442,26 +444,39 @@ def test_run_paths_worker_count_deterministic_linear(porous_space,
                      x0=x0, y0=y0, threads=4)
     assert np.all(params.n * rec1.h_dist[:, 0] > 0.5)
     assert np.any(params.n * rec1.h_dist[:, -1] <= 0.5)
-    np.testing.assert_array_equal(rec1.x_coeffs, rec4.x_coeffs)
-    np.testing.assert_array_equal(rec1.y_coeffs, rec4.y_coeffs)
+    for name in ("x_mode1", "y_mode1", "x_final", "y_final", "h_dist"):
+        np.testing.assert_array_equal(getattr(rec1, name),
+                                      getattr(rec4, name), err_msg=name)
     np.testing.assert_array_equal(rec1.tau_n, rec4.tau_n)
 
 
 @pytest.mark.parametrize("which", ["coupled", "synchronous"])
-def test_record_is_stored_mode_major(porous_space, porous_linear, which):
-    # each mode's (path, checkpoint) plane is contiguous, so a first-mode
-    # read touches that plane alone; the second batch is written by a
+def test_record_holds_no_state_per_checkpoint(porous_space, porous_linear,
+                                              which):
+    # the record keeps mode 1 of x and y at each checkpoint, each a
+    # contiguous (P, C) plane, and one full (P, N) state per path, so it
+    # grows as P (C + N), not P C N; the second batch is written by a
     # forked worker
     cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=2 * BLOCK_ROWS + 5,
                     master_seed=3, checkpoint_times=(0.0, 0.005, 0.01))
     x0 = e_k(16, 1, 0.35 * np.pi)
     rec = run_paths(porous_space, porous_linear, CouplingParams(n=1), cfg,
-                    which, x0=x0, y0=-x0, threads=2)
-    for coeffs, start in ((rec.x_coeffs, x0), (rec.y_coeffs, -x0)):
-        assert coeffs.shape == (cfg.n_paths, 3, 16)
-        assert coeffs[..., 0].flags.c_contiguous
-        assert np.all(coeffs[:, 0] == start)
-        assert np.all(np.isfinite(coeffs)) and np.all(coeffs[:, -1] != start)
+                    which, x0=x0, y0=-x0, delta_grid=(0.5, 1.0), threads=2)
+    p, c, n, d = cfg.n_paths, 3, 16, 2
+    for mode1, final, start in ((rec.x_mode1, rec.x_final, x0),
+                                (rec.y_mode1, rec.y_final, -x0)):
+        assert mode1.shape == (p, c) and mode1.flags.c_contiguous
+        assert final.shape == (p, n)
+        assert np.all(mode1[:, 0] == start[0])
+        assert np.all(np.isfinite(final)) and np.all(mode1[:, -1] != start[0])
+        # the horizon is the last checkpoint, and no row retires
+        _assert_bits_equal(mode1[:, -1], final[:, 0], "horizon")
+    arrays = [v for v in vars(rec).values() if isinstance(v, np.ndarray)]
+    assert max(a.ndim for a in arrays) == 2
+    # times, four (P, C) planes, two (P, N) states, three float and two
+    # bool per-path records, the delta grid and the (P, D) tau_delta
+    assert sum(a.nbytes for a in arrays) == (
+        8 * (c + 4 * p * c + 2 * p * n + 3 * p + d + p * d) + 2 * p)
 
 
 @pytest.mark.parametrize("family", ["porous", "plaplace"])
@@ -512,8 +527,8 @@ def test_run_paths_single_matches_marginal_law(porous_space, porous_linear):
                        SimConfig(dt=2e-4, horizon=t, n_paths=4000,
                                  master_seed=14, checkpoint_times=(t,)),
                        "synchronous", x0=x0, y0=x0, threads=1)
-    a = coupled.x_coeffs[:, 0, 0]
-    b = single.x_coeffs[:, 0, 0]
+    a = coupled.x_mode1[:, 0]
+    b = single.x_mode1[:, 0]
     se_mean = np.sqrt(np.var(a) / a.size + np.var(b) / b.size)
     assert abs(a.mean() - b.mean()) < 3.0 * se_mean
     se_var = np.sqrt(2.0) * np.var(a, ddof=1) * np.sqrt(2.0 / (a.size - 1))
@@ -531,8 +546,10 @@ def test_glued_forever_in_ensemble(ex41_space, porous_r2):
     assert np.any(glued), "expected some paths to glue in this configuration"
     for j, t in enumerate(rec.checkpoint_times):
         sel = glued & (rec.t_n <= t)
-        np.testing.assert_array_equal(rec.x_coeffs[sel, j],
-                                      rec.y_coeffs[sel, j])
+        np.testing.assert_array_equal(rec.x_mode1[sel, j],
+                                      rec.y_mode1[sel, j])
+        assert np.all(rec.h_dist[sel, j] == 0.0)
+    np.testing.assert_array_equal(rec.x_final[glued], rec.y_final[glued])
     # tau_n is never later than the gluing time
     both = ~np.isnan(rec.tau_n) & ~np.isnan(rec.t_n)
     assert np.all(rec.tau_n[both] <= rec.t_n[both])
@@ -571,12 +588,17 @@ def test_run_paths_coupled_overflow_isolated(porous_space, porous_r2):
         assert isinstance(mode, int) and 0 <= mode < 16
         after = rec.checkpoint_times >= t - 1e-12
         assert np.any(after)
-        assert np.all(np.isnan(rec.x_coeffs[path, after]))
-        assert np.all(np.isnan(rec.y_coeffs[path, after]))
-        assert np.all(np.isfinite(rec.x_coeffs[path, ~after]))
+        for a in (rec.x_mode1, rec.y_mode1, rec.h_dist, rec.q_dist):
+            assert np.all(np.isnan(a[path, after]))
+        # the distances of a finite pair may overflow before it fails
+        for a in (rec.x_mode1, rec.y_mode1):
+            assert np.all(np.isfinite(a[path, ~after]))
+        assert not np.any(np.isnan(rec.h_dist[path, ~after]))
+        assert np.all(np.isnan(rec.x_final[path]))
+        assert np.all(np.isnan(rec.y_final[path]))
     live = ~rec.failed
-    assert np.all(np.isfinite(rec.x_coeffs[live]))
-    assert np.all(np.isfinite(rec.y_coeffs[live]))
+    for a in (rec.x_mode1, rec.y_mode1, rec.x_final, rec.y_final):
+        assert np.all(np.isfinite(a[live]))
 
 
 def test_step_coupled_records_first_nonfinite_mode(porous_space, porous_r2):
@@ -820,12 +842,14 @@ def _sha256(a):
 
 FROZEN_BITS = {
     "single": {
-        "x_coeffs": "7306d3969ece2e5c35d102a8b128ae644f0d0edd8fca8f83ce49e5a74140d020",
+        "x_mode1": "04b2a5128c594370e2afbccfd948840ddadfbd466c4b812632882d70c32a79b9",
+        "x_final": "834f541f0cc887404234bca1a57d2a89d3ff5913ac79a67f43f89363c8abca73",
         "failed": "02f5faed77fe8bfd93460aecc815b3d62ed0cbfbd67fc91ff40736ff40edd100",
         "failures": "236e0292b741b523da491fbe043131014326b8b7b50342f73577bb56a0a85436",
     },
     "synchronous": {
-        "x_coeffs": "0c0e78e97cdf97856600851c7abb6fac6115925a5478eab0994de0a8cbe6d2e3",
+        "x_mode1": "710b25c0c611b7d1998b34af17cf8cc776328bad4edb2c3db9b00faa0fab8df0",
+        "x_final": "1debb123f7361f5091c8a27567717cdafc0ee78454eff960b4361efb43721e3a",
         "failed": "9e752bacd368eaab25506d686f64c9b2e46830fb66a9dda58c9f3190be898da1",
         "failures": "22f83e71103af21edb20634b6115b9b0b928ee8425daba98ef90982a7cc5f965",
         "h_dist": "0c0e32a69dbb293cbe5e266dc9a5cc93d2000e24147223816f370c55805c4b71",
@@ -848,7 +872,8 @@ def test_single_and_synchronous_bits_frozen(porous_space, which, threads):
     rec = run_paths(porous_space, model, CouplingParams(n=2), cfg,
                     "synchronous", x0=x0, y0=x0 if which == "single" else -x0,
                     threads=threads)
-    got = {"x_coeffs": _sha256(rec.x_coeffs), "failed": _sha256(rec.failed),
+    got = {"x_mode1": _sha256(rec.x_mode1), "x_final": _sha256(rec.x_final),
+           "failed": _sha256(rec.failed),
            "failures": _sha256(np.array([(p, m) for p, _t, m in rec.failures]))}
     if which == "synchronous":
         got["h_dist"] = _sha256(rec.h_dist)
@@ -870,7 +895,8 @@ def test_glued_pair_record(porous_space, threads):
                     "synchronous", x0=x0, y0=x0, delta_grid=(0.5,),
                     threads=threads)
     assert 0 < len(rec.failures) < cfg.n_paths
-    _assert_bits_equal(rec.y_coeffs, rec.x_coeffs, "y_coeffs")
+    _assert_bits_equal(rec.y_mode1, rec.x_mode1, "y_mode1")
+    _assert_bits_equal(rec.y_final, rec.x_final, "y_final")
     live = rec.live
     assert np.all(rec.h_dist[live] == 0.0) and np.all(rec.q_dist[live] == 0.0)
     assert rec.coupled.all() and rec.n == 2
@@ -892,20 +918,25 @@ def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=(),
                       synchronous=False):
     """The record fields of a coupled (or ``synchronous``) run whose loop
     steps every row to the horizon, in one batch, with the step's own keyed
-    noise."""
+    noise; ``x_final`` and ``y_final`` are the states at the horizon, and
+    ``x_glued`` and ``y_glued`` those at each pair's gluing step (NaN for a
+    pair that never glues)."""
     p = cfg.n_paths
     st = make_coupling_state(space, params, np.tile(x0, (p, 1)),
                              np.tile(y0, (p, 1)), delta_grid=delta_grid)
     work = StepBuffers(space, p)
     cps = cfg.checkpoint_steps()
-    out = {"x_coeffs": [], "y_coeffs": [], "h_dist": [], "q_dist": []}
+    out = {"x_mode1": [], "y_mode1": [], "h_dist": [], "q_dist": []}
     fail_time = np.full(p, np.nan)
+    x_glued, y_glued = np.full((2, p, space.n_modes), np.nan)
     for k in range(cfg.n_steps + 1):
+        now = st.t_n == st.time
+        x_glued[now], y_glued[now] = st.x[now], st.y[now]
         if k in cps:
             with np.errstate(invalid="ignore", over="ignore"):
                 d = st.x - st.y
-                for name, v in zip(out, (st.x, st.y, h_norm(space, d),
-                                         q_norm(space, d))):
+                for name, v in zip(out, (st.x[:, 0], st.y[:, 0],
+                                         h_norm(space, d), q_norm(space, d))):
                     out[name].append(v)
         if k == cfg.n_steps:
             break
@@ -916,28 +947,35 @@ def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=(),
     out = {name: np.stack(v, axis=1) for name, v in out.items()}
     out.update({name: getattr(st, name) for name in (
         "tau_n", "dist_at_tau_n", "t_n", "coupled", "tau_delta", "failed")})
+    out.update(x_final=st.x, y_final=st.y, x_glued=x_glued, y_glued=y_glued)
     out["failures"] = [(int(q), float(fail_time[q]), int(st.fail_mode[q]))
                        for q in np.flatnonzero(st.failed)]
     return out
 
 
 def _assert_retired_record(rec, ref, retire_glued):
-    """rec is ref, except that with ``retire_glued`` a glued pair's x and y
-    stay at their equal state of its gluing time."""
+    """rec is ref, except that with ``retire_glued`` a glued pair keeps its
+    x and y of its gluing time, in its final state and at every later
+    checkpoint.  So each row's final state is ref's at the step it left
+    the step, and, the horizon being the last checkpoint, mode 1 there is
+    that of the final state."""
     for name in ("tau_n", "dist_at_tau_n", "t_n", "coupled", "tau_delta",
                  "failed", "h_dist", "q_dist"):
         _assert_bits_equal(getattr(rec, name), ref[name], name)
     assert rec.failures == ref["failures"]
-    glued = rec.t_n[:, None] <= rec.checkpoint_times
-    if not retire_glued:
-        glued[:] = False
-    for name in ("x_coeffs", "y_coeffs"):
-        _assert_bits_equal(getattr(rec, name)[~glued], ref[name][~glued], name)
-    _assert_bits_equal(rec.x_coeffs[glued], rec.y_coeffs[glued], "glued")
-    first = np.argmax(glued, axis=1)
-    frozen = rec.x_coeffs[np.arange(rec.n_paths), first][:, None]
-    _assert_bits_equal(np.where(glued[..., None], frozen, rec.x_coeffs),
-                       rec.x_coeffs, "frozen")
+    # a row leaves the step at its gluing step when it retires glued, else
+    # at the horizon, where a failed row holds the NaN of its failure step
+    retired = ~np.isnan(rec.t_n[:, None]) & retire_glued
+    glued = (rec.t_n[:, None] <= rec.checkpoint_times) & retire_glued
+    for side in "xy":
+        final = np.where(retired, ref[side + "_glued"], ref[side + "_final"])
+        _assert_bits_equal(getattr(rec, side + "_final"), final,
+                           side + "_final")
+        _assert_bits_equal(getattr(rec, side + "_mode1"),
+                           np.where(glued, final[:, :1], ref[side + "_mode1"]),
+                           side + "_mode1")
+        _assert_bits_equal(getattr(rec, side + "_final")[:, 0],
+                           getattr(rec, side + "_mode1")[:, -1], "horizon")
 
 
 def _count_step_rows(monkeypatch):
@@ -967,16 +1005,16 @@ def gluing_pairs(porous_r2):
     return sp, params, cfg, x0, (d0, 2 * d0), ref
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("retire_glued", [False, True],
                          ids=["keep_glued", "retire_glued"])
 def test_retired_pairs_keep_every_other_bit(gluing_pairs, porous_r2,
                                             monkeypatch, threads,
                                             retire_glued):
-    # four blocks and a 76-row tail, which two workers split 768/332; as
-    # pairs glue, the stepped rows are repacked into fewer whole chunks.
-    # The record is that of a loop stepping every row, but for a retired
-    # pair's x and y
+    # four blocks and a 76-row tail, which two workers split 768/332 and
+    # three 512/512/76; as pairs glue, the stepped rows are repacked into
+    # fewer whole chunks.  The record is that of a loop stepping every row,
+    # but for a retired pair's x and y
     sp, params, cfg, x0, deltas, ref = gluing_pairs
     rows = _count_step_rows(monkeypatch)
     rec = run_paths(sp, porous_r2, params, cfg, x0=x0, y0=-x0,
@@ -985,7 +1023,7 @@ def test_retired_pairs_keep_every_other_bit(gluing_pairs, porous_r2,
     assert rec.coupled.all() and not rec.failed.any()
     _assert_retired_record(rec, ref, retire_glued)
     # a retired pair is frozen, not stepped on
-    assert np.any(rec.x_coeffs != ref["x_coeffs"]) == retire_glued
+    assert np.any(rec.x_final != ref["x_final"]) == retire_glued
     if threads == 1:
         packed = sorted(set(rows), reverse=True)
         if retire_glued:
@@ -1027,9 +1065,13 @@ def test_batch_with_every_row_retired_stops_stepping(porous_r2, monkeypatch,
                     threads=threads, retire_glued=True)
     assert rec.coupled.all()
     if glued:
-        _assert_bits_equal(rec.x_coeffs,
-                           np.broadcast_to(x0, rec.x_coeffs.shape), "x_coeffs")
-        _assert_bits_equal(rec.y_coeffs, rec.x_coeffs, "y_coeffs")
+        _assert_bits_equal(rec.x_mode1, np.full(rec.x_mode1.shape, x0[0]),
+                           "x_mode1")
+        _assert_bits_equal(rec.y_mode1, rec.x_mode1, "y_mode1")
+        for final in (rec.x_final, rec.y_final):
+            _assert_bits_equal(final, np.broadcast_to(x0, final.shape),
+                               "final")
+        assert np.all(rec.h_dist == 0.0) and np.all(rec.q_dist == 0.0)
         assert np.all(rec.t_n == 0.0) and np.all(rec.tau_n == 0.0)
     else:
         last = int(round(np.nanmax(rec.t_n) / cfg.dt))
@@ -1037,7 +1079,7 @@ def test_batch_with_every_row_retired_stops_stepping(porous_r2, monkeypatch,
         _assert_retired_record(rec, ref, True)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("which, retire_glued", [
     ("coupled", False), ("coupled", True), ("synchronous", True)],
     ids=["keep_glued", "retire_glued", "synchronous"])
@@ -1048,8 +1090,10 @@ def test_failed_rows_retire_with_their_failure_records(porous_space, porous_r2,
     # test_run_paths_coupled_overflow_isolated: 597 of 600 coupled pairs
     # fail between t = 0.00375 and 0.0095, and 543 synchronous pairs from
     # 1.6 e_1 between t = 0.00425 and 0.01, so the failed rows of the first
-    # 512 are repacked into one chunk; the failures, their times and modes
-    # and every other field are those of a loop stepping every row
+    # 512 are repacked into one chunk (at three workers each block is a
+    # batch of its own); the failures, their times and modes, each row's
+    # final state (NaN from its failure step) and every other field are
+    # those of a loop stepping every row
     cfg = SimConfig(dt=2.5e-4, horizon=0.01, n_paths=600, master_seed=16,
                     checkpoint_times=(0.0, 0.004, 0.005, 0.006, 0.01),
                     scheme="explicit")
