@@ -16,6 +16,10 @@ derivative (both one-sided derivatives vanish at the seams).
 The coupled increments work on the rows inside the band only: the step
 lends them scratch (the idle grid buffer of its drift) into which those
 rows are gathered, and the reflection is applied there in place.
+``coupled_diffusion_increments`` forms the cutoff, the reflected-first row
+order and the row views once per call, over every band row; its loop over
+slabs of ``_BAND_SLAB`` rows then only gathers, multiplies, reflects and
+scatters.
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ def cutoff_h_prime_sup() -> float:
 
 _H_PRIME_SUP = None
 _GRID_STEPS = 2_000_000
-_BAND_SLAB = 1_024                   # band rows per _band_increments call
+_BAND_SLAB = 1_024    # band rows per slab of coupled_diffusion_increments
 
 
 def _band_grid(k: np.ndarray) -> np.ndarray:
@@ -214,11 +218,50 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         np.multiply(q, np.divide(dW2, root_w, out=dx), out=dx)
         if y is not None:
             np.copyto(dy, dx)
-    # band rows a slab at a time: each is row-local, so the bits do not
-    # depend on the slab, and the scratch it touches stays small
-    for lo in range(0, band.size, _BAND_SLAB):
-        _band_increments(space, params, x, y, dW2, dW3, s,
-                         band[lo:lo + _BAND_SLAB], dx, dy, scratch)
+    if band.size:
+        # on the band rows dx = shared + q h z3 and dy = shared + q h
+        # (I - 2 sigma_n) z3, with shared = q g z2.  The cutoff, the row
+        # order and the (-1, N) row views are formed once; the rows are then
+        # gathered into four (B, N) slabs of the scratch, _BAND_SLAB at a
+        # time, so that the scratch touched stays small.  Each value is
+        # row-local and comes from the operations of the full formula, in
+        # its order, so the bits do not depend on the slab.
+        n_modes = space.n_modes
+        xs, ys, dxs, dys, w2, w3 = (np.asarray(a, dtype=float).reshape(
+            -1, n_modes) for a in (x, y, dx, dy, dW2, dW3))
+        h = cutoff_h(s.reshape(-1)[band])
+        active = h > 0.0                 # NaN (failed) rows are not reflected
+        n_act = int(np.count_nonzero(active))
+        if n_act < band.size:
+            # reflected rows first, so that the reflection works on a prefix
+            order = np.argsort(~active, kind="stable")
+            band, h = band[order], h[order]
+        h = h[:, None]
+        g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
+        k = min(band.size, _BAND_SLAB)
+        slabs = (np.empty(4 * k * n_modes) if scratch is None else
+                 scratch).reshape(-1)[:4 * k * n_modes].reshape(4, k, n_modes)
+        for lo in range(0, band.size, k):
+            rows, hk, gk = band[lo:lo + k], h[lo:lo + k], g[lo:lo + k]
+            shared, z3, u, v = slabs[:, :rows.size]
+            # shared = q * g * z2, with z2 = dW2 / root_w held in z3's slab
+            z2 = np.divide(np.take(w2, rows, axis=0, out=z3, mode="clip"),
+                           root_w, out=z3)
+            np.multiply(np.multiply(q, gk, out=shared), z2, out=shared)
+            np.divide(np.take(w3, rows, axis=0, out=z3, mode="clip"), root_w,
+                      out=z3)
+            # dx = shared + q * h * z3
+            qhz = np.multiply(np.multiply(q, hk, out=u), z3, out=u)
+            dxs[rows] = np.add(shared, qhz, out=qhz)
+            if n_act > lo:
+                a = slice(0, n_act - lo)
+                reflect_apply(
+                    space, np.take(xs, rows[a], axis=0, out=u[a], mode="clip"),
+                    np.take(ys, rows[a], axis=0, out=v[a], mode="clip"),
+                    params.n, z3[a], out=z3[a], scratch=(u[a], v[a]))
+            # dy = shared + q * h * z3, z3 now reflected on the active rows
+            qhz = np.multiply(np.multiply(q, hk, out=u), z3, out=u)
+            dys[rows] = np.add(shared, qhz, out=qhz)
     if model.has_diffusion:
         # the band rows are done, so the scratch holds z1 and the B term
         if scratch is None:
@@ -229,54 +272,6 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         if y is not None:
             dy += np.multiply(b_diag(space, model, t, y, out=bz), z1, out=bz)
     return dx, dy
-
-
-def _band_increments(space: SpectralSpace, params: CouplingParams, x, y,
-                     dW2, dW3, s, rows, dx, dy, scratch) -> None:
-    """dx = shared + q h z3 and dy = shared + q h (I - 2 sigma_n) z3, with
-    shared = q g z2, on the band rows ``rows`` (flat indices) of dx and dy.
-
-    The rows are gathered into four (B, N) slabs of ``scratch``, the
-    products are formed there and the results scattered.  Every value comes
-    from the operations of the full formula, in its order.
-    """
-    n_modes = space.n_modes
-    root_w = space.root_h_weights
-    q = space.q_coeffs
-    x, y, dx, dy = (a.reshape(-1, n_modes) for a in (x, y, dx, dy))
-    dW2, dW3 = (np.asarray(a, dtype=float).reshape(-1, n_modes)
-                for a in (dW2, dW3))
-    h = cutoff_h(s.reshape(-1)[rows])
-    active = h > 0.0                 # NaN (failed) rows are not reflected
-    n_act = int(np.count_nonzero(active))
-    if n_act < rows.size:
-        # reflected rows first, so that the reflection works on a prefix
-        order = np.argsort(~active, kind="stable")
-        rows, h = rows[order], h[order]
-    k = rows.size
-    if scratch is None:
-        scratch = np.empty(4 * k * n_modes)
-    shared, z3, u, v = scratch.reshape(-1)[:4 * k * n_modes].reshape(
-        4, k, n_modes)
-    h = h[:, None]
-    g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
-    # shared = q * g * z2, with z2 = dW2 / root_w held in z3's slab
-    z2 = np.divide(np.take(dW2, rows, axis=0, out=z3, mode="clip"), root_w,
-                   out=z3)
-    np.multiply(np.multiply(q, g, out=shared), z2, out=shared)
-    np.divide(np.take(dW3, rows, axis=0, out=z3, mode="clip"), root_w, out=z3)
-    # dx = shared + q * h * z3
-    qhz = np.multiply(np.multiply(q, h, out=u), z3, out=u)
-    dx[rows] = np.add(shared, qhz, out=qhz)
-    if n_act:
-        a = slice(0, n_act)
-        reflect_apply(space,
-                      np.take(x, rows[a], axis=0, out=u[a], mode="clip"),
-                      np.take(y, rows[a], axis=0, out=v[a], mode="clip"),
-                      params.n, z3[a], out=z3[a], scratch=(u[a], v[a]))
-    # dy = shared + q * h * z3, z3 now reflected on the active rows
-    qhz = np.multiply(np.multiply(q, h, out=u), z3, out=u)
-    dy[rows] = np.add(shared, qhz, out=qhz)
 
 
 def _qn_quantities(space: SpectralSpace, v: np.ndarray, n: int):

@@ -462,42 +462,36 @@ def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
     return np.add(new, np.multiply(nfac, noise, out=noise), out=new)
 
 
-def _block_noise(config: SimConfig, step_index: int, path_lo: int,
-                 need: np.ndarray | None, channels: tuple,
-                 out: np.ndarray) -> None:
-    """Keyed increments of ``channels``, written into out[0], out[1], ...,
-    of the rows [path_lo, path_lo + out.shape[1]), for the noise blocks
-    holding a row of ``need`` (every block when None); the rows of every
-    other block are zero."""
-    lo, hi = path_lo, path_lo + out.shape[1]
-    edges = [lo, *range(lo - lo % BLOCK_ROWS + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
-    hits = (repeat(True) if need is None else
-            np.logical_or.reduceat(need, np.subtract(edges[:-1], lo)))
-    # adjacent blocks that need drawing are drawn by one call
-    for hit, run in groupby(zip(edges, edges[1:], hits), key=lambda e: e[2]):
-        run = list(run)
-        a, b = run[0][0], run[-1][1]
-        if hit:
-            gen_noise(config.master_seed, step_index, b - a, out.shape[2],
-                      config.dt, channels=channels, path_lo=a,
-                      out=out[:, a - lo:b - lo])
-        else:
-            out[:, a - lo:b - lo] = 0.0
-
-
 def _step_noise(model: ModelSpec, config: SimConfig, step_index: int,
                 path_lo: int, drawn: np.ndarray | None,
                 in_band: np.ndarray | None, out: np.ndarray):
     """Keyed (dW1, dW2, dW3) of one step, written into out[0], out[1] and
-    out[2].  The shared channels are drawn for the blocks holding a row of
-    ``drawn`` (every block when None), the reflected one for those holding
-    a row of ``in_band``.  dW1 is None when the model has no diffusion, dW3
-    None when ``in_band`` is (the synchronous step)."""
-    shared = (0, 1) if model.has_diffusion else (1,)
-    _block_noise(config, step_index, path_lo, drawn, shared,
-                 out[2 - len(shared):2])
+    out[2] for the rows [path_lo, path_lo + out.shape[1]).  The shared
+    channels are drawn for the noise blocks holding a row of ``drawn``
+    (every block when None), the reflected one for those holding a row of
+    ``in_band``; the rows of every other block are zero.  dW1 is None when
+    the model has no diffusion, dW3 None when ``in_band`` is (the
+    synchronous step)."""
+    lo, hi = path_lo, path_lo + out.shape[1]
+    edges = [lo, *range(lo - lo % BLOCK_ROWS + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
+    groups = [((0, 1) if model.has_diffusion else (1,), drawn)]
     if in_band is not None:
-        _block_noise(config, step_index, path_lo, in_band, (2,), out[2:])
+        groups.append(((2,), in_band))
+    for channels, need in groups:
+        dst = out[channels[0]:channels[-1] + 1]
+        hits = (repeat(True) if need is None else
+                np.logical_or.reduceat(need, np.subtract(edges[:-1], lo)))
+        # adjacent blocks that need drawing are drawn by one call
+        for hit, run in groupby(zip(edges, edges[1:], hits),
+                                key=lambda e: e[2]):
+            run = list(run)
+            a, b = run[0][0], run[-1][1]
+            if hit:
+                gen_noise(config.master_seed, step_index, b - a, out.shape[2],
+                          config.dt, channels=channels, path_lo=a,
+                          out=dst[:, a - lo:b - lo])
+            else:
+                dst[:, a - lo:b - lo] = 0.0
     return (out[0] if model.has_diffusion else None, out[1],
             None if in_band is None else out[2])
 

@@ -348,41 +348,48 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
     ModelSpec(Porous(r=2.0), b_spec=LipschitzDiagonal(0.8, unit_base(16))),
 ], ids=["zero_b", "lipschitz_diagonal"])
 def test_band_slabs_keep_every_bit(porous_space, model, monkeypatch):
-    # 2 _BAND_SLAB + 37 band rows, reflected (in the transition or at full
-    # cutoff) and failed (NaN), shuffled among rows below the band: three
-    # slabs give the bits of one slab of every band row
+    # three slabs give the bits of one slab of every band row, for two
+    # sets of 2 _BAND_SLAB + 37 band rows: reflected (in the transition or
+    # at full cutoff) and failed (NaN) rows shuffled among rows below the
+    # band; and every row in the band and reflected, none failed, so that
+    # no row is reordered (linear_ou's first steps)
     params = CouplingParams(n=4)
     gen = np.random.default_rng(43)
-    n_band, n_failed = 2 * coupling._BAND_SLAB + 37, 25
-    s = np.concatenate([gen.uniform(0.51, 3.0, n_band - n_failed),
-                        gen.uniform(0.01, 0.49, 700)])
-    p = s.size + n_failed
-    mid = 0.1 * gen.standard_normal((p, 16)) / porous_space.lambdas
-    direction = gen.standard_normal(16)
-    direction /= h_norm(porous_space, direction)
-    half = np.zeros((p, 16))
-    half[:s.size] = 0.5 * (s / params.n)[:, None] * direction
-    x, y = mid + half, mid - half
-    x[s.size:] = y[s.size:] = np.nan
-    order = gen.permutation(p)
-    x, y = x[order], y[order]
-    dws = gen.standard_normal((3, p, 16)) * np.sqrt(1e-3)
-    with np.errstate(invalid="ignore"):
-        dist = h_norm(porous_space, x - y)
-        assert np.count_nonzero(~(params.n * dist <= 0.5)) == n_band
+    n_band = 2 * coupling._BAND_SLAB + 37
+    for n_failed, n_below in ((25, 700), (0, 0)):
+        s = np.concatenate([gen.uniform(0.51, 3.0, n_band - n_failed),
+                            gen.uniform(0.01, 0.49, n_below)])
+        p = s.size + n_failed
+        mid = 0.1 * gen.standard_normal((p, 16)) / porous_space.lambdas
+        direction = gen.standard_normal(16)
+        direction /= h_norm(porous_space, direction)
+        half = np.zeros((p, 16))
+        half[:s.size] = 0.5 * (s / params.n)[:, None] * direction
+        x, y = mid + half, mid - half
+        x[s.size:] = y[s.size:] = np.nan
+        order = gen.permutation(p) if n_below else np.arange(p)
+        x, y = x[order], y[order]
+        dws = gen.standard_normal((3, p, 16)) * np.sqrt(1e-3)
+        with np.errstate(invalid="ignore"):
+            dist = h_norm(porous_space, x - y)
+            assert np.count_nonzero(~(params.n * dist <= 0.5)) == n_band
+            if not n_below:
+                assert p == n_band and np.all(cutoff_h(params.n * dist) > 0)
 
-        def increments(**kw):
-            return coupled_diffusion_increments(porous_space, model, params,
-                                                x, y, 0.3, *dws, dist=dist,
-                                                **kw)
+            def increments(**kw):
+                return coupled_diffusion_increments(
+                    porous_space, model, params, x, y, 0.3, *dws, dist=dist,
+                    **kw)
 
-        slabs = [increments(), increments(scratch=np.full(4 * p * 16, np.nan))]
-        monkeypatch.setattr(coupling, "_BAND_SLAB", p)
-        whole = increments()
-    for got in slabs:
-        for g, w in zip(got, whole):
-            np.testing.assert_array_equal(g.view(np.uint64),
-                                          w.view(np.uint64))
+            slabs = [increments(),
+                     increments(scratch=np.full(4 * p * 16, np.nan))]
+            with monkeypatch.context() as m:
+                m.setattr(coupling, "_BAND_SLAB", p)
+                whole = increments()
+        for got in slabs:
+            for g, w in zip(got, whole):
+                np.testing.assert_array_equal(g.view(np.uint64),
+                                              w.view(np.uint64))
 
 
 def test_reflect_apply_scratch_and_out(porous_space):

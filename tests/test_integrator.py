@@ -178,6 +178,44 @@ def test_gen_noise_matches_noise_block(path_lo, n_paths):
                                           row * np.sqrt(dt))
 
 
+def test_keyed_stream_is_a_fresh_philox():
+    # noise_block and gen_noise re-key one shared Philox, so a field of its
+    # state that the re-keying missed would carry the last draw over.  Left
+    # dirty (its buffer part-used, a 32-bit half cached), the shared
+    # generator must still give the stream of a fresh Philox on the same
+    # key, and be left in that Philox's state.  The key is a uint64 array:
+    # a list of Python ints would round a key of 2^63 or more through
+    # float64
+    seed, step, ch, block, rows, dt = 2**63 + 5, 5, 2, 3, 17, 3e-4
+    key = np.array([seed, integrator._mix(seed, step, 0x10 + ch, block)],
+                   dtype=np.uint64)
+    assert key.min() >= 2**63
+    fresh = np.random.Philox(key=key)
+    want = np.random.Generator(fresh).standard_normal((rows, 6))
+
+    def dirty():
+        noise_block(1, 2, 3, 4, 17, 6)
+        integrator._PHILOX.random_raw(3)
+        integrator._KEYED.integers(1000, size=3, dtype=np.uint32)
+        state = integrator._PHILOX.state
+        assert 0 < state["buffer_pos"] < 4 and state["has_uint32"] == 1
+
+    def flat(state):
+        return {k: flat(v) if isinstance(v, dict) else np.asarray(v).tolist()
+                for k, v in state.items()}
+
+    dirty()
+    np.testing.assert_array_equal(
+        noise_block(seed, step, ch, block, rows, 6), want)
+    assert flat(integrator._PHILOX.state) == flat(fresh.state)
+    dirty()
+    got = gen_noise(seed, step, rows, 6, dt, channels=(ch,),
+                    path_lo=block * BLOCK_ROWS,
+                    out=np.full((1, rows, 6), np.nan))
+    np.testing.assert_array_equal(got[0], want * np.sqrt(dt))
+    assert flat(integrator._PHILOX.state) == flat(fresh.state)
+
+
 def test_step_single_deterministic_drift(porous_space, porous_linear):
     dt = 1e-3
     cfg = SimConfig(dt=dt, horizon=1.0, n_paths=1, master_seed=0,
