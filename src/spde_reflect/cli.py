@@ -1,8 +1,9 @@
 """Configuration parsing, experiment orchestration, and persistence.
 
-Three commands read a config: ``run`` steps the ensembles and runs every
-selected experiment and condition check, ``check-conditions`` runs only
-the condition checks, and ``oracle`` prints the Ornstein-Uhlenbeck law.
+Three commands read a config: ``run`` runs every selected condition check,
+then steps the ensembles and runs every selected experiment,
+``check-conditions`` runs only the condition checks, and ``oracle`` prints
+the Ornstein-Uhlenbeck law.
 Config files are flat INI-style sections of ``key = value`` lines with
 ``#`` comments.  Parsing is total: unknown sections or keys, duplicate
 keys and type errors fail with a line-anchored message; the parser then
@@ -549,8 +550,7 @@ def _ensemble(cfg: RunConfig, which: str, threads, **kw):
 
 
 # the selected experiments' results and series; the coupled ensemble's raw
-# paths are written to dest here, so that the record is freed on return,
-# before the condition suite allocates
+# paths are written to dest here, so that the record is freed on return
 def _run_experiments(cfg: RunConfig, threads, dest: Path):
     ex = cfg["experiments"]
     which = ex["which"]
@@ -727,17 +727,19 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
     dest = base / digest
     dest.mkdir(parents=True, exist_ok=True)
 
+    # the condition suite reads no ensemble, so it runs first: its
+    # mean-value pairs are freed before the path workers fork
+    conditions = _run_conditions(cfg, threads)
+    t_conditions = end_phase("conditions")
     try:
         results, series = _run_experiments(cfg, threads, dest)
     except _TooFewLivePaths as exc:
         # the estimators are skipped; the failed ensemble is the failed check
         results = {"ensemble": exc.args[0]}
         series = {}
-    t_experiments = end_phase("experiments")
-    conditions = _run_conditions(cfg, threads)
     if conditions:
         results["conditions"] = conditions
-    t_conditions = end_phase("conditions")
+    t_experiments = end_phase("experiments")
 
     failures = collect_failures(results)
     summary = {
@@ -761,11 +763,11 @@ def run(cfg: RunConfig, out_dir=None, seed: int | None = None,
             "numpy": np.__version__,
         },
         "wall_time_s": time.perf_counter() - t_start,
-        # experiments: the ensembles, the estimators and paths.csv; write:
-        # summary.json and the series
-        "phase_wall_s": {"experiments": t_experiments - t_start,
-                         "conditions": t_conditions - t_experiments,
-                         "write": t_write - t_conditions},
+        # conditions: the condition suite; experiments: the ensembles, the
+        # estimators and paths.csv; write: summary.json and the series
+        "phase_wall_s": {"conditions": t_conditions - t_start,
+                         "experiments": t_experiments - t_conditions,
+                         "write": t_write - t_experiments},
         "workers": (len(path_batches(cfg.sim.n_paths, threads))
                     if cfg["experiments"]["which"] else 0),
     }

@@ -157,9 +157,10 @@ def philox_generator(master_seed: int, *labels: int) -> np.random.Generator:
 
 
 # one Philox per process (each forked worker has its own copy), re-keyed
-# for every block: this avoids re-seeding entropy per block, and resetting
-# the full state makes the stream identical to a fresh construction with
-# the same key
+# for every block: this avoids re-seeding entropy per block.  _STATE is a
+# snapshot of the fresh construction's state, which no draw writes to, so
+# setting it with a new key makes the stream that of a fresh construction
+# with that key
 _PHILOX = np.random.Philox(key=[0, 0])
 _KEYED = np.random.Generator(_PHILOX)
 _STATE = _PHILOX.state
@@ -168,10 +169,6 @@ _STATE = _PHILOX.state
 def _keyed_generator(key0: int, key1: int) -> np.random.Generator:
     _STATE["state"]["key"][0] = key0
     _STATE["state"]["key"][1] = key1
-    _STATE["state"]["counter"][:] = 0
-    _STATE["buffer_pos"] = 4
-    _STATE["has_uint32"] = 0
-    _STATE["uinteger"] = 0
     _PHILOX.state = _STATE
     return _KEYED
 
@@ -506,11 +503,13 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     ``synchronous`` drops the reflected channel: both components receive
     the shared noise only.  ``noise`` may supply explicit (dW1, dW2, dW3)
     arrays; dW1 may be None without diffusion and dW3 is not read by a
-    synchronous step.  ``work`` holds the step's intermediates (a fresh set
-    when None); it must have been built for ``state.n_paths`` rows.  A path
-    whose new x or y is not finite is frozen at NaN and its first
-    non-finite mode recorded in ``fail_mode``.  Raises ValueError when
-    ``state.step_index`` has reached the horizon's step.
+    synchronous step.  ``path_lo``, the path index of the first row, keys
+    the step's own draw and is not read with ``noise``.  ``work`` holds
+    the step's intermediates (a fresh set when None); it must have been
+    built for ``state.n_paths`` rows.  A path whose new x or y is not
+    finite is frozen at NaN and its first non-finite mode recorded in
+    ``fail_mode``.  Raises ValueError when ``state.step_index`` has
+    reached the horizon's step.
     """
     if state.step_index >= config.n_steps:
         raise ValueError("state is already at the horizon")
@@ -828,8 +827,7 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                            np.take(a, stepped, axis=0, out=b, mode="clip")
                            for a, b in zip(dw, work.noise))
             return step_coupled(space, model, params, config, st, noise=dw,
-                                path_lo=lo, synchronous=synchronous,
-                                work=work)
+                                synchronous=synchronous, work=work)
 
         n_steps = config.n_steps
         for k in range(n_steps + 1):

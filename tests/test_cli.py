@@ -484,7 +484,7 @@ def test_run_repeat_is_byte_identical(tmp_path):
     peaks = manifest["phase_peak_rss_mb"]
     assert set(peaks) == set(phases)
     for who in ("self", "largest_worker"):
-        seq = [peaks[ph][who] for ph in ("experiments", "conditions", "write")]
+        seq = [peaks[ph][who] for ph in ("conditions", "experiments", "write")]
         seq.append(manifest["peak_rss_mb"][who])
         assert seq[0] > 0 and seq == sorted(seq), who
 
@@ -816,25 +816,31 @@ def test_run_bounds_k_prime_only_for_the_experiments_that_read_it(
 
 
 def test_run_frees_the_ensemble_before_the_conditions(tmp_path, monkeypatch):
-    # paths.csv is written before the condition suite runs, and no ensemble
-    # record is alive while it does
-    records = []
+    # the condition suite returns before the first ensemble is stepped, so
+    # no ensemble record exists while it runs; paths.csv is still written,
+    # and the record is freed once run returns
+    events, records = [], []
     run_paths, run_conditions = cli.run_paths, cli._run_conditions
 
     def kept(*args, **kwargs):
+        events.append("run_paths")
         rec = run_paths(*args, **kwargs)
         records.append(weakref.ref(rec))
         return rec
 
     def conditions(cfg, threads):
-        assert list(tmp_path.glob("*/paths.csv"))
-        assert records and all(r() is None for r in records)
-        return run_conditions(cfg, threads)
+        assert not records and not list(tmp_path.glob("*/paths.csv"))
+        reports = run_conditions(cfg, threads)
+        events.append("conditions")
+        return reports
 
     monkeypatch.setattr(cli, "run_paths", kept)
     monkeypatch.setattr(cli, "_run_conditions", conditions)
     cfg = parse_config(SMALL_RUN + "\n[output]\ndump_paths = true\n")
     assert run(cfg, out_dir=tmp_path, threads=1) == 0
+    assert events == ["conditions", "run_paths"]
+    assert list(tmp_path.glob("*/paths.csv"))
+    assert all(r() is None for r in records)
 
 
 @pytest.mark.parametrize("text, retire", [

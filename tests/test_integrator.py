@@ -428,15 +428,16 @@ def test_run_paths_worker_failure_reaped(porous_space, porous_r2,
     cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=2 * BLOCK_ROWS,
                     master_seed=3, checkpoint_times=(0.0, 0.01))
     x0 = e_k(16, 1, 1.0)
-    step = integrator.step_coupled
+    step_noise = integrator._step_noise
     fail_from = [BLOCK_ROWS]
 
-    def failing_step(*args, path_lo=0, **kw):
+    # each batch draws its step noise keyed from its first row, path_lo
+    def failing_step(model, config, step_index, path_lo, *args):
         if path_lo >= fail_from[0]:
             raise ValueError(f"step failed at path_lo {path_lo}")
-        return step(*args, path_lo=path_lo, **kw)
+        return step_noise(model, config, step_index, path_lo, *args)
 
-    monkeypatch.setattr(integrator, "step_coupled", failing_step)
+    monkeypatch.setattr(integrator, "_step_noise", failing_step)
 
     def run():
         return run_paths(porous_space, porous_r2, CouplingParams(n=5), cfg,
