@@ -8,6 +8,8 @@ p // BLOCK_ROWS, and because numpy fills arrays from the stream in C order,
 the draws of path p never depend on how many paths follow it or on how the
 work is partitioned.  Worker counts therefore cannot perturb results.
 
+The step takes its noise from its caller: ``run_paths`` draws each step's
+keyed blocks through ``gen_noise``, whole blocks from a block-aligned row.
 A block's reflected channel (channel 2) is drawn only when some path of
 that block starts the step inside the reflection band (n |x - y|_H > 1/2);
 elsewhere the cutoff h is 0, the channel is multiplied by zero, and its
@@ -53,10 +55,10 @@ Buffers
 A coupled step writes its intermediates into a ``StepBuffers`` set: the
 keyed noise channels, the two increments, each component's drift with the
 shared grid scratch of the nonlinearity, and the split factors (a later
-phase of the step takes over the buffers of an earlier one).  The keyed
-blocks are drawn straight into the channel buffers, and the increments
-gather the rows inside the reflection band into the grid buffer of x's
-drift, which is idle until the drift is evaluated.  A linear family
+phase of the step takes over the buffers of an earlier one).  The caller
+draws the keyed blocks straight into the channel buffers, and the
+increments gather the rows inside the reflection band into the grid buffer
+of x's drift, which is idle until the drift is evaluated.  A linear family
 (porous r = 1, p = 2) has one scalar split rate, so its split factors are
 a single (N,) row that broadcasts over the paths; with an exact split
 there is no drift, and x's drift buffer holds the zero residual.  At the
@@ -116,7 +118,7 @@ import pickle
 import traceback
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby, repeat
+from itertools import groupby
 
 import numpy as np
 
@@ -193,30 +195,25 @@ def gen_noise(master_seed: int, step_index: int, n_paths: int, n_modes: int,
     into ``out`` when given.  Each value is a deterministic function of
     (master_seed, path index, step_index, channel); channels are mutually
     independent streams.  The values are those of ``noise_block`` scaled
-    by sqrt(dt): a slice that starts at its block's first row is drawn
-    straight into a C-contiguous ``out`` (the stream fills it in C order,
-    as it fills a fresh block), any other slice is copied from its block.
+    by sqrt(dt).  ``path_lo`` must be a multiple of BLOCK_ROWS (else
+    ValueError): each whole block is drawn in place into its rows of
+    ``out``, which the stream fills in C order, as it fills a fresh block.
     """
+    if path_lo % BLOCK_ROWS:
+        raise ValueError(f"path_lo must be a multiple of {BLOCK_ROWS}")
     if out is None:
         out = np.empty((len(channels), n_paths, n_modes))
-    lo = path_lo
-    hi = path_lo + n_paths
     key0 = int(master_seed) & 0xFFFFFFFFFFFFFFFF
     scale = np.sqrt(dt)
     for ci, ch in enumerate(channels):
         # noise_block's key, _mix(seed, step, 0x10 + ch, block), with the
         # prefix shared by the channel's blocks mixed once
         prefix = _mix(master_seed, step_index, 0x10 + ch)
-        for b in range(lo // BLOCK_ROWS, (hi - 1) // BLOCK_ROWS + 1):
-            b_lo = b * BLOCK_ROWS
-            r0 = max(lo, b_lo) - b_lo
-            dst = out[ci, b_lo + r0 - lo:min(hi, b_lo + BLOCK_ROWS) - lo]
-            if r0 == 0 and dst.flags.c_contiguous:
-                _keyed_generator(key0, _splitmix64(prefix ^ b)).standard_normal(
-                    out=dst)
-            else:
-                dst[...] = noise_block(master_seed, step_index, ch, b,
-                                       r0 + dst.shape[0], n_modes)[r0:]
+        for r0 in range(0, n_paths, BLOCK_ROWS):
+            dst = out[ci, r0:r0 + BLOCK_ROWS]
+            block = (path_lo + r0) // BLOCK_ROWS
+            _keyed_generator(key0, _splitmix64(prefix ^ block)).standard_normal(
+                out=dst)
             dst *= scale
     return out
 
@@ -460,24 +457,22 @@ def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
 
 
 def _step_noise(model: ModelSpec, config: SimConfig, step_index: int,
-                path_lo: int, drawn: np.ndarray | None,
-                in_band: np.ndarray | None, out: np.ndarray):
-    """Keyed (dW1, dW2, dW3) of one step, written into out[0], out[1] and
-    out[2] for the rows [path_lo, path_lo + out.shape[1]).  The shared
-    channels are drawn for the noise blocks holding a row of ``drawn``
-    (every block when None), the reflected one for those holding a row of
-    ``in_band``; the rows of every other block are zero.  dW1 is None when
-    the model has no diffusion, dW3 None when ``in_band`` is (the
-    synchronous step)."""
-    lo, hi = path_lo, path_lo + out.shape[1]
-    edges = [lo, *range(lo - lo % BLOCK_ROWS + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
+                path_lo: int, drawn: np.ndarray, in_band: np.ndarray | None,
+                out: np.ndarray):
+    """Keyed (dW1, dW2, dW3) of one step, written into out[0..2] for the
+    rows [path_lo, path_lo + out.shape[1]), path_lo a multiple of
+    BLOCK_ROWS.  The shared channels are drawn for the noise blocks holding
+    a row of ``drawn``, the reflected one for those holding a row of
+    ``in_band``; the rows of every other block are zero.  dW1 is None
+    without diffusion, dW3 None when ``in_band`` is (a synchronous step)."""
+    rows = out.shape[1]
+    edges = [*range(0, rows, BLOCK_ROWS), rows]
     groups = [((0, 1) if model.has_diffusion else (1,), drawn)]
     if in_band is not None:
         groups.append(((2,), in_band))
     for channels, need in groups:
         dst = out[channels[0]:channels[-1] + 1]
-        hits = (repeat(True) if need is None else
-                np.logical_or.reduceat(need, np.subtract(edges[:-1], lo)))
+        hits = np.logical_or.reduceat(need, edges[:-1])
         # adjacent blocks that need drawing are drawn by one call
         for hit, run in groupby(zip(edges, edges[1:], hits),
                                 key=lambda e: e[2]):
@@ -485,47 +480,37 @@ def _step_noise(model: ModelSpec, config: SimConfig, step_index: int,
             a, b = run[0][0], run[-1][1]
             if hit:
                 gen_noise(config.master_seed, step_index, b - a, out.shape[2],
-                          config.dt, channels=channels, path_lo=a,
-                          out=dst[:, a - lo:b - lo])
+                          config.dt, channels=channels, path_lo=path_lo + a,
+                          out=dst[:, a:b])
             else:
-                dst[:, a - lo:b - lo] = 0.0
+                dst[:, a:b] = 0.0
     return (out[0] if model.has_diffusion else None, out[1],
             None if in_band is None else out[2])
 
 
 def step_coupled(space: SpectralSpace, model: ModelSpec,
                  params: CouplingParams, config: SimConfig,
-                 state: CouplingState, *, noise=None,
-                 path_lo: int = 0, synchronous: bool = False,
+                 state: CouplingState, *, noise, synchronous: bool = False,
                  work: StepBuffers | None = None) -> CouplingState:
     """Advance the coupled pair one step and update stopping-time records.
 
-    ``synchronous`` drops the reflected channel: both components receive
-    the shared noise only.  ``noise`` may supply explicit (dW1, dW2, dW3)
-    arrays; dW1 may be None without diffusion and dW3 is not read by a
-    synchronous step.  ``path_lo``, the path index of the first row, keys
-    the step's own draw and is not read with ``noise``.  ``work`` holds
-    the step's intermediates (a fresh set when None); it must have been
-    built for ``state.n_paths`` rows.  A path whose new x or y is not
-    finite is frozen at NaN and its first non-finite mode recorded in
-    ``fail_mode``.  Raises ValueError when ``state.step_index`` has
-    reached the horizon's step.
+    The step takes its noise from its caller: ``noise`` is the rows'
+    (dW1, dW2, dW3), dW1 None without diffusion and dW3 not read by a
+    ``synchronous`` step, which drops the reflected channel.  ``work``
+    holds the step's intermediates (a fresh set when None, else one built
+    for ``state.n_paths`` rows).  A path whose new x or y is not finite is
+    frozen at NaN and its first non-finite mode recorded in ``fail_mode``.
+    Raises ValueError when ``state.step_index`` has reached the horizon's
+    step.
     """
     if state.step_index >= config.n_steps:
         raise ValueError("state is already at the horizon")
     t = state.time
     if work is None:
         work = StepBuffers(space, state.n_paths)
-    if noise is None:
-        # the cutoff vanishes outside the band, so only blocks with a row
-        # inside it need the reflected channel
-        dw1, dw2, dw3 = _step_noise(
-            model, config, state.step_index, path_lo, None,
-            None if synchronous else params.n * state.dist > 0.5, work.noise)
-    else:
-        dw1, dw2, dw3 = (None if a is None else
-                         np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
-        dw3 = None if synchronous else dw3
+    dw1, dw2, dw3 = (None if a is None else
+                     np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
+    dw3 = None if synchronous else dw3
     # y is stepped unless every pair is glued; glued rows are copied from x
     both = not state.coupled.all()
     with np.errstate(invalid="ignore", over="ignore"):
@@ -732,8 +717,9 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     if which not in ("coupled", "synchronous"):
         raise ValueError("which must be coupled or synchronous")
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
-    if x0.shape != (space.n_modes,):
-        raise ValueError("x0 must be a single coefficient vector")
+    for name, v in (("x0", x0), ("y0", y0)):
+        if v.shape != (space.n_modes,):
+            raise ValueError(f"{name} must be a single coefficient vector")
     cps = config.checkpoint_steps()
     n_paths = config.n_paths
     n_cp = len(cps)
@@ -812,8 +798,9 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
         def step():
             # the keyed blocks holding an unretired row are drawn in batch
-            # layout, the reflected channel by the per-block band decision,
-            # and once the batch has repacked gathered into st's rows
+            # layout, and once the batch has repacked gathered into st's
+            # rows; the cutoff vanishes outside the band, so the reflected
+            # channel is drawn only for blocks with a row inside it
             drawn = np.zeros(rows, dtype=bool)
             drawn[stepped[live]] = True
             in_band = None

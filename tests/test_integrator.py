@@ -20,17 +20,34 @@ from spde_reflect.integrator import (
 from conftest import e_k
 
 
+def keyed_step(space, model, params, cfg, st, *, path_lo=0,
+               synchronous=False, work=None):
+    """The step of st's rows, the first of them path ``path_lo`` (a
+    multiple of BLOCK_ROWS), with the keyed noise run_paths draws for them
+    when every row is unretired."""
+    if work is None:
+        work = StepBuffers(space, st.n_paths)
+    in_band = None if synchronous else params.n * st.dist > 0.5
+    noise = integrator._step_noise(model, cfg, st.step_index, path_lo,
+                                   np.ones(st.n_paths, dtype=bool), in_band,
+                                   work.noise)
+    return step_coupled(space, model, params, cfg, st, noise=noise,
+                        synchronous=synchronous, work=work)
+
+
 def glued_step(space, model, config, x, t, step_index, *, noise=None):
     """The single-equation step from t, as run_paths takes it: a synchronous
     step of the pair glued at x, which never enters the band.  ``noise``
-    may supply explicit (dW1, dW2); returns the new state, whose x is the
-    stepped one."""
+    may supply explicit (dW1, dW2), else the keyed noise is drawn; returns
+    the new state, whose x is the stepped one."""
     glued = CouplingParams(n=1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     state = replace(make_coupling_state(space, glued, x, x), time=t,
                     step_index=step_index)
+    if noise is None:
+        return keyed_step(space, model, glued, config, state, synchronous=True)
     return step_coupled(space, model, glued, config, state, synchronous=True,
-                        noise=None if noise is None else (*noise, None))
+                        noise=(*noise, None))
 
 
 def test_default_threads_counts_usable_cpus(monkeypatch):
@@ -104,9 +121,12 @@ def test_noise_path_purity_across_batch_sizes():
     small = gen_noise(42, 0, 3, 8, 1e-3)
     large = gen_noise(42, 0, 2 * BLOCK_ROWS + 7, 8, 1e-3)
     np.testing.assert_array_equal(small, large[:, :3])
-    # and a window can be generated standalone
-    window = gen_noise(42, 0, 5, 8, 1e-3, path_lo=BLOCK_ROWS - 2)
-    np.testing.assert_array_equal(window, large[:, BLOCK_ROWS - 2:BLOCK_ROWS + 3])
+    # and a window from a block's first row can be generated standalone
+    window = gen_noise(42, 0, 5, 8, 1e-3, path_lo=BLOCK_ROWS)
+    np.testing.assert_array_equal(window, large[:, BLOCK_ROWS:BLOCK_ROWS + 5])
+    # a window starting inside a block is refused
+    with pytest.raises(ValueError, match="path_lo must be a multiple of 256"):
+        gen_noise(42, 0, 5, 8, 1e-3, path_lo=BLOCK_ROWS - 2)
 
 
 def test_noise_moments_and_independence():
@@ -159,13 +179,11 @@ def test_split_factors_match_reference(porous_space):
 
 
 @pytest.mark.parametrize("path_lo,n_paths", [
-    (0, 3 * BLOCK_ROWS), (100, 2 * BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS + 17),
-    (0, 17), (100, 50),
+    (0, 3 * BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS + 17), (0, 17),
 ])
 def test_gen_noise_matches_noise_block(path_lo, n_paths):
     # drawing in place must give noise_block's values scaled by sqrt(dt),
-    # whether a slice starts on a block boundary or inside a block, and
-    # for a partial last block
+    # for whole blocks and for a partial last block
     dt = 3e-4
     got = gen_noise(5, 9, n_paths, 6, dt, channels=(2, 0), path_lo=path_lo,
                     out=np.full((2, n_paths, 6), np.nan))
@@ -216,6 +234,47 @@ def test_keyed_stream_is_a_fresh_philox():
     assert flat(integrator._PHILOX.state) == flat(fresh.state)
 
 
+@pytest.mark.parametrize("diffusion", [True, False],
+                         ids=["lipschitz_diagonal", "b_zero"])
+def test_step_noise_matches_noise_block(diffusion):
+    # run_paths's one draw route, on a batch from path_lo = BLOCK_ROWS: a
+    # block with every row drawn and one in the band, a block of retired
+    # rows (no row drawn), a block drawn with no row in the band, and a
+    # short tail block with one row drawn and one in the band
+    b_spec = (LipschitzDiagonal(0.8, unit_base(6)) if diffusion
+              else ZeroDiffusion())
+    model = ModelSpec(Porous(r=2.0), b_spec=b_spec)
+    cfg = SimConfig(dt=3e-4, horizon=0.03, n_paths=1, master_seed=5)
+    rows, step = 3 * BLOCK_ROWS + 40, 9
+    drawn = np.zeros(rows, dtype=bool)
+    in_band = np.zeros(rows, dtype=bool)
+    drawn[:BLOCK_ROWS] = True
+    drawn[2 * BLOCK_ROWS:3 * BLOCK_ROWS:2] = True
+    drawn[3 * BLOCK_ROWS + 11] = True
+    in_band[[7, 3 * BLOCK_ROWS + 30]] = True
+    # the blocks drawn, of the shared channels and of the reflected one
+    shared, band = [True, False, True, True], [True, False, False, True]
+    out = np.full((3, rows, 6), np.nan)
+    dw = integrator._step_noise(model, cfg, step, BLOCK_ROWS, drawn, in_band,
+                                out)
+    assert (dw[0] is None) == (not diffusion)
+    for ch in (0, 1, 2) if diffusion else (1, 2):
+        for j, r0 in enumerate(range(0, rows, BLOCK_ROWS)):
+            got = dw[ch][r0:r0 + BLOCK_ROWS]
+            if (band if ch == 2 else shared)[j]:
+                want = noise_block(cfg.master_seed, step, ch, j + 1,
+                                   got.shape[0], 6) * np.sqrt(cfg.dt)
+                np.testing.assert_array_equal(got, want)
+            else:
+                _assert_bits_equal(got, np.zeros_like(got), f"{ch}, {j}")
+    if not diffusion:
+        assert np.all(np.isnan(out[0]))
+    # the synchronous step draws no reflected channel
+    sync = integrator._step_noise(model, cfg, step, BLOCK_ROWS, drawn, None,
+                                  np.full((3, rows, 6), np.nan))
+    assert sync[2] is None
+
+
 def test_step_single_deterministic_drift(porous_space, porous_linear):
     dt = 1e-3
     cfg = SimConfig(dt=dt, horizon=1.0, n_paths=1, master_seed=0,
@@ -248,7 +307,7 @@ def test_step_single_overflow(porous_space):
                                              np.zeros(16), np.zeros(16)),
                          time=1.0, step_index=1000)
     with pytest.raises(ValueError, match="horizon"):
-        step_coupled(porous_space, m, CouplingParams(n=1), cfg, at_horizon)
+        keyed_step(porous_space, m, CouplingParams(n=1), cfg, at_horizon)
 
 
 def test_ou_variance_oracle(porous_space, porous_linear):
@@ -305,7 +364,7 @@ def test_coupled_glued_from_start(porous_space, porous_linear):
     assert st.coupled.all()
     assert st.tau_n[0] == 0.0 and st.t_n[0] == 0.0
     for k in range(10):
-        st = step_coupled(porous_space, porous_linear, params, cfg, st)
+        st = keyed_step(porous_space, porous_linear, params, cfg, st)
         np.testing.assert_array_equal(st.x, st.y)
 
 
@@ -318,7 +377,7 @@ def test_coupled_synchronous_noise_cancels(porous_space, porous_linear):
     x0 = e_k(16, 1, eps * np.pi)    # H-distance eps, far below 1/2
     st = make_coupling_state(porous_space, params, x0, np.zeros(16))
     for k in range(100):
-        st = step_coupled(porous_space, porous_linear, params, cfg, st)
+        st = keyed_step(porous_space, porous_linear, params, cfg, st)
     # linear contraction of the difference: eps * exp(-pi^2 t)
     expected = eps * np.exp(-np.pi ** 2 * 0.1)
     got = float(h_norm(porous_space, st.x - st.y)[0])
@@ -356,10 +415,9 @@ def test_keyed_noise_matches_explicit(porous_space, model, path_lo):
     assert not np.all(blocks[1]) and np.all(blocks[2])
     noise = gen_noise(cfg.master_seed, st.step_index, p, 16, cfg.dt,
                       channels=(0, 1, 2), path_lo=path_lo)
-    keyed = step_coupled(porous_space, model, params, cfg, st,
-                         path_lo=path_lo)
+    keyed = keyed_step(porous_space, model, params, cfg, st, path_lo=path_lo)
     explicit = step_coupled(porous_space, model, params, cfg, st,
-                            noise=tuple(noise), path_lo=path_lo)
+                            noise=tuple(noise))
     np.testing.assert_array_equal(keyed.x, explicit.x)
     np.testing.assert_array_equal(keyed.y, explicit.y)
     np.testing.assert_array_equal(keyed.dist, explicit.dist)
@@ -376,7 +434,7 @@ def test_run_paths_driver_transparency(porous_space, porous_linear):
                     x0=x0, y0=y0, threads=1)
     st = make_coupling_state(porous_space, params, x0, y0)
     for k in range(20):
-        st = step_coupled(porous_space, porous_linear, params, cfg, st)
+        st = keyed_step(porous_space, porous_linear, params, cfg, st)
         if st.step_index == 10:
             assert rec.x_mode1[0, 1] == st.x[0, 0]
             assert rec.h_dist[0, 1] == h_norm(porous_space, st.x - st.y)[0]
@@ -542,10 +600,10 @@ def test_scalar_split_rate_matches_per_row(porous_space, plap_space,
         assert np.ndim(mu) == 0
         return dr, np.full(np.shape(v)[:-1], mu)
 
-    scalar = [step_coupled(space, model, params, cfg, st),
+    scalar = [keyed_step(space, model, params, cfg, st),
               glued_step(space, model, cfg, st.x, 0.0, 0).x]
     monkeypatch.setattr(integrator, "drift_and_split_rate", per_row)
-    rows = [step_coupled(space, model, params, cfg, st),
+    rows = [keyed_step(space, model, params, cfg, st),
             glued_step(space, model, cfg, st.x, 0.0, 0).x]
     _assert_states_equal(scalar[0], rows[0])
     np.testing.assert_array_equal(scalar[1], rows[1])
@@ -684,10 +742,10 @@ def test_step_buffers_reuse_leaks_nothing(porous_space, porous_r2):
     work = StepBuffers(porous_space, p)
     for k in range(50):
         kept = copy.deepcopy(reused)
-        fresh = step_coupled(porous_space, porous_r2, params, cfg, fresh,
-                             path_lo=BLOCK_ROWS)
-        stepped = step_coupled(porous_space, porous_r2, params, cfg, reused,
-                               path_lo=BLOCK_ROWS, work=work)
+        fresh = keyed_step(porous_space, porous_r2, params, cfg, fresh,
+                           path_lo=BLOCK_ROWS)
+        stepped = keyed_step(porous_space, porous_r2, params, cfg, reused,
+                             path_lo=BLOCK_ROWS, work=work)
         _assert_states_equal(reused, kept)
         _assert_states_equal(stepped, fresh)
         reused = stepped
@@ -709,7 +767,7 @@ def test_moment_bound_stability_in_modes(porous_r2):
         acc = np.zeros(cfg.n_paths)
         for _ in range(cfg.n_steps):
             acc += cfg.dt * v_norm(sp, st.x, porous_r2.family) ** r_exp
-            st = step_coupled(sp, porous_r2, glued, cfg, st, synchronous=True)
+            st = keyed_step(sp, porous_r2, glued, cfg, st, synchronous=True)
         assert not st.failed.any()
         moments[n_modes] = (np.mean(acc), np.mean(acc ** 2))
     for p_idx in (0, 1):
@@ -781,14 +839,19 @@ def test_exact_split_matches_full_formula(porous_space, monkeypatch, b_spec):
     # the single step is the x of a synchronous step of the glued pairs
     glued = replace(st, y=st.x.copy(), coupled=np.ones(10, dtype=bool))
 
+    def step(state, nz, sync):
+        if nz is None:
+            return keyed_step(porous_space, model, params, cfg, state,
+                              synchronous=sync)
+        return step_coupled(porous_space, model, params, cfg, state,
+                            noise=nz, synchronous=sync)
+
     def steps():
         out = []
         for nz in (None, tuple(noise)):
             for sync in (False, True):
-                out.append(step_coupled(porous_space, model, params, cfg, st,
-                                        noise=nz, synchronous=sync))
-            out.append(step_coupled(porous_space, model, params, cfg, glued,
-                                    noise=nz, synchronous=True))
+                out.append(step(st, nz, sync))
+            out.append(step(glued, nz, True))
         return out
 
     exact = steps()
@@ -828,13 +891,13 @@ def test_drift_evaluated_unless_exact_split(porous_space, monkeypatch, family,
         return drift_and_split_rate(*args, **kw)
 
     monkeypatch.setattr(integrator, "drift_and_split_rate", counted)
-    step_coupled(porous_space, model, params, cfg, st)
-    step_coupled(porous_space, model, params, cfg, st, synchronous=True)
+    keyed_step(porous_space, model, params, cfg, st)
+    keyed_step(porous_space, model, params, cfg, st, synchronous=True)
     glued_step(porous_space, model, cfg, st.x, 0.0, 0)
     assert len(calls) == 5
     exact = ModelSpec(Porous(r=1.0))
-    step_coupled(porous_space, exact, params, replace(cfg, scheme="semi_implicit"),
-                 st)
+    keyed_step(porous_space, exact, params,
+               replace(cfg, scheme="semi_implicit"), st)
     assert len(calls) == 5
 
 
@@ -862,16 +925,16 @@ def test_step_coupled_finite_check(porous_space, family, synchronous):
     st.x[3, 9] = st.y[3, 9] = np.inf
     st.coupled[3], st.dist[3] = True, 0.0
     assert np.isinf(st.dist[0])
-    new = step_coupled(porous_space, model, params, cfg, st,
-                       synchronous=synchronous)
+    new = keyed_step(porous_space, model, params, cfg, st,
+                     synchronous=synchronous)
     want = [-1, 5, 7, 9, -1] if synchronous else [-1, 0, 0, 9, -1]
     assert new.fail_mode.tolist() == want and new.time == cfg.dt
     assert np.isinf(new.dist[0]) and np.all(np.isfinite(new.x[0]))
     assert np.all(np.isnan(new.x[1:4])) and np.all(np.isnan(new.y[1:4]))
     assert np.all(np.isnan(new.dist[1:4])) and np.isfinite(new.dist[4])
     # rows that failed earlier keep their mode
-    newer = step_coupled(porous_space, model, params, cfg, new,
-                         synchronous=synchronous)
+    newer = keyed_step(porous_space, model, params, cfg, new,
+                       synchronous=synchronous)
     assert newer.fail_mode.tolist() == want
 
 
@@ -953,13 +1016,25 @@ def test_run_paths_has_no_single_mode(porous_space, porous_linear):
                   "single", x0=x0, y0=x0)
 
 
+@pytest.mark.parametrize("shape", [(1, 16), (8,), (2, 16)],
+                         ids=["row", "short", "two_rows"])
+def test_run_paths_refuses_a_y0_that_is_not_one_vector(porous_space,
+                                                       porous_linear, shape):
+    # refused before any worker forks, as such an x0 is
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=2 * BLOCK_ROWS,
+                    master_seed=1)
+    with pytest.raises(ValueError, match="y0 must be a single coefficient"):
+        run_paths(porous_space, porous_linear, CouplingParams(n=1), cfg,
+                  "coupled", x0=e_k(16, 1), y0=np.zeros(shape), threads=2)
+
+
 def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=(),
                       synchronous=False):
     """The record fields of a coupled (or ``synchronous``) run whose loop
-    steps every row to the horizon, in one batch, with the step's own keyed
-    noise; ``x_final`` and ``y_final`` are the states at the horizon, and
-    ``x_glued`` and ``y_glued`` those at each pair's gluing step (NaN for a
-    pair that never glues)."""
+    steps every row to the horizon, in one batch, with the keyed noise of
+    ``keyed_step``; ``x_final`` and ``y_final`` are the states at the
+    horizon, and ``x_glued`` and ``y_glued`` those at each pair's gluing
+    step (NaN for a pair that never glues)."""
     p = cfg.n_paths
     st = make_coupling_state(space, params, np.tile(x0, (p, 1)),
                              np.tile(y0, (p, 1)), delta_grid=delta_grid)
@@ -980,8 +1055,8 @@ def _every_row_record(space, model, params, cfg, x0, y0, delta_grid=(),
         if k == cfg.n_steps:
             break
         before = st.failed
-        st = step_coupled(space, model, params, cfg, st,
-                          synchronous=synchronous, work=work)
+        st = keyed_step(space, model, params, cfg, st,
+                        synchronous=synchronous, work=work)
         fail_time[st.failed & ~before] = st.time
     out = {name: np.stack(v, axis=1) for name, v in out.items()}
     out.update({name: getattr(st, name) for name in (
