@@ -16,10 +16,11 @@ derivative (both one-sided derivatives vanish at the seams).
 The coupled increments work on the rows inside the band only: the step
 lends them scratch (the idle grid buffer of its drift) into which those
 rows are gathered, and the reflection is applied there in place.
-``coupled_diffusion_increments`` forms the cutoff, the reflected-first row
-order and the row views once per call, over every band row; its loop over
-slabs of ``_BAND_SLAB`` rows then only gathers, multiplies, reflects and
-scatters.
+``coupled_diffusion_increments`` forms the cutoff and the row views once
+per call, over every band row; its loop over slabs of ``_BAND_SLAB`` rows
+then only gathers, multiplies, reflects and scatters.  Every band row is
+reflected: h is positive on each finite one, and a failed row (a NaN
+distance, which puts it in the band) reflects to NaN.
 """
 
 from __future__ import annotations
@@ -220,24 +221,20 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
             np.copyto(dy, dx)
     if band.size:
         # on the band rows dx = shared + q h z3 and dy = shared + q h
-        # (I - 2 sigma_n) z3, with shared = q g z2.  The cutoff, the row
-        # order and the (-1, N) row views are formed once; the rows are then
-        # gathered into four (B, N) slabs of the scratch, _BAND_SLAB at a
-        # time, so that the scratch touched stays small.  Each value is
-        # row-local and comes from the operations of the full formula, in
-        # its order, so the bits do not depend on the slab.
+        # (I - 2 sigma_n) z3, with shared = q g z2.  The cutoff and the
+        # (-1, N) row views are formed once; the rows are then gathered
+        # into four (B, N) slabs of the scratch, _BAND_SLAB at a time, so
+        # that the scratch touched stays small.  Each value is row-local
+        # and comes from the operations of the full formula, in its order,
+        # so the bits do not depend on the slab.
         n_modes = space.n_modes
         xs, ys, dxs, dys, w2, w3 = (np.asarray(a, dtype=float).reshape(
             -1, n_modes) for a in (x, y, dx, dy, dW2, dW3))
-        h = cutoff_h(s.reshape(-1)[band])
-        active = h > 0.0                 # NaN (failed) rows are not reflected
-        n_act = int(np.count_nonzero(active))
-        if n_act < band.size:
-            # reflected rows first, so that the reflection works on a prefix
-            order = np.argsort(~active, kind="stable")
-            band, h = band[order], h[order]
-        h = h[:, None]
-        g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
+        # h lies in (0, 1] on a finite band row (at least 2.3e-31 where
+        # n |x - y|_H is the smallest double above 1/2), and is NaN on a
+        # failed one, whose increments the reflection leaves NaN
+        h = cutoff_h(s.reshape(-1)[band])[:, None]
+        g = np.sqrt(1.0 - h * h)
         k = min(band.size, _BAND_SLAB)
         slabs = (np.empty(4 * k * n_modes) if scratch is None else
                  scratch).reshape(-1)[:4 * k * n_modes].reshape(4, k, n_modes)
@@ -253,13 +250,10 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
             # dx = shared + q * h * z3
             qhz = np.multiply(np.multiply(q, hk, out=u), z3, out=u)
             dxs[rows] = np.add(shared, qhz, out=qhz)
-            if n_act > lo:
-                a = slice(0, n_act - lo)
-                reflect_apply(
-                    space, np.take(xs, rows[a], axis=0, out=u[a], mode="clip"),
-                    np.take(ys, rows[a], axis=0, out=v[a], mode="clip"),
-                    params.n, z3[a], out=z3[a], scratch=(u[a], v[a]))
-            # dy = shared + q * h * z3, z3 now reflected on the active rows
+            reflect_apply(space, np.take(xs, rows, axis=0, out=u, mode="clip"),
+                          np.take(ys, rows, axis=0, out=v, mode="clip"),
+                          params.n, z3, out=z3, scratch=(u, v))
+            # dy = shared + q * h * z3, z3 now reflected
             qhz = np.multiply(np.multiply(q, hk, out=u), z3, out=u)
             dys[rows] = np.add(shared, qhz, out=qhz)
     if model.has_diffusion:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import SpectralSpace, h_norm, q_norm, v_norm, to_grid, quad, grad_to_grid
+from .spaces import (ROW_CHUNK, SpectralSpace, h_norm, q_norm, v_norm, to_grid,
+                     quad, grad_to_grid)
 from .models import ModelSpec, pairing_drift_diff, b_hs_diff, beta_sup
 from .integrator import philox_generator
 
@@ -46,7 +47,7 @@ _VACUOUS = 1e-6                      # median |fitted term| / median |lhs|
 # 8,192 doubles (1.1 MB), fit in a 2 MiB L2 cache, and they are all the
 # memory a check adds to its terms
 _SLAB = 8_192
-_ROW_SLAB = 1_024                    # states per grid slab, 4 ROW_CHUNKs
+_ROW_SLAB = 4 * ROW_CHUNK            # states per grid slab
 
 
 @dataclass

@@ -49,6 +49,7 @@ whose steps evaluate and advance x only and copy it to y.  Overflow has one
 policy: a path whose new x or y is not finite is frozen at NaN and its
 first non-finite mode is recorded in ``CouplingState.fail_mode``; no step
 raises on it, and ``run_paths`` reports each failed path with its time.
+Its distance is NaN, which no stopping-time or gluing test passes.
 
 Buffers
 -------
@@ -91,14 +92,14 @@ y and the distances at every later checkpoint.  A checkpoint writes only
 the unretired rows, and of their states only mode 1.  When the unretired
 rows of the batch's whole 256-row chunks fit in fewer chunks, they are
 packed, in batch order, into that many chunks, the last one filled up
-with retired rows (stepped, never written, and never in the band).  The
+with retired rows (stepped, never written, in the band if failed).  The
 short tail chunk of the batch's last block keeps its place after them and
 its order, because its rows' bits come from its own short product; a full
 chunk's rows keep theirs wherever they sit in it (``tests/test_spaces.py``
 asserts this of the BLAS build).  Every step draws the keyed channels in
 batch layout into the first buffer set's noise grid, for the blocks
 holding an unretired row and, for the reflected channel, the blocks
-holding a stepped row in the band; until the first repack batch layout is
+holding a live row in the band; until the first repack batch layout is
 the step's, and after it the channels are gathered into the packed rows.
 A block whose rows have all retired is not drawn, and no live row's noise
 depends on the packing.  At a repack the old buffer set is dropped, but
@@ -122,7 +123,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .spaces import SpectralSpace, h_norm, q_norm
+from .spaces import ROW_CHUNK, SpectralSpace, h_norm, q_norm
 from .models import ModelSpec, DriftBuffers, drift_and_split_rate
 from .coupling import CouplingParams, coupled_diffusion_increments
 
@@ -133,7 +134,7 @@ __all__ = [
     "path_batches", "default_threads", "run_forked",
 ]
 
-BLOCK_ROWS = 256              # fixed global noise-block height (determinism contract)
+BLOCK_ROWS = ROW_CHUNK        # fixed global noise-block height (determinism contract)
 _MIX_CONST = 0x9E3779B97F4A7C15
 
 
@@ -283,6 +284,7 @@ class CouplingState:
     tau_delta: np.ndarray        # (P, D), nan until hit
     fail_mode: np.ndarray        # first non-finite mode once failed, else -1
     dist: np.ndarray             # H-distance at the last step boundary
+                                 # (NaN once failed)
 
     @property
     def n_paths(self) -> int:
@@ -298,20 +300,19 @@ def _boundary_update(space: SpectralSpace, params: CouplingParams,
     """Record stopping times at the current step boundary and glue.
 
     ``dist`` is the H-distance |x - y|_H of the state, computed here when
-    not given.
+    not given.  A failed row's distance is NaN, which passes no test here.
     """
-    live = ~state.failed
     if dist is None:
         with np.errstate(invalid="ignore", over="ignore"):
             dist = h_norm(space, state.x - state.y)
     state.dist = dist
-    hit = live & np.isnan(state.tau_n) & (dist <= 1.0 / params.n)
+    hit = np.isnan(state.tau_n) & (dist <= 1.0 / params.n)
     state.tau_n[hit] = state.time
     state.dist_at_tau_n[hit] = dist[hit]
     for j, delta in enumerate(state.delta_grid):
-        hd = live & np.isnan(state.tau_delta[:, j]) & (dist >= delta)
+        hd = np.isnan(state.tau_delta[:, j]) & (dist >= delta)
         state.tau_delta[hd, j] = state.time
-    glue = live & ~state.coupled & (dist <= params.glue_eps)
+    glue = ~state.coupled & (dist <= params.glue_eps)
     if np.any(glue):
         state.y[glue] = state.x[glue]
         state.t_n[glue] = state.time
@@ -490,13 +491,13 @@ def _step_noise(model: ModelSpec, config: SimConfig, step_index: int,
 
 def step_coupled(space: SpectralSpace, model: ModelSpec,
                  params: CouplingParams, config: SimConfig,
-                 state: CouplingState, *, noise, synchronous: bool = False,
+                 state: CouplingState, *, noise,
                  work: StepBuffers | None = None) -> CouplingState:
     """Advance the coupled pair one step and update stopping-time records.
 
     The step takes its noise from its caller: ``noise`` is the rows'
-    (dW1, dW2, dW3), dW1 None without diffusion and dW3 not read by a
-    ``synchronous`` step, which drops the reflected channel.  ``work``
+    (dW1, dW2, dW3), dW1 None without diffusion; dW3 None is the
+    synchronous step, which drops the reflected channel.  ``work``
     holds the step's intermediates (a fresh set when None, else one built
     for ``state.n_paths`` rows).  A path whose new x or y is not finite is
     frozen at NaN and its first non-finite mode recorded in ``fail_mode``.
@@ -510,7 +511,6 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
         work = StepBuffers(space, state.n_paths)
     dw1, dw2, dw3 = (None if a is None else
                      np.atleast_2d(np.asarray(a, dtype=float)) for a in noise)
-    dw3 = None if synchronous else dw3
     # y is stepped unless every pair is glued; glued rows are copied from x
     both = not state.coupled.all()
     with np.errstate(invalid="ignore", over="ignore"):
@@ -724,7 +724,6 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
     n_paths = config.n_paths
     n_cp = len(cps)
     times = np.array([k * config.dt for k in cps])
-    synchronous = which != "coupled"
 
     x_out, y_out = _shared((2, n_paths, n_cp))
     h_out, q_out = _shared((2, n_paths, n_cp))
@@ -754,7 +753,7 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
         # be written: every row at first, so that a row retiring at step 0
         # is written too.
         stepped, live = np.arange(rows), np.ones(rows, dtype=bool)
-        chunks = rows // BLOCK_ROWS
+        chunks = rows // ROW_CHUNK
         work = StepBuffers(space, rows)
         # the keyed channels in batch layout: the first set's noise grid,
         # which st's rows read in place until the first repack
@@ -784,10 +783,10 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
         def repack():
             nonlocal st, stepped, live, chunks, work
-            whole = chunks * BLOCK_ROWS
+            whole = chunks * ROW_CHUNK
             kept = np.flatnonzero(live[:whole])
-            chunks = -(-kept.size // BLOCK_ROWS)
-            pad = np.flatnonzero(~live[:whole])[:-kept.size % BLOCK_ROWS]
+            chunks = -(-kept.size // ROW_CHUNK)
+            pad = np.flatnonzero(~live[:whole])[:-kept.size % ROW_CHUNK]
             sel = np.concatenate([kept, pad, np.arange(whole, st.n_paths)])
             stepped, live = stepped[sel], live[sel]
             # the old set is dropped, but for its noise grid, before the
@@ -800,11 +799,12 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
             # the keyed blocks holding an unretired row are drawn in batch
             # layout, and once the batch has repacked gathered into st's
             # rows; the cutoff vanishes outside the band, so the reflected
-            # channel is drawn only for blocks with a row inside it
+            # channel is drawn only for blocks with a row inside it.  A
+            # synchronous run has no dW3, which makes each step synchronous
             drawn = np.zeros(rows, dtype=bool)
             drawn[stepped[live]] = True
             in_band = None
-            if not synchronous:
+            if which == "coupled":
                 in_band = np.zeros(rows, dtype=bool)
                 in_band[stepped] = params.n * st.dist > 0.5
             dw = _step_noise(model, config, st.step_index, lo, drawn,
@@ -814,7 +814,7 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                            np.take(a, stepped, axis=0, out=b, mode="clip")
                            for a, b in zip(dw, work.noise))
             return step_coupled(space, model, params, config, st, noise=dw,
-                                synchronous=synchronous, work=work)
+                                work=work)
 
         n_steps = config.n_steps
         for k in range(n_steps + 1):
@@ -827,8 +827,8 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
                 fail_time[lo + stepped[pos][st.failed[pos]]] = st.time
                 live[pos] = False
                 # repack once a whole chunk can be freed
-                n_live = np.count_nonzero(live[:chunks * BLOCK_ROWS])
-                if k < n_steps and -(-n_live // BLOCK_ROWS) < chunks:
+                n_live = np.count_nonzero(live[:chunks * ROW_CHUNK])
+                if k < n_steps and -(-n_live // ROW_CHUNK) < chunks:
                     repack()
             if np.any(live):
                 if k in cp_index:

@@ -48,7 +48,7 @@ __all__ = [
 # BLAS matrix products may round differently depending on the overall
 # shape; chunking the leading axis on a fixed grid makes every transform
 # bit-reproducible regardless of how a path ensemble is batched across
-# workers.  The chunk height matches the noise-block height.
+# workers.  The noise-block height ``integrator.BLOCK_ROWS`` is set to it.
 ROW_CHUNK = 256
 
 

@@ -312,8 +312,8 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
                 np.testing.assert_array_equal(g, w[i])
         # the band rows worked on in one reused scratch array, each subset
         # twice: no, some and every row in the band; every row in the band
-        # with NaN (unreflected) rows among them; glued rows and NaN rows
-        # only, so that no band row is reflected
+        # with failed (NaN) rows among them, which reflect to NaN; glued
+        # rows and NaN rows only, so that every band row is a failed one
         band = ~(params.n * stored <= 0.5)
         below = np.flatnonzero(~band[:s.size])
         above = np.flatnonzero(band[:s.size])
@@ -352,7 +352,7 @@ def test_band_slabs_keep_every_bit(porous_space, model, monkeypatch):
     # sets of 2 _BAND_SLAB + 37 band rows: reflected (in the transition or
     # at full cutoff) and failed (NaN) rows shuffled among rows below the
     # band; and every row in the band and reflected, none failed, so that
-    # no row is reordered (linear_ou's first steps)
+    # the band rows are every row in order (linear_ou's first steps)
     params = CouplingParams(n=4)
     gen = np.random.default_rng(43)
     n_band = 2 * coupling._BAND_SLAB + 37

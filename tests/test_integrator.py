@@ -31,8 +31,7 @@ def keyed_step(space, model, params, cfg, st, *, path_lo=0,
     noise = integrator._step_noise(model, cfg, st.step_index, path_lo,
                                    np.ones(st.n_paths, dtype=bool), in_band,
                                    work.noise)
-    return step_coupled(space, model, params, cfg, st, noise=noise,
-                        synchronous=synchronous, work=work)
+    return step_coupled(space, model, params, cfg, st, noise=noise, work=work)
 
 
 def glued_step(space, model, config, x, t, step_index, *, noise=None):
@@ -46,8 +45,7 @@ def glued_step(space, model, config, x, t, step_index, *, noise=None):
                     step_index=step_index)
     if noise is None:
         return keyed_step(space, model, glued, config, state, synchronous=True)
-    return step_coupled(space, model, glued, config, state, synchronous=True,
-                        noise=(*noise, None))
+    return step_coupled(space, model, glued, config, state, noise=(*noise, None))
 
 
 def test_default_threads_counts_usable_cpus(monkeypatch):
@@ -844,7 +842,7 @@ def test_exact_split_matches_full_formula(porous_space, monkeypatch, b_spec):
             return keyed_step(porous_space, model, params, cfg, state,
                               synchronous=sync)
         return step_coupled(porous_space, model, params, cfg, state,
-                            noise=nz, synchronous=sync)
+                            noise=(*nz[:2], None) if sync else nz)
 
     def steps():
         out = []
@@ -956,15 +954,27 @@ FROZEN_BITS = {
         "failures": "22f83e71103af21edb20634b6115b9b0b928ee8425daba98ef90982a7cc5f965",
         "h_dist": "0c0e32a69dbb293cbe5e266dc9a5cc93d2000e24147223816f370c55805c4b71",
     },
+    "coupled": {
+        "x_mode1": "88739ee4f3bbe9aeb6eaa6d2bc6f4345398895c438838663c775801f0e529b57",
+        "y_mode1": "27d08e195ec266dbac5ac92acd14ad10da00e08a044f178759e4542568b0f30b",
+        "x_final": "2415ebc25750e5648bc9c1ea04d7d6db61dbc7e179e731cc40193c7dd0f6203b",
+        "y_final": "98908a90052c55f2149e57ed2b03365ce28e709abe011c0a823bd62fca4d67f9",
+        "h_dist": "9c5db6e8c726ebb58672148a80583c24988a740200128368fc69fe6c734f00a8",
+        "tau_n": "1d56325704b476412dad5de485e333e355a6ae5b7607ba57435dc4e88a25c84b",
+        "failed": "01e568cd4afe0852dee3c8902ce39056c3fde43ef368240f1decc5987d371976",
+        "failures": "d9141cd2811b8230049c70171c0c78015c3f29cd65af643fed9770519df3c71e",
+    },
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("which", ["single", "synchronous"])
+@pytest.mark.parametrize("which", ["single", "synchronous", "coupled"])
 def test_single_and_synchronous_bits_frozen(porous_space, which, threads):
     # no benchmark workload runs these ensembles, so their bits are pinned
     # here: the explicit scheme past its stability limit fails some paths,
-    # which are frozen at NaN from then on
+    # which are frozen at NaN from then on.  The coupled pairs reflect, and
+    # their failed rows stay in the step, inside the band with their NaN
+    # distance, until a repack drops them
     model = ModelSpec(Porous(r=2.0), b_spec=LipschitzDiagonal(0.8, unit_base(16)))
     cfg = SimConfig(dt=2e-4, horizon=0.008, n_paths=600, master_seed=16,
                     checkpoint_times=(0.0, 0.004, 0.006, 0.008),
@@ -972,14 +982,19 @@ def test_single_and_synchronous_bits_frozen(porous_space, which, threads):
     x0 = e_k(16, 1, 1.8)
     # a single-equation run is the synchronous run of the pair glued at x0
     rec = run_paths(porous_space, model, CouplingParams(n=2), cfg,
-                    "synchronous", x0=x0, y0=x0 if which == "single" else -x0,
+                    "coupled" if which == "coupled" else "synchronous",
+                    x0=x0, y0=x0 if which == "single" else -x0,
                     threads=threads)
     got = {"x_mode1": _sha256(rec.x_mode1), "x_final": _sha256(rec.x_final),
            "failed": _sha256(rec.failed),
            "failures": _sha256(np.array([(p, m) for p, _t, m in rec.failures]))}
-    if which == "synchronous":
+    if which != "single":
         got["h_dist"] = _sha256(rec.h_dist)
-    assert len(rec.failures) == {"single": 38, "synchronous": 87}[which]
+    if which == "coupled":
+        got.update({name: _sha256(getattr(rec, name))
+                    for name in ("y_mode1", "y_final", "tau_n")})
+    assert len(rec.failures) == {"single": 38, "synchronous": 87,
+                                 "coupled": 51}[which]
     assert got == FROZEN_BITS[which]
 
 
