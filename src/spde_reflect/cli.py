@@ -281,8 +281,6 @@ def _validated(values: dict) -> RunConfig:
     for f in cfg["output"]["formats"]:
         if f not in ("json", "csv"):
             raise ConfigError(f"unknown output format {f!r}")
-    if min(cfg["conditions"]["samples"], cfg["conditions"]["mv_samples"]) < 1:
-        raise ConfigError("conditions.samples and mv_samples must be >= 1")
     return cfg
 
 
@@ -311,6 +309,10 @@ def _experiment_rule(cfg: RunConfig, w: str) -> None:
 # or gate calls; draws nothing
 def _condition_rule(cfg: RunConfig, w: str) -> None:
     co, model = cfg["conditions"], cfg.model
+    if w in ("spectrum", "nash"):
+        _exact_gate(cfg, w)
+        return
+    iq._positive_samples(co["mv_samples" if w == "meanvalue" else "samples"])
     if w == "meanvalue":
         if not co["mv_r"]:
             raise ValueError("mv_r must not be empty")
@@ -322,8 +324,6 @@ def _condition_rule(cfg: RunConfig, w: str) -> None:
         iq._a1doubleprime_rule(model, co["kappa"])
     elif w == "interpolation":
         iq._positive_kappa(co["kappa"])
-    elif w in ("spectrum", "nash"):
-        _exact_gate(cfg, w)
 
 
 def _replaced(cfg: RunConfig, section: str, **values) -> RunConfig:
@@ -460,16 +460,15 @@ def _exact_gate(cfg: RunConfig, w: str) -> dict:
     kappa = co["kappa"]
     if w == "nash":
         m = co["nash_m"] if co["nash_m"] is not None else 1.0 / sp["gamma"]
-        _, rep = iq.nash_exponent_gate(m, fam.r, gamma=sp["gamma"], d=1,
-                                       delta=sp["q_decay"], kappa=kappa)
+        rep = iq.nash_exponent_gate(m, fam.r, gamma=sp["gamma"],
+                                    delta=sp["q_decay"], kappa=kappa)
         return {"nash": rep.as_dict()}
     params = iq.SpectrumParams(
-        gamma=sp["gamma"], delta=sp["q_decay"], d=1,
+        gamma=sp["gamma"], delta=sp["q_decay"],
         r=fam.r if fam.kind != "plaplace" else None,
-        p=fam.p if fam.kind == "plaplace" else None,
-        kappa=kappa, c=sp["q_amp"],
+        p=fam.p if fam.kind == "plaplace" else None, kappa=kappa,
         eps=None if kappa is None
-        else iq._worked_eps(sp["gamma"], 1, sp["q_decay"], kappa))
+        else iq._worked_eps(sp["gamma"], sp["q_decay"], kappa))
     return {f"spectrum_{g}": iq.check_spectrum_condition(g, params).as_dict()
             for g in ("EI", _FAMILY_GATE[fam.kind])}
 

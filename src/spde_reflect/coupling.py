@@ -176,7 +176,7 @@ def reflect_apply(space: SpectralSpace, u: np.ndarray, v: np.ndarray,
 
 
 def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingParams,
-                                 x: np.ndarray, y: np.ndarray, t: float,
+                                 x: np.ndarray, y: np.ndarray,
                                  dW1: np.ndarray, dW2: np.ndarray,
                                  dW3: np.ndarray | None, *, dist: np.ndarray | None = None,
                                  out=None, scratch: np.ndarray | None = None):
@@ -262,9 +262,9 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
             scratch = np.empty(2 * x.size)
         z1, bz = scratch.reshape(-1)[:2 * x.size].reshape((2,) + x.shape)
         np.divide(dW1, root_w, out=z1)
-        dx += np.multiply(b_diag(space, model, t, x, out=bz), z1, out=bz)
+        dx += np.multiply(b_diag(space, model, x, out=bz), z1, out=bz)
         if y is not None:
-            dy += np.multiply(b_diag(space, model, t, y, out=bz), z1, out=bz)
+            dy += np.multiply(b_diag(space, model, y, out=bz), z1, out=bz)
     return dx, dy
 
 

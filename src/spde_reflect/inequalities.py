@@ -14,7 +14,7 @@ the report is bit for bit that of one whole-batch pass.  A validation
 slab's temporaries, up to 17 arrays of ``_SLAB`` doubles (about 1.1 MB),
 fit in a 2 MiB L2 cache.
 
-Spectrum conditions for power-law data q_i = c i^-delta, lambda_i =
+Spectrum conditions for power-law data q_i = i^-delta, lambda_i =
 (pi i)^(2 gamma) are decided exactly by the exponent of i in the
 supremand, with a brute-force numeric scan available as a sanity check.
 """
@@ -48,6 +48,7 @@ _VACUOUS = 1e-6                      # median |fitted term| / median |lhs|
 # memory a check adds to its terms
 _SLAB = 8_192
 _ROW_SLAB = 4 * ROW_CHUNK            # states per grid slab
+_SAFETY = 0.9                        # a fitted constant is shaved by this
 
 
 @dataclass
@@ -144,8 +145,7 @@ def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
     ``vacuous`` when ``fitted_term(terms, const)``, its term and the lhs,
     has a median ``|term|`` below ``_VACUOUS`` times the median ``|lhs|``.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _positive_samples(n_samples)
     const = fit(sample()) if given is None else given
     terms = sample()
     bad, lows = 0, []
@@ -178,12 +178,12 @@ def _a1_lhs(space, model, v1, v2):
     # the checks are made at t = 0, which only the fast-diffusion beta(t) reads
     lhs = pairing_drift_diff(space, model, 0.0, v1, v2)
     if model.has_diffusion:
-        lhs = lhs + 0.5 * b_hs_diff(space, model, 0.0, v1, v2) ** 2
+        lhs = lhs + 0.5 * b_hs_diff(space, model, v1, v2) ** 2
     return lhs
 
 
 def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
-              seed, K, theta, safety) -> ConditionReport:
+              seed, K, theta) -> ConditionReport:
     """lhs <= K |v1-v2|^2 - theta defect(v1, v2) with theta fitted unless given."""
     if K is None:
         K = lipschitz_K_bound(model)
@@ -199,7 +199,7 @@ def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
 
     def fit(terms):
         lhs, kdn2, denom = terms
-        return max(float(np.min((kdn2 - lhs) / denom)), 0.0) * safety
+        return max(float(np.min((kdn2 - lhs) / denom)), 0.0) * _SAFETY
 
     def check(terms, theta):
         lhs, kdn2, denom = terms
@@ -216,6 +216,11 @@ def _check_a1(condition_id, stream, defect, space, model, kappa, n_samples,
 # The parameter rules of the checkers and gates.  Each checker calls its
 # rule before it draws anything, and the config parser calls the same rule
 # for each selected condition; no rule samples.
+
+def _positive_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
 
 def _positive_kappa(kappa) -> None:
     if kappa is None or not kappa > 0.0:
@@ -249,8 +254,7 @@ def _nash_rule(m: float, r: float) -> None:
 
 def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
                   n_samples: int = 10_000, *, seed: int = 1234,
-                  K: float | None = None, theta: float | None = None,
-                  safety: float = 0.9) -> ConditionReport:
+                  K: float | None = None, theta: float | None = None) -> ConditionReport:
     """One-sided bound with the Q-norm defect term, r >= 1 regime.
 
     With user-supplied (K, theta) the batch is checked directly; otherwise
@@ -262,13 +266,13 @@ def check_A1prime(space: SpectralSpace, model: ModelSpec, kappa: float,
     # dn^(r+1-k) dq^k
     return _check_a1("A1prime", 0xA1,
                      lambda v1, v2, dn, ratio_k: dn ** (r + 1.0) * ratio_k,
-                     space, model, kappa, n_samples, seed, K, theta, safety)
+                     space, model, kappa, n_samples, seed, K, theta)
 
 
 def check_A1doubleprime(space: SpectralSpace, model: ModelSpec, kappa: float,
                         n_samples: int = 10_000, *, seed: int = 1234,
-                        K: float | None = None, theta: float | None = None,
-                        safety: float = 0.9) -> ConditionReport:
+                        K: float | None = None,
+                        theta: float | None = None) -> ConditionReport:
     """Fast-diffusion variant with the V-norm denominator, r in (0, 1)."""
     _a1doubleprime_rule(model, kappa)
     fam = model.family
@@ -278,12 +282,12 @@ def check_A1doubleprime(space: SpectralSpace, model: ModelSpec, kappa: float,
         return dn * dn * ratio_k / vmax ** (1.0 - fam.r)
 
     return _check_a1("A1doubleprime", 0xA2, defect, space, model, kappa,
-                     n_samples, seed, K, theta, safety)
+                     n_samples, seed, K, theta)
 
 
 def check_interpolation_Q(space: SpectralSpace, model: ModelSpec, kappa: float,
                           n_samples: int = 10_000, *, seed: int = 1234,
-                          safety: float = 0.9) -> ConditionReport:
+                          safety: float = _SAFETY) -> ConditionReport:
     """Interpolation bounds tying the Q-norm to the H- and V-norms.
 
     porous:   |x|_Q^2 <= C |x|^(2(k-1-r)/k) |x|_{1+r}^(2(1+r)/k)
@@ -329,15 +333,13 @@ def check_interpolation_Q(space: SpectralSpace, model: ModelSpec, kappa: float,
 
 @dataclass(frozen=True)
 class SpectrumParams:
-    """Closed-form spectrum data q_i = c i^-delta, lambda_i = (pi i)^(2 gamma)."""
+    """Closed-form spectrum data q_i = i^-delta, lambda_i = (pi i)^(2 gamma), d = 1."""
     gamma: float
     delta: float
-    d: int = 1
     r: float | None = None
     p: float | None = None
     kappa: float | None = None
     eps: float | None = None
-    c: float = 1.0
 
     # delta <= 0 or a given kappa <= 0 would divide by zero or flip a gate
     def __post_init__(self):
@@ -390,12 +392,12 @@ def _spectrum_gate(which: str, params: SpectrumParams):
     return exponent, supremand
 
 
-def scan_supremand(which: str, params: SpectrumParams, i_max: int = 1_000_000):
-    """Numeric scan of the supremand over i <= i_max (sanity route)."""
+def scan_supremand(which: str, params: SpectrumParams):
+    """Numeric scan of the supremand over i <= 10^6 (sanity route)."""
     supremand = _spectrum_gate(which, params)[1]
-    i = np.arange(1, i_max + 1, dtype=float)
+    i = np.arange(1, 1_000_001, dtype=float)
     return supremand(params, i, (np.pi * i) ** (2.0 * params.gamma),
-                     params.c * i ** (-params.delta))
+                     i ** (-params.delta))
 
 
 def _exact_report(condition_id: str, ok: bool, constants: dict,
@@ -420,13 +422,12 @@ def check_spectrum_condition(which: str, params: SpectrumParams) -> ConditionRep
     consts = {"exponent": exp}
     if params.r is not None and params.r >= 1.0:
         consts["kappa_example_porous"] = kappa_porous_example(
-            params.gamma, params.r, params.delta, params.d)
+            params.gamma, params.r, params.delta)
     if params.p is not None:
         consts["kappa_example_plaplace"] = kappa_plaplace_example(
             params.p, params.delta)
     if params.r is not None and 0.0 < params.r < 1.0:
-        lo, hi = kappa_fastdiff_interval(params.gamma, params.r,
-                                         params.delta, params.d)
+        lo, hi = kappa_fastdiff_interval(params.gamma, params.r, params.delta)
         consts["kappa_interval_lo"] = lo
         consts["kappa_interval_hi"] = hi
     return _exact_report(
@@ -446,8 +447,7 @@ def mean_value_batch(n_samples: int, seed: int = 1234):
     chunked draws continue the same stream, so the pairs are those of
     whole-batch draws, in about 16 bytes per pair.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _positive_samples(n_samples)
     gen = philox_generator(seed, 0x3C)
     s1, s2 = gen.standard_cauchy(n_samples), gen.standard_cauchy(n_samples)
     for t in (s1, s2):
@@ -500,34 +500,33 @@ def check_scalar_mean_value(r: float, batch) -> ConditionReport:
                               None, check, lambda r: {"r": r}, given=r)
 
 
-def _worked_eps(gamma: float, d: int, delta: float, kappa: float) -> float:
-    """The worked eps = (2 gamma - kappa d delta) / (2 gamma) of the Nash
-    gate and of the SB spectrum gate."""
-    return (2.0 * gamma - kappa * d * delta) / (2.0 * gamma)
+def _worked_eps(gamma: float, delta: float, kappa: float) -> float:
+    """The worked eps = (2 gamma - kappa d delta) / (2 gamma), d = 1, of the
+    Nash gate and of the SB spectrum gate."""
+    return (2.0 * gamma - kappa * delta) / (2.0 * gamma)
 
 
 def nash_exponent_gate(m: float, r: float, *, gamma: float | None = None,
-                       d: int | None = None, delta: float | None = None,
-                       kappa: float | None = None):
-    """Gate m < 2(1+r)/(1-r), plus the worked eps-window when spectrum data
-    is supplied (eps of ``_worked_eps``)."""
+                       delta: float | None = None,
+                       kappa: float | None = None) -> ConditionReport:
+    """The report of gate m < 2(1+r)/(1-r), and of the worked eps-window
+    when spectrum data is supplied (eps of ``_worked_eps``)."""
     _nash_rule(m, r)
     bound = 2.0 * (1.0 + r) / (1.0 - r)
     ok = m < bound
     consts = {"m": m, "bound": bound}
     notes = ""
-    if None not in (gamma, d, delta, kappa):
-        eps = _worked_eps(gamma, d, delta, kappa)
+    if None not in (gamma, delta, kappa):
+        eps = _worked_eps(gamma, delta, kappa)
         eps_hi = (1.0 - r) * m / (2.0 * (1.0 + r))
         consts.update({"eps": eps, "eps_hi": eps_hi})
         ok = ok and (0.0 < eps < eps_hi)
         notes = "eps window (0, (1-r) m / (2(1+r))) checked"
-    return ok, _exact_report("nash_gate", ok, consts, bound - m, notes)
+    return _exact_report("nash_gate", ok, consts, bound - m, notes)
 
 
 def fit_coercivity(space: SpectralSpace, model: ModelSpec,
-                   n_samples: int = 10_000, *, seed: int = 1234,
-                   safety: float = 0.9) -> ConditionReport:
+                   n_samples: int = 10_000, *, seed: int = 1234) -> ConditionReport:
     """Coercivity surrogate <A(v), v> + |B(v)|_HS^2 / 2 <= C(1+|v|^2) - theta |v|_V^(1+r)."""
     fam = model.family
     if model.theta is not None:
@@ -548,7 +547,7 @@ def fit_coercivity(space: SpectralSpace, model: ModelSpec,
 
     def fit(terms):
         lhs, vn, hn2 = terms
-        c_fit = float(np.max((lhs + theta * vn) / (1.0 + hn2))) / safety
+        c_fit = float(np.max((lhs + theta * vn) / (1.0 + hn2))) / _SAFETY
         # the diffusion part is covered outright by its Lipschitz bound
         return max(c_fit, 0.0) + 0.5 * getattr(model.b_spec, "c0", 0.0) ** 2
 

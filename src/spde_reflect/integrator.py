@@ -295,16 +295,13 @@ class CouplingState:
         return self.fail_mode >= 0
 
 
-def _boundary_update(space: SpectralSpace, params: CouplingParams,
-                     state: CouplingState, dist: np.ndarray | None = None) -> None:
+def _boundary_update(params: CouplingParams, state: CouplingState,
+                     dist: np.ndarray) -> None:
     """Record stopping times at the current step boundary and glue.
 
-    ``dist`` is the H-distance |x - y|_H of the state, computed here when
-    not given.  A failed row's distance is NaN, which passes no test here.
+    ``dist`` is the H-distance |x - y|_H of the state.  A failed row's
+    distance is NaN, which passes no test here.
     """
-    if dist is None:
-        with np.errstate(invalid="ignore", over="ignore"):
-            dist = h_norm(space, state.x - state.y)
     state.dist = dist
     hit = np.isnan(state.tau_n) & (dist <= 1.0 / params.n)
     state.tau_n[hit] = state.time
@@ -337,7 +334,8 @@ def make_coupling_state(space: SpectralSpace, params: CouplingParams,
         tau_delta=np.full((p, d), np.nan),
         fail_mode=np.full(p, -1), dist=np.full(p, np.nan),
     )
-    _boundary_update(space, params, state)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _boundary_update(params, state, h_norm(space, x0 - y0))
     return state
 
 
@@ -427,7 +425,7 @@ def _exact_split(model: ModelSpec, config: SimConfig) -> bool:
 
 def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
                dr: np.ndarray | None, mu: np.ndarray, noise: np.ndarray,
-               factors, scratch: np.ndarray | None = None) -> np.ndarray:
+               factors, scratch: np.ndarray) -> np.ndarray:
     """The new state as a fresh array; ``dr`` and ``noise`` are overwritten.
 
     explicit (``factors`` None): x + dt * dr + noise;
@@ -437,8 +435,8 @@ def _step_core(space: SpectralSpace, dt: float, x: np.ndarray,
     ``dr`` None is the exact split (A(v) = -L v with mu = 1), where the
     residual formed from the drift is +0 wherever lambda * x is finite and
     NaN where it is not.  resid = lambda * x - lambda * x is the same, and
-    so is resid in place of dt * phi1 * resid; it is formed in ``scratch``
-    (shaped like x; fresh when None).
+    so is resid in place of dt * phi1 * resid; it is formed in ``scratch``,
+    an array shaped like x.
     """
     new = np.empty_like(x)
     if factors is None:
@@ -515,7 +513,7 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
     both = not state.coupled.all()
     with np.errstate(invalid="ignore", over="ignore"):
         dx_noise, dy_noise = coupled_diffusion_increments(
-            space, model, params, state.x, state.y if both else None, t,
+            space, model, params, state.x, state.y if both else None,
             dw1, dw2, dw3, dist=state.dist, out=work.increments,
             scratch=work.band)
         if _exact_split(model, config):
@@ -565,7 +563,7 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
                   coupled=state.coupled.copy(), tau_n=state.tau_n.copy(),
                   dist_at_tau_n=state.dist_at_tau_n.copy(),
                   t_n=state.t_n.copy(), tau_delta=state.tau_delta.copy())
-    _boundary_update(space, params, out, dist)
+    _boundary_update(params, out, dist)
     return out
 
 

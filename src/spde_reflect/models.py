@@ -22,7 +22,8 @@ deliberately not derived from ``drift_and_split_rate``.
 Diffusion coefficients B are either zero or diagonal Lipschitz maps
 b_i(v) = c0 * tanh(c_i(v)) * a_i acting mode by mode, where c_i(v) is the
 H-orthonormal coefficient of v (so tanh's 1-Lipschitz bound gives the
-Hilbert-Schmidt Lipschitz property in the ambient metric).
+Hilbert-Schmidt Lipschitz property in the ambient metric).  B does not
+depend on time, so ``b_diag`` and ``b_hs_diff`` take no t.
 """
 
 from __future__ import annotations
@@ -287,8 +288,8 @@ def pairing_drift_diff(space: SpectralSpace, model: ModelSpec, t: float,
     return -psi_term + zero_order * np.sum(d * d / space.lambdas, axis=-1)
 
 
-def b_diag(space: SpectralSpace, model: ModelSpec, t: float,
-           v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def b_diag(space: SpectralSpace, model: ModelSpec, v: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Per-mode diffusion amplitudes b_i(v); zeros for the zero spec.
 
     ``out``, an array shaped like v, receives the amplitudes.
@@ -305,11 +306,11 @@ def b_diag(space: SpectralSpace, model: ModelSpec, t: float,
     return np.multiply(np.multiply(spec.c0, c, out=c), spec.base, out=c)
 
 
-def b_hs_diff(space: SpectralSpace, model: ModelSpec, t: float,
+def b_hs_diff(space: SpectralSpace, model: ModelSpec,
               v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt norm of B(t,v1) - B(t,v2) at truncation."""
+    """Hilbert-Schmidt norm of B(v1) - B(v2) at truncation."""
     if not model.has_diffusion:
         v1 = np.asarray(v1, dtype=float)
         return np.zeros(v1.shape[:-1])
-    db = b_diag(space, model, t, v1) - b_diag(space, model, t, v2)
+    db = b_diag(space, model, v1) - b_diag(space, model, v2)
     return np.sqrt(np.sum(db * db, axis=-1))

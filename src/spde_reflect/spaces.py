@@ -96,7 +96,6 @@ class SpectralSpace:
     q_coeffs: np.ndarray      # (N,) per-mode noise amplitudes q_i
     nodes: np.ndarray         # (M+2,) quadrature nodes incl. both endpoints
     quad_w: np.ndarray        # (M+2,) trapezoid weights, sums to 1
-    oversample: int = 4
     # derived matrices, filled in make_space
     sine: np.ndarray = field(default=None, repr=False)    # (N, M+2) e_i(x_j)
     dsine: np.ndarray = field(default=None, repr=False)   # (N, M+2) e_i'(x_j)
@@ -141,7 +140,7 @@ def make_space(n_modes: int, gamma: float = 1.0, *, weighted: bool = True,
     return SpectralSpace(
         n_modes=n_modes, gamma=gamma, weighted=weighted,
         lambdas=lambdas, q_coeffs=q_amp * idx ** (-q_decay),
-        nodes=nodes, quad_w=quad_w, oversample=oversample,
+        nodes=nodes, quad_w=quad_w,
         sine=sine, dsine=dsine, proj=proj,
     )
 

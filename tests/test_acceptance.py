@@ -270,7 +270,7 @@ def test_criterion_10_inequality_suite():
     for which, params in gates:
         rep = check_spectrum_condition(which, params)
         ok &= rep.verdict == "pass"
-        vals = scan_supremand(which, params, i_max=1_000_000)
+        vals = scan_supremand(which, params)
         if which == "EI":
             tail = vals[-1] - vals[len(vals) // 2]
             ok &= bool(tail < 0.1 * vals[len(vals) // 2])

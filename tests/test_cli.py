@@ -157,10 +157,11 @@ _BAD_CONFIGS = {
                   "model: the porous family needs r"),
     "missing_p": ("[model]\nfamily = plaplace\n",
                   "model: the plaplace family needs p"),
-    "samples": (MINIMAL + "[conditions]\nsamples = 0\n",
-                "conditions.samples and mv_samples must be >= 1"),
-    "mv_samples": (MINIMAL + "[conditions]\nmv_samples = 0\n",
-                   "conditions.samples and mv_samples must be >= 1"),
+    "samples": (MINIMAL + "[conditions]\nwhich = coercivity\nsamples = 0\n",
+                "conditions: coercivity: n_samples must be >= 1"),
+    "mv_samples": (MINIMAL + "[conditions]\nwhich = meanvalue\n"
+                   "mv_samples = 0\n",
+                   "conditions: meanvalue: n_samples must be >= 1"),
     "x0_too_long": (MINIMAL + "[space]\nn_modes = 2\n[sim]\nx0 = 1, 2, 3\n",
                     "sim.x0 has more entries than space.n_modes"),
     "y0_too_long": (MINIMAL + "[space]\nn_modes = 2\n[sim]\ny0 = 1, 2, 3\n",
@@ -600,6 +601,68 @@ def test_nash_and_sb_gates_share_the_worked_eps(monkeypatch, gamma, delta,
     assert sb == [nash["fitted_constants"]["eps"]]
 
 
+_SUP = "finite iff i-exponent of the supremand is nonpositive"
+_SUM = "summable iff i-exponent < -1"
+_POROUS_GATES = {
+    "spectrum_EI": ("spectrum_EI", 0, {"exponent": -1.5,
+                                       "kappa_example_porous": 8.0},
+                    0.5, "pass", _SUM),
+    "spectrum_*E": ("spectrum_*E", 0, {"exponent": 0.0,
+                                       "kappa_example_porous": 8.0},
+                    -0.0, "pass", _SUP),
+}
+_FASTDIFF_KAPPA = {"kappa_interval_hi": 3.3333333333333335,
+                   "kappa_interval_lo": 2.777777777777778}
+# (config, change, gate) -> {name: (condition_id, violations, constants,
+# worst margin, verdict, notes)}: the exact gates' reports on the shipped
+# configs, pinned so that an edit of a gate or of its caller keeps each value
+_EXACT_GATES = {
+    ("porous_accept", None, "spectrum"): _POROUS_GATES,
+    ("smoke", None, "spectrum"): _POROUS_GATES,
+    ("fastdiff_chain", None, "spectrum"): {
+        "spectrum_EI": ("spectrum_EI", 0, {"exponent": -1.2, **_FASTDIFF_KAPPA},
+                        0.19999999999999996, "pass", _SUM),
+        "spectrum_SB": ("spectrum_SB", 0, {"exponent": 0.0, **_FASTDIFF_KAPPA},
+                        -0.0, "pass", _SUP),
+    },
+    ("porous_accept", "plaplace", "spectrum"): {
+        "spectrum_EI": ("spectrum_EI", 0, {"exponent": -1.5,
+                                           "kappa_example_plaplace": 4.0},
+                        0.5, "pass", _SUM),
+        "spectrum_**E": ("spectrum_**E", 1, {"exponent": 0.375,
+                                             "kappa_example_plaplace": 4.0},
+                         -0.375, "fail", _SUP),
+    },
+    ("fastdiff_chain", None, "nash"): {
+        "nash": ("nash_gate", 0, {"m": 1.0, "bound": 6.0,
+                                  "eps": 0.10000000000000009,
+                                  "eps_hi": 0.16666666666666666},
+                 5.0, "pass", "eps window (0, (1-r) m / (2(1+r))) checked"),
+    },
+    ("fastdiff_chain", "no_kappa", "nash"): {
+        "nash": ("nash_gate", 0, {"m": 1.0, "bound": 6.0}, 5.0, "pass", ""),
+    },
+}
+
+
+@pytest.mark.parametrize("name, change, gate", sorted(
+    _EXACT_GATES, key=str), ids=str)
+def test_exact_gate_reports_frozen(name, change, gate):
+    cfg = parse_config_file(Path(__file__).resolve().parents[1] / "configs"
+                            / f"{name}.cfg")
+    if change == "plaplace":       # reaches **E and kappa_example_plaplace
+        cfg = cli._validated({
+            **cfg.values, "space": {**cfg["space"], "gamma": 1.0},
+            "model": {**cfg["model"], "family": "plaplace", "p": 3.0}})
+    elif change == "no_kappa":     # the bound alone, no eps window
+        cfg = cli._replaced(cfg, "conditions", which=("nash",), kappa=None)
+    keys = ("condition_id", "violation_count", "fitted_constants",
+            "worst_margin", "verdict", "notes")
+    want = {k: dict(zip(keys, v), sample_count=1)
+            for k, v in _EXACT_GATES[name, change, gate].items()}
+    assert cli._exact_gate(cfg, gate) == want
+
+
 @pytest.mark.parametrize("suite", sorted(COND_SUITES))
 def test_condition_reports_worker_count_deterministic(suite, monkeypatch):
     # the first sampled group runs in this process and the others are dealt
@@ -741,7 +804,8 @@ def test_a_thin_noise_spectrum_fails_the_hilbert_schmidt_gate(tmp_path):
 
 def test_unselected_condition_parameters_are_not_checked():
     for keys in ("which = a1prime\nkappa = 8\nmv_r = 1.5\n",
-                 "mv_r = 1.5\nkappa = -1\nnash_m = -1\n"):
+                 "mv_r = 1.5\nkappa = -1\nnash_m = -1\n",
+                 "which = spectrum\nkappa = 8\nmv_r = 1.5\nsamples = 0\n"):
         cfg = parse_config(MINIMAL + "[conditions]\n" + keys)
         assert cfg["conditions"]["mv_r"] == (1.5,)
 

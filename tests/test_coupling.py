@@ -178,7 +178,7 @@ def test_increments_synchronous_below_band(porous_linear):
     gen = np.random.default_rng(25)
     dws = gen.standard_normal((3, 16)) * 0.01
     dx, dy = coupled_diffusion_increments(sp, porous_linear, params,
-                                          x, y, 0.0, *dws)
+                                          x, y, *dws)
     np.testing.assert_array_equal(dx, dy)
 
 
@@ -192,7 +192,7 @@ def test_increments_pure_reflection(porous_linear):
     z = np.zeros(16)
     dw3 = e_k(16, 1, 0.3)
     dx, dy = coupled_diffusion_increments(sp, porous_linear, params,
-                                          x, y, 0.0, z, z, dw3)
+                                          x, y, z, z, dw3)
     np.testing.assert_allclose(dy[0], -dx[0], atol=1e-14)
     np.testing.assert_allclose(dy[1:], dx[1:], atol=1e-14)
 
@@ -208,7 +208,7 @@ def test_increment_variance_matches(porous_space, porous_linear):
     dws = gen.standard_normal((3, m, 16)) * np.sqrt(dt)
     dx, dy = coupled_diffusion_increments(
         porous_space, porous_linear, params,
-        np.tile(x, (m, 1)), np.tile(y, (m, 1)), 0.0, *dws)
+        np.tile(x, (m, 1)), np.tile(y, (m, 1)), *dws)
     vx = np.var(dx, axis=0, ddof=1)
     vy = np.var(dy, axis=0, ddof=1)
     se = vx * np.sqrt(2.0 / (m - 1))
@@ -225,7 +225,7 @@ def test_increment_variance_weighted_law(porous_space, porous_linear):
     dws = gen.standard_normal((3, m, 16))
     dx, dy = coupled_diffusion_increments(
         porous_space, porous_linear, params,
-        np.tile(x, (m, 1)), np.tile(y, (m, 1)), 0.0, *dws)
+        np.tile(x, (m, 1)), np.tile(y, (m, 1)), *dws)
     target = porous_space.q_coeffs ** 2 / porous_space.h_weights
     for d in (dx, dy):
         v = np.var(d, axis=0, ddof=1)
@@ -233,7 +233,7 @@ def test_increment_variance_weighted_law(porous_space, porous_linear):
         assert np.all(np.abs(v - target) <= 4.0 * se)
 
 
-def _reference_increments(space, model, params, x, y, t, dW1, dW2, dW3):
+def _reference_increments(space, model, params, x, y, dW1, dW2, dW3):
     """The full formula evaluated on every row, whatever its distance."""
     root_w = np.sqrt(space.h_weights)
     z2 = dW2 / root_w
@@ -284,8 +284,7 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
     x[s.size + 3:] = y[s.size + 3:] = np.nan
     dws = gen.standard_normal((3, p, 16)) * np.sqrt(1e-3)
     with np.errstate(invalid="ignore"):
-        want = _reference_increments(porous_space, model, params, x, y, 0.3,
-                                     *dws)
+        want = _reference_increments(porous_space, model, params, x, y, *dws)
         dist = h_norm(porous_space, x - y)
         in_band = params.n * dist > 0.5
         assert 0 < np.sum(in_band) < p
@@ -301,13 +300,13 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
         for kw in ({}, {"dist": dist}, {"dist": stored, "out": out},
                    reused, reused):
             got = coupled_diffusion_increments(porous_space, model, params,
-                                               x, y, 0.3, *dws, **kw)
+                                               x, y, *dws, **kw)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
         # a single pair (1-D state) on each side of the band
         for i in (0, s.size - 1):
             got = coupled_diffusion_increments(porous_space, model, params,
-                                               x[i], y[i], 0.3, *dws[:, i])
+                                               x[i], y[i], *dws[:, i])
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w[i])
         # the band rows worked on in one reused scratch array, each subset
@@ -331,10 +330,10 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
             assert np.sum(band[rows]) == n_band[name]
             sub = [a[rows] for a in (x, y, *dws)]
             want_sub = _reference_increments(porous_space, model, params,
-                                             sub[0], sub[1], 0.3, *sub[2:])
+                                             sub[0], sub[1], *sub[2:])
             for _ in range(2):
                 got = coupled_diffusion_increments(
-                    porous_space, model, params, *sub[:2], 0.3, *sub[2:],
+                    porous_space, model, params, *sub[:2], *sub[2:],
                     dist=stored[rows], out=np.full((2, rows.size, 16), 7.0),
                     scratch=scratch)
                 for g, w in zip(got, want_sub):
@@ -378,7 +377,7 @@ def test_band_slabs_keep_every_bit(porous_space, model, monkeypatch):
 
             def increments(**kw):
                 return coupled_diffusion_increments(
-                    porous_space, model, params, x, y, 0.3, *dws, dist=dist,
+                    porous_space, model, params, x, y, *dws, dist=dist,
                     **kw)
 
             slabs = [increments(),

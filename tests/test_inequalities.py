@@ -307,7 +307,7 @@ def test_spectrum_sb_and_ei():
 def test_spectrum_exponent_matches_brute_force(which, params, finite):
     rep = check_spectrum_condition(which, params)
     assert (rep.verdict == "pass") == finite
-    vals = scan_supremand(which, params, i_max=1_000_000)
+    vals = scan_supremand(which, params)
     growth = vals[-1] / np.max(vals[:1000])
     if finite:
         assert growth <= 1.0 + 1e-9
@@ -361,14 +361,14 @@ def test_nonpositive_kappa_or_delta_refused(probe, message, monkeypatch):
 # --- Nash gate and kappa calculators ---------------------------------------
 
 def test_nash_gate_examples():
-    ok, rep = nash_exponent_gate(2.0, 0.5)
-    assert ok and rep.fitted_constants["bound"] == pytest.approx(6.0)
-    ok, rep = nash_exponent_gate(1.0, 0.5, gamma=1.0, d=1, delta=0.6, kappa=3.0)
-    assert ok
+    rep = nash_exponent_gate(2.0, 0.5)
+    assert rep.verdict == "pass"
+    assert rep.fitted_constants["bound"] == pytest.approx(6.0)
+    rep = nash_exponent_gate(1.0, 0.5, gamma=1.0, delta=0.6, kappa=3.0)
+    assert rep.verdict == "pass"
     assert rep.fitted_constants["eps"] == pytest.approx(0.1)
     # bound grows without limit as r -> 1
-    ok, rep = nash_exponent_gate(50.0, 0.999)
-    assert ok
+    assert nash_exponent_gate(50.0, 0.999).verdict == "pass"
 
 
 def test_nash_gate_domain():

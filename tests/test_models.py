@@ -164,8 +164,8 @@ def test_apply_B_zero(porous_space, porous_linear):
     gen = np.random.default_rng(9)
     v, w = gen.standard_normal((2, 16))
     np.testing.assert_array_equal(
-        b_diag(porous_space, porous_linear, 0.0, v) * w, np.zeros(16))
-    assert b_hs_diff(porous_space, porous_linear, 0.0, v, w) == 0.0
+        b_diag(porous_space, porous_linear, v) * w, np.zeros(16))
+    assert b_hs_diff(porous_space, porous_linear, v, w) == 0.0
 
 
 def test_b_diag_formula_and_out(porous_space, porous_linear):
@@ -174,10 +174,10 @@ def test_b_diag_formula_and_out(porous_space, porous_linear):
     v = np.random.default_rng(12).standard_normal((7, 16))
     want = 0.8 * np.tanh(porous_space.root_h_weights * v) * unit_base(16)
     out = np.full_like(v, np.nan)
-    assert b_diag(porous_space, m, 0.0, v, out=out) is out
+    assert b_diag(porous_space, m, v, out=out) is out
     np.testing.assert_array_equal(out, want)
-    np.testing.assert_array_equal(b_diag(porous_space, m, 0.0, v), want)
-    assert b_diag(porous_space, porous_linear, 0.0, v, out=out) is out
+    np.testing.assert_array_equal(b_diag(porous_space, m, v), want)
+    assert b_diag(porous_space, porous_linear, v, out=out) is out
     np.testing.assert_array_equal(out, np.zeros_like(v))
 
 
@@ -185,7 +185,7 @@ def test_b_hs_diff_same_point(porous_space):
     m = ModelSpec(Porous(r=1.0), b_spec=LipschitzDiagonal(1.0, unit_base(16)))
     gen = np.random.default_rng(10)
     v = gen.standard_normal(16)
-    assert b_hs_diff(porous_space, m, 0.0, v, v) == 0.0
+    assert b_hs_diff(porous_space, m, v, v) == 0.0
 
 
 def test_b_hs_lipschitz_property(porous_space):
@@ -194,7 +194,7 @@ def test_b_hs_lipschitz_property(porous_space):
     gen = np.random.default_rng(11)
     v1 = gen.standard_normal((10_000, 16))
     v2 = gen.standard_normal((10_000, 16))
-    lhs = b_hs_diff(porous_space, m, 0.0, v1, v2)
+    lhs = b_hs_diff(porous_space, m, v1, v2)
     rhs = c0 * h_norm(porous_space, v1 - v2)
     assert np.all(lhs <= rhs * (1.0 + 1e-12))
 
