@@ -45,7 +45,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 try:
@@ -430,8 +430,9 @@ def _mean_value_reports(co, workers: int) -> dict:
     # drawn it is split into _SLAB-aligned ranges, one per worker: the first
     # is checked here and each other in a forked child, which reads the
     # pairs copy-on-write.  The ranges' validation slabs are the whole
-    # batch's, so the merged reports are its reports bit for bit.  The
-    # batch is freed on return, before the next checker draws its states
+    # batch's, and the ranges merge by the rule that merges the slabs, so
+    # the merged reports are its reports bit for bit.  The batch is freed
+    # on return, before the next checker draws its states
     s1, s2 = iq.mean_value_batch(co["mv_samples"], co["seed"])
 
     def check(lo, hi):
@@ -440,16 +441,8 @@ def _mean_value_reports(co, workers: int) -> dict:
 
     parts = run_forked([partial(check, lo, hi) for lo, hi
                         in path_batches(len(s1), workers, iq._SLAB)])
-    out = {}
-    for rv, reps in zip(co["mv_r"], zip(*parts)):
-        bad = sum(rep.violation_count for rep in reps)
-        out[f"meanvalue_r{rv:g}"] = replace(
-            reps[0], sample_count=sum(rep.sample_count for rep in reps),
-            violation_count=bad, verdict="pass" if bad == 0 else "fail",
-            # np.min, not min: a NaN margin in any range propagates
-            worst_margin=float(np.min([rep.worst_margin for rep in reps])),
-        ).as_dict()
-    return out
+    return {f"meanvalue_r{rv:g}": iq._merged_report(reps).as_dict()
+            for rv, reps in zip(co["mv_r"], zip(*parts))}
 
 
 # the reports of the exact gate w, spectrum or nash, decided without
@@ -558,9 +551,8 @@ def _run_experiments(cfg: RunConfig, threads, dest: Path):
     rec = None
     space, model, sim, x0 = cfg.space, cfg.model, cfg.sim, cfg.x0
     dist0 = _start_distance(cfg)
-    needs_coupled = {"survival", "lemma31", "supermartingale", "chain",
-                     "marginal_ou"} & set(which)
-    if needs_coupled:
+    # every experiment but contraction reads the coupled ensemble
+    if set(which) - {"contraction"}:
         deltas = tuple(m * dist0 for m in ex["lemma31_deltas"])
         rec = _ensemble(cfg, "coupled", threads, delta_grid=deltas)
         out["ensemble"] = {
@@ -801,19 +793,17 @@ def _cmd_check_conditions(args) -> int:
         print("no conditions selected in [conditions] which")
         return 0
     wid = max(len(k) for k in reports)
-    bad = 0
     for name, rep in sorted(reports.items()):
         consts = ", ".join(f"{k}={v:.6g}" for k, v in
                            rep["fitted_constants"].items())
         print(f"{name:<{wid}}  {rep['verdict']:<7} "
               f"violations={rep['violation_count']:<6} "
               f"worst_margin={rep['worst_margin']:.3e}  {consts}")
-        bad += rep["verdict"] != "pass"
     if args.out:
         dest = Path(args.out)
         dest.mkdir(parents=True, exist_ok=True)
         _write_json(dest / "conditions.json", reports)
-    return 1 if bad else 0
+    return 1 if collect_failures({"conditions": reports}) else 0
 
 
 def _cmd_oracle(args) -> int:

@@ -19,8 +19,8 @@ rows are gathered, and the reflection is applied there in place.
 ``coupled_diffusion_increments`` forms the cutoff and the row views once
 per call, over every band row; its loop over slabs of ``_BAND_SLAB`` rows
 then only gathers, multiplies, reflects and scatters.  Every band row is
-reflected: h is positive on each finite one, and a failed row (a NaN
-distance, which puts it in the band) reflects to NaN.
+reflected, h being positive on each; a failed row's NaN distance puts it
+below the band, where its NaN state leaves its new state NaN.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         s = np.zeros(x.shape[:-1])       # no band: h = 0 on every row
     else:
         s = params.n * np.asarray(h_norm(space, x - y) if dist is None else dist)
-    band = np.flatnonzero(~(s <= 0.5))   # h > 0, or a NaN distance (failed row)
+    band = np.flatnonzero(s > 0.5)       # h > 0; a NaN distance is not
     if band.size < s.size:
         # cylindrical increments on H, expressed in sine coefficients.
         # Where h = 0, q * 1.0 * z2 + (q * 0.0) * z3 is q * z2 to the bit
@@ -230,9 +230,8 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
         n_modes = space.n_modes
         xs, ys, dxs, dys, w2, w3 = (np.asarray(a, dtype=float).reshape(
             -1, n_modes) for a in (x, y, dx, dy, dW2, dW3))
-        # h lies in (0, 1] on a finite band row (at least 2.3e-31 where
-        # n |x - y|_H is the smallest double above 1/2), and is NaN on a
-        # failed one, whose increments the reflection leaves NaN
+        # h lies in (0, 1] on a band row (at least 2.3e-31 where
+        # n |x - y|_H is the smallest double above 1/2)
         h = cutoff_h(s.reshape(-1)[band])[:, None]
         g = np.sqrt(1.0 - h * h)
         k = min(band.size, _BAND_SLAB)

@@ -186,11 +186,10 @@ class GSpec:
             return sc - sc ** (1.0 + self.eps) / (4.0 * self.delta ** self.eps)
         if self.kind == "power":
             return s ** self.eps
-        if self.kind == "log_power":
-            a = self.r / (1.0 + self.r)
-            return _gl_primitive(lambda z: np.log(np.e + 1.0 / z) ** a, s)
-        # sqrt_log
-        return _gl_primitive(lambda z: np.sqrt(np.log(np.e + 1.0 / z)), s)
+        # log_power or sqrt_log, which is log_power's integrand at r = 1
+        # (numpy takes ** 0.5 as sqrt)
+        a = 0.5 if self.kind == "sqrt_log" else self.r / (1.0 + self.r)
+        return _gl_primitive(lambda z: np.log(np.e + 1.0 / z) ** a, s)
 
     @property
     def stop_at_tau(self) -> bool:

@@ -21,7 +21,7 @@ supremand, with a brute-force numeric scan available as a sanity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,40 +138,46 @@ def _fit_then_validate(condition_id: str, n_samples: int, sample, fit, check,
     or else ``fit(terms)`` on one batch.  ``check(terms, const)`` then
     returns the margins, their scale and optionally a ``floor`` on each
     ``_SLAB``-sample slab of a fresh batch; a margin that is NaN or below
-    ``-(_REL_TOL * scale + floor)`` is a violation.  The slabs' violations
-    are summed and ``worst_margin`` is the least slab minimum, NaN if any
-    margin is NaN.  ``constants(const)`` names the constants the report
-    carries.  With no violation, a fitted (not ``given``) constant reads
-    ``vacuous`` when ``fitted_term(terms, const)``, its term and the lhs,
-    has a median ``|term|`` below ``_VACUOUS`` times the median ``|lhs|``.
+    ``-(_REL_TOL * scale + floor)`` is a violation.  Each slab gives a
+    partial report, and :func:`_merged_report` merges them into the batch's.
+    ``constants(const)`` names the constants the report carries.  With no
+    violation, a fitted (not ``given``) constant reads ``vacuous`` when
+    ``fitted_term(terms, const)``, its term and the lhs, has a median
+    ``|term|`` below ``_VACUOUS`` times the median ``|lhs|``.
     """
     _positive_samples(n_samples)
     const = fit(sample()) if given is None else given
-    terms = sample()
-    bad, lows = 0, []
+    terms, consts = sample(), constants(const)
+    parts = []
     for lo in range(0, n_samples, _SLAB):
         margins, scale, *floor = check(tuple(t[lo:lo + _SLAB] for t in terms),
                                        const)
         tol = _REL_TOL * scale
         if floor:
             tol = tol + floor[0]
-        bad += int(np.sum(~(margins >= -tol)))
-        lows.append(np.min(margins))
-    verdict = "pass" if bad == 0 else "fail"
-    if bad == 0 and given is None and fitted_term is not None:
+        bad = int(np.sum(~(margins >= -tol)))
+        parts.append(ConditionReport(condition_id, margins.size, bad, consts,
+                                     float(np.min(margins)),
+                                     "pass" if bad == 0 else "fail"))
+    report = _merged_report(parts)
+    if report.violation_count == 0 and given is None and fitted_term is not None:
         # upper medians by partition: np.median would import numpy.ma
         term, lhs = (np.partition(np.abs(a), n_samples // 2)[n_samples // 2]
                      for a in fitted_term(terms, const))
         if term < _VACUOUS * lhs:
-            verdict = "vacuous"
-    return ConditionReport(
-        condition_id=condition_id,
-        sample_count=n_samples,
-        violation_count=bad,
-        fitted_constants=constants(const),
-        worst_margin=float(np.min(lows)),
-        verdict=verdict,
-    )
+            report.verdict = "vacuous"
+    return report
+
+
+def _merged_report(parts) -> ConditionReport:
+    """The report of checks on consecutive parts of one batch: the counts
+    add, the least margin wins (NaN if any part's is NaN), and it passes
+    only when no part has a violation; the rest is the first part's."""
+    bad = sum(p.violation_count for p in parts)
+    return replace(parts[0], sample_count=sum(p.sample_count for p in parts),
+                   violation_count=bad, verdict="pass" if bad == 0 else "fail",
+                   # np.min, not min: a NaN margin in any part propagates
+                   worst_margin=float(np.min([p.worst_margin for p in parts])))
 
 
 def _a1_lhs(space, model, v1, v2):

@@ -92,11 +92,11 @@ y and the distances at every later checkpoint.  A checkpoint writes only
 the unretired rows, and of their states only mode 1.  When the unretired
 rows of the batch's whole 256-row chunks fit in fewer chunks, they are
 packed, in batch order, into that many chunks, the last one filled up
-with retired rows (stepped, never written, in the band if failed).  The
-short tail chunk of the batch's last block keeps its place after them and
-its order, because its rows' bits come from its own short product; a full
-chunk's rows keep theirs wherever they sit in it (``tests/test_spaces.py``
-asserts this of the BLAS build).  Every step draws the keyed channels in
+with retired rows (stepped, never written).  The short tail chunk of the
+batch's last block keeps its place after them and its order, because its
+rows' bits come from its own short product; a full chunk's rows keep
+theirs wherever they sit in it (``tests/test_spaces.py`` asserts this of
+the BLAS build).  Every step draws the keyed channels in
 batch layout into the first buffer set's noise grid, for the blocks
 holding an unretired row and, for the reflected channel, the blocks
 holding a live row in the band; until the first repack batch layout is

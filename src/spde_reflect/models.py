@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (
-    SpectralSpace, to_grid, from_grid, grad_to_grid, quad,
-    h_inner, rowblock_matmul,
+    SpectralSpace, to_grid, from_grid, grad_to_grid, quad, rowblock_matmul,
 )
 
 __all__ = [
@@ -276,14 +275,11 @@ def pairing_drift_diff(space: SpectralSpace, model: ModelSpec, t: float,
         return -quad(space, (w1 - w2) * (dg1 - dg2))
     g1 = to_grid(space, v1)
     g2 = to_grid(space, v2)
+    psi_term = quad(
+        space, (signed_power(g1, fam.r) - signed_power(g2, fam.r)) * (g1 - g2))
     if fam.kind == "porous":
-        psi_term = fam.psi_scale * quad(
-            space, (signed_power(g1, fam.r) - signed_power(g2, fam.r)) * (g1 - g2))
-        zero_order = fam.phi_slope
-    else:  # fastdiff
-        psi_term = quad(
-            space, (signed_power(g1, fam.r) - signed_power(g2, fam.r)) * (g1 - g2))
-        zero_order = beta_value(fam, t)
+        psi_term = fam.psi_scale * psi_term
+    zero_order = fam.phi_slope if fam.kind == "porous" else beta_value(fam, t)
     # the zero-order term pairs through (-L)^-1, i.e. the weighted metric
     return -psi_term + zero_order * np.sum(d * d / space.lambdas, axis=-1)
 

@@ -235,15 +235,13 @@ def v_norm(space: SpectralSpace, x: np.ndarray, family) -> np.ndarray:
     """
     kind = getattr(family, "kind", None)
     g = to_grid(space, x)
-    if kind == "porous":
-        s = 1.0 + family.r
-        return quad(space, np.abs(g) ** s) ** (1.0 / s)
     if kind == "plaplace":
         p = family.p
         dg = grad_to_grid(space, x)
         return quad(space, np.abs(g) ** p) ** (1.0 / p) + \
             quad(space, np.abs(dg) ** p) ** (1.0 / p)
-    if kind == "fastdiff":
-        s = 1.0 + family.r
-        return quad(space, np.abs(g) ** s) ** (1.0 / s) + h_norm(space, x)
-    raise ValueError(f"unknown family: {family!r}")
+    if kind not in ("porous", "fastdiff"):
+        raise ValueError(f"unknown family: {family!r}")
+    s = 1.0 + family.r
+    norm = quad(space, np.abs(g) ** s) ** (1.0 / s)
+    return norm + h_norm(space, x) if kind == "fastdiff" else norm

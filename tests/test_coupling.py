@@ -6,6 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from spde_reflect import coupling
+from spde_reflect.cli import parse_config
+from spde_reflect.integrator import run_paths
 from spde_reflect.spaces import make_space, h_norm, h_inner
 from spde_reflect.coupling import (
     CouplingParams, cutoff_h, cutoff_h_prime, sqrt1mh2, sqrt1mh2_prime,
@@ -234,11 +236,13 @@ def test_increment_variance_weighted_law(porous_space, porous_linear):
 
 
 def _reference_increments(space, model, params, x, y, dW1, dW2, dW3):
-    """The full formula evaluated on every row, whatever its distance."""
+    """The full formula evaluated on every row, whatever its distance; a
+    NaN distance (a failed row) takes h = 0, as a row below the band."""
     root_w = np.sqrt(space.h_weights)
     z2 = dW2 / root_w
     z3 = dW3 / root_w
-    h = cutoff_h(params.n * h_norm(space, x - y))[..., None]
+    h = np.nan_to_num(cutoff_h(params.n * h_norm(space, x - y)), nan=0.0)
+    h = h[..., None]
     g = np.sqrt(np.clip(1.0 - h * h, 0.0, None))
     q = space.q_coeffs
     shared = q * g * z2
@@ -262,8 +266,8 @@ def _reference_increments(space, model, params, x, y, dW1, dW2, dW3):
     ModelSpec(Porous(r=2.0), b_spec=LipschitzDiagonal(0.8, unit_base(16))),
 ], ids=["zero_b", "lipschitz_diagonal"])
 def test_increments_match_full_formula_bitwise(porous_space, model):
-    # only rows inside the band (or with a NaN distance) take the full
-    # formula; every other row must get the same bits it gives
+    # only rows inside the band take the full formula; every other row,
+    # a failed one (NaN distance) too, must get the same bits it gives
     params = CouplingParams(n=4)
     gen = np.random.default_rng(29)
     s = np.concatenate([
@@ -311,9 +315,9 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
                 np.testing.assert_array_equal(g, w[i])
         # the band rows worked on in one reused scratch array, each subset
         # twice: no, some and every row in the band; every row in the band
-        # with failed (NaN) rows among them, which reflect to NaN; glued
-        # rows and NaN rows only, so that every band row is a failed one
-        band = ~(params.n * stored <= 0.5)
+        # with failed (NaN) rows among them, which lie below it; glued rows
+        # and NaN rows only, so that no row is in the band
+        band = params.n * stored > 0.5
         below = np.flatnonzero(~band[:s.size])
         above = np.flatnonzero(band[:s.size])
         glued = np.arange(s.size, s.size + 3)
@@ -322,9 +326,8 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
                    "all_and_failed": np.concatenate([above[:30], failed,
                                                      above[30:]]),
                    "glued_and_failed": np.concatenate([glued, failed])}
-        n_band = {"none": 0, "some": above.size + failed.size,
-                  "all": above.size, "all_and_failed": above.size + failed.size,
-                  "glued_and_failed": failed.size}
+        n_band = {"none": 0, "some": above.size, "all": above.size,
+                  "all_and_failed": above.size, "glued_and_failed": 0}
         scratch = np.full(4 * p * 16, np.nan)
         for name, rows in subsets.items():
             assert np.sum(band[rows]) == n_band[name]
@@ -338,7 +341,8 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
                     scratch=scratch)
                 for g, w in zip(got, want_sub):
                     np.testing.assert_array_equal(g, w, err_msg=name)
-    assert np.all(np.isnan(want[0][s.size + 3:]))
+    # a failed row's B term is NaN, and without B its increments are finite
+    assert np.all(np.isnan(want[0][s.size + 3:])) == model.has_diffusion
     assert not np.array_equal(want[0][in_band], want[1][in_band])
 
 
@@ -348,10 +352,11 @@ def test_increments_match_full_formula_bitwise(porous_space, model):
 ], ids=["zero_b", "lipschitz_diagonal"])
 def test_band_slabs_keep_every_bit(porous_space, model, monkeypatch):
     # three slabs give the bits of one slab of every band row, for two
-    # sets of 2 _BAND_SLAB + 37 band rows: reflected (in the transition or
-    # at full cutoff) and failed (NaN) rows shuffled among rows below the
-    # band; and every row in the band and reflected, none failed, so that
-    # the band rows are every row in order (linear_ou's first steps)
+    # sets of band rows: 2 _BAND_SLAB + 12 reflected rows (in the
+    # transition or at full cutoff) shuffled among rows below the band and
+    # 25 failed (NaN) rows, which lie below it too; and 2 _BAND_SLAB + 37
+    # rows, every one in the band and none failed, so that the band rows
+    # are every row in order (linear_ou's first steps)
     params = CouplingParams(n=4)
     gen = np.random.default_rng(43)
     n_band = 2 * coupling._BAND_SLAB + 37
@@ -371,7 +376,7 @@ def test_band_slabs_keep_every_bit(porous_space, model, monkeypatch):
         dws = gen.standard_normal((3, p, 16)) * np.sqrt(1e-3)
         with np.errstate(invalid="ignore"):
             dist = h_norm(porous_space, x - y)
-            assert np.count_nonzero(~(params.n * dist <= 0.5)) == n_band
+            assert np.count_nonzero(params.n * dist > 0.5) == n_band - n_failed
             if not n_below:
                 assert p == n_band and np.all(cutoff_h(params.n * dist) > 0)
 
@@ -389,6 +394,48 @@ def test_band_slabs_keep_every_bit(porous_space, model, monkeypatch):
             for g, w in zip(got, whole):
                 np.testing.assert_array_equal(g.view(np.uint64),
                                               w.view(np.uint64))
+
+
+# the explicit porous r = 3 scheme past its stability limit: most of the
+# 600 pairs overflow and fail within the 50 steps
+FAILING = """
+[space]
+n_modes = 4
+gamma = 1.0
+q_amp = 5.0
+[model]
+family = porous
+r = 3.0
+[sim]
+scheme = explicit
+dt = 1e-3
+horizon = 0.05
+n_paths = 600
+master_seed = 2
+x0 = 0.5
+y0 = -0.5
+[experiments]
+which = survival
+"""
+
+
+def test_failed_rows_are_not_reflected(monkeypatch):
+    # a failed row's NaN distance lies below the band, so the rows the
+    # step reflects are those it draws a reflected channel for: none of
+    # them holds a failed (NaN) state
+    cfg = parse_config(FAILING)
+    rows, nan_rows = [], []
+
+    def counted(space, u, v, n, w, **kw):
+        rows.append(len(u))
+        nan_rows.append(int(np.sum(np.isnan(u).any(-1) | np.isnan(v).any(-1))))
+        return reflect_apply(space, u, v, n, w, **kw)
+
+    monkeypatch.setattr(coupling, "reflect_apply", counted)
+    rec = run_paths(cfg.space, cfg.model, cfg.coupling, cfg.sim, "coupled",
+                    x0=cfg.x0, y0=cfg.y0, threads=1)
+    assert np.sum(rec.failed) > cfg.sim.n_paths // 2 and sum(rows) > 0
+    assert sum(nan_rows) == 0
 
 
 def test_reflect_apply_scratch_and_out(porous_space):

@@ -13,6 +13,7 @@ from spde_reflect.experiments import (
     prop21_chain, marginal_ou_check,
     d3_rate_bound,
 )
+from spde_reflect import experiments as xp
 from conftest import e_k
 
 
@@ -157,6 +158,12 @@ def test_gspec_integral_against_dense_quadrature():
         z = np.linspace(1e-9, si, 200_001)
         ref = np.trapezoid(np.sqrt(np.log(np.e + 1.0 / z)), z)
         assert g2(np.array([si]))[0] == pytest.approx(ref, rel=1e-4)
+    # sqrt_log takes log_power's integrand at r = 1, whose ** 0.5 numpy
+    # evaluates as sqrt: the bits of the sqrt form, over many decades of s
+    wide = np.concatenate([[0.0], s, np.geomspace(1e-300, 1e300, 61)])
+    old = xp._gl_primitive(lambda z: np.sqrt(np.log(np.e + 1.0 / z)), wide)
+    for got in (g2(wide), g(wide)):
+        np.testing.assert_array_equal(got.view(np.uint64), old.view(np.uint64))
 
 
 def test_gspec_monotone_concave_shapes():

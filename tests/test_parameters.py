@@ -34,3 +34,39 @@ def test_every_parameter_is_read():
     unread = [f"{path.stem}.{fn}: {p}" for path in sorted(src.glob("*.py"))
               for fn, p in _unread_parameters(ast.parse(path.read_text()))]
     assert unread == []
+
+
+def _unused_imports(tree):
+    """Every name an import binds that the module never loads and does not
+    list in ``__all__``; ``from __future__`` imports are not counted."""
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield name
+
+
+def test_the_scan_finds_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, sys as system\nfrom a import b, c, d\n"
+                     "__all__ = ['d']\n\ndef f():\n    import e\n"
+                     "    return os.sep, c\n")
+    assert sorted(_unused_imports(tree)) == ["b", "e", "system"]
+
+
+def test_every_import_is_used():
+    # an import that nothing reads is a dependency the module does not have
+    src = Path(spde_reflect.__file__).parent
+    unused = [f"{path.stem}: {name}" for path in sorted(src.glob("*.py"))
+              for name in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []
