@@ -99,8 +99,8 @@ def _parse_str_list(s: str):
 
 
 # section -> key -> (parser, default); required keys use _REQUIRED.
-# [sim] record_v_norms and [experiments] holder_epsilons, holder_t and
-# holder_direction_mode are parsed and hashed, and nothing reads them:
+# [sim] record_v_norms and [experiments] kappa, holder_epsilons, holder_t
+# and holder_direction_mode are parsed and hashed, and nothing reads them:
 # config_hash hashes every key, defaults included, so dropping one would
 # move every pinned summary.json.  ROADMAP item 1, which re-pins, deletes
 # them.
@@ -551,9 +551,11 @@ def _run_experiments(cfg: RunConfig, threads, dest: Path):
     rec = None
     space, model, sim, x0 = cfg.space, cfg.model, cfg.sim, cfg.x0
     dist0 = _start_distance(cfg)
-    # every experiment but contraction reads the coupled ensemble
+    # every experiment but contraction reads the coupled ensemble, and
+    # lemma31 alone its delta-crossing times
     if set(which) - {"contraction"}:
-        deltas = tuple(m * dist0 for m in ex["lemma31_deltas"])
+        deltas = (tuple(m * dist0 for m in ex["lemma31_deltas"])
+                  if "lemma31" in which else ())
         rec = _ensemble(cfg, "coupled", threads, delta_grid=deltas)
         out["ensemble"] = {
             "n_paths": int(sim.n_paths),

@@ -18,9 +18,9 @@ lends them scratch (the idle grid buffer of its drift) into which those
 rows are gathered, and the reflection is applied there in place.
 ``coupled_diffusion_increments`` forms the cutoff and the row views once
 per call, over every band row; its loop over slabs of ``_BAND_SLAB`` rows
-then only gathers, multiplies, reflects and scatters.  Every band row is
-reflected, h being positive on each; a failed row's NaN distance puts it
-below the band, where its NaN state leaves its new state NaN.
+then only gathers, multiplies, reflects and scatters.  Every row in the
+band (``CouplingParams.in_band``) is reflected, h being positive on each;
+a failed row's NaN distance puts it below the band, its state staying NaN.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import SpectralSpace, h_inner, h_norm, q_norm
+from .models import b_diag
 
 __all__ = [
     "CouplingParams",
@@ -56,6 +57,10 @@ class CouplingParams:
             raise ValueError("n must be >= 1")
         if not 0.0 < self.glue_eps < 0.5 / self.n:
             raise ValueError("glue_eps must lie in (0, 1/(2n))")
+
+    def in_band(self, dist: np.ndarray) -> np.ndarray:
+        """The reflection band n |x - y|_H > 1/2 (h > 0); False on NaN."""
+        return self.n * dist > 0.5
 
 
 def _smoothstep(u):
@@ -201,18 +206,17 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
     channel 1 and the B term.  ``y`` None (every pair glued) forms dx only,
     without channel 3.
     """
-    from .models import b_diag
     x = np.asarray(x, dtype=float)
     root_w = space.root_h_weights
     q = space.q_coeffs
     dx, dy = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
     y = None if y is None else np.asarray(y, dtype=float)
     if dW3 is None or y is None:
-        s = np.zeros(x.shape[:-1])       # no band: h = 0 on every row
+        d = np.zeros(x.shape[:-1])       # no band: h = 0 on every row
     else:
-        s = params.n * np.asarray(h_norm(space, x - y) if dist is None else dist)
-    band = np.flatnonzero(s > 0.5)       # h > 0; a NaN distance is not
-    if band.size < s.size:
+        d = np.asarray(h_norm(space, x - y) if dist is None else dist)
+    band = np.flatnonzero(params.in_band(d))
+    if band.size < d.size:
         # cylindrical increments on H, expressed in sine coefficients.
         # Where h = 0, q * 1.0 * z2 + (q * 0.0) * z3 is q * z2 to the bit
         # unless q * z2 is -0.0.
@@ -232,7 +236,7 @@ def coupled_diffusion_increments(space: SpectralSpace, model, params: CouplingPa
             -1, n_modes) for a in (x, y, dx, dy, dW2, dW3))
         # h lies in (0, 1] on a band row (at least 2.3e-31 where
         # n |x - y|_H is the smallest double above 1/2)
-        h = cutoff_h(s.reshape(-1)[band])[:, None]
+        h = cutoff_h(params.n * d.reshape(-1)[band])[:, None]
         g = np.sqrt(1.0 - h * h)
         k = min(band.size, _BAND_SLAB)
         slabs = (np.empty(4 * k * n_modes) if scratch is None else

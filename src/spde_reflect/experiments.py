@@ -20,10 +20,11 @@ differences of consecutive checkpoints against 3 standard errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .spaces import SpectralSpace, h_mode_coeffs
+from .spaces import SpectralSpace
 from .models import ModelSpec
 from .coupling import cutoff_h_prime_sup
 from .integrator import PathEnsembleRecord
@@ -135,18 +136,21 @@ def check_lemma31(record: PathEnsembleRecord, t: float, kprime: float) -> dict:
             "rows": rows, "ok": all(r["ok"] for r in rows)}
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+@cache
+def _gl_rule():
+    """64-point Gauss-Legendre nodes and weights on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _gl_primitive(w_fn, s: np.ndarray) -> np.ndarray:
     """int_0^s w_fn(z) dz via 64-point Gauss-Legendre, vectorized in s."""
+    nodes, weights = _gl_rule()
     s = np.asarray(s, dtype=float)
-    z = s[..., None] * _GL_NODES
+    z = s[..., None] * nodes
     with np.errstate(divide="ignore"):
         vals = np.where(z > 0.0, w_fn(np.where(z > 0.0, z, 1.0)), 0.0)
-    return s * np.sum(vals * _GL_WEIGHTS, axis=-1)
+    return s * np.sum(vals * weights, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -196,36 +200,24 @@ class GSpec:
         return self.kind != "identity"
 
 
-def stopped_distance_series(record: PathEnsembleRecord, stop_at_tau: bool):
-    """Per-path distance value and evaluation time at each checkpoint.
-
-    With stopping, paths freeze at tau_n (value = recorded distance at the
-    hit).
-    """
-    times = record.checkpoint_times
-    live = record.live
-    dist = record.h_dist[live].copy()          # (M, C)
-    t_eval = np.broadcast_to(times, dist.shape).copy()
-    if stop_at_tau:
-        tau = record.tau_n[live]
-        stop_t = np.where(np.isnan(tau), np.inf, tau)
-        stop_v = record.dist_at_tau_n[live]
-        frozen = times[None, :] >= stop_t[:, None]
-        dist = np.where(frozen, stop_v[:, None], dist)
-        t_eval = np.where(frozen, stop_t[:, None], t_eval)
-    return dist, t_eval
-
-
 def supermartingale_diagnostic(record: PathEnsembleRecord, g_spec: GSpec,
                                kprime: float) -> dict:
     """Checkpoint means of e^(-K't) g(|X_t - Y_t|) with monotonicity verdict.
 
     Non-identity test functions are evaluated on the process stopped at
-    tau_n, as in the decay proofs.  The verdict is 'nonincreasing within 3
-    SE' on paired consecutive differences.
+    tau_n (at the distance recorded there), as in the decay proofs.  The
+    verdict is 'nonincreasing within 3 SE' on paired consecutive differences.
     """
     times = record.checkpoint_times
-    dist, t_eval = stopped_distance_series(record, g_spec.stop_at_tau)
+    live = record.live
+    dist = record.h_dist[live]                  # (M, C)
+    t_eval = np.broadcast_to(times, dist.shape)
+    if g_spec.stop_at_tau:
+        tau = record.tau_n[live]
+        stop_t = np.where(np.isnan(tau), np.inf, tau)
+        frozen = times[None, :] >= stop_t[:, None]
+        dist = np.where(frozen, record.dist_at_tau_n[live][:, None], dist)
+        t_eval = np.where(frozen, stop_t[:, None], t_eval)
     vals = np.exp(-kprime * t_eval) * g_spec(dist)
     means, ses = mean_se(vals)
     gaps = []
@@ -354,7 +346,7 @@ def ou_oracle(space: SpectralSpace, model: ModelSpec, x0: np.ndarray,
     if np.any(kappa <= 0.0):
         raise ValueError("the OU oracle needs psi_scale * lambda_i > "
                          "phi_slope in every mode")
-    c0 = h_mode_coeffs(space, np.asarray(x0, dtype=float))
+    c0 = space.root_h_weights * np.asarray(x0, dtype=float)
     mean = np.exp(-kappa * t) * c0
     var = space.q_coeffs ** 2 * -np.expm1(-2.0 * kappa * t) / (2.0 * kappa)
     return mean, var
@@ -376,7 +368,7 @@ def marginal_ou_check(record: PathEnsembleRecord, space: SpectralSpace,
     for name, mode1, start in (("x", record.x_mode1, x0),
                                ("y", record.y_mode1, y0)):
         mean_th, var_th = ou_oracle(space, model, start, t)
-        # mode 0 of h_mode_coeffs, on the checkpoint's live rows
+        # mode 0's H-orthonormal coefficient, on the checkpoint's live rows
         c = space.root_h_weights[0] * mode1[live, j]
         mean_e, se_mean = floats(mean_se(c))
         var_e = float(np.var(c, ddof=1))

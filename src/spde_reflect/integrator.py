@@ -11,13 +11,13 @@ work is partitioned.  Worker counts therefore cannot perturb results.
 The step takes its noise from its caller: ``run_paths`` draws each step's
 keyed blocks through ``gen_noise``, whole blocks from a block-aligned row.
 A block's reflected channel (channel 2) is drawn only when some path of
-that block starts the step inside the reflection band (n |x - y|_H > 1/2);
-elsewhere the cutoff h is 0, the channel is multiplied by zero, and its
-rows are left at zero instead of being drawn.  Values that are drawn are
-unchanged, because a skipped block perturbs no other key.  The decision is
-made per 256-path block and worker batches are block-aligned, so output
-bytes stay independent of the worker count.  The diffusion channel
-(channel 0) is drawn only when the model has a nonzero B.
+that block starts the step inside the reflection band n |x - y|_H > 1/2
+(``CouplingParams.in_band``); elsewhere the cutoff h is 0, the channel is
+multiplied by zero, and its rows are left at zero instead of being drawn.
+Values that are drawn are unchanged, because a skipped block perturbs no
+other key.  The decision is made per 256-path block and worker batches are
+block-aligned, so output bytes stay independent of the worker count.  The
+diffusion channel (channel 0) is drawn only when the model has a nonzero B.
 
 Schemes
 -------
@@ -89,10 +89,11 @@ A batch steps only its unretired rows: a failed path retires, and with
 state, of its stepped rows.  A row writes its records when it retires, or
 at the horizon: its full x and y, its stopping times, and mode 1 of x and
 y and the distances at every later checkpoint.  A checkpoint writes only
-the unretired rows, and of their states only mode 1.  When the unretired
-rows of the batch's whole 256-row chunks fit in fewer chunks, they are
-packed, in batch order, into that many chunks, the last one filled up
-with retired rows (stepped, never written).  The short tail chunk of the
+the unretired rows, of their states only mode 1, and the H-distance the
+step computed (``CouplingState.dist``).  When the unretired rows of the
+batch's whole 256-row chunks fit in fewer chunks, they are packed, in
+batch order, into that many chunks, the last one filled up with retired
+rows (stepped, never written).  The short tail chunk of the
 batch's last block keeps its place after them and its order, because its
 rows' bits come from its own short product; a full chunk's rows keep
 theirs wherever they sit in it (``tests/test_spaces.py`` asserts this of
@@ -284,7 +285,7 @@ class CouplingState:
     tau_delta: np.ndarray        # (P, D), nan until hit
     fail_mode: np.ndarray        # first non-finite mode once failed, else -1
     dist: np.ndarray             # H-distance at the last step boundary
-                                 # (NaN once failed)
+                                 # (0 once glued, NaN once failed)
 
     @property
     def n_paths(self) -> int:
@@ -314,6 +315,7 @@ def _boundary_update(params: CouplingParams, state: CouplingState,
         state.y[glue] = state.x[glue]
         state.t_n[glue] = state.time
         state.coupled |= glue
+        state.dist[glue] = 0.0
 
 
 def make_coupling_state(space: SpectralSpace, params: CouplingParams,
@@ -406,16 +408,6 @@ def _split_factors(space: SpectralSpace, dt: float, mu, out=None):
         phi1[tiny] = 1.0
         nfac[tiny] = 1.0
     return decay, phi1, nfac
-
-
-def _scheme_factors(space: SpectralSpace, config: SimConfig, mu: np.ndarray,
-                    out=None):
-    """(decay, dt * phi1, nfac) for the semi-implicit scheme, None for the
-    explicit one; ``out`` as for _split_factors."""
-    if config.scheme == "explicit":
-        return None
-    decay, phi1, nfac = _split_factors(space, config.dt, mu, out)
-    return decay, np.multiply(config.dt, phi1, out=phi1), nfac
 
 
 def _exact_split(model: ModelSpec, config: SimConfig) -> bool:
@@ -527,7 +519,12 @@ def step_coupled(space: SpectralSpace, model: ModelSpec,
                 dr_y, mu_y = drift_and_split_rate(space, model, t, state.y,
                                                   out=work.drift_y)
                 mu = np.maximum(mu, mu_y)
-        factors = _scheme_factors(space, config, mu, work.factors)
+        # (decay, dt * phi1, nfac) for the semi-implicit scheme
+        factors = None
+        if config.scheme == "semi_implicit":
+            decay, phi1, nfac = _split_factors(space, config.dt, mu,
+                                               work.factors)
+            factors = decay, np.multiply(config.dt, phi1, out=phi1), nfac
         new_x = _step_core(space, config.dt, state.x, dr_x, mu, dx_noise,
                            factors, work.drift_x.drift)
         # the increments are used up, so their buffers serve as scratch
@@ -759,19 +756,18 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
 
         def write(pos, i, done):
             # st's rows ``pos`` into their batch rows' records: mode 1 of x
-            # and y, h_dist and q_dist at checkpoint i and, for rows that
-            # are ``done``, at every later one and in the final state and
-            # records.  A slice reads st's arrays as they are, without a
-            # gather
+            # and y, h_dist (the step's distance) and q_dist at checkpoint i
+            # and, for rows that are ``done``, at every later one and in the
+            # final state and records.  A slice reads st's arrays as they
+            # are, without a gather
             out = lo + stepped[pos]
             cp = slice(i, None if done else i + 1)
             if i < n_cp:
                 x, y = st.x[pos], st.y[pos]
                 x_out[out, cp], y_out[out, cp] = x[:, :1], y[:, :1]
+                h_out[out, cp] = st.dist[pos][:, None]
                 with np.errstate(invalid="ignore", over="ignore"):
-                    d = x - y
-                    h_out[out, cp] = h_norm(space, d)[:, None]
-                    q_out[out, cp] = q_norm(space, d)[:, None]
+                    q_out[out, cp] = q_norm(space, x - y)[:, None]
             if done:
                 for name, arr in final.items():
                     arr[out] = getattr(st, name)[pos]
@@ -804,7 +800,7 @@ def run_paths(space: SpectralSpace, model: ModelSpec,
             in_band = None
             if which == "coupled":
                 in_band = np.zeros(rows, dtype=bool)
-                in_band[stepped] = params.n * st.dist > 0.5
+                in_band[stepped] = params.in_band(st.dist)
             dw = _step_noise(model, config, st.step_index, lo, drawn,
                              in_band, noise)
             if work.noise is not noise:

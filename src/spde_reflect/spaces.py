@@ -40,7 +40,6 @@ __all__ = [
     "from_grid",
     "grad_to_grid",
     "quad",
-    "h_mode_coeffs",
     "ROW_CHUNK",
     "rowblock_matmul",
 ]
@@ -159,11 +158,6 @@ def h_inner(space: SpectralSpace, x: np.ndarray, y: np.ndarray,
     """H inner product sum w_i x_i y_i; ``scratch`` receives the terms."""
     terms = np.multiply(space.h_weights, np.asarray(x), out=scratch)
     return np.sum(np.multiply(terms, np.asarray(y), out=terms), axis=-1)
-
-
-def h_mode_coeffs(space: SpectralSpace, x: np.ndarray) -> np.ndarray:
-    """Coefficients of x in the H-orthonormal eigenbasis, sqrt(w_i) x_i."""
-    return space.root_h_weights * np.asarray(x, dtype=float)
 
 
 def q_norm(space: SpectralSpace, x: np.ndarray) -> np.ndarray:

@@ -936,6 +936,29 @@ def test_run_retires_glued_pairs_unless_their_x_is_read(tmp_path, monkeypatch,
     assert seen == [retire]
 
 
+@pytest.mark.parametrize("which, has_grid", [
+    ("survival, supermartingale", False), ("survival, lemma31", True),
+])
+def test_run_records_delta_crossings_only_for_lemma31(tmp_path, monkeypatch,
+                                                     which, has_grid):
+    # tau_delta is read by check_lemma31 alone, so the coupled ensemble of
+    # any other selection steps without a delta grid
+    seen = []
+    run_paths = cli.run_paths
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["delta_grid"])
+        return run_paths(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_paths", recorded)
+    cfg = parse_config(MINIMAL + SHORT + f"n_paths = 16\n"
+                       f"[experiments]\nwhich = {which}\n")
+    assert run(cfg, out_dir=tmp_path, threads=1) == 0
+    dist0 = cli._start_distance(cfg)
+    assert seen == [tuple(m * dist0 for m in (2.0, 4.0, 8.0))
+                    if has_grid else ()]
+
+
 def test_run_builds_the_space_once(tmp_path, monkeypatch):
     # run reuses the objects parse_config built instead of building them again
     calls = []

@@ -451,3 +451,13 @@ def test_reflect_apply_scratch_and_out(porous_space):
     got = reflect_apply(porous_space, uu, vv, 3, ww, out=ww, scratch=(uu, vv))
     assert got is ww
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_in_band_is_the_open_band_above_half_over_n(n):
+    # the band is n |x - y|_H > 1/2: not at 1/(2n) itself, but at the next
+    # double above it; a failed row's NaN distance lies outside
+    params = CouplingParams(n=n)
+    edge = 0.5 / n
+    dist = np.array([np.nan, edge, np.nextafter(edge, np.inf), 0.0, np.inf])
+    assert params.in_band(dist).tolist() == [False, False, True, False, True]

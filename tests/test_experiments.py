@@ -1,9 +1,12 @@
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spde_reflect.spaces import make_space, h_norm, h_mode_coeffs
+from spde_reflect.spaces import make_space, h_norm
 from spde_reflect.models import ModelSpec, Porous, PLaplace, LipschitzDiagonal, unit_base
 from spde_reflect.coupling import CouplingParams
 from spde_reflect.integrator import SimConfig, PathEnsembleRecord, run_paths
@@ -166,6 +169,15 @@ def test_gspec_integral_against_dense_quadrature():
         np.testing.assert_array_equal(got.view(np.uint64), old.view(np.uint64))
 
 
+def test_importing_the_package_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rule is formed on first use, so a process that
+    # never integrates a test function does not import numpy.polynomial
+    src = str(Path(xp.__file__).parents[1])
+    code = ("import sys, spde_reflect.cli\n"
+            "sys.exit('numpy.polynomial' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
+
+
 def test_gspec_monotone_concave_shapes():
     s = np.linspace(0.0, 1.0, 200)
     for g in (GSpec("identity"), GSpec("power", eps=0.5),
@@ -295,7 +307,7 @@ def test_estimators_on_failed_paths_match_the_full_mode_formulas(
     def h_ref(mode1):
         states = np.zeros(mode1.shape + (space.n_modes,))
         states[..., 0] = mode1
-        return h_mode_coeffs(space, states)[..., 0]
+        return (space.root_h_weights * states)[..., 0]
 
     d = np.tanh(h_ref(rec.x_mode1[live])) - np.tanh(h_ref(rec.y_mode1[live]))
     est = np.mean(d, axis=0)

@@ -441,6 +441,57 @@ def test_run_paths_driver_transparency(porous_space, porous_linear):
     np.testing.assert_array_equal(rec.y_final[0], st.y[0])
 
 
+def test_glued_start_distance_is_zero(porous_space):
+    # a pair that make_coupling_state glues has x = y, so its distance is 0,
+    # bit for bit the h_norm of x - y, not the distance before gluing
+    params = CouplingParams(n=2)
+    x0 = e_k(16, 1, 0.3)
+    y0 = x0 + e_k(16, 2, 1e-14)
+    assert 0.0 < h_norm(porous_space, x0 - y0) < params.glue_eps
+    st = make_coupling_state(porous_space, params, x0, y0)
+    assert st.coupled.all()
+    _assert_bits_equal(st.dist, h_norm(porous_space, st.x - st.y))
+
+
+def test_distance_is_the_states_after_every_boundary(porous_space, porous_r2):
+    # glue_eps = 0.3 glues pairs within a few steps of a start at 0.3-0.4;
+    # at every boundary, gluing ones included, dist is the h_norm of x - y
+    params = CouplingParams(n=1, glue_eps=0.3)
+    cfg = SimConfig(dt=1e-3, horizon=0.02, n_paths=BLOCK_ROWS + 44,
+                    master_seed=17)
+    gen = np.random.default_rng(8)
+    half = (e_k(16, 1, 0.5 * np.pi)[None, :]
+            * gen.uniform(0.3, 0.4, cfg.n_paths)[:, None])
+    mid = 0.1 * gen.standard_normal((cfg.n_paths, 16)) / porous_space.lambdas
+    st = make_coupling_state(porous_space, params, mid + half, mid - half)
+    assert not st.coupled.any()
+    for _ in range(cfg.n_steps):
+        st = keyed_step(porous_space, porous_r2, params, cfg, st)
+        _assert_bits_equal(st.dist, h_norm(porous_space, st.x - st.y))
+    assert 0 < np.count_nonzero(st.t_n > 0.0) < cfg.n_paths
+
+
+def test_run_paths_records_the_steps_distance(porous_space, porous_r2,
+                                              monkeypatch):
+    # |x - y|_H is formed once per step boundary: the checkpoint record
+    # writes the step's distance instead of forming it again
+    calls = []
+    norm = integrator.h_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "h_norm", counted)
+    cfg = SimConfig(dt=1e-3, horizon=0.01, n_paths=40, master_seed=3,
+                    checkpoint_times=(0.0, 0.005, 0.01))
+    x0 = e_k(16, 1, 0.3 * np.pi)
+    rec = run_paths(porous_space, porous_r2, CouplingParams(n=2), cfg,
+                    "coupled", x0=x0, y0=-x0, threads=1)
+    assert len(calls) == 1 + cfg.n_steps
+    assert rec.live.all() and not rec.coupled.any()
+
+
 def test_run_paths_worker_count_deterministic(porous_space, monkeypatch):
     # every record field travels from the workers through shared pages, so
     # all of them are compared; the explicit scheme past its stability

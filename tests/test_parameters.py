@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import spde_reflect
+from spde_reflect import cli
 
 
 def _unread_parameters(tree):
@@ -34,6 +35,72 @@ def test_every_parameter_is_read():
     unread = [f"{path.stem}.{fn}: {p}" for path in sorted(src.glob("*.py"))
               for fn, p in _unread_parameters(ast.parse(path.read_text()))]
     assert unread == []
+
+
+def _unread_config_keys(tree, schema):
+    """(section, key) of every ``schema`` entry that the module never reads.
+
+    A read is a ``["key"]`` load from ``cfg["section"]`` or
+    ``values["section"]``, or from a name bound to one of them anywhere in
+    the module, or a key string passed to ``_initial_state`` (which reads
+    ``[sim]``)."""
+    def section(node):
+        if (isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) in ("cfg", "values")
+                and getattr(node.slice, "value", None) in schema):
+            return node.slice.value
+        return None
+
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)]
+                         if not isinstance(target, ast.Tuple)
+                         or not isinstance(node.value, ast.Tuple)
+                         else zip(target.elts, node.value.elts))
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and section(value):
+                        bound[name.id] = section(value)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            sec = (section(node.value)
+                   or bound.get(getattr(node.value, "id", None)))
+            if sec is not None and isinstance(node.slice, ast.Constant):
+                read.add((sec, node.slice.value))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_initial_state"):
+            read.update(("sim", a.value) for a in node.args
+                        if isinstance(a, ast.Constant))
+    return sorted((sec, key) for sec in schema for key in schema[sec]
+                  if (sec, key) not in read)
+
+
+def test_the_scan_finds_an_unread_config_key():
+    tree = ast.parse("def f(cfg, values):\n"
+                     "    sp, n = cfg['space'], 1\n    sp['a']\n"
+                     "    values['sim']['b']\n    cfg['sim'][n]\n"
+                     "    _initial_state(values, 'c')\n"
+                     "    other['space']['d']\n")
+    schema = {"space": {"a": 0, "d": 0}, "sim": {"b": 0, "c": 0, "e": 0}}
+    assert _unread_config_keys(tree, schema) == [("sim", "e"), ("space", "d")]
+
+
+# parsed and hashed, and read by nothing: config_hash hashes every key, so
+# deleting one moves every pinned summary.json (ROADMAP item 1 deletes them)
+_INERT_CONFIG_KEYS = [
+    ("experiments", "holder_direction_mode"), ("experiments", "holder_epsilons"),
+    ("experiments", "holder_t"), ("experiments", "kappa"),
+    ("sim", "record_v_norms"),
+]
+
+
+def test_every_config_key_is_read():
+    # a config key that nothing reads is a value the user cannot vary
+    path = Path(cli.__file__)
+    assert (_unread_config_keys(ast.parse(path.read_text()), cli._SCHEMA)
+            == _INERT_CONFIG_KEYS)
 
 
 def _unused_imports(tree):
